@@ -14,7 +14,7 @@ from .lefschetz import (make_context, check_hard_lefschetz,
                         primitive_decomposition, primitive_gram,
                         check_hodge_standard, invariant_form, is_positive,
                         omega_form, omega_class, hodge_sweep)
-from .weightss import (load_complex, complex_to_json, build_e1, compute_e2,
+from .weightss import (load_complex, complex_to_json, build_e1,
                        check_purity, euler_check, inertia_invariants,
                        verify_rz_lemmas, weight_table, gysin_adjoint,
                        SemistableComplex, Stratum, explicit_surface_ring)

@@ -26,12 +26,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator,
-                                                                  x.denominator)
-
-
 def _emit(args, payload, text_lines):
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION, **payload}
@@ -82,7 +76,7 @@ def cmd_ring(args):
         k = args.degree
         if not (0 <= k <= ring.n):
             raise ValueError("degree out of range 0..%d" % ring.n)
-        pairing = [[_frac_str(x) for x in row] for row in ring.pairing[k]]
+        pairing = [[str(x) for x in row] for row in ring.pairing[k]]
         payload["pairing_degree"] = k
         payload["pairing"] = pairing
         lines.append("pairing in degree %d:" % k)
@@ -101,12 +95,11 @@ def cmd_hodge(args):
     if form is not None:
         positive = lefschetz.is_positive(form)
         payload["positive"] = positive
-        payload["alpha"] = _frac_str(form.alpha)
-        payload["levels"] = [_frac_str(a) for a in form.levels]
+        payload["alpha"] = str(form.alpha)
+        payload["levels"] = [str(a) for a in form.levels]
         lines.append("positivity criterion: %s (alpha=%s, levels=%s)"
                      % ("positive" if positive else "NOT positive",
-                        _frac_str(form.alpha),
-                        ",".join(_frac_str(a) for a in form.levels)))
+                        form.alpha, ",".join(str(a) for a in form.levels)))
         if not positive:
             lines.append("REFUSED: class is not positive; "
                          "Lefschetz verification needs a positive class")

@@ -26,7 +26,6 @@ the blow-up Betti recursion; construction fails loudly on any mismatch.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,16 +171,6 @@ def hyperplane_relation(spec, V):
     if V.dim != spec.n - 1:
         raise CohomologyError("hyperplane_relation needs dim V = n-1")
     return normalize_divisor(spec, {gen_e(V): Fraction(1)})
-
-
-def level_sum(spec, d):
-    """The PGL-invariant class of the sum of all D_V with dim V = d."""
-    geom = ambient_geometry(spec.n, spec.field)
-    coeffs = {}
-    for V in geom.subvarieties(d):
-        k = gen_e(V)
-        coeffs[k] = coeffs.get(k, Fraction(0)) + 1
-    return normalize_divisor(spec, coeffs)
 
 
 # -- restriction of generators to an exceptional divisor ----------------------
@@ -434,11 +423,6 @@ class GradedRing:
     def zero(self, j):
         return [Fraction(0)] * len(self.basis[j])
 
-    def eval_monomial(self, mono):
-        if self.topeval is not None:
-            return self.topeval(mono)
-        return intersection_number(self.spec, mono)
-
     def _pairing_solver(self, j):
         if self._pairing_inv_t[j] is None:
             self._pairing_inv_t[j] = linalg.inverse(linalg.transpose(self.pairing[j]))
@@ -556,7 +540,7 @@ class GradedRing:
             "dimension": self.n,
             "dims": self.dims(),
             "basis": [[mono_json(m) for m in bs] for bs in self.basis],
-            "pairing": {str(j): [[_frac_str(x) for x in row] for row in self.pairing[j]]
+            "pairing": {str(j): [[str(x) for x in row] for row in self.pairing[j]]
                         for j in range(self.n + 1)},
         }
         if include_products:
@@ -568,7 +552,7 @@ class GradedRing:
                         row = []
                         for mb in self.basis[k]:
                             coords = self.monomial_coords(self._merge(ma, mb))
-                            row.append([_frac_str(x) for x in coords])
+                            row.append([str(x) for x in coords])
                         table.append(row)
                     tables["%d,%d" % (j, k)] = table
             out["products"] = tables
@@ -579,12 +563,6 @@ def _gen_json(g):
     if g == GEN_H:
         return "h"
     return {"e": {"dim": g[1], "basis": [list(r) for r in g[2]]}}
-
-
-def _frac_str(x):
-    x = Fraction(x)
-    return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 \
-        else str(x.numerator)
 
 
 # -- ring construction ----------------------------------------------------------
@@ -815,7 +793,3 @@ def restrict_to_divisor(ring, V):
         matrices.append([[cols[c][r] for c in range(len(cols))] for r in range(rows)])
     return target, matrices
 
-
-def clear_caches():
-    _EVAL_MEMO.clear()
-    _RING_CACHE.clear()

@@ -7,6 +7,7 @@ statements about H^k appear here with k = 2j.  Odd degrees vanish.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,13 +23,32 @@ class LefschetzError(ValueError):
 
 @dataclass
 class LefschetzContext:
+    """The cup-action matrices of one degree-1 class on one ring.
+
+    Powers, the hard Lefschetz report, the primitive decomposition and the
+    pairing Grams are computed once per context and returned shared: callers
+    must not mutate them.
+    """
     ring: GradedRing
     divisor: list                  # N^1 coordinates of the operator class
     operators: list = field(default_factory=list)  # matrices N^j -> N^(j+1)
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def n(self):
         return self.ring.n
+
+
+def _memoized(fn):
+    """Compute fn(ctx, *args) once per context and argument tuple."""
+    @functools.wraps(fn)
+    def wrapper(ctx, *args):
+        key = (fn.__name__,) + args
+        if key not in ctx.memo:
+            ctx.memo[key] = fn(ctx, *args)
+        return ctx.memo[key]
+    return wrapper
 
 
 def make_context(ring, divisor):
@@ -56,17 +76,20 @@ def make_context(ring, divisor):
     return LefschetzContext(ring, divisor, ops)
 
 
+@_memoized
 def lefschetz_power(ctx, j, power):
     """Matrix of L^power from N^j to N^(j+power); zero map past top degree."""
-    ring = ctx.ring
-    if j + power > ring.n:
-        return [[Fraction(0)] * len(ring.basis[j]) for _ in range(0)]
-    m = linalg.identity(len(ring.basis[j]))
-    for step in range(power):
-        m = linalg.matmul(ctx.operators[j + step], m)
-    return m
+    if j + power > ctx.ring.n:
+        return []
+    if power == 0:
+        return linalg.identity(len(ctx.ring.basis[j]))
+    if power == 1:
+        return ctx.operators[j]
+    return linalg.matmul(ctx.operators[j + power - 1],
+                         lefschetz_power(ctx, j, power - 1))
 
 
+@_memoized
 def check_hard_lefschetz(ctx):
     """L^(n-2j): N^j -> N^(n-j) bijective for all j <= n/2, with rank report."""
     ring = ctx.ring
@@ -91,6 +114,7 @@ class PrimitiveDecomposition:
     splitting: dict      # j -> list of (i, column block L^i P_(j-i))
 
 
+@_memoized
 def primitive_decomposition(ctx):
     """P_j = Ker(L^(n-2j+1)) on N^j plus the splitting N^j = sum L^i P_(j-i)."""
     ok, _ = check_hard_lefschetz(ctx)
@@ -134,6 +158,7 @@ def primitive_decomposition(ctx):
     return PrimitiveDecomposition(prim, splitting)
 
 
+@_memoized
 def lefschetz_pairing_gram(ctx, j):
     """Gram matrix of <x,y> = (-1)^j sum(L^(n-2j) x cup y) on all of N^j."""
     ring = ctx.ring

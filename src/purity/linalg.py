@@ -337,10 +337,6 @@ def stack_columns(*mats):
     return out
 
 
-def subspace_dim(m):
-    return rank(m)
-
-
 def subspace_sum(a, b):
     return column_space(stack_columns(a, b))
 
@@ -358,13 +354,6 @@ def subspace_intersection(a, b):
     return column_space(out) if cols else [[] for _ in range(ra)]
 
 
-def in_column_space(m, v):
-    """True iff vector v lies in the column space of m."""
-    r = rank(m)
-    aug = stack_columns(m, [[x] for x in v])
-    return rank(aug) == r
-
-
 def subspace_leq(a, b):
     """True iff col(a) is contained in col(b)."""
     return rank(b) == rank(stack_columns(a, b))
@@ -373,16 +362,3 @@ def subspace_leq(a, b):
 def subspace_equal(a, b):
     return subspace_leq(a, b) and subspace_leq(b, a)
 
-
-def coordinates_in(m, v):
-    """Coefficients x with m @ x = v (m must have independent columns)."""
-    sol = solve(column_space_full(m), [[x] for x in v])
-    return [row[0] for row in sol]
-
-
-def column_space_full(m):
-    """m itself if its columns are independent, else raise."""
-    r, c = shape(m)
-    if rank(m) != c:
-        raise LinAlgError("columns are not independent")
-    return m

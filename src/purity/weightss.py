@@ -17,6 +17,10 @@ with the extra (-1)^(r+k) factor per summand) and signed Gysin blocks (Cech
 signs with the factor (-1)^k).  d1 o d1 = 0 is checked, not trusted, and the
 monodromy map N (reindexing with per-column sign) is checked to commute with
 d1 and to give isomorphisms E1[-r, w+r] -> E1[r, w-r].
+
+Every block matrix here -- d1, N and the level maps of the lemma suite -- is
+written by the single assembler `_assemble`, fed by the per-stratum
+`SemistableComplex.restriction_blocks` and `gysin_blocks`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from fractions import Fraction
 
 from . import linalg
 from .cohomology import GradedRing, build_ring
-from .lefschetz import make_context, lefschetz_power
+from .lefschetz import (check_hard_lefschetz, lefschetz_pairing_gram,
+                        lefschetz_power, make_context, primitive_decomposition)
 
 
 class ComplexValidationError(ValueError):
@@ -87,12 +92,17 @@ class SemistableComplex:
 
     # -- data access ----------------------------------------------------------
 
-    def stratum(self, sid):
-        return self.strata[sid]
+    def restriction_blocks(self, sid):
+        """(child id, Cech sign, restriction matrix per degree) per child."""
+        for child_id, m in self.children.get(sid, []):
+            child = self.strata[child_id]
+            yield child_id, _cech_sign(m, child.subset), child.parents[m][1]
 
-    def restriction(self, child_id, m):
-        pid, mats = self.strata[child_id].parents[m]
-        return pid, mats
+    def gysin_blocks(self, sid):
+        """(parent id, Cech sign, Gysin matrix per degree) per parent."""
+        s = self.strata[sid]
+        for m in sorted(s.parents):
+            yield s.parents[m][0], _cech_sign(m, s.subset), self.gysin(sid, m)
 
     def gysin(self, child_id, m):
         """Pairing adjoint of the restriction from parent to child, per degree.
@@ -102,7 +112,7 @@ class SemistableComplex:
         """
         key = (child_id, m)
         if key not in self._gysin_cache:
-            pid, mats = self.restriction(child_id, m)
+            pid, mats = self.strata[child_id].parents[m]
             child = self.strata[child_id].ring
             parent = self.strata[pid].ring
             a = child.n
@@ -434,33 +444,23 @@ class WeightTable:
         for (i, j), summands in self.entries.items():
             target = self.entries.get((i + 1, j), [])
             tgt_index = {(s.stratum, s.k, s.s): s for s in target}
-            rows = sum(s.dim for s in target)
-            cols = sum(s.dim for s in summands)
-            m = [[Fraction(0)] * cols for _ in range(rows)]
-            r = -i
+            blocks = []
             for src in summands:
-                stratum = cx.strata[src.stratum]
-                # restriction blocks: k -> k+1, same s
-                for child_id, madd in cx.children.get(src.stratum, []):
+                d = src.s // 2
+                # restriction blocks: k -> k+1, same s, extra sign (-1)^(k-i)
+                for child_id, sign, mats in cx.restriction_blocks(src.stratum):
                     tgt = tgt_index.get((child_id, src.k + 1, src.s))
-                    if tgt is None:
-                        continue
-                    _, mats = cx.restriction(child_id, madd)
-                    child = cx.strata[child_id]
-                    sign = _cech_sign(madd, child.subset) * (-1) ** (r + src.k)
-                    _insert_block(m, mats[src.s // 2], tgt.offset, src.offset, sign)
-                # Gysin blocks: same k, s -> s+2
-                for mrem in sorted(stratum.subset):
-                    if stratum.level == 1:
-                        break
-                    pid, _ = stratum.parents[mrem]
+                    if tgt is not None:
+                        blocks.append((tgt.offset, src.offset, mats[d],
+                                       sign * (-1) ** (src.k - i)))
+                # Gysin blocks: same k, s -> s+2, extra sign (-1)^k
+                for pid, sign, gys in cx.gysin_blocks(src.stratum):
                     tgt = tgt_index.get((pid, src.k, src.s + 2))
-                    if tgt is None:
-                        continue
-                    gys = cx.gysin(src.stratum, mrem)
-                    sign = _cech_sign(mrem, stratum.subset) * (-1) ** src.k
-                    _insert_block(m, gys[src.s // 2], tgt.offset, src.offset, sign)
-            self._d1[(i, j)] = m
+                    if tgt is not None:
+                        blocks.append((tgt.offset, src.offset, gys[d],
+                                       sign * (-1) ** src.k))
+            self._d1[(i, j)] = _assemble(sum(s.dim for s in target),
+                                         sum(s.dim for s in summands), blocks)
 
     def d1(self, i, j):
         return self._d1.get((i, j), [])
@@ -483,17 +483,15 @@ class WeightTable:
             src = self.entries.get((i, j), [])
             tgt = self.entries.get((i + 2, j - 2), [])
             tgt_index = {(s.stratum, s.k, s.s): s for s in tgt}
-            rows = sum(s.dim for s in tgt)
-            cols = sum(s.dim for s in src)
-            m = [[Fraction(0)] * cols for _ in range(rows)]
-            sign = (-1) ** i
+            sign = -1 if i % 2 else 1
+            blocks = []
             for s in src:
                 t = tgt_index.get((s.stratum, s.k + 1, s.s))
-                if t is None:
-                    continue
-                for a in range(s.dim):
-                    m[t.offset + a][s.offset + a] = Fraction(sign)
-            self._n_map[key] = m
+                if t is not None:
+                    blocks.append((t.offset, s.offset, linalg.identity(s.dim),
+                                   sign))
+            self._n_map[key] = _assemble(sum(s.dim for s in tgt),
+                                         sum(s.dim for s in src), blocks)
         return self._n_map[key]
 
     def _check_monodromy(self):
@@ -507,8 +505,6 @@ class WeightTable:
                 if self.e1_dim(i + 1, j) else zero
             b = linalg.matmul(self.d1(i + 2, j - 2), self.n_map(i, j)) \
                 if self.e1_dim(i + 2, j - 2) else zero
-            a = _pad(a, rows, cols)
-            b = _pad(b, rows, cols)
             if not linalg.mat_equal(a, b):
                 raise SpectralSequenceError(
                     "N does not commute with d1 at entry (%d, %d)" % (i, j))
@@ -523,7 +519,7 @@ class WeightTable:
                         "E1 N^%d source/target dims differ at w=%d" % (r, w))
                 if src_dim == 0:
                     continue
-                m = _compose_chain(self, -r, w + r, r, power_map="n")
+                m = _chain(self.n_map, -r, w + r, r)
                 if linalg.rank(m) != src_dim:
                     raise SpectralSequenceError(
                         "N^%d is not an isomorphism on E1 at w=%d" % (r, w))
@@ -535,11 +531,9 @@ class WeightTable:
             self._e2 = {}
             for (i, j), summands in self.entries.items():
                 total = sum(s.dim for s in summands)
-                out = self.d1(i, j)
+                kmat = _kernel_columns(self.d1(i, j), total,
+                                       self.e1_dim(i + 1, j))
                 inn = self.d1(i - 1, j)
-                kerb = linalg.kernel_basis(out) if out and linalg.shape(out)[0] \
-                    else [_unit(total, a) for a in range(total)]
-                kmat = [[v[r] for v in kerb] for r in range(total)]
                 imat = inn if inn and linalg.shape(inn)[1] else \
                     [[] for _ in range(total)]
                 imcols = linalg.column_space(imat) if linalg.shape(imat)[1] \
@@ -579,25 +573,17 @@ class WeightTable:
         return e1, e2
 
 
-def _unit(n, a):
-    v = [Fraction(0)] * n
-    v[a] = Fraction(1)
-    return v
-
-
-def _pad(m, rows, cols):
-    if linalg.shape(m) == (rows, cols):
-        return m
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def _insert_block(m, block, row0, col0, sign):
-    br, bc = linalg.shape(block)
-    for r in range(br):
-        row = block[r]
-        for c in range(bc):
-            if row[c]:
-                m[row0 + r][col0 + c] += sign * row[c]
+def _assemble(rows, cols, blocks):
+    """rows x cols matrix holding sign * block at (row0, col0) for each
+    (row0, col0, block, sign) of `blocks`; zero elsewhere."""
+    m = [[Fraction(0)] * cols for _ in range(rows)]
+    for row0, col0, block, sign in blocks:
+        for r, row in enumerate(block):
+            out = m[row0 + r]
+            for c, x in enumerate(row):
+                if x:
+                    out[col0 + c] += sign * x
+    return m
 
 
 def _cech_sign(m, subset):
@@ -622,14 +608,12 @@ def _quotient_basis(cycles, boundaries):
     return chosen
 
 
-def _compose_chain(table, i, j, steps, power_map="n"):
-    m = None
-    ci, cj = i, j
-    for _ in range(steps):
-        step = table.n_map(ci, cj)
-        m = step if m is None else linalg.matmul(step, m)
-        ci, cj = ci + 2, cj - 2
-    return m if m is not None else []
+def _chain(step_map, i, j, r):
+    """The r-fold composite of step_map, each step (i, j) -> (i+2, j-2)."""
+    m = step_map(i, j)
+    for s in range(1, r):
+        m = linalg.matmul(step_map(i + 2 * s, j - 2 * s), m)
+    return m
 
 
 def weight_table(cx):
@@ -656,12 +640,6 @@ class SpectralTable:
                 for i in range(-self.table.cx.n - 1, self.table.cx.n + 2)
                 if self.table.e2_dim(i, w - i)}
 
-    def d1(self, i, j):
-        return self.table.d1(i, j)
-
-    def monodromy(self, i, j):
-        return self.table.n_map(i, j)
-
     def weight_tags(self):
         return sorted({j for (_, j) in self.e2_entry_dims()})
 
@@ -670,11 +648,6 @@ def build_e1(cx, w):
     if not (0 <= w <= 2 * cx.n):
         raise ValueError("degree w out of range 0..%d" % (2 * cx.n))
     return SpectralTable(weight_table(cx), w)
-
-
-def compute_e2(table: SpectralTable):
-    table.table.e2()
-    return table
 
 
 def check_purity(cx, w):
@@ -690,12 +663,7 @@ def check_purity(cx, w):
             report.append({"r": r, "dim_source": 0, "dim_target": 0,
                            "rank": 0, "ok": True})
             continue
-        m = None
-        ci, cj = -r, w + r
-        for _ in range(r):
-            step = table.induced_n(ci, cj)
-            m = step if m is None else linalg.matmul(step, m)
-            ci, cj = ci + 2, cj - 2
+        m = _chain(table.induced_n, -r, w + r, r)
         rk = linalg.rank(m) if m else 0
         ok = (sdim == tdim == rk)
         verdict = verdict and ok
@@ -772,92 +740,56 @@ class LevelMaps:
                 off += len(s.ring.basis[j])
         return out
 
+    def _block_map(self, t, i, t2, i2, blocks):
+        """H^i(X^(t)) -> H^i2(X^(t2)) from (source id, target id, block, sign)."""
+        src, tgt = self.offsets(t, i), self.offsets(t2, i2)
+        return _assemble(self.dims(t2, i2), self.dims(t, i),
+                         [(tgt[tid], src[sid], m, sign)
+                          for sid, tid, m, sign in blocks])
+
     def rho(self, t, i):
         """H^i(X^(t)) -> H^i(X^(t+1)) with Cech signs."""
-        cx = self.cx
-        rows = self.dims(t + 1, i)
-        cols = self.dims(t, i)
-        m = [[Fraction(0)] * cols for _ in range(rows)]
-        src_off = self.offsets(t, i)
-        tgt_off = self.offsets(t + 1, i)
-        for s in self.records.get(t, []):
-            for child_id, madd in cx.children.get(s.id, []):
-                child = cx.strata[child_id]
-                if child.level != t + 1 or i // 2 > child.ring.n:
-                    continue
-                _, mats = cx.restriction(child_id, madd)
-                sign = _cech_sign(madd, child.subset)
-                _insert_block(m, mats[i // 2], tgt_off[child_id], src_off[s.id],
-                              sign)
-        return m
+        j = i // 2
+        return self._block_map(t, i, t + 1, i, [
+            (s.id, cid, mats[j], sign) for s in self.records.get(t, [])
+            for cid, sign, mats in self.cx.restriction_blocks(s.id)
+            if j <= self.cx.strata[cid].ring.n])
 
     def tau(self, t, i):
         """H^i(X^(t)) -> H^(i+2)(X^(t-1)) with Cech signs (t >= 2)."""
-        cx = self.cx
-        rows = self.dims(t - 1, i + 2)
-        cols = self.dims(t, i)
-        m = [[Fraction(0)] * cols for _ in range(rows)]
-        src_off = self.offsets(t, i)
-        tgt_off = self.offsets(t - 1, i + 2)
-        for s in self.records.get(t, []):
-            if i // 2 > s.ring.n:
-                continue
-            for mrem in sorted(s.subset):
-                pid, _ = s.parents[mrem]
-                gys = cx.gysin(s.id, mrem)
-                sign = _cech_sign(mrem, s.subset)
-                _insert_block(m, gys[i // 2], tgt_off[pid], src_off[s.id], sign)
-        return m
+        j = i // 2
+        return self._block_map(t, i, t - 1, i + 2, [
+            (s.id, pid, gys[j], sign) for s in self.records.get(t, [])
+            if j <= s.ring.n
+            for pid, sign, gys in self.cx.gysin_blocks(s.id)])
 
     def lef_power(self, t, i, power):
         """Block-diagonal L^power: H^i(X^(t)) -> H^(i+2 power)(X^(t))."""
-        rows = self.dims(t, i + 2 * power)
-        cols = self.dims(t, i)
-        m = [[Fraction(0)] * cols for _ in range(rows)]
-        src_off = self.offsets(t, i)
-        tgt_off = self.offsets(t, i + 2 * power)
-        for s in self.records.get(t, []):
-            if i // 2 > s.ring.n or (i // 2) + power > s.ring.n:
-                continue
-            blk = lefschetz_power(self.ctx[s.id], i // 2, power)
-            if linalg.shape(blk)[0]:
-                _insert_block(m, blk, tgt_off[s.id], src_off[s.id], 1)
-        return m
+        j = i // 2
+        return self._block_map(t, i, t, i + 2 * power, [
+            (s.id, s.id, lefschetz_power(self.ctx[s.id], j, power), 1)
+            for s in self.records.get(t, []) if j + power <= s.ring.n])
 
     def gram(self, t, i):
         """Sum of Lefschetz pairings <a, b> = sigma(L^(dim - i) a cup b)."""
-        dim_t = self.cx.n - t + 1
-        power = dim_t - i
-        cols = self.dims(t, i)
-        g = [[Fraction(0)] * cols for _ in range(cols)]
-        off = self.offsets(t, i)
-        for s in self.records.get(t, []):
-            ring = s.ring
-            j = i // 2
-            if j > ring.n or j + power > ring.n or power < 0:
-                continue
-            lp = lefschetz_power(self.ctx[s.id], j, power)
-            nb = len(ring.basis[j])
-            for a in range(nb):
-                va = [lp[r][a] for r in range(len(lp))]
-                for b in range(nb):
-                    vb = ring.zero(j)
-                    vb[b] = Fraction(1)
-                    g[off[s.id] + a][off[s.id] + b] = ring.pair(ring.n - j, va, vb)
-        return g
+        j = i // 2
+        # lefschetz_pairing_gram carries the sign (-1)^j; undo it
+        return self._block_map(t, i, t, i, [
+            (s.id, s.id, lefschetz_pairing_gram(self.ctx[s.id], j),
+             -1 if j % 2 else 1)
+            for s in self.records.get(t, []) if 2 * j <= s.ring.n])
 
     def primitive(self, t, i):
         """Columns spanning the primitive part of H^i(X^(t))."""
-        dim_t = self.cx.n - t + 1
-        power = dim_t - i + 1
-        cols = self.dims(t, i)
-        if power <= 0:
-            return [[] for _ in range(cols)]
-        m = self.lef_power(t, i, power)
-        if linalg.shape(m)[0] == 0:
-            return linalg.identity(cols)
-        ker = linalg.kernel_basis(m)
-        return [[v[r] for v in ker] for r in range(cols)]
+        j = i // 2
+        rows = self.offsets(t, i)
+        blocks, width = [], 0
+        for s in self.records.get(t, []):
+            if 2 * j <= s.ring.n:
+                block = primitive_decomposition(self.ctx[s.id]).primitive[j]
+                blocks.append((rows[s.id], width, block, 1))
+                width += linalg.shape(block)[1]
+        return _assemble(self.dims(t, i), width, blocks)
 
 
 def verify_rz_lemmas(cx, l_system):
@@ -875,7 +807,6 @@ def verify_rz_lemmas(cx, l_system):
         ok_all = ok_all and ok
         report.append({"lemma": name, "ok": ok, "detail": detail})
 
-    from .lefschetz import check_hard_lefschetz
     for sid, ctx in sorted(lm.ctx.items()):
         hl, _ = check_hard_lefschetz(ctx)
         if not hl:
@@ -909,8 +840,6 @@ def verify_rz_lemmas(cx, l_system):
                     if lm.dims(t + 1, i) else zero
                 b = linalg.matmul(lm.rho(t - 1, i + 2), lm.tau(t, i)) \
                     if lm.dims(t - 1, i + 2) else zero
-                a = _pad(a, rows, cols)
-                b = _pad(b, rows, cols)
                 add("anticommute[t=%d,i=%d]" % (t, i),
                     linalg.is_zero_matrix(linalg.add(a, b)))
             # rho tau rho = 0 including the boundary level

@@ -9,9 +9,9 @@ the zeta function is the alternating product over degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .weightss import inertia_invariants, check_purity, weight_table
+from .weightss import inertia_invariants, check_purity
 
 
 class ZetaError(ValueError):
@@ -114,20 +114,6 @@ def theorem_shape(cx, d):
         "actual": actual,
         "match": shape == actual,
     }
-
-
-def weight_tag_table(cx):
-    """Weight-tag dimensions of E2 per degree, for the factored-form audit."""
-    table = weight_table(cx)
-    out = {}
-    for w in range(0, 2 * cx.n + 1):
-        row = {}
-        for i in range(-cx.n - 1, cx.n + 2):
-            dim = table.e2_dim(i, w - i)
-            if dim:
-                row[w - i] = row.get(w - i, 0) + dim
-        out[w] = row
-    return out
 
 
 def zeta_matches_weight_table(cx):

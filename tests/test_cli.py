@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from purity.cli import main
 from purity.fixtures import drinfeld_local
@@ -117,3 +120,38 @@ def test_wss_json_report(capsys):
     data = json.loads(out)
     assert data["purity"]["1"]["ok"] is True
     assert data["zeta"]["factors"] == [{"a": 1, "multiplicity": -1}]
+
+
+# Exit code and sha256 of the --json report for fixed runs.  Report bytes are
+# part of the interface: a change that alters them must say why and update the
+# digest here.
+GOLDEN = [
+    pytest.param(("wss", "--fixture", "tate-cycle:3,2", "--check-lemmas",
+                  "--zeta"), 0,
+                 "58c7a1fd6e7b07932b6dc443f5e5586255caa33946aa8ffd56256f7c9d6e0ebc",
+                 id="wss-tate-cycle:3,2"),
+    pytest.param(("wss", "--fixture", "two-planes:2", "--check-lemmas",
+                  "--zeta"), 0,
+                 "e454a9ef4709321ea356024a15e65fc711e88e44c20f5a8d561a3692742e8d65",
+                 id="wss-two-planes:2"),
+    pytest.param(("wss", "--fixture", "triangle-of-planes:2", "--check-lemmas",
+                  "--zeta"), 0,
+                 "ac0ff542c4331ca7a0829e62ed22084383d7c8c2a5782de8a5ab45f269b7a4d3",
+                 id="wss-triangle-of-planes:2"),
+    pytest.param(("wss", "--fixture", "drinfeld-local:2,2", "--check-lemmas",
+                  "--zeta"), 0,
+                 "c07ef29f8385d198b253095673d42eef8ad7f78b3614241f51ecee03cc0d3ef0",
+                 id="wss-drinfeld-local:2,2"),
+    pytest.param(("hodge", "--n", "2", "--q", "3", "--divisor", "omega"), 0,
+                 "7afcd3c0cfc1bf486de63f99f31267195df049a58525714818b05b9dce2e5126",
+                 id="hodge-b2f3-omega"),
+    pytest.param(("ring", "--n", "2", "--q", "2", "--products"), 0,
+                 "9794f45458eb7a316d0f0d91312a00d6e682785d1b9e08ca344472ecb1242ec5",
+                 id="ring-b2f2-products"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN)
+def test_json_report_bytes_are_pinned(capsys, argv, code, digest):
+    got, out, _ = run(capsys, "--json", *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -9,7 +9,7 @@ from purity.geometry import ambient_geometry
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, hodge_sweep,
                               invariant_form, is_positive, lefschetz_pairing_gram,
-                              make_context, normalize_invariant,
+                              lefschetz_power, make_context, normalize_invariant,
                               omega_form, omega_vector, primitive_decomposition,
                               primitive_gram, product_lefschetz_vector)
 
@@ -209,3 +209,37 @@ def test_b3_omega_full_verification():
     assert ok
     prim_dims = [row["primitive_dim"] for row in report["degrees"]]
     assert prim_dims == [1, 50]
+
+
+def test_context_memo_survives_every_accessor():
+    # memoized results are handed out shared; after every accessor has run
+    # they still equal a fresh context's and the explicit operator products
+    ring = b2_ring(3)
+    n = ring.n
+    ctx = omega_ctx(2, 3)
+    powers = [(j, p) for j in range(n + 1) for p in range(n + 2 - j)]
+    assert check_hodge_standard(ctx)[0]
+    for k in range(2 * n + 1):
+        primitive_gram(ctx, k)
+    for j in range(n // 2 + 1):
+        lefschetz_pairing_gram(ctx, j)
+    for j, p in powers:
+        lefschetz_power(ctx, j, p)
+    assert check_hard_lefschetz(ctx) is check_hard_lefschetz(ctx)
+
+    fresh = omega_ctx(2, 3)
+    assert ctx.operators == fresh.operators
+    assert check_hodge_standard(ctx) == check_hodge_standard(fresh)
+    assert primitive_decomposition(ctx) == primitive_decomposition(fresh)
+    for k in range(2 * n + 1):
+        assert primitive_gram(ctx, k) == primitive_gram(fresh, k)
+    for j in range(n // 2 + 1):
+        assert lefschetz_pairing_gram(ctx, j) == lefschetz_pairing_gram(fresh, j)
+    for j, p in powers:
+        if j + p > n:
+            assert lefschetz_power(ctx, j, p) == []
+            continue
+        expected = linalg.identity(len(ring.basis[j]))
+        for step in range(p):
+            expected = linalg.matmul(fresh.operators[j + step], expected)
+        assert lefschetz_power(ctx, j, p) == expected

@@ -8,7 +8,7 @@ import pytest
 from purity import linalg
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
                              triangle_of_planes, two_planes)
-from purity.weightss import (ComplexValidationError,
+from purity.weightss import (ComplexValidationError, LevelMaps,
                              build_e1, check_purity, complex_to_json,
                              euler_check, explicit_surface_ring, gysin_adjoint,
                              inertia_invariants, load_complex, verify_rz_lemmas,
@@ -206,3 +206,21 @@ def test_monodromy_squares_to_zero_on_e1(tate32):
             prod = linalg.matmul(n2, n1)
             # N^2 vanishes on the Tate curve (columns are two steps apart)
             assert linalg.is_zero_matrix(prod)
+
+
+def test_assembled_maps_are_exact(drinfeld22):
+    # signs enter as integers: a float sign such as (-1) ** -1 would leak into
+    # the entries of every block it multiplies
+    cx, ls = drinfeld22
+    table = weight_table(cx)
+    mats = []
+    for (i, j) in table.slots():
+        mats += [table.d1(i, j), table.n_map(i, j)]
+    lm = LevelMaps(cx, ls)
+    for t in sorted(cx.levels):
+        for i in range(0, 2 * cx.n + 1, 2):
+            mats += [lm.rho(t, i), lm.gram(t, i), lm.primitive(t, i)]
+            mats += [lm.lef_power(t, i, p) for p in range(cx.n + 1)]
+            if t >= 2:
+                mats.append(lm.tau(t, i))
+    assert all(type(x) is Fraction for m in mats for row in m for x in row)

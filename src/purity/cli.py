@@ -87,6 +87,9 @@ def cmd_ring(args):
 
 
 def cmd_hodge(args):
+    if args.n < 1:
+        raise lefschetz.LefschetzError(
+            "hodge needs n >= 1 (a degree-1 class), got n=%d" % args.n)
     ring = cohomology.build_ring(cohomology.blowup(args.n, args.q))
     vec, form = _parse_divisor(args.divisor, args.n, args.q, ring)
     lines = ["variety: B^%d over F_%d" % (args.n, args.q)]

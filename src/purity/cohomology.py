@@ -72,6 +72,8 @@ def proj(n):
 
 def blowup(n, q):
     """B^n over F_q.  For n <= 1 no centers exist and B^n = P^n."""
+    if n < 0:
+        raise CohomologyError("B^n needs n >= 0, got n=%d" % n)
     field = q if isinstance(q, FieldSpec) else field_spec(q)
     if n <= 1:
         return Projective(n)

@@ -19,6 +19,7 @@ All fixtures are generated in process so they always match the live schema:
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -351,4 +352,10 @@ def make_fixture(name, *args):
     if name not in FIXTURES:
         raise FixtureError("unknown fixture %r (have: %s)"
                            % (name, ", ".join(sorted(FIXTURES))))
+    signature = inspect.signature(FIXTURES[name])
+    try:
+        signature.bind(*args)
+    except TypeError:
+        raise FixtureError("fixture %r takes arguments %s, got %d"
+                           % (name, signature, len(args))) from None
     return FIXTURES[name](*args)

@@ -166,16 +166,8 @@ def lefschetz_pairing_gram(ctx, j):
     if 2 * j > n:
         raise LefschetzError("no Lefschetz pairing above the middle degree")
     m = lefschetz_power(ctx, j, n - 2 * j)
-    sign = Fraction(-1) ** j
-    dim = len(ring.basis[j])
-    gram = [[Fraction(0)] * dim for _ in range(dim)]
-    for a in range(dim):
-        va = [m[r][a] for r in range(len(m))]
-        for b in range(dim):
-            vb = ring.zero(j)
-            vb[b] = Fraction(1)
-            gram[a][b] = sign * ring.pair(n - j, va, vb)
-    return gram
+    return linalg.matmul(linalg.scale(linalg.transpose(m), (-1) ** j),
+                         ring.pairing[n - j])
 
 
 def primitive_gram(ctx, k):

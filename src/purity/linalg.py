@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (row-major).  Everything here is
-exact; no floating point is used anywhere.  Rank-type computations clear
-denominators and run fraction-free (Bareiss) elimination on integers to keep
-intermediate growth polynomial.
+Matrices are lists of lists of Fraction (row-major) at the interface.
+Everything here is exact; no floating point is used anywhere.  Products,
+rank, RREF and definiteness clear each operand to integer rows over one
+common denominator and work on integers inside (fraction-free elimination
+keeps intermediate growth polynomial); the result is converted back to
+Fractions once, so callers see the same matrices as plain Fraction
+arithmetic would give.  The integer copies live only for one call.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+
+_ZERO = Fraction(0)
 
 
 class LinAlgError(ValueError):
@@ -37,12 +43,25 @@ def shape(m):
 
 
 def matmul(a, b):
+    """Exact product, computed on integer rows over one common denominator per
+    operand; only the nonzero entries of b's rows are visited."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise LinAlgError("shape mismatch %sx%s @ %sx%s" % (ra, ca, rb, cb))
-    bt = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    ia, da = _integer_rows(a)
+    ib, db = _integer_rows(b)
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in ib]
+    den = da * db
+    out = []
+    for row in ia:
+        acc = [0] * cb
+        for x, nz in zip(row, sparse_b):
+            if x:
+                for j, y in nz:
+                    acc[j] += x * y
+        out.append(_to_fractions(acc, den))
+    return out
 
 
 def matvec(a, v):
@@ -74,14 +93,23 @@ def add(a, b):
 
 
 def _integer_rows(m):
-    """Clear denominators row by row; preserves row space and rank."""
-    out = []
+    """(rows, den): integer rows with m == rows / den, den the least common
+    denominator of all entries.  Row space, rank and RREF are those of m."""
+    den = 1
     for row in m:
-        den = 1
         for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
+            d = x.denominator
+            if d != 1 and den % d:
+                den = den * d // gcd(den, d)
+    if den == 1:
+        return [[x.numerator for x in row] for row in m], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+
+
+def _to_fractions(row, den):
+    if den == 1:
+        return [Fraction(x) if x else _ZERO for x in row]
+    return [Fraction(x, den) if x else _ZERO for x in row]
 
 
 def rank(m):
@@ -89,7 +117,7 @@ def rank(m):
     rows, cols = shape(m)
     if rows == 0 or cols == 0:
         return 0
-    a = _integer_rows(m)
+    a, _ = _integer_rows(m)
     r = 0
     prev = 1
     for c in range(cols):
@@ -113,31 +141,43 @@ def rank(m):
 
 
 def rref(m):
-    """Reduced row echelon form over Q; returns (rref_rows, pivot_columns)."""
+    """Reduced row echelon form over Q; returns (rref_rows, pivot_columns).
+
+    Fraction-free Gauss-Jordan: rows stay integer, each eliminated row is
+    divided by its content, and a pivot row is divided by its pivot only when
+    it is emitted.  Every row is then a nonzero multiple of the corresponding
+    row of the (unique) RREF, so the result is exact.
+    """
     rows, cols = shape(m)
-    a = [list(row) for row in m]
+    a, _ = _integer_rows(m)
     pivots = []
     r = 0
     for c in range(cols):
         piv = None
         for i in range(r, rows):
-            if a[i][c] != 0:
+            if a[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        p = prow[c]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i == r or not f:
+                continue
+            row = a[i] if p == 1 else [p * x for x in a[i]]
+            for j, y in nz:
+                row[j] -= f * y
+            g = gcd(*row)
+            a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return a[:r], pivots
+    return [_to_fractions(row, row[c]) for row, c in zip(a, pivots)], pivots
 
 
 def kernel_basis(m):
@@ -147,7 +187,8 @@ def kernel_basis(m):
         return [[Fraction(1) if j == i else Fraction(0) for j in range(cols)]
                 for i in range(cols)]
     red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
@@ -292,7 +333,7 @@ def is_positive_definite(g):
     if n == 0:
         return True
     # scale by a common denominator (symmetric, positive: minors keep signs)
-    a = [[x.numerator for x in row] for row in _common_denominator(g)]
+    a, _ = _integer_rows(g)
     prev = 1
     for k in range(n):
         if a[k][k] <= 0:
@@ -302,14 +343,6 @@ def is_positive_definite(g):
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return True
-
-
-def _common_denominator(m):
-    den = 1
-    for row in m:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    return [[Fraction(int(x * den), 1) for x in row] for row in m]
 
 
 # -- subspace calculus (columns span the subspace) --------------------------
@@ -349,9 +382,9 @@ def subspace_intersection(a, b):
         return [[] for _ in range(ra)]
     stacked = stack_columns(a, scale(b, -1))
     ker = kernel_basis(stacked)
-    cols = [matvec(a, list(v[:ca])) for v in ker]
-    out = [[cols[j][i] for j in range(len(cols))] for i in range(ra)]
-    return column_space(out) if cols else [[] for _ in range(ra)]
+    if not ker:
+        return [[] for _ in range(ra)]
+    return column_space(matmul(a, transpose(ker)[:ca]))
 
 
 def subspace_leq(a, b):

@@ -423,6 +423,7 @@ class WeightTable:
                     self.entries[(i, j)] = summands
         self._d1 = {}
         self._n_map = {}
+        self._induced_n = {}
         self._e2 = None
         self._build_d1()
         self._check_d1_squared()
@@ -551,7 +552,16 @@ class WeightTable:
         return linalg.shape(slot["quotient"])[1] if slot else 0
 
     def induced_n(self, i, j):
-        """Matrix of N on E2 quotient bases, (i,j) -> (i+2, j-2)."""
+        """Matrix of N on E2 quotient bases, (i,j) -> (i+2, j-2).
+
+        Computed once per (i, j) and returned shared: callers must not mutate
+        it."""
+        key = (i, j)
+        if key not in self._induced_n:
+            self._induced_n[key] = self._compute_induced_n(i, j)
+        return self._induced_n[key]
+
+    def _compute_induced_n(self, i, j):
         e2 = self.e2()
         src = e2.get((i, j))
         tgt = e2.get((i + 2, j - 2))
@@ -592,20 +602,17 @@ def _cech_sign(m, subset):
 
 
 def _quotient_basis(cycles, boundaries):
-    """Columns of `cycles` extending the boundary space to the cycle space."""
+    """Columns of `cycles` extending the boundary space to the cycle space.
+
+    A column is kept iff it is a pivot column of rref([boundaries | cycles]),
+    i.e. iff it lies outside the span of the boundaries and the cycle columns
+    before it."""
     rows = len(cycles)
-    chosen = [[] for _ in range(rows)]
-    base = boundaries
-    rank0 = linalg.rank(base) if linalg.shape(base)[1] else 0
-    current = rank0
-    for c in range(linalg.shape(cycles)[1]):
-        col = [cycles[r][c] for r in range(rows)]
-        cand = linalg.stack_columns(base, chosen, [[x] for x in col])
-        if linalg.rank(cand) > current:
-            for r in range(rows):
-                chosen[r].append(col[r])
-            current += 1
-    return chosen
+    nb = linalg.shape(boundaries)[1]
+    stacked = linalg.stack_columns(boundaries, cycles)
+    keep = [c - nb for c in linalg.rref(stacked)[1] if c >= nb] \
+        if stacked else []
+    return [[cycles[r][c] for c in keep] for r in range(rows)]
 
 
 def _chain(step_map, i, j, r):

@@ -113,6 +113,22 @@ def test_unknown_fixture(capsys):
     assert "unknown fixture" in err
 
 
+@pytest.mark.parametrize("spec", ["tate-cycle:3", "tate-cycle:3,2,1"])
+def test_fixture_arity_is_invalid_input(capsys, spec):
+    code, _, err = run(capsys, "wss", "--fixture", spec)
+    assert code == 2
+    assert "'tate-cycle' takes arguments (m, q)" in err
+
+
+@pytest.mark.parametrize("argv", [("hodge", "--n", "0", "--q", "2"),
+                                  ("hodge", "--n", "-1", "--q", "2"),
+                                  ("ring", "--n", "-1", "--q", "2")])
+def test_out_of_range_n_is_invalid_input(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "needs n >= " in err
+
+
 def test_wss_json_report(capsys):
     code, out, _ = run(capsys, "--json", "wss", "--fixture", "tate-cycle:2,2",
                        "--zeta")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from purity import linalg
+from purity import linalg, zeta
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
                              triangle_of_planes, two_planes)
 from purity.weightss import (ComplexValidationError, LevelMaps,
@@ -224,3 +224,21 @@ def test_assembled_maps_are_exact(drinfeld22):
             if t >= 2:
                 mats.append(lm.tau(t, i))
     assert all(type(x) is Fraction for m in mats for row in m for x in row)
+
+
+def test_induced_n_is_computed_once(monkeypatch):
+    # a fresh complex: the module fixtures share their weight table
+    cx, _ = tate_cycle(3, 2)
+    calls = []
+    real_solve = linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(linalg.shape(a))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    first = zeta.zeta_function(cx)
+    solves = len(calls)
+    assert solves > 0
+    assert zeta.zeta_function(cx) == first
+    assert len(calls) == solves

@@ -44,7 +44,11 @@ def _parse_divisor(spec_str, n, q, ring):
         else:
             vec = lefschetz.omega_vector(ring, q)
         return vec, form
-    parts = [Fraction(p) for p in spec_str.split(",")]
+    try:
+        parts = [Fraction(p) for p in spec_str.split(",")]
+    except ZeroDivisionError:
+        raise ValueError("divisor coefficient with zero denominator in %r"
+                         % spec_str) from None
     if len(parts) == n:          # canonical form: the top level is implicit 0
         parts = parts + [Fraction(0)]
     if len(parts) != n + 1:

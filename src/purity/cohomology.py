@@ -29,6 +29,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .fields import FieldSpec, field_spec
@@ -117,8 +118,28 @@ def gen_key(g):
     return (2, g[1], ())   # explicit ring generators, ordered by label
 
 
+_GEN_TABLES = {}
+
+
+def _gen_table(spec):
+    """Generator key -> (subvariety, bit, comparable mask) for every proper
+    subvariety of P^n, built once per blow-up.  The subvariety is the canonical
+    object of `ambient_geometry`; bit and mask follow its numbering."""
+    table = _GEN_TABLES.get(spec)
+    if table is None:
+        geom = ambient_geometry(spec.n, spec.field)
+        table = {gen_e(V): (V, 1 << geom.bit(V), geom.comparable_mask(V))
+                 for V in geom.all_proper()}
+        _GEN_TABLES[spec] = table
+    return table
+
+
 def gen_subvariety(spec, g):
-    return LinearSubvariety(spec.n, g[1], g[2], spec.field)
+    try:
+        return _gen_table(spec)[g][0]
+    except KeyError:
+        raise CohomologyError("generator %r does not live on B^%d"
+                              % (g, spec.n)) from None
 
 
 def monomial(gens):
@@ -203,12 +224,14 @@ def _divisor_class_on_factor(factor_spec, image):
     return hyperplane_relation(factor_spec, image)
 
 
+@lru_cache(maxsize=None)
 def restrict_generator(spec, V, g):
     """Restriction of a degree-1 generator of B^n to D_V = B^d x B^(n-d-1).
 
     Returns a dict {(side, generator): coefficient} with side 0 the B^d
     factor and side 1 the B^(n-d-1) factor.  Incomparable exceptional
-    generators restrict to zero (their centers are disjoint from V).
+    generators restrict to zero (their centers are disjoint from V).  The
+    result is memoized per (spec, V, g) and shared: callers only read it.
     """
     geom = ambient_geometry(spec.n, spec.field)
     d = V.dim
@@ -267,19 +290,15 @@ _EVAL_MEMO = {}
 
 
 def _support_is_chain(spec, mono):
-    geom = ambient_geometry(spec.n, spec.field)
-    subs = []
+    """True iff the centers of the exceptional factors are pairwise comparable."""
+    table = _gen_table(spec)
+    allowed = -1   # subvarieties comparable with every center seen so far
     for g in mono:
         if g != GEN_H:
-            subs.append(gen_subvariety(spec, g))
-    seen = []
-    for W in subs:
-        if W in seen:
-            continue
-        for U in seen:
-            if not geom.comparable(U, W):
+            _, bit, comparable = table[g]
+            if not allowed & bit:
                 return False
-        seen.append(W)
+            allowed &= comparable
     return True
 
 
@@ -426,8 +445,11 @@ class GradedRing:
         return [Fraction(0)] * len(self.basis[j])
 
     def _pairing_solver(self, j):
+        """Inverse of the transposed degree-j pairing as (integer rows,
+        denominator), cleared once per degree."""
         if self._pairing_inv_t[j] is None:
-            self._pairing_inv_t[j] = linalg.inverse(linalg.transpose(self.pairing[j]))
+            inv = linalg.inverse(linalg.transpose(self.pairing[j]))
+            self._pairing_inv_t[j] = linalg.integer_rows(inv)
         return self._pairing_inv_t[j]
 
     def monomial_coords(self, mono):
@@ -470,11 +492,11 @@ class GradedRing:
             return v
         if isinstance(self.spec, BlownUp) and not _support_is_chain(self.spec, mono):
             return self.zero(j)
-        rhs = [[self._pair_value(mono, dual)] for dual in self.basis[self.n - j]]
+        rhs = [self._pair_value(mono, dual) for dual in self.basis[self.n - j]]
         if not rhs:
             return []
-        sol = linalg.matmul(self._pairing_solver(j), rhs)
-        return [row[0] for row in sol]
+        rows, den = self._pairing_solver(j)
+        return linalg.integer_matvec(rows, den, rhs)
 
     def _pair_value(self, mono, dual):
         merged = self._merge(mono, dual)
@@ -575,50 +597,25 @@ _RING_CACHE = {}
 def _chain_monomials(spec, degree):
     """All degree-d monomials in the generators whose support is a chain."""
     gens = generators(spec)
-    geom = ambient_geometry(spec.n, spec.field)
+    table = _gen_table(spec)
+    # h has no center: it passes every chain test and narrows nothing
+    masks = [(-1, -1) if g == GEN_H else table[g][1:] for g in gens]
     out = []
 
-    def extend(prefix, start, remaining, support):
+    def extend(prefix, start, remaining, allowed):
         if remaining == 0:
             out.append(tuple(prefix))
             return
         for i in range(start, len(gens)):
-            g = gens[i]
-            if g != GEN_H:
-                W = gen_subvariety(spec, g)
-                if any(not geom.comparable(W, U) for U in support):
-                    continue
-                new_support = support if W in support else support + [W]
-            else:
-                new_support = support
-            prefix.append(g)
-            extend(prefix, i, remaining - 1, new_support)
+            bit, comparable = masks[i]
+            if not allowed & bit:
+                continue
+            prefix.append(gens[i])
+            extend(prefix, i, remaining - 1, allowed & comparable)
             prefix.pop()
 
-    extend([], 0, degree, [])
+    extend([], 0, degree, -1)
     return out
-
-
-def _greedy_row_basis(matrix, target_rank):
-    """Indices of rows picked greedily (in order) to reach the target rank."""
-    chosen = []
-    reduced = []   # rref rows of the chosen set
-    for i, row in enumerate(matrix):
-        vec = [Fraction(x) for x in row]
-        for rrow, piv in reduced:
-            if vec[piv]:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, rrow)]
-        piv = next((c for c, x in enumerate(vec) if x), None)
-        if piv is None:
-            continue
-        inv = 1 / vec[piv]
-        vec = [x * inv for x in vec]
-        reduced.append((vec, piv))
-        chosen.append(i)
-        if len(chosen) == target_rank:
-            break
-    return chosen
 
 
 def check_resource_guard(spec, limits=None):
@@ -673,19 +670,18 @@ def _build_blowup(spec):
              for r in rows]
         full[j] = m
         full[n - j] = linalg.transpose(m)
-    basis = []
+    picks = []
     for j in range(n + 1):
-        picked = _greedy_row_basis(full[j], expected[j])
+        picked = linalg.independent_rows(full[j], expected[j])
         if len(picked) != expected[j]:
             raise CohomologyError(
                 "degree %d: pairing rank %d disagrees with Betti number %d on B^%d/F_%d"
                 % (j, len(picked), expected[j], n, spec.field.q))
-        basis.append([candidates[j][i] for i in picked])
+        picks.append(picked)
+    basis = [[candidates[j][i] for i in picked] for j, picked in enumerate(picks)]
     pairing = []
     for j in range(n + 1):
-        rows = [candidates[j].index(m) for m in basis[j]]
-        cols = [candidates[n - j].index(m) for m in basis[n - j]]
-        sub = [[full[j][r][c] for c in cols] for r in rows]
+        sub = [[full[j][r][c] for c in picks[n - j]] for r in picks[j]]
         if linalg.rank(sub) != len(basis[j]):
             raise CohomologyError("Poincare pairing degenerate in degree %d" % j)
         pairing.append(sub)
@@ -756,20 +752,13 @@ def restrict_to_divisor(ring, V):
         raise CohomologyError("%r is not a center of B^%d" % (V, spec.n))
     f1, f2 = factor_specs(spec, V)
     target = build_ring(product(f1, f2))
-    gen_cache = {}
-
-    def gen_restriction(g):
-        if g not in gen_cache:
-            gen_cache[g] = restrict_generator(spec, V, g)
-        return gen_cache[g]
-
     matrices = []
     for j in range(ring.n + 1):
         cols = []
         for mono in ring.basis[j]:
             terms = {((), ()): Fraction(1)}
             for g in mono:
-                cls = gen_restriction(g)
+                cls = restrict_generator(spec, V, g)
                 new_terms = {}
                 for (m0, m1), c in terms.items():
                     for (side, gg), cc in cls.items():

@@ -43,6 +43,7 @@ def tate_cycle(m, q):
     """Cycle of m projective lines over F_q; the special fiber of a Tate curve."""
     if m < 2:
         raise FixtureError("tate-cycle needs at least 2 components")
+    field_spec(q)   # F_q must exist: raises FieldError otherwise
     p1 = build_ring(proj(1))
     pt = build_ring(proj(0))
     strata = []

@@ -261,17 +261,26 @@ def quotient_geometry(V):
 
 
 class AmbientGeometry:
-    """Cached incidence structure of all F_q-rational linear subvarieties of P^n."""
+    """Cached incidence structure of all F_q-rational linear subvarieties of P^n.
+
+    The proper subvarieties are numbered once, on first use, in the order of
+    `all_proper`; bit i of an int mask stands for subvariety i.  Each
+    subvariety keeps the mask of the proper subvarieties it contains and the
+    mask of those containing it (itself included in both), so containment is
+    one shift and AND.
+    """
 
     def __init__(self, n, field):
         self.n = n
         self.field = field
         self.q = field.q
         self._by_dim = {}
-        self._contains = {}
+        self._proper = None    # bit index -> proper subvariety
+        self._bits = None      # proper subvariety -> bit index
+        self._below = None     # bit index -> mask of the subvarieties it contains
+        self._above = None     # bit index -> mask of the subvarieties containing it
         self._subs = {}
         self._supers = {}
-        self._least_hyperplane = {}
 
     def subvarieties(self, d):
         if d not in self._by_dim:
@@ -285,11 +294,67 @@ class AmbientGeometry:
             out.extend(self.subvarieties(d))
         return out
 
+    def _numbering(self):
+        """Number the proper subvarieties and fill both incidence masks.
+
+        A subvariety is the span of its F_q-points, so V lies in W exactly
+        when every point of V is a point of W.  The points of V (basis in
+        reduced echelon form) are the combinations whose first nonzero
+        coefficient is 1; those combinations are already in canonical form.
+        """
+        if self._bits is None:
+            proper = self.all_proper()
+            fq = get_field(self.field)
+            point_bit = {P.basis: 1 << i for i, P in enumerate(self.subvarieties(0))}
+            through = [0] * len(point_bit)   # point index -> mask of subvarieties on it
+            points_of = []
+            for i, V in enumerate(proper):
+                mask = 0
+                for lead, row in enumerate(V.basis):
+                    rest = V.basis[lead + 1:]
+                    for coeffs in itertools.product(fq.elements(), repeat=len(rest)):
+                        vec = row
+                        for c, other in zip(coeffs, rest):
+                            if c:
+                                vec = tuple(fq.add(x, fq.mul(c, y))
+                                            for x, y in zip(vec, other))
+                        mask |= point_bit[(vec,)]
+                points_of.append(mask)
+                for p in _bit_indices(mask):
+                    through[p] |= 1 << i
+            above = []
+            for mask in points_of:
+                sup = -1
+                for p in _bit_indices(mask):
+                    sup &= through[p]
+                above.append(sup)
+            below = [0] * len(proper)
+            for i, sup in enumerate(above):
+                for j in _bit_indices(sup):
+                    below[j] |= 1 << i
+            self._proper, self._below, self._above = proper, below, above
+            self._bits = {V: i for i, V in enumerate(proper)}
+        return self._bits
+
+    def bit(self, V):
+        """Index of a proper subvariety in the canonical numbering."""
+        return self._numbering()[V]
+
+    def comparable_mask(self, V):
+        """Mask of the proper subvarieties comparable with V (V included)."""
+        i = self.bit(V)
+        return self._below[i] | self._above[i]
+
+    def _members(self, mask):
+        return tuple(self._proper[i] for i in _bit_indices(mask))
+
     def contains(self, V, W):
-        key = (V, W)
-        if key not in self._contains:
-            self._contains[key] = contains(V, W)
-        return self._contains[key]
+        """True iff W is contained in V, read from the incidence masks."""
+        bits = self._numbering()
+        i, j = bits.get(V), bits.get(W)
+        if i is None or j is None:   # not a proper subvariety of this P^n
+            return contains(V, W)
+        return bool(self._below[i] >> j & 1)
 
     def comparable(self, V, W):
         return self.contains(V, W) or self.contains(W, V)
@@ -297,30 +362,34 @@ class AmbientGeometry:
     def strict_subs(self, V):
         """All proper nonempty subvarieties strictly contained in V."""
         if V not in self._subs:
-            out = []
-            for d in range(V.dim):
-                out.extend(W for W in self.subvarieties(d) if self.contains(V, W))
-            self._subs[V] = tuple(out)
+            i = self.bit(V)
+            self._subs[V] = self._members(self._below[i] & ~(1 << i))
         return self._subs[V]
 
     def strict_supers(self, V):
         """All proper subvarieties of P^n strictly containing V."""
         if V not in self._supers:
-            out = []
-            for d in range(V.dim + 1, self.n):
-                out.extend(W for W in self.subvarieties(d) if self.contains(W, V))
-            self._supers[V] = tuple(out)
+            i = self.bit(V)
+            self._supers[V] = self._members(self._above[i] & ~(1 << i))
         return self._supers[V]
 
     def least_hyperplane_containing(self, V):
-        if V not in self._least_hyperplane:
-            for H in self.subvarieties(self.n - 1):
-                if self.contains(H, V):
-                    self._least_hyperplane[V] = H
-                    break
-            else:
-                raise GeometryError("no hyperplane contains %r" % (V,))
-        return self._least_hyperplane[V]
+        hyperplanes = self.subvarieties(self.n - 1)
+        first = len(self._numbering()) - len(hyperplanes)
+        mask = self._above[self.bit(V)] >> first
+        if not mask:
+            raise GeometryError("no hyperplane contains %r" % (V,))
+        return hyperplanes[(mask & -mask).bit_length() - 1]
+
+
+def _bit_indices(mask):
+    """Indices of the set bits of a nonnegative mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @lru_cache(maxsize=None)

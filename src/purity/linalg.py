@@ -3,10 +3,12 @@
 Matrices are lists of lists of Fraction (row-major) at the interface.
 Everything here is exact; no floating point is used anywhere.  Products,
 rank, RREF and definiteness clear each operand to integer rows over one
-common denominator and work on integers inside (fraction-free elimination
-keeps intermediate growth polynomial); the result is converted back to
-Fractions once, so callers see the same matrices as plain Fraction
-arithmetic would give.  The integer copies live only for one call.
+common denominator and work on integers inside; the result is converted back
+to Fractions once, so callers see the same matrices as plain Fraction
+arithmetic would give.  RREF and rank divide each eliminated row by its
+content, and rank eliminates on sparse rows; definiteness is one Bareiss
+sweep.  The integer copies live only for one call, except where a caller keeps
+the `integer_rows` of a matrix it applies many times (`integer_matvec`).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def matmul(a, b):
     rb, cb = shape(b)
     if ca != rb:
         raise LinAlgError("shape mismatch %sx%s @ %sx%s" % (ra, ca, rb, cb))
-    ia, da = _integer_rows(a)
-    ib, db = _integer_rows(b)
+    ia, da = integer_rows(a)
+    ib, db = integer_rows(b)
     sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in ib]
     den = da * db
     out = []
@@ -92,7 +94,7 @@ def add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _integer_rows(m):
+def integer_rows(m):
     """(rows, den): integer rows with m == rows / den, den the least common
     denominator of all entries.  Row space, rank and RREF are those of m."""
     den = 1
@@ -112,32 +114,63 @@ def _to_fractions(row, den):
     return [Fraction(x, den) if x else _ZERO for x in row]
 
 
-def rank(m):
-    """Exact rank by fraction-free (Bareiss) elimination."""
-    rows, cols = shape(m)
-    if rows == 0 or cols == 0:
-        return 0
-    a, _ = _integer_rows(m)
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
+def integer_matvec(rows, den, v):
+    """(rows / den) @ v as Fractions, for (rows, den) from `integer_rows` and a
+    Fraction vector v; only the nonzero entries of v are visited."""
+    [iv], dv = integer_rows([v])
+    nz = [(k, y) for k, y in enumerate(iv) if y]
+    return _to_fractions([sum(row[k] * y for k, y in nz) for row in rows], den * dv)
+
+
+def independent_rows(m, limit=None):
+    """Indices i, in order, of the rows of m that are independent of rows
+    0..i-1 (the greedy row basis); stops once `limit` rows are picked.
+
+    Sparse fraction-free elimination on integer rows.  Each picked row is kept
+    sparse, reduced by the rows picked before it, with its first nonzero column
+    as pivot.  A new row is reduced by a kept row only when it has a nonzero in
+    that row's pivot column, and the update visits only the kept row's
+    nonzeros; after each step the row is divided by its content.  What is left
+    is zero exactly when the row depends on the rows before it, so the picks do
+    not depend on the elimination order.
+    """
+    rows, _ = integer_rows(m)
+    kept = []     # (pivot column, pivot value, nonzero (column, value) pairs)
+    picked = []
+    for i, row in enumerate(rows):
+        if limit is not None and len(picked) == limit:
             break
-    return r
+        work = {j: x for j, x in enumerate(row) if x}
+        for c, p, nz in kept:
+            f = work.get(c)
+            if not f:
+                continue
+            g = gcd(p, f)
+            s = p // g
+            if s != 1:
+                work = {j: s * x for j, x in work.items()}
+            f //= g
+            for j, y in nz:
+                x = work.get(j, 0) - f * y
+                if x:
+                    work[j] = x
+                else:
+                    del work[j]
+            if not work:
+                break
+            g = gcd(*work.values())
+            if g > 1:
+                work = {j: x // g for j, x in work.items()}
+        if work:
+            c = min(work)
+            kept.append((c, work[c], list(work.items())))
+            picked.append(i)
+    return picked
+
+
+def rank(m):
+    """Exact rank by sparse fraction-free elimination (`independent_rows`)."""
+    return len(independent_rows(m))
 
 
 def rref(m):
@@ -149,7 +182,7 @@ def rref(m):
     row of the (unique) RREF, so the result is exact.
     """
     rows, cols = shape(m)
-    a, _ = _integer_rows(m)
+    a, _ = integer_rows(m)
     pivots = []
     r = 0
     for c in range(cols):
@@ -333,7 +366,7 @@ def is_positive_definite(g):
     if n == 0:
         return True
     # scale by a common denominator (symmetric, positive: minors keep signs)
-    a, _ = _integer_rows(g)
+    a, _ = integer_rows(g)
     prev = 1
     for k in range(n):
         if a[k][k] <= 0:

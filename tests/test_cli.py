@@ -129,6 +129,20 @@ def test_out_of_range_n_is_invalid_input(capsys, argv):
     assert "needs n >= " in err
 
 
+@pytest.mark.parametrize("spec", ["tate-cycle:3,-2", "tate-cycle:3,0"])
+def test_tate_cycle_field_size_is_invalid_input(capsys, spec):
+    code, _, err = run(capsys, "wss", "--fixture", spec, "--zeta")
+    assert code == 2
+    assert "field size must be >= 2" in err
+
+
+def test_zero_denominator_divisor_is_invalid_input(capsys):
+    code, _, err = run(capsys, "hodge", "--n", "2", "--q", "2",
+                       "--divisor", "1/0,1")
+    assert code == 2
+    assert "zero denominator" in err
+
+
 def test_wss_json_report(capsys):
     code, out, _ = run(capsys, "--json", "wss", "--fixture", "tate-cycle:2,2",
                        "--zeta")
@@ -164,6 +178,9 @@ GOLDEN = [
     pytest.param(("ring", "--n", "2", "--q", "2", "--products"), 0,
                  "9794f45458eb7a316d0f0d91312a00d6e682785d1b9e08ca344472ecb1242ec5",
                  id="ring-b2f2-products"),
+    pytest.param(("ring", "--n", "3", "--q", "2"), 0,
+                 "3e761fb8ca9d814f1cce0a21ba1b82b963f7f035ad18289213cee546e2e8b584",
+                 id="ring-b3f2"),
 ]
 
 

@@ -1,17 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from purity import linalg
+from purity import geometry, linalg
 from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
+                               _chain_monomials, _support_is_chain,
                                betti_numbers, blowup, build_ring,
-                               check_resource_guard, gen_e,
+                               check_resource_guard, gen_e, generators,
                                hyperplane_relation, intersection_number,
                                kunneth, monomial, normalize_divisor, proj,
                                product, restrict_to_divisor)
 from purity.fields import field_spec
-from purity.geometry import ambient_geometry
+from purity.geometry import LinearSubvariety, ambient_geometry
 
 
 F2 = field_spec(2)
@@ -263,3 +265,61 @@ def test_ring_serialization_roundtrip_shape():
     assert data["dims"] == [1, 8, 1]
     assert len(data["basis"][1]) == 8
     assert data["pairing"]["1"][0][0] == "1"
+
+
+# -- oracles for the incidence masks and the ring-basis pick -------------------
+
+def _pairwise_comparable(spec, mono):
+    """The centers of mono's exceptional factors, rebuilt from their keys, are
+    pairwise comparable under F_q containment."""
+    centers = [LinearSubvariety(spec.n, g[1], g[2], spec.field)
+               for g in mono if g != GEN_H]
+    return all(geometry.comparable(a, b)
+               for a, b in itertools.combinations(centers, 2))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_mask_chain_test_matches_pairwise_comparable(n, q):
+    spec = blowup(n, q)
+    gens = generators(spec)
+    for d in range(n + 1):
+        every = list(itertools.combinations_with_replacement(gens, d))
+        chains = [m for m in every if _pairwise_comparable(spec, m)]
+        assert [m for m in every if _support_is_chain(spec, m)] == chains
+        assert _chain_monomials(spec, d) == chains
+
+
+def _fraction_greedy_rows(matrix, target_rank):
+    """The ring-basis pick on Fractions: row i is picked when it is
+    independent of the rows picked before it."""
+    chosen = []
+    reduced = []   # rref rows of the chosen set
+    for i, row in enumerate(matrix):
+        vec = [Fraction(x) for x in row]
+        for rrow, piv in reduced:
+            if vec[piv]:
+                f = vec[piv]
+                vec = [x - f * y for x, y in zip(vec, rrow)]
+        piv = next((c for c, x in enumerate(vec) if x), None)
+        if piv is None:
+            continue
+        inv = 1 / vec[piv]
+        reduced.append(([x * inv for x in vec], piv))
+        chosen.append(i)
+        if len(chosen) == target_rank:
+            break
+    return chosen
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_basis_pick_matches_fraction_greedy(n, q):
+    spec = blowup(n, q)
+    ring = build_ring(spec)
+    expected = betti_numbers(spec)
+    for j in range(n + 1):
+        rows, cols = _chain_monomials(spec, j), _chain_monomials(spec, n - j)
+        full = [[intersection_number(spec, monomial(r + c)) for c in cols]
+                for r in rows]
+        picked = linalg.independent_rows(full, expected[j])
+        assert picked == _fraction_greedy_rows(full, expected[j])
+        assert [rows[i] for i in picked] == ring.basis[j]

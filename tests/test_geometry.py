@@ -8,7 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracle import subspaces_by_dim
 
 from purity.fields import field_spec, get_field
-from purity.geometry import (GeometryError, ambient_geometry, contains,
+from purity.geometry import (AmbientGeometry, GeometryError, ambient_geometry,
+                             contains,
                              enumerate_subspaces, gaussian_binomial,
                              make_subvariety, meet, point_count,
                              quotient_geometry, quotient_image, sub_image)
@@ -162,3 +163,18 @@ def test_meet_is_the_lattice_meet():
     pts = geom.subvarieties(0)
     p, r = pts[0], pts[1]
     assert meet(p, r).dim == -1
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 2), (3, 3)])
+def test_incidence_masks_match_fq_containment(n, q):
+    geom = AmbientGeometry(n, field_spec(q))   # fresh: numbered on first use
+    proper = geom.all_proper()
+    for V in proper:
+        assert [geom.contains(V, W) for W in proper] == \
+            [contains(V, W) for W in proper]
+        assert geom.strict_subs(V) == tuple(
+            W for W in proper if W.dim < V.dim and contains(V, W))
+        assert geom.strict_supers(V) == tuple(
+            W for W in proper if W.dim > V.dim and contains(W, V))
+        assert geom.least_hyperplane_containing(V) == next(
+            H for H in geom.subvarieties(n - 1) if contains(H, V))

@@ -259,3 +259,55 @@ def test_quotient_basis_keeps_the_greedy_columns(pair):
     cycles, boundaries = pair
     assert _quotient_basis(cycles, boundaries) == \
         _greedy_quotient_columns(cycles, boundaries)
+
+
+# -- oracle: the sparse row elimination behind rank and the ring-basis pick ---
+
+def _ref_independent_rows(m, limit):
+    """Row i is picked when it raises the reference rank of rows 0..i."""
+    picked, r = [], 0
+    for i in range(len(m)):
+        if limit is not None and len(picked) == limit:
+            break
+        ri = len(_ref_rref(m[:i + 1])[1])
+        if ri > r:
+            picked.append(i)
+            r = ri
+    return picked
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 10x10, about one entry in four nonzero, with the zero rows, zero
+    columns and dependent rows of `matrices`."""
+    r, c = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    m = draw(matrices(r, c))
+    for row in m:
+        for k in range(c):
+            if draw(st.integers(0, 3)):
+                row[k] = Fraction(0)
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices(), sparse_matrices()))
+def test_rank_matches_fraction_reference(m):
+    assert rank(m) == len(_ref_rref(m)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices(), sparse_matrices()),
+       st.one_of(st.none(), st.integers(0, 8)))
+def test_independent_rows_match_fraction_reference(m, limit):
+    assert linalg.independent_rows(m, limit) == _ref_independent_rows(m, limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.tuples(matrices(None, k), matrices(1, k))))
+def test_integer_matvec_matches_fraction_product(pair):
+    a, (v,) = pair
+    rows, den = linalg.integer_rows(a)
+    got = linalg.integer_matvec(rows, den, v)
+    assert got == [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    assert all(type(x) is Fraction for x in got)

@@ -30,6 +30,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
 from .fields import FieldSpec, field_spec
@@ -118,20 +119,14 @@ def gen_key(g):
     return (2, g[1], ())   # explicit ring generators, ordered by label
 
 
-_GEN_TABLES = {}
-
-
+@lru_cache(maxsize=None)
 def _gen_table(spec):
     """Generator key -> (subvariety, bit, comparable mask) for every proper
     subvariety of P^n, built once per blow-up.  The subvariety is the canonical
     object of `ambient_geometry`; bit and mask follow its numbering."""
-    table = _GEN_TABLES.get(spec)
-    if table is None:
-        geom = ambient_geometry(spec.n, spec.field)
-        table = {gen_e(V): (V, 1 << geom.bit(V), geom.comparable_mask(V))
-                 for V in geom.all_proper()}
-        _GEN_TABLES[spec] = table
-    return table
+    geom = ambient_geometry(spec.n, spec.field)
+    return {gen_e(V): (V, 1 << geom.bit(V), geom.comparable_mask(V))
+            for V in geom.all_proper()}
 
 
 def gen_subvariety(spec, g):
@@ -228,11 +223,15 @@ def _divisor_class_on_factor(factor_spec, image):
 def restrict_generator(spec, V, g):
     """Restriction of a degree-1 generator of B^n to D_V = B^d x B^(n-d-1).
 
-    Returns a dict {(side, generator): coefficient} with side 0 the B^d
-    factor and side 1 the B^(n-d-1) factor.  Incomparable exceptional
+    Returns a read-only mapping {(side, generator): coefficient} with side 0
+    the B^d factor and side 1 the B^(n-d-1) factor.  Incomparable exceptional
     generators restrict to zero (their centers are disjoint from V).  The
-    result is memoized per (spec, V, g) and shared: callers only read it.
+    result is memoized per (spec, V, g).
     """
+    return MappingProxyType(_restrict_generator(spec, V, g))
+
+
+def _restrict_generator(spec, V, g):
     geom = ambient_geometry(spec.n, spec.field)
     d = V.dim
     out = {}

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cohomology import blowup, build_ring, proj, restrict_to_divisor
-from .fields import field_spec, get_field
+from .fields import _prime_power, field_spec, get_field
 from .geometry import ambient_geometry, contains, make_subvariety
 from .lefschetz import omega_vector
 from .weightss import SemistableComplex, Stratum, explicit_surface_ring
@@ -43,7 +43,7 @@ def tate_cycle(m, q):
     """Cycle of m projective lines over F_q; the special fiber of a Tate curve."""
     if m < 2:
         raise FixtureError("tate-cycle needs at least 2 components")
-    field_spec(q)   # F_q must exist: raises FieldError otherwise
+    _prime_power(q)   # q must be a field size: raises FieldError otherwise
     p1 = build_ring(proj(1))
     pt = build_ring(proj(0))
     strata = []

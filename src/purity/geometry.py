@@ -351,10 +351,11 @@ class AmbientGeometry:
     def contains(self, V, W):
         """True iff W is contained in V, read from the incidence masks."""
         bits = self._numbering()
-        i, j = bits.get(V), bits.get(W)
-        if i is None or j is None:   # not a proper subvariety of this P^n
-            return contains(V, W)
-        return bool(self._below[i] >> j & 1)
+        for U in (V, W):
+            if U not in bits:
+                raise GeometryError("%r is not a proper subvariety of P^%d"
+                                    % (U, self.n))
+        return bool(self._below[bits[V]] >> bits[W] & 1)
 
     def comparable(self, V, W):
         return self.contains(V, W) or self.contains(W, V)

@@ -129,11 +129,22 @@ def test_out_of_range_n_is_invalid_input(capsys, argv):
     assert "needs n >= " in err
 
 
-@pytest.mark.parametrize("spec", ["tate-cycle:3,-2", "tate-cycle:3,0"])
-def test_tate_cycle_field_size_is_invalid_input(capsys, spec):
+@pytest.mark.parametrize("spec,msg", [
+    ("tate-cycle:3,-2", "field size must be >= 2"),
+    ("tate-cycle:3,0", "field size must be >= 2"),
+    ("tate-cycle:3,6", "6 is not a prime power"),
+])
+def test_tate_cycle_field_size_is_invalid_input(capsys, spec, msg):
     code, _, err = run(capsys, "wss", "--fixture", spec, "--zeta")
     assert code == 2
-    assert "field size must be >= 2" in err
+    assert msg in err
+
+
+def test_tate_cycle_field_size_has_no_upper_bound(capsys):
+    # q only enters the zeta factor: no F_q arithmetic, so no MAX_Q
+    code, out, _ = run(capsys, "wss", "--fixture", "tate-cycle:3,17", "--zeta")
+    assert code == 0
+    assert "zeta: 1 / (1 - 17T)" in out
 
 
 def test_zero_denominator_divisor_is_invalid_input(capsys):

@@ -12,7 +12,8 @@ from purity.geometry import (AmbientGeometry, GeometryError, ambient_geometry,
                              contains,
                              enumerate_subspaces, gaussian_binomial,
                              make_subvariety, meet, point_count,
-                             quotient_geometry, quotient_image, sub_image)
+                             quotient_geometry, quotient_image, sub_image,
+                             whole_space)
 
 
 def packed_points(V):
@@ -178,3 +179,10 @@ def test_incidence_masks_match_fq_containment(n, q):
             W for W in proper if W.dim > V.dim and contains(W, V))
         assert geom.least_hyperplane_containing(V) == next(
             H for H in geom.subvarieties(n - 1) if contains(H, V))
+
+
+def test_incidence_rejects_subvarieties_outside_the_numbering():
+    geom = ambient_geometry(2, field_spec(2))
+    P = geom.subvarieties(0)[0]
+    with pytest.raises(GeometryError, match="not a proper subvariety"):
+        geom.contains(whole_space(2, field_spec(2)), P)

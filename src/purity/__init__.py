@@ -16,7 +16,7 @@ from .lefschetz import (make_context, check_hard_lefschetz,
                         omega_form, omega_class, hodge_sweep)
 from .weightss import (load_complex, complex_to_json, build_e1,
                        check_purity, euler_check, inertia_invariants,
-                       verify_rz_lemmas, weight_table, gysin_adjoint,
+                       verify_rz_lemmas, weight_table,
                        SemistableComplex, Stratum, explicit_surface_ring)
 from .fixtures import make_fixture
 from .zeta import (l_factor, zeta_function, mu_from_e2, theorem_shape,

@@ -3,7 +3,7 @@
 Exit codes: 0 = all requested checks pass, 1 = a mathematical check failed,
 2 = invalid input or validation failure.  Reports are deterministic; pass
 --json for machine-readable output.  The environment variable PURITY_MAX_DIM
-overrides the blow-up dimension guard.
+overrides the variety dimension guard.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ class ResourceGuardError(CohomologyError):
     pass
 
 
-# configurable guard for blow-up ring construction (see also the CLI)
+# guard for ring construction (PURITY_MAX_DIM overrides max_dim; see the CLI)
 RESOURCE_LIMITS = {"max_dim": 4, "max_q": 4}
 
 
@@ -69,6 +69,8 @@ class Product:
 
 
 def proj(n):
+    if n < 0:
+        raise CohomologyError("P^n needs n >= 0, got n=%d" % n)
     return Projective(n)
 
 
@@ -283,6 +285,24 @@ def _restrict_subvariety_divisor(spec, V, W):
     return {k: c for k, c in out.items() if c}
 
 
+def _restricted_product(spec, V, gens):
+    """The product of the degree-1 generators `gens` restricted to D_V, as
+    {(first-factor monomial, second-factor monomial): coefficient}, nonzero
+    coefficients only (empty when the product restricts to zero)."""
+    terms = {((), ()): Fraction(1)}
+    for g in gens:
+        new_terms = {}
+        for (m0, m1), c in terms.items():
+            for (side, gg), cc in restrict_generator(spec, V, g).items():
+                k = (monomial(m0 + (gg,)), m1) if side == 0 \
+                    else (m0, monomial(m1 + (gg,)))
+                new_terms[k] = new_terms.get(k, Fraction(0)) + c * cc
+        terms = {k: c for k, c in new_terms.items() if c}
+        if not terms:
+            break
+    return terms
+
+
 # -- intersection numbers -----------------------------------------------------
 
 _EVAL_MEMO = {}
@@ -349,25 +369,9 @@ def _eval_blowup(spec, mono, chooser):
     rest = list(mono)
     rest.remove(g0)
     f1, f2 = factor_specs(spec, V)
-    # multilinear expansion of the product of the restricted factors
-    terms = {((), ()): Fraction(1)}
-    for g in rest:
-        cls = restrict_generator(spec, V, g)
-        if not cls:
-            return Fraction(0)
-        new_terms = {}
-        for (m0, m1), c in terms.items():
-            for (side, gg), cc in cls.items():
-                nm0, nm1 = (monomial(m0 + (gg,)), m1) if side == 0 \
-                    else (m0, monomial(m1 + (gg,)))
-                k = (nm0, nm1)
-                new_terms[k] = new_terms.get(k, Fraction(0)) + c * cc
-        terms = {k: c for k, c in new_terms.items() if c}
-        if not terms:
-            return Fraction(0)
     d = V.dim
     total = Fraction(0)
-    for (m0, m1), c in terms.items():
+    for (m0, m1), c in _restricted_product(spec, V, rest).items():
         if len(m0) != d or len(m1) != spec.n - d - 1:
             continue
         total += c * intersection_number(f1, m0, chooser) \
@@ -417,8 +421,9 @@ def betti_numbers(spec):
 class GradedRing:
     """Exact rational cohomology ring with chosen monomial bases.
 
-    basis[j] lists the monomials spanning N^j; pairing[j] is the matrix of
-    top intersection numbers between basis[j] and basis[n-j].  All pairings
+    basis[j] lists the monomials spanning N^j; pairing[j] is the
+    `linalg.Matrix` of top intersection numbers between basis[j] and
+    basis[n-j].  All pairings
     are nondegenerate (Poincare duality) by construction.
     """
 
@@ -444,11 +449,10 @@ class GradedRing:
         return [Fraction(0)] * len(self.basis[j])
 
     def _pairing_solver(self, j):
-        """Inverse of the transposed degree-j pairing as (integer rows,
-        denominator), cleared once per degree."""
+        """Inverse of the transposed degree-j pairing, computed once."""
         if self._pairing_inv_t[j] is None:
-            inv = linalg.inverse(linalg.transpose(self.pairing[j]))
-            self._pairing_inv_t[j] = linalg.integer_rows(inv)
+            self._pairing_inv_t[j] = linalg.inverse(
+                linalg.transpose(self.pairing[j]))
         return self._pairing_inv_t[j]
 
     def monomial_coords(self, mono):
@@ -492,10 +496,7 @@ class GradedRing:
         if isinstance(self.spec, BlownUp) and not _support_is_chain(self.spec, mono):
             return self.zero(j)
         rhs = [self._pair_value(mono, dual) for dual in self.basis[self.n - j]]
-        if not rhs:
-            return []
-        rows, den = self._pairing_solver(j)
-        return linalg.integer_matvec(rows, den, rhs)
+        return linalg.matvec(self._pairing_solver(j), rhs)
 
     def _pair_value(self, mono, dual):
         merged = self._merge(mono, dual)
@@ -529,16 +530,8 @@ class GradedRing:
 
     def pair(self, j, vj, vk):
         """Intersection pairing N^j x N^(n-j) -> Q on coordinate vectors."""
-        p = self.pairing[j]
-        total = Fraction(0)
-        for a, ca in enumerate(vj):
-            if not ca:
-                continue
-            row = p[a]
-            for b, cb in enumerate(vk):
-                if cb:
-                    total += ca * cb * row[b]
-        return total
+        return sum((x * y for x, y in
+                    zip(vj, linalg.matvec(self.pairing[j], vk))), Fraction(0))
 
     def divisor_vector(self, coeffs):
         """Coordinates in N^1 of a normalized divisor class dict."""
@@ -617,21 +610,20 @@ def _chain_monomials(spec, degree):
     return out
 
 
-def check_resource_guard(spec, limits=None):
-    limits = limits or RESOURCE_LIMITS
-    max_dim = int(os.environ.get("PURITY_MAX_DIM", limits["max_dim"]))
-    if isinstance(spec, Product):
-        for f in spec.factors:
-            check_resource_guard(f, limits)
-        return
-    if isinstance(spec, BlownUp):
-        if spec.n > max_dim:
+def check_resource_guard(spec):
+    """Refuse a variety of dimension above PURITY_MAX_DIM (default
+    RESOURCE_LIMITS["max_dim"]), or a blow-up factor over a field above
+    RESOURCE_LIMITS["max_q"]."""
+    max_dim = int(os.environ.get("PURITY_MAX_DIM", RESOURCE_LIMITS["max_dim"]))
+    if dimension(spec) > max_dim:
+        raise ResourceGuardError(
+            "variety dimension %d exceeds guard %d (set PURITY_MAX_DIM to raise)"
+            % (dimension(spec), max_dim))
+    for f in spec.factors if isinstance(spec, Product) else (spec,):
+        if isinstance(f, BlownUp) and f.field.q > RESOURCE_LIMITS["max_q"]:
             raise ResourceGuardError(
-                "blow-up dimension %d exceeds guard %d (set PURITY_MAX_DIM to raise)"
-                % (spec.n, max_dim))
-        if spec.field.q > limits["max_q"]:
-            raise ResourceGuardError(
-                "field size %d exceeds guard %d" % (spec.field.q, limits["max_q"]))
+                "field size %d exceeds guard %d"
+                % (f.field.q, RESOURCE_LIMITS["max_q"]))
 
 
 def build_ring(spec):
@@ -652,7 +644,7 @@ def build_ring(spec):
 def _build_projective(spec):
     n = spec.n
     basis = [[tuple([GEN_H] * j)] for j in range(n + 1)]
-    pairing = [[[Fraction(1)]] for _ in range(n + 1)]
+    pairing = [linalg.identity(1)] * (n + 1)
     return GradedRing(spec, basis, pairing)
 
 
@@ -665,8 +657,8 @@ def _build_blowup(spec):
     for j in range(n // 2 + 1):
         rows = candidates[j]
         cols = candidates[n - j]
-        m = [[intersection_number(spec, monomial(r + c)) for c in cols]
-             for r in rows]
+        m = linalg.mat([intersection_number(spec, monomial(r + c))
+                        for c in cols] for r in rows)
         full[j] = m
         full[n - j] = linalg.transpose(m)
     picks = []
@@ -680,7 +672,7 @@ def _build_blowup(spec):
     basis = [[candidates[j][i] for i in picked] for j, picked in enumerate(picks)]
     pairing = []
     for j in range(n + 1):
-        sub = [[full[j][r][c] for c in picks[n - j]] for r in picks[j]]
+        sub = linalg.submatrix(full[j], picks[j], picks[n - j])
         if linalg.rank(sub) != len(basis[j]):
             raise CohomologyError("Poincare pairing degenerate in degree %d" % j)
         pairing.append(sub)
@@ -711,10 +703,11 @@ def _build_product(spec):
                     if da + len(b) != ring.n:
                         val = Fraction(0)
                         break
-                    val *= ring.pairing[da][ring.index[da][a]][ring.index[ring.n - da][b]]
+                    val *= ring.pairing[da].entry(ring.index[da][a],
+                                                  ring.index[ring.n - da][b])
                 row.append(val)
             m.append(row)
-        pairing.append(m)
+        pairing.append(linalg.mat(m))
     ring = GradedRing(spec, basis, pairing)
     ring.factors = rings
     return ring
@@ -753,33 +746,21 @@ def restrict_to_divisor(ring, V):
     target = build_ring(product(f1, f2))
     matrices = []
     for j in range(ring.n + 1):
+        rows = len(target.basis[j]) if j <= target.n else 0
         cols = []
         for mono in ring.basis[j]:
-            terms = {((), ()): Fraction(1)}
-            for g in mono:
-                cls = restrict_generator(spec, V, g)
-                new_terms = {}
-                for (m0, m1), c in terms.items():
-                    for (side, gg), cc in cls.items():
-                        nm = (monomial(m0 + (gg,)), m1) if side == 0 \
-                            else (m0, monomial(m1 + (gg,)))
-                        new_terms[nm] = new_terms.get(nm, Fraction(0)) + c * cc
-                terms = {k: c for k, c in new_terms.items() if c}
-                if not terms:
-                    break
-            col = target.zero(j) if j <= target.n else []
-            if j > target.n:
-                cols.append(col)
-                continue
-            for (m0, m1), c in terms.items():
-                if len(m0) > dimension(f1) or len(m1) > dimension(f2):
+            col = [Fraction(0)] * rows
+            for (m0, m1), c in _restricted_product(spec, V, mono).items():
+                # N^n restricts to zero, and so does a class above the
+                # dimension of its factor
+                if j > target.n or len(m0) > dimension(f1) \
+                        or len(m1) > dimension(f2):
                     continue
                 vec = target.monomial_coords((m0, m1))
                 for i, x in enumerate(vec):
                     if x:
                         col[i] += c * x
             cols.append(col)
-        rows = len(target.basis[j]) if j <= target.n else 0
-        matrices.append([[cols[c][r] for c in range(len(cols))] for r in range(rows)])
+        matrices.append(linalg.transpose(linalg.mat(cols)))
     return target, matrices
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 # Monic irreducible modulus for the non-prime field sizes we support,
 # as coefficient tuples (c0, c1, ..., 1), constant term first.
@@ -41,17 +42,15 @@ def _prime_power(q):
     """Split q into (p, e) with p prime, or raise."""
     if q < 2:
         raise FieldError("field size must be >= 2, got %r" % (q,))
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise FieldError("%d is not a prime power" % q)
-            return p, e
-    raise FieldError("%d is not a prime power" % q)
+    # the least divisor > 1 is prime; none up to sqrt(q) means q is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise FieldError("%d is not a prime power" % q)
+    return p, e
 
 
 def _poly_mod(num, den, p):

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cohomology import blowup, build_ring, proj, restrict_to_divisor
-from .fields import _prime_power, field_spec, get_field
+from .fields import field_spec, get_field
 from .geometry import ambient_geometry, contains, make_subvariety
 from .lefschetz import omega_vector
 from .weightss import SemistableComplex, Stratum, explicit_surface_ring
@@ -35,15 +35,13 @@ class FixtureError(ValueError):
     pass
 
 
-def _one():
-    return [[Fraction(1)]]
+_ONE = linalg.identity(1)
 
 
 def tate_cycle(m, q):
     """Cycle of m projective lines over F_q; the special fiber of a Tate curve."""
     if m < 2:
         raise FixtureError("tate-cycle needs at least 2 components")
-    _prime_power(q)   # q must be a field size: raises FieldError otherwise
     p1 = build_ring(proj(1))
     pt = build_ring(proj(0))
     strata = []
@@ -58,8 +56,8 @@ def tate_cycle(m, q):
             a, b = 0, 1   # second node between the same two components
         sid = "node%d" % i
         strata.append(Stratum(sid, frozenset([a, b]), pt,
-                              {a: ("c%d" % b, [_one()]),
-                               b: ("c%d" % a, [_one()])}))
+                              {a: ("c%d" % b, [_ONE]),
+                               b: ("c%d" % a, [_ONE])}))
         l_system[sid] = []
     cx = SemistableComplex(strata, q, name="tate-cycle(%d,%d)" % (m, q))
     return cx, l_system
@@ -78,8 +76,8 @@ def two_planes(n=2, q=2):
         Stratum("X0", frozenset([0]), plane, {}),
         Stratum("X1", frozenset([1]), blown, {}),
         Stratum("L", frozenset([0, 1]), line,
-                {0: ("X1", [_one(), linalg.mat([[1, 1, 1]])]),
-                 1: ("X0", [_one(), linalg.mat([[1]])])}),
+                {0: ("X1", [_ONE, linalg.mat([[1, 1, 1]])]),
+                 1: ("X0", [_ONE, linalg.mat([[1]])])}),
     ]
     l_system = {
         "X0": [Fraction(1)],                            # h
@@ -118,8 +116,8 @@ def triangle_of_planes(q=2):
         # polarization use 4h - a1 - a2 - 2 b1: a-curve 4-1-1 = 2, b-curve
         # 4-2 = 2.
         l_system[sid] = [Fraction(4), Fraction(-1), Fraction(-1), Fraction(-2)]
-    restrict_a = [_one(), linalg.mat([[1, 1, 1, 0]])]
-    restrict_b = [_one(), linalg.mat([[1, 0, 0, 1]])]
+    restrict_a = [_ONE, linalg.mat([[1, 1, 1, 0]])]
+    restrict_b = [_ONE, linalg.mat([[1, 0, 0, 1]])]
     for i in range(3):
         j = (i + 1) % 3
         sid = "C%d%d" % tuple(sorted((i, j)))
@@ -128,9 +126,9 @@ def triangle_of_planes(q=2):
                                j: ("X%d" % i, restrict_a)}))
         l_system[sid] = [Fraction(2)]
     strata.append(Stratum("T", frozenset([0, 1, 2]), pt,
-                          {0: ("C12", [_one()]),
-                           1: ("C02", [_one()]),
-                           2: ("C01", [_one()])}))
+                          {0: ("C12", [_ONE]),
+                           1: ("C02", [_ONE]),
+                           2: ("C01", [_ONE])}))
     l_system["T"] = []
     cx = SemistableComplex(strata, q, name="triangle-of-planes")
     return cx, l_system
@@ -261,13 +259,11 @@ def _swap_matrices(ring_src, ring_dst):
     swapped product, degree by degree."""
     out = []
     for j in range(ring_src.n + 1):
-        rows = len(ring_dst.basis[j])
         cols = len(ring_src.basis[j])
-        m = [[Fraction(0)] * cols for _ in range(rows)]
+        m = [[0] * cols for _ in ring_dst.basis[j]]
         for c, (m1, m2) in enumerate(ring_src.basis[j]):
-            r = ring_dst.index[j][(m2, m1)]
-            m[r][c] = Fraction(1)
-        out.append(m)
+            m[ring_dst.index[j][(m2, m1)]][c] = 1
+        out.append(linalg.Matrix(m, 1, cols))
     return out
 
 
@@ -312,7 +308,7 @@ def drinfeld_local(d=2, q=2):
         for i in range(size):
             sid = "s%d%d_%02d" % (a, b, i)
             pair_stratum[(a, b, i)] = sid
-            mats_point = [m for m in point_side[i][1][:2]]
+            mats_point = point_side[i][1][:2]
             raw_line = line_side[i][1][:2]
             mats_line = [linalg.matmul(swap[j], raw_line[j]) for j in range(2)]
             # parent under removing a is the b-component and vice versa
@@ -331,9 +327,9 @@ def drinfeld_local(d=2, q=2):
     for (i, j, k) in sorted(matching):
         sid = "t%02d_%02d_%02d" % (i, j, k)
         parents = {
-            2: (pair_stratum[(0, 1, i)], [_one()]),
-            0: (pair_stratum[(1, 2, j)], [_one()]),
-            1: (pair_stratum[(2, 0, k)], [_one()]),
+            2: (pair_stratum[(0, 1, i)], [_ONE]),
+            0: (pair_stratum[(1, 2, j)], [_ONE]),
+            1: (pair_stratum[(2, 0, k)], [_ONE]),
         }
         strata.append(Stratum(sid, frozenset([0, 1, 2]), pt_ring, parents))
         l_system[sid] = []

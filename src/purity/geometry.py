@@ -78,9 +78,6 @@ class LinearSubvariety:
                     break
         return tuple(piv)
 
-    def sort_key(self):
-        return (self.dim, self.basis)
-
 
 def make_subvariety(ambient_n, rows, field):
     fq = get_field(field)

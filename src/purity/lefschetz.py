@@ -31,7 +31,7 @@ class LefschetzContext:
     """
     ring: GradedRing
     divisor: list                  # N^1 coordinates of the operator class
-    operators: list = field(default_factory=list)  # matrices N^j -> N^(j+1)
+    operators: list = field(default_factory=list)  # Matrix N^j -> N^(j+1)
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
@@ -71,8 +71,7 @@ def make_context(ring, divisor):
             unit = ring.zero(j)
             unit[ring.index[j][mono]] = Fraction(1)
             cols.append(ring.multiply(1, divisor, j, unit))
-        rows = len(ring.basis[j + 1])
-        ops.append([[cols[c][r] for c in range(len(cols))] for r in range(rows)])
+        ops.append(linalg.transpose(linalg.mat(cols)))
     return LefschetzContext(ring, divisor, ops)
 
 
@@ -80,7 +79,7 @@ def make_context(ring, divisor):
 def lefschetz_power(ctx, j, power):
     """Matrix of L^power from N^j to N^(j+power); zero map past top degree."""
     if j + power > ctx.ring.n:
-        return []
+        return linalg.zeros(0, len(ctx.ring.basis[j]))
     if power == 0:
         return linalg.identity(len(ctx.ring.basis[j]))
     if power == 1:
@@ -110,7 +109,7 @@ def check_hard_lefschetz(ctx):
 
 @dataclass
 class PrimitiveDecomposition:
-    primitive: dict      # j -> matrix whose columns span P_j inside N^j
+    primitive: dict      # j -> Matrix whose columns span P_j inside N^j
     splitting: dict      # j -> list of (i, column block L^i P_(j-i))
 
 
@@ -124,36 +123,26 @@ def primitive_decomposition(ctx):
     n = ring.n
     prim = {}
     for j in range(0, n // 2 + 1):
-        m = lefschetz_power(ctx, j, n - 2 * j + 1)
-        if len(m) == 0:
-            cols = linalg.identity(len(ring.basis[j]))
-        else:
-            ker = linalg.kernel_basis(m)
-            cols = [[v[i] for v in ker] for i in range(len(ring.basis[j]))]
+        cols = linalg.kernel_basis(lefschetz_power(ctx, j, n - 2 * j + 1))
         prim[j] = cols
         expected = len(ring.basis[j]) - (len(ring.basis[j - 1]) if j > 0 else 0)
-        if linalg.shape(cols)[1] != expected:
+        if cols.ncols != expected:
             raise LefschetzError("primitive part dimension %d != %d in degree %d"
-                                 % (linalg.shape(cols)[1], expected, 2 * j))
+                                 % (cols.ncols, expected, 2 * j))
     splitting = {}
     for j in range(0, n + 1):
         blocks = []
-        total = None
+        dim = len(ring.basis[j])
+        total = linalg.zeros(dim, 0)
         for i in range(0, j + 1):
             base = j - i
-            if base > n // 2 or base < 0 or (n - 2 * base) < i:
+            if base > n // 2 or (n - 2 * base) < i or prim[base].ncols == 0:
                 continue
-            src = prim.get(base)
-            if src is None or linalg.shape(src)[1] == 0:
-                continue
-            block = linalg.matmul(lefschetz_power(ctx, base, i), src)
+            block = linalg.matmul(lefschetz_power(ctx, base, i), prim[base])
             blocks.append((i, block))
-            total = block if total is None else linalg.stack_columns(total, block)
+            total = linalg.stack_columns(total, block)
         splitting[j] = blocks
-        dim = len(ring.basis[j])
-        got = linalg.rank(total) if total is not None else 0
-        width = sum(linalg.shape(b)[1] for _, b in blocks)
-        if got != dim or width != dim:
+        if linalg.rank(total) != dim or total.ncols != dim:
             raise LefschetzError("Lefschetz splitting does not span N^%d" % j)
     return PrimitiveDecomposition(prim, splitting)
 
@@ -173,19 +162,15 @@ def lefschetz_pairing_gram(ctx, j):
 def primitive_gram(ctx, k):
     """Gram of the signed Lefschetz pairing on the primitive part of H^k.
 
-    k is the cohomological degree; odd k gives the empty matrix.
+    k is the cohomological degree; odd k, or k past the middle, gives the
+    0 x 0 matrix.
     """
     if k % 2 == 1:
-        return []
-    j = k // 2
-    dec = primitive_decomposition(ctx)
-    if j not in dec.primitive:
-        return []
-    cols = dec.primitive[j]
-    width = linalg.shape(cols)[1]
-    if width == 0:
-        return []
-    g = lefschetz_pairing_gram(ctx, j)
+        return linalg.zeros(0, 0)
+    cols = primitive_decomposition(ctx).primitive.get(k // 2)
+    if cols is None:
+        return linalg.zeros(0, 0)
+    g = lefschetz_pairing_gram(ctx, k // 2)
     return linalg.matmul(linalg.transpose(cols), linalg.matmul(g, cols))
 
 
@@ -210,13 +195,13 @@ def check_hodge_standard(ctx):
         for i in range(0, j + 1):
             base = j - i
             if base in dec.primitive:
-                expected_sig += (-1) ** i * linalg.shape(dec.primitive[base])[1]
+                expected_sig += (-1) ** i * dec.primitive[base].ncols
         sig_ok = sig.signature == expected_sig
         orth_ok = _splitting_orthogonal(ctx, dec, j)
         verdict = verdict and pos and sig_ok and orth_ok
         report.append({
             "degree": 2 * j,
-            "primitive_dim": linalg.shape(dec.primitive[j])[1],
+            "primitive_dim": dec.primitive[j].ncols,
             "positive_definite": pos,
             "inertia": {"n_plus": sig.n_plus, "n_minus": sig.n_minus,
                         "n_zero": sig.n_zero},

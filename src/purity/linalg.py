@@ -1,21 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (row-major) at the interface.
-Everything here is exact; no floating point is used anywhere.  Products,
-rank, RREF and definiteness clear each operand to integer rows over one
-common denominator and work on integers inside; the result is converted back
-to Fractions once, so callers see the same matrices as plain Fraction
-arithmetic would give.  RREF and rank divide each eliminated row by its
-content, and rank eliminates on sparse rows; definiteness is one Bareiss
-sweep.  The integer copies live only for one call, except where a caller keeps
-the `integer_rows` of a matrix it applies many times (`integer_matvec`).
+There is one matrix type, `Matrix`: integer rows over one positive
+denominator, with an explicit shape (the layout of FLINT's `fmpq_mat`, used as
+a design, not as a dependency).  A matrix is kept canonical -- the gcd of the
+denominator and all entries is 1 -- so two matrices are equal as rational
+matrices exactly when they compare `==`, and 0 x k and k x 0 shapes are exact.
+Matrices are never mutated after construction, so results may be shared.
+
+Every function here takes and returns `Matrix`; scalars and coordinate vectors
+(`matvec`) are `Fraction`.  `len`, row indexing and iteration read a matrix as
+rows of `Fraction`, for output and tests; the algorithms work on the integer
+rows.  Everything is exact; no floating point is used anywhere.  `rref` is
+fraction-free Gauss-Jordan (each eliminated row divided by its content),
+`rank` and `independent_rows` are sparse fraction-free row elimination,
+definiteness is one Bareiss sweep, and inertia is congruence reduction on
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 
 _ZERO = Fraction(0)
@@ -25,119 +32,221 @@ class LinAlgError(ValueError):
     pass
 
 
-def mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _fractions(row, den):
+    return [Fraction(x, den) if x else _ZERO for x in row]
 
 
-def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
+def _width(rows, ncols):
+    """The common row length, `ncols` or else that of the first row."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise LinAlgError("rows of a %d-column matrix differ in length" % ncols)
+    return ncols
+
+
+class Matrix:
+    """An exact rational matrix: `rows`, a tuple of `nrows` tuples of `ncols`
+    ints, over the positive denominator `den`.
+
+    The constructor takes any integer rows and nonzero denominator and brings
+    them to canonical form; `ncols` defaults to the length of the first row.
+    """
+
+    __slots__ = ("rows", "den", "nrows", "ncols")
+
+    def __init__(self, rows, den=1, ncols=None):
+        rows = list(rows)
+        ncols = _width(rows, ncols)
+        if not den:
+            raise LinAlgError("zero denominator")
+        if den < 0:
+            den, rows = -den, [[-x for x in r] for r in rows]
+        g = den
+        for r in rows:
+            if g == 1:
+                break
+            g = gcd(g, *r)
+        if g > 1:
+            den //= g
+            rows = [[x // g for x in r] for r in rows]
+        self._set(tuple(map(tuple, rows)), den, ncols)
+
+    def _set(self, rows, den, ncols):
+        self.rows, self.den, self.nrows, self.ncols = rows, den, len(rows), ncols
+
+    @classmethod
+    def _canonical(cls, rows, den, ncols):
+        """A matrix from rows (a tuple of int tuples) and den already in
+        canonical form; nothing is checked."""
+        m = object.__new__(cls)
+        m._set(rows, den, ncols)
+        return m
+
+    @property
+    def shape(self):
+        return self.nrows, self.ncols
+
+    def entry(self, i, j):
+        return Fraction(self.rows[i][j], self.den)
+
+    # the Fraction read path: output and tests, never a hot loop
+    def __len__(self):
+        return self.nrows
+
+    def __getitem__(self, i):
+        return _fractions(self.rows[i], self.den)
+
+    def __iter__(self):
+        for row in self.rows:
+            yield _fractions(row, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.ncols, self.den, self.rows) == (other.ncols, other.den, other.rows)
+
+    def __hash__(self):
+        return hash((self.ncols, self.den, self.rows))
+
+    def __repr__(self):
+        return "Matrix(%r, den=%d, ncols=%d)" % (
+            [list(r) for r in self.rows], self.den, self.ncols)
+
+
+def mat(entries):
+    """Matrix of rational entries (ints, Fractions, or anything `Fraction`
+    accepts), cleared to integers over their least common denominator; the
+    column count is that of the first row (`zeros(0, k)` is the 0 x k
+    matrix)."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            for row in entries]
+    ncols = _width(rows, None)
+    den = 1
+    for row in rows:
+        den = lcm(den, *(x.denominator for x in row))
+    # over the least common denominator the rows are canonical as they stand
+    return Matrix._canonical(
+        tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+              for row in rows), den, ncols)
+
+
+def zeros(nrows, ncols):
+    return Matrix._canonical(((0,) * ncols,) * nrows, 1, ncols)
 
 
 def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    return Matrix._canonical(
+        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
 
-def shape(m):
-    return len(m), len(m[0]) if m else 0
+def transpose(m):
+    rows = tuple(zip(*m.rows)) if m.nrows else ((),) * m.ncols
+    return Matrix._canonical(rows, m.den, m.nrows)
 
 
 def matmul(a, b):
-    """Exact product, computed on integer rows over one common denominator per
-    operand; only the nonzero entries of b's rows are visited."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise LinAlgError("shape mismatch %sx%s @ %sx%s" % (ra, ca, rb, cb))
-    ia, da = integer_rows(a)
-    ib, db = integer_rows(b)
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in ib]
-    den = da * db
+    """Exact product; only the nonzero entries of b's rows are visited."""
+    if a.ncols != b.nrows:
+        raise LinAlgError("shape mismatch %sx%s @ %sx%s"
+                          % (a.nrows, a.ncols, b.nrows, b.ncols))
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b.rows]
     out = []
-    for row in ia:
-        acc = [0] * cb
+    for row in a.rows:
+        acc = [0] * b.ncols
         for x, nz in zip(row, sparse_b):
             if x:
                 for j, y in nz:
                     acc[j] += x * y
-        out.append(_to_fractions(acc, den))
-    return out
+        out.append(acc)
+    return Matrix(out, a.den * b.den, b.ncols)
 
 
-def matvec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def mat_equal(a, b):
-    return shape(a) == shape(b) and all(x == y for ra, rb in zip(a, b)
-                                        for x, y in zip(ra, rb))
+def matvec(m, v):
+    """m @ v for a vector v of Fractions, as a list of Fractions; only the
+    nonzero entries of v are visited."""
+    if len(v) != m.ncols:
+        raise LinAlgError("shape mismatch %sx%s @ vector of length %d"
+                          % (m.nrows, m.ncols, len(v)))
+    dv = lcm(1, *(x.denominator for x in v))
+    nz = [(k, x.numerator * (dv // x.denominator)) for k, x in enumerate(v) if x]
+    return _fractions([sum(row[k] * y for k, y in nz) for row in m.rows],
+                      m.den * dv)
 
 
 def is_zero_matrix(m):
-    return all(x == 0 for row in m for x in row)
+    return not any(map(any, m.rows))
 
 
 def scale(m, c):
     c = Fraction(c)
-    return [[c * x for x in row] for row in m]
+    return Matrix([[c.numerator * x for x in row] for row in m.rows],
+                  m.den * c.denominator, m.ncols)
 
 
 def add(a, b):
-    if shape(a) != shape(b):
+    if a.shape != b.shape:
         raise LinAlgError("shape mismatch in add")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    return Matrix([[fa * x + fb * y for x, y in zip(ra, rb)]
+                   for ra, rb in zip(a.rows, b.rows)], den, a.ncols)
 
 
-def integer_rows(m):
-    """(rows, den): integer rows with m == rows / den, den the least common
-    denominator of all entries.  Row space, rank and RREF are those of m."""
-    den = 1
-    for row in m:
-        for x in row:
-            d = x.denominator
-            if d != 1 and den % d:
-                den = den * d // gcd(den, d)
-    if den == 1:
-        return [[x.numerator for x in row] for row in m], 1
-    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+def submatrix(m, rows=None, cols=None):
+    """The entries of m in the given rows and columns, in the given order;
+    None keeps them all."""
+    picked = m.rows if rows is None else [m.rows[i] for i in rows]
+    if cols is None:
+        return Matrix(picked, m.den, m.ncols)
+    cols = list(cols)
+    return Matrix([[r[c] for c in cols] for r in picked], m.den, len(cols))
 
 
-def _to_fractions(row, den):
-    if den == 1:
-        return [Fraction(x) if x else _ZERO for x in row]
-    return [Fraction(x, den) if x else _ZERO for x in row]
+def stack_columns(first, *rest):
+    """[first | rest...]: the columns of matrices with one row count."""
+    mats = (first,) + rest
+    if any(m.nrows != first.nrows for m in rest):
+        raise LinAlgError("stack_columns: row mismatch")
+    den = lcm(*(m.den for m in mats))
+    scaled = [m.rows if m.den == den else
+              [[x * (den // m.den) for x in r] for r in m.rows] for m in mats]
+    # side by side, each canonical part scaled to the lcm: still canonical
+    rows = tuple(tuple(chain.from_iterable(part[i] for part in scaled))
+                 for i in range(first.nrows))
+    return Matrix._canonical(rows, den, sum(m.ncols for m in mats))
 
 
-def integer_matvec(rows, den, v):
-    """(rows / den) @ v as Fractions, for (rows, den) from `integer_rows` and a
-    Fraction vector v; only the nonzero entries of v are visited."""
-    [iv], dv = integer_rows([v])
-    nz = [(k, y) for k, y in enumerate(iv) if y]
-    return _to_fractions([sum(row[k] * y for k, y in nz) for row in rows], den * dv)
+def assemble(nrows, ncols, blocks):
+    """nrows x ncols matrix holding sign * block at (row0, col0) for each
+    (row0, col0, block, sign) of `blocks`; zero elsewhere."""
+    den = lcm(1, *(block.den for _, _, block, _ in blocks))
+    out = [[0] * ncols for _ in range(nrows)]
+    for row0, col0, block, sign in blocks:
+        f = sign * (den // block.den)
+        for r, row in enumerate(block.rows):
+            target = out[row0 + r]
+            for c, x in enumerate(row):
+                if x:
+                    target[col0 + c] += f * x
+    return Matrix(out, den, ncols)
 
 
 def independent_rows(m, limit=None):
     """Indices i, in order, of the rows of m that are independent of rows
     0..i-1 (the greedy row basis); stops once `limit` rows are picked.
 
-    Sparse fraction-free elimination on integer rows.  Each picked row is kept
-    sparse, reduced by the rows picked before it, with its first nonzero column
-    as pivot.  A new row is reduced by a kept row only when it has a nonzero in
-    that row's pivot column, and the update visits only the kept row's
-    nonzeros; after each step the row is divided by its content.  What is left
-    is zero exactly when the row depends on the rows before it, so the picks do
-    not depend on the elimination order.
+    Sparse fraction-free elimination on the integer rows.  Each picked row is
+    kept sparse, reduced by the rows picked before it, with its first nonzero
+    column as pivot.  A new row is reduced by a kept row only when it has a
+    nonzero in that row's pivot column, and the update visits only the kept
+    row's nonzeros; after each step the row is divided by its content.  What
+    is left is zero exactly when the row depends on the rows before it, so the
+    picks do not depend on the elimination order.
     """
-    rows, _ = integer_rows(m)
     kept = []     # (pivot column, pivot value, nonzero (column, value) pairs)
     picked = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(m.rows):
         if limit is not None and len(picked) == limit:
             break
         work = {j: x for j, x in enumerate(row) if x}
@@ -174,20 +283,20 @@ def rank(m):
 
 
 def rref(m):
-    """Reduced row echelon form over Q; returns (rref_rows, pivot_columns).
+    """Reduced row echelon form over Q; returns (rref rows, pivot columns).
 
     Fraction-free Gauss-Jordan: rows stay integer, each eliminated row is
     divided by its content, and a pivot row is divided by its pivot only when
     it is emitted.  Every row is then a nonzero multiple of the corresponding
     row of the (unique) RREF, so the result is exact.
     """
-    rows, cols = shape(m)
-    a, _ = integer_rows(m)
+    nrows, ncols = m.shape
+    a = [list(row) for row in m.rows]
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
         piv = None
-        for i in range(r, rows):
+        for i in range(r, nrows):
             if a[i][c]:
                 piv = i
                 break
@@ -197,7 +306,7 @@ def rref(m):
         prow = a[r]
         p = prow[c]
         nz = [(j, y) for j, y in enumerate(prow) if y]
-        for i in range(rows):
+        for i in range(nrows):
             f = a[i][c]
             if i == r or not f:
                 continue
@@ -208,65 +317,57 @@ def rref(m):
             a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    return [_to_fractions(row, row[c]) for row, c in zip(a, pivots)], pivots
+    # each row divided by its content, pivot positive: row / pivot is then
+    # canonical, and so is the whole over the lcm of the pivots
+    out = []
+    for row, c in zip(a, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append([x // g for x in row])
+    den = lcm(1, *(row[c] for row, c in zip(out, pivots)))
+    rows = tuple(tuple(row) if row[c] == den else
+                 tuple(x * (den // row[c]) for x in row)
+                 for row, c in zip(out, pivots))
+    return Matrix._canonical(rows, den, ncols), pivots
 
 
 def kernel_basis(m):
-    """Basis of the right null space; rank + len(basis) == cols, exactly."""
-    rows, cols = shape(m)
-    if rows == 0:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(cols)]
-                for i in range(cols)]
+    """The right null space of m as the columns of an m.ncols x nullity
+    matrix: one column per free column of the rref, 1 there and 0 at the other
+    free columns.  rank + nullity == m.ncols, exactly."""
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for row, piv in zip(red, pivots):
-            v[piv] = -row[fc]
-        basis.append(v)
-    return basis
+    free = [c for c in range(m.ncols) if c not in pivot_set]
+    rows = [[0] * len(free) for _ in range(m.ncols)]
+    for k, fc in enumerate(free):
+        rows[fc][k] = red.den
+        for row, piv in zip(red.rows, pivots):
+            rows[piv][k] = -row[fc]
+    return Matrix(rows, red.den, len(free))
 
 
-def rank_kernel(m):
-    """(rank, kernel basis) with rank computed fraction-free."""
-    k = kernel_basis(m)
-    _, cols = shape(m)
-    return cols - len(k), k
+def solve(a, b):
+    """The x with a @ x = b, column by column; raises if inconsistent.
 
-
-def solve(a, b_cols):
-    """Solve a @ x = b for each column of b_cols; raises if inconsistent.
-
-    b_cols is a matrix whose columns are right-hand sides; returns the matrix
-    of solution columns.  `a` must have full column rank for uniqueness.
+    `a` must have full column rank for uniqueness.
     """
-    ra, ca = shape(a)
-    rb, cb = shape(b_cols)
-    if ra != rb:
+    if a.nrows != b.nrows:
         raise LinAlgError("solve: row mismatch")
-    aug = [list(a[i]) + list(b_cols[i]) for i in range(ra)]
-    red, pivots = rref(aug)
+    ca = a.ncols
+    red, pivots = rref(stack_columns(a, b))
     if any(p >= ca for p in pivots):
         raise LinAlgError("solve: inconsistent system")
     if len(pivots) < ca:
         raise LinAlgError("solve: singular system (rank %d < %d)" % (len(pivots), ca))
-    x = zeros(ca, cb)
-    for row, piv in zip(red, pivots):
-        for j in range(cb):
-            x[piv][j] = row[ca + j]
-    return x
+    # full column rank: rref row r has its pivot in column r
+    return submatrix(red, cols=range(ca, ca + b.ncols))
 
 
 def inverse(a):
-    n, m = shape(a)
-    if n != m:
+    if a.nrows != a.ncols:
         raise LinAlgError("inverse of non-square matrix")
-    return solve(a, identity(n))
+    return solve(a, identity(a.nrows))
 
 
 @dataclass(frozen=True)
@@ -285,13 +386,10 @@ class SignatureReport:
 
 
 def _check_symmetric(g):
-    r, c = shape(g)
-    if r != c:
+    if g.nrows != g.ncols:
         raise LinAlgError("not square")
-    for i in range(r):
-        for j in range(i):
-            if g[i][j] != g[j][i]:
-                raise LinAlgError("matrix is not symmetric")
+    if g != transpose(g):
+        raise LinAlgError("matrix is not symmetric")
 
 
 def symmetric_signature(g):
@@ -302,7 +400,7 @@ def symmetric_signature(g):
     under congruence g -> P^T g P by Sylvester's law of inertia.
     """
     _check_symmetric(g)
-    a = [list(row) for row in g]
+    a = list(g)
     active = list(range(len(a)))
     n_plus = n_minus = n_zero = 0
     while active:
@@ -359,14 +457,13 @@ def is_positive_definite(g):
     """Sylvester criterion: all leading principal minors positive.
 
     The pivots of no-exchange fraction-free elimination are ratios of leading
-    principal minors, so a single Bareiss sweep decides this exactly.
+    principal minors, so a single Bareiss sweep on the integer rows (g times
+    its positive denominator: the minors keep their signs) decides this
+    exactly.
     """
     _check_symmetric(g)
-    n, _ = shape(g)
-    if n == 0:
-        return True
-    # scale by a common denominator (symmetric, positive: minors keep signs)
-    a, _ = integer_rows(g)
+    n = g.nrows
+    a = [list(row) for row in g.rows]
     prev = 1
     for k in range(n):
         if a[k][k] <= 0:
@@ -381,26 +478,8 @@ def is_positive_definite(g):
 # -- subspace calculus (columns span the subspace) --------------------------
 
 def column_space(m):
-    """Subset of columns forming a basis of the column space (as a matrix)."""
-    rows, cols = shape(m)
-    if cols == 0:
-        return [[] for _ in range(rows)]
-    red, pivots = rref(m)
-    return [[m[i][c] for c in pivots] for i in range(rows)]
-
-
-def stack_columns(*mats):
-    mats = [m for m in mats if shape(m)[1] > 0]
-    if not mats:
-        return []
-    rows = shape(mats[0])[0]
-    out = [[] for _ in range(rows)]
-    for m in mats:
-        if shape(m)[0] != rows:
-            raise LinAlgError("stack_columns: row mismatch")
-        for i in range(rows):
-            out[i].extend(m[i])
-    return out
+    """The columns of m at the pivots of its rref: a basis of its span."""
+    return submatrix(m, cols=rref(m)[1])
 
 
 def subspace_sum(a, b):
@@ -409,15 +488,8 @@ def subspace_sum(a, b):
 
 def subspace_intersection(a, b):
     """Columns spanning col(a) n col(b)."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca == 0 or cb == 0:
-        return [[] for _ in range(ra)]
-    stacked = stack_columns(a, scale(b, -1))
-    ker = kernel_basis(stacked)
-    if not ker:
-        return [[] for _ in range(ra)]
-    return column_space(matmul(a, transpose(ker)[:ca]))
+    ker = kernel_basis(stack_columns(a, scale(b, -1)))
+    return column_space(matmul(a, submatrix(ker, rows=range(a.ncols))))
 
 
 def subspace_leq(a, b):
@@ -427,4 +499,3 @@ def subspace_leq(a, b):
 
 def subspace_equal(a, b):
     return subspace_leq(a, b) and subspace_leq(b, a)
-

@@ -19,8 +19,10 @@ monodromy map N (reindexing with per-column sign) is checked to commute with
 d1 and to give isomorphisms E1[-r, w+r] -> E1[r, w-r].
 
 Every block matrix here -- d1, N and the level maps of the lemma suite -- is
-written by the single assembler `_assemble`, fed by the per-stratum
-`SemistableComplex.restriction_blocks` and `gysin_blocks`.
+written by the single assembler `linalg.assemble`, fed by the per-stratum
+`SemistableComplex.restriction_blocks` and `gysin_blocks`.  Matrices are
+`linalg.Matrix` throughout, with exact shapes: a map from or to a zero space
+is a k x 0 or 0 x k matrix, never a special case.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cohomology import GradedRing, build_ring
+from .fields import FieldError, _prime_power
 from .lefschetz import (check_hard_lefschetz, lefschetz_pairing_gram,
                         lefschetz_power, make_context, primitive_decomposition)
 
@@ -53,7 +56,7 @@ class Stratum:
     id: str
     subset: frozenset
     ring: GradedRing
-    parents: dict          # removed index m -> (parent_id, [matrix per degree])
+    parents: dict          # removed index m -> (parent_id, [Matrix per degree])
 
     @property
     def level(self):
@@ -62,6 +65,10 @@ class Stratum:
 
 class SemistableComplex:
     def __init__(self, strata, q, name="complex"):
+        try:
+            _prime_power(q)   # q only enters the zeta factors: no upper bound
+        except FieldError as exc:
+            raise ComplexValidationError("q: %s" % exc) from None
         self.strata = {s.id: s for s in strata}
         if len(self.strata) != len(strata):
             raise ComplexValidationError("duplicate stratum ids")
@@ -158,7 +165,7 @@ class SemistableComplex:
                         "restriction %s->%s misses degrees"
                         % (pid, s.id))
                 for j in range(s.ring.n + 1):
-                    rows, cols = linalg.shape(mats[j])
+                    rows, cols = mats[j].shape
                     if rows != len(s.ring.basis[j]) or cols != len(parent.ring.basis[j]):
                         raise ComplexValidationError(
                             "restriction %s->%s degree %d has shape %dx%d, "
@@ -177,8 +184,7 @@ class SemistableComplex:
                         % (s.id, j))
             for m, (pid, mats) in s.parents.items():
                 parent = self.strata[pid]
-                unit = [[Fraction(1)]]
-                if mats[0] != unit:
+                if mats[0] != linalg.identity(1):
                     raise ComplexValidationError(
                         "restriction %s->%s does not preserve the unit"
                         % (pid, s.id))
@@ -225,7 +231,7 @@ class SemistableComplex:
                 for j in range(s.ring.n + 1):
                     path1 = linalg.matmul(mats1[j], g_mats1[j])
                     path2 = linalg.matmul(mats2[j], g_mats2[j])
-                    if not linalg.mat_equal(path1, path2):
+                    if path1 != path2:
                         raise ComplexValidationError(
                             "restriction square does not commute at strata "
                             "%s->%s" % (_subset_name(self.strata[g1_id].subset),
@@ -238,15 +244,24 @@ SCHEMA_VERSION = 1
 
 
 def _frac(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+    if isinstance(x, (str, int, Fraction)):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ComplexValidationError(
+                "matrix entry %r has a zero denominator" % (x,)) from None
     raise ComplexValidationError("matrix entries must be integers or 'p/q' strings")
 
 
 def _matrix(data):
-    return [[_frac(x) for x in row] for row in data]
+    return linalg.mat([[_frac(x) for x in row] for row in data])
+
+
+def _json_int(node, key):
+    x = node[key]
+    if type(x) is not int:
+        raise ComplexValidationError("%r must be a JSON integer, got %r" % (key, x))
+    return x
 
 
 def _variety_from_json(node):
@@ -255,16 +270,18 @@ def _variety_from_json(node):
         raise ComplexValidationError("variety spec must be an object with 'kind'")
     kind = node["kind"]
     if kind == "projective":
-        return build_ring(cohomology.proj(int(node["n"])))
+        return build_ring(cohomology.proj(_json_int(node, "n")))
     if kind == "blowup":
-        return build_ring(cohomology.blowup(int(node["n"]), int(node["q"])))
+        return build_ring(cohomology.blowup(_json_int(node, "n"),
+                                            _json_int(node, "q")))
     if kind == "product":
         factors = []
         for f in node["factors"]:
             if f["kind"] == "projective":
-                factors.append(cohomology.proj(int(f["n"])))
+                factors.append(cohomology.proj(_json_int(f, "n")))
             elif f["kind"] == "blowup":
-                factors.append(cohomology.blowup(int(f["n"]), int(f["q"])))
+                factors.append(cohomology.blowup(_json_int(f, "n"),
+                                                 _json_int(f, "q")))
             else:
                 raise ComplexValidationError("nested product factors unsupported")
         return build_ring(cohomology.product(*factors))
@@ -274,22 +291,20 @@ def _variety_from_json(node):
 
 
 def explicit_surface_ring(labels, intersection):
-    """Ring of a smooth projective surface given by its N^1 intersection matrix."""
+    """Ring of a smooth projective surface given by its N^1 intersection
+    matrix (a `linalg.Matrix`)."""
     labels = [str(x) for x in labels]
     r = len(labels)
-    if linalg.shape(intersection) != (r, r):
+    if r == 0:
+        raise ComplexValidationError("a surface needs at least one label")
+    if intersection.shape != (r, r):
         raise ComplexValidationError("intersection matrix shape mismatch")
     if linalg.rank(intersection) != r:
         raise ComplexValidationError("surface intersection form is degenerate")
     gens = [("s", lbl) for lbl in labels]
-    pivot = None
-    for i in range(r):
-        for j in range(r):
-            if intersection[i][j]:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
+    # the first nonzero entry names the top monomial
+    pivot = next((i, j) for i in range(r) for j in range(r)
+                 if intersection.rows[i][j])
 
     lookup = {g: i for i, g in enumerate(gens)}
 
@@ -297,28 +312,20 @@ def explicit_surface_ring(labels, intersection):
         if len(mono) != 2:
             raise ValueError("surface topeval expects degree-2 monomials")
         a, b = mono
-        return intersection[lookup[a]][lookup[b]]
+        return intersection.entry(lookup[a], lookup[b])
 
     basis = [[()], [(g,) for g in gens],
              [tuple(sorted((gens[pivot[0]], gens[pivot[1]])))]]
-    top = basis[2][0]
-    pairing = [
-        [[topeval(top)]],
-        [[intersection[i][j] for j in range(r)] for i in range(r)],
-        [[topeval(top)]],
-    ]
-    spec = SurfaceSpec(tuple(labels), _freeze(intersection))
+    top = linalg.mat([[topeval(basis[2][0])]])
+    pairing = [top, intersection, top]
+    spec = SurfaceSpec(tuple(labels), intersection)
     return GradedRing(spec, basis, pairing, topeval=topeval)
 
 
 @dataclass(frozen=True)
 class SurfaceSpec:
     labels: tuple
-    intersection: tuple
-
-
-def _freeze(m):
-    return tuple(tuple(x for x in row) for row in m)
+    intersection: linalg.Matrix
 
 
 def load_complex(data):
@@ -332,7 +339,7 @@ def load_complex(data):
         raise ComplexValidationError("unsupported schema_version %r"
                                      % data.get("schema_version"))
     try:
-        q = int(data["q"])
+        q = _json_int(data, "q")
         strata_json = data["strata"]
     except KeyError as exc:
         raise ComplexValidationError("missing required key %s" % exc)
@@ -460,17 +467,20 @@ class WeightTable:
                     if tgt is not None:
                         blocks.append((tgt.offset, src.offset, gys[d],
                                        sign * (-1) ** src.k))
-            self._d1[(i, j)] = _assemble(sum(s.dim for s in target),
-                                         sum(s.dim for s in summands), blocks)
+            self._d1[(i, j)] = linalg.assemble(sum(s.dim for s in target),
+                                               sum(s.dim for s in summands),
+                                               blocks)
 
     def d1(self, i, j):
-        return self._d1.get((i, j), [])
+        """d1: E1[i,j] -> E1[i+1,j]; a k x 0 matrix where E1[i,j] is zero."""
+        if (i, j) in self._d1:
+            return self._d1[(i, j)]
+        return linalg.zeros(self.e1_dim(i + 1, j), 0)
 
     def _check_d1_squared(self):
         for (i, j) in self.entries:
-            a = self.d1(i, j)
-            b = self.d1(i + 1, j)
-            if a and b and not linalg.is_zero_matrix(linalg.matmul(b, a)):
+            if not linalg.is_zero_matrix(linalg.matmul(self.d1(i + 1, j),
+                                                       self.d1(i, j))):
                 raise SpectralSequenceError(
                     "d1 o d1 != 0 at entry (%d, %d); sign assembly or input "
                     "geometry is inconsistent" % (i, j))
@@ -491,22 +501,15 @@ class WeightTable:
                 if t is not None:
                     blocks.append((t.offset, s.offset, linalg.identity(s.dim),
                                    sign))
-            self._n_map[key] = _assemble(sum(s.dim for s in tgt),
-                                         sum(s.dim for s in src), blocks)
+            self._n_map[key] = linalg.assemble(sum(s.dim for s in tgt),
+                                               sum(s.dim for s in src), blocks)
         return self._n_map[key]
 
     def _check_monodromy(self):
         for (i, j) in self.entries:
-            rows = self.e1_dim(i + 3, j - 2)
-            cols = self.e1_dim(i, j)
-            if rows == 0 or cols == 0:
-                continue
-            zero = [[Fraction(0)] * cols for _ in range(rows)]
-            a = linalg.matmul(self.n_map(i + 1, j), self.d1(i, j)) \
-                if self.e1_dim(i + 1, j) else zero
-            b = linalg.matmul(self.d1(i + 2, j - 2), self.n_map(i, j)) \
-                if self.e1_dim(i + 2, j - 2) else zero
-            if not linalg.mat_equal(a, b):
+            a = linalg.matmul(self.n_map(i + 1, j), self.d1(i, j))
+            b = linalg.matmul(self.d1(i + 2, j - 2), self.n_map(i, j))
+            if a != b:
                 raise SpectralSequenceError(
                     "N does not commute with d1 at entry (%d, %d)" % (i, j))
         # N^r: E1[-r, w+r] -> E1[r, w-r] must be bijective
@@ -530,16 +533,10 @@ class WeightTable:
     def e2(self):
         if self._e2 is None:
             self._e2 = {}
-            for (i, j), summands in self.entries.items():
-                total = sum(s.dim for s in summands)
-                kmat = _kernel_columns(self.d1(i, j), total,
-                                       self.e1_dim(i + 1, j))
-                inn = self.d1(i - 1, j)
-                imat = inn if inn and linalg.shape(inn)[1] else \
-                    [[] for _ in range(total)]
-                imcols = linalg.column_space(imat) if linalg.shape(imat)[1] \
-                    else [[] for _ in range(total)]
-                if linalg.shape(imcols)[1] and not linalg.subspace_leq(imcols, kmat):
+            for (i, j) in self.entries:
+                kmat = linalg.kernel_basis(self.d1(i, j))
+                imcols = linalg.column_space(self.d1(i - 1, j))
+                if imcols.ncols and not linalg.subspace_leq(imcols, kmat):
                     raise SpectralSequenceError(
                         "boundaries not contained in cycles at (%d,%d)" % (i, j))
                 quot = _quotient_basis(kmat, imcols)
@@ -549,7 +546,7 @@ class WeightTable:
 
     def e2_dim(self, i, j):
         slot = self.e2().get((i, j))
-        return linalg.shape(slot["quotient"])[1] if slot else 0
+        return slot["quotient"].ncols if slot else 0
 
     def induced_n(self, i, j):
         """Matrix of N on E2 quotient bases, (i,j) -> (i+2, j-2).
@@ -562,38 +559,20 @@ class WeightTable:
         return self._induced_n[key]
 
     def _compute_induced_n(self, i, j):
-        e2 = self.e2()
-        src = e2.get((i, j))
-        tgt = e2.get((i + 2, j - 2))
-        src_q = src["quotient"] if src else None
-        sdim = linalg.shape(src_q)[1] if src else 0
-        tdim = linalg.shape(tgt["quotient"])[1] if tgt else 0
+        sdim, tdim = self.e2_dim(i, j), self.e2_dim(i + 2, j - 2)
         if sdim == 0 or tdim == 0:
-            return [[Fraction(0)] * sdim for _ in range(tdim)]
-        nm = self.n_map(i, j)
-        images = linalg.matmul(nm, src_q)
+            return linalg.zeros(tdim, sdim)
+        src, tgt = self.e2()[(i, j)], self.e2()[(i + 2, j - 2)]
+        images = linalg.matmul(self.n_map(i, j), src["quotient"])
         basis = linalg.stack_columns(tgt["boundaries"], tgt["quotient"])
-        nb = linalg.shape(tgt["boundaries"])[1]
-        coords = linalg.solve(basis, images) if linalg.shape(basis)[1] else []
-        return [row for row in coords[nb:]]
+        coords = linalg.solve(basis, images)
+        return linalg.submatrix(coords, rows=range(tgt["boundaries"].ncols,
+                                                   coords.nrows))
 
     def euler_characteristics(self):
         e1 = sum((-1) ** (i + j) * self.e1_dim(i, j) for (i, j) in self.entries)
         e2 = sum((-1) ** (i + j) * self.e2_dim(i, j) for (i, j) in self.entries)
         return e1, e2
-
-
-def _assemble(rows, cols, blocks):
-    """rows x cols matrix holding sign * block at (row0, col0) for each
-    (row0, col0, block, sign) of `blocks`; zero elsewhere."""
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for row0, col0, block, sign in blocks:
-        for r, row in enumerate(block):
-            out = m[row0 + r]
-            for c, x in enumerate(row):
-                if x:
-                    out[col0 + c] += sign * x
-    return m
 
 
 def _cech_sign(m, subset):
@@ -607,12 +586,9 @@ def _quotient_basis(cycles, boundaries):
     A column is kept iff it is a pivot column of rref([boundaries | cycles]),
     i.e. iff it lies outside the span of the boundaries and the cycle columns
     before it."""
-    rows = len(cycles)
-    nb = linalg.shape(boundaries)[1]
-    stacked = linalg.stack_columns(boundaries, cycles)
-    keep = [c - nb for c in linalg.rref(stacked)[1] if c >= nb] \
-        if stacked else []
-    return [[cycles[r][c] for c in keep] for r in range(rows)]
+    nb = boundaries.ncols
+    pivots = linalg.rref(linalg.stack_columns(boundaries, cycles))[1]
+    return linalg.submatrix(cycles, cols=[c - nb for c in pivots if c >= nb])
 
 
 def _chain(step_map, i, j, r):
@@ -670,8 +646,7 @@ def check_purity(cx, w):
             report.append({"r": r, "dim_source": 0, "dim_target": 0,
                            "rank": 0, "ok": True})
             continue
-        m = _chain(table.induced_n, -r, w + r, r)
-        rk = linalg.rank(m) if m else 0
+        rk = linalg.rank(_chain(table.induced_n, -r, w + r, r))
         ok = (sdim == tdim == rk)
         verdict = verdict and ok
         report.append({"r": r, "dim_source": sdim, "dim_target": tdim,
@@ -695,11 +670,7 @@ def inertia_invariants(cx, w):
         dim = table.e2_dim(i, j)
         if not dim:
             continue
-        ind = table.induced_n(i, j)
-        if linalg.shape(ind)[0] == 0:
-            kdim = dim
-        else:
-            kdim = dim - linalg.rank(ind)
+        kdim = dim - linalg.rank(table.induced_n(i, j))
         if kdim:
             out[j] = out.get(j, 0) + kdim
     return out
@@ -750,9 +721,9 @@ class LevelMaps:
     def _block_map(self, t, i, t2, i2, blocks):
         """H^i(X^(t)) -> H^i2(X^(t2)) from (source id, target id, block, sign)."""
         src, tgt = self.offsets(t, i), self.offsets(t2, i2)
-        return _assemble(self.dims(t2, i2), self.dims(t, i),
-                         [(tgt[tid], src[sid], m, sign)
-                          for sid, tid, m, sign in blocks])
+        return linalg.assemble(self.dims(t2, i2), self.dims(t, i),
+                               [(tgt[tid], src[sid], m, sign)
+                                for sid, tid, m, sign in blocks])
 
     def rho(self, t, i):
         """H^i(X^(t)) -> H^i(X^(t+1)) with Cech signs."""
@@ -763,11 +734,12 @@ class LevelMaps:
             if j <= self.cx.strata[cid].ring.n])
 
     def tau(self, t, i):
-        """H^i(X^(t)) -> H^(i+2)(X^(t-1)) with Cech signs (t >= 2)."""
+        """H^i(X^(t)) -> H^(i+2)(X^(t-1)) with Cech signs (t >= 2); the zero
+        map for i < 0."""
         j = i // 2
         return self._block_map(t, i, t - 1, i + 2, [
             (s.id, pid, gys[j], sign) for s in self.records.get(t, [])
-            if j <= s.ring.n
+            if 0 <= j <= s.ring.n
             for pid, sign, gys in self.cx.gysin_blocks(s.id)])
 
     def lef_power(self, t, i, power):
@@ -795,8 +767,8 @@ class LevelMaps:
             if 2 * j <= s.ring.n:
                 block = primitive_decomposition(self.ctx[s.id]).primitive[j]
                 blocks.append((rows[s.id], width, block, 1))
-                width += linalg.shape(block)[1]
-        return _assemble(self.dims(t, i), width, blocks)
+                width += block.ncols
+        return linalg.assemble(self.dims(t, i), width, blocks)
 
 
 def verify_rz_lemmas(cx, l_system):
@@ -840,13 +812,8 @@ def verify_rz_lemmas(cx, l_system):
                         linalg.matmul(lm.tau(t - 1, i + 2), lm.tau(t, i))))
             if t >= 2 and lm.dims(t, i + 2):
                 # tau rho + rho tau = 0 between interior levels
-                rows = lm.dims(t, i + 2)
-                cols = lm.dims(t, i)
-                zero = [[Fraction(0)] * cols for _ in range(rows)]
-                a = linalg.matmul(lm.tau(t + 1, i), lm.rho(t, i)) \
-                    if lm.dims(t + 1, i) else zero
-                b = linalg.matmul(lm.rho(t - 1, i + 2), lm.tau(t, i)) \
-                    if lm.dims(t - 1, i + 2) else zero
+                a = linalg.matmul(lm.tau(t + 1, i), lm.rho(t, i))
+                b = linalg.matmul(lm.rho(t - 1, i + 2), lm.tau(t, i))
                 add("anticommute[t=%d,i=%d]" % (t, i),
                     linalg.is_zero_matrix(linalg.add(a, b)))
             # rho tau rho = 0 including the boundary level
@@ -860,67 +827,28 @@ def verify_rz_lemmas(cx, l_system):
         if t + 1 not in cx.levels:
             continue
         dim_hi = n - t          # dim X^(t+1)
-        im0_rho = {}
-        im_rho = {}
-        for i in range(0, 2 * dim_hi + 1, 2):
-            im_rho[i] = linalg.column_space(lm.rho(t, i)) \
-                if lm.dims(t, i) else [[] for _ in range(lm.dims(t + 1, i))]
-            prims = lm.primitive(t + 1, i)
-            p_im0 = linalg.subspace_intersection(im_rho[i], prims)
-            im0_rho[i] = p_im0
-        # close Im0 under L
-        for i in range(0, 2 * dim_hi + 1, 2):
-            total = im0_rho[i]
-            for jj in range(1, i // 2 + 1):
-                lower = im0_rho.get(i - 2 * jj)
-                if lower is None or not linalg.shape(lower)[1]:
-                    continue
-                total = linalg.subspace_sum(
-                    total, linalg.matmul(lm.lef_power(t + 1, i - 2 * jj, jj),
-                                         lower))
-            im0_rho[i] = total
-        im0_tau = {}
-        im_tau = {}
         dim_lo = n - t + 1      # dim X^(t)
-        for i in range(0, 2 * dim_hi + 1, 2):
-            im_tau[i] = linalg.column_space(lm.tau(t + 1, i)) \
-                if lm.dims(t + 1, i) else [[] for _ in range(lm.dims(t, i + 2))]
-            prims = lm.primitive(t, i + 2)
-            im0_tau[i] = linalg.subspace_intersection(im_tau[i], prims)
-        for i in range(0, 2 * dim_hi + 1, 2):
-            total = im0_tau[i]
-            for jj in range(1, i // 2 + 1):
-                lower = im0_tau.get(i - 2 * jj)
-                if lower is None or not linalg.shape(lower)[1]:
-                    continue
-                total = linalg.subspace_sum(
-                    total, linalg.matmul(lm.lef_power(t, i + 2 - 2 * jj, jj),
-                                         lower))
-            im0_tau[i] = total
-
-        def sdim(mat):
-            return linalg.shape(mat)[1]
+        degrees = range(0, 2 * dim_hi + 1, 2)
+        im_rho = {i: linalg.column_space(lm.rho(t, i)) for i in degrees}
+        im_tau = {i: linalg.column_space(lm.tau(t + 1, i)) for i in degrees}
+        im0_rho = _im0(lm, im_rho, t + 1, 0)
+        im0_tau = _im0(lm, im_tau, t, 2)
 
         def im1_rho_dim(i):
             if i not in im_rho:
                 return 0
-            return sdim(im_rho[i]) - sdim(im0_rho[i])
+            return im_rho[i].ncols - im0_rho[i].ncols
 
-        for i in range(0, 2 * dim_hi + 1, 2):
-            d_im_rho = sdim(im_rho[i])
-            d_im0_rho = sdim(im0_rho[i])
+        for i in degrees:
+            d_im0_rho = im0_rho[i].ncols
             # hard Lefschetz for Im0: L^(dim-i) is an isomorphism onto the
             # Im0 space in the dual degree
             p0 = dim_hi - i
             if p0 >= 0:
-                tgt = im0_rho[2 * dim_hi - i]
-                if d_im0_rho:
-                    img = linalg.matmul(lm.lef_power(t + 1, i, p0), im0_rho[i])
-                    ok = linalg.rank(img) == d_im0_rho \
-                        and linalg.subspace_equal(img, tgt)
-                else:
-                    ok = sdim(tgt) == 0
-                add("hard_lefschetz_im0_rho[t=%d,i=%d]" % (t, i), ok)
+                img = linalg.matmul(lm.lef_power(t + 1, i, p0), im0_rho[i])
+                add("hard_lefschetz_im0_rho[t=%d,i=%d]" % (t, i),
+                    linalg.rank(img) == d_im0_rho
+                    and linalg.subspace_equal(img, im0_rho[2 * dim_hi - i]))
             # hard Lefschetz for Im1: symmetry center shifted by one
             p1 = dim_hi + 1 - i
             i_tgt = 2 * (dim_hi + 1) - i
@@ -930,19 +858,16 @@ def verify_rz_lemmas(cx, l_system):
                 if i_tgt > 2 * dim_hi:
                     add("hard_lefschetz_im1_rho[t=%d,i=%d]" % (t, i), src_q == 0)
                 elif src_q or tgt_q:
-                    img = linalg.matmul(lm.lef_power(t + 1, i, p1), im_rho[i]) \
-                        if d_im_rho else im_rho[i]
-                    inside = linalg.subspace_leq(img, im_rho[i_tgt]) \
-                        if d_im_rho else True
+                    img = linalg.matmul(lm.lef_power(t + 1, i, p1), im_rho[i])
+                    inside = linalg.subspace_leq(img, im_rho[i_tgt])
                     quot_rank = linalg.rank(linalg.stack_columns(
-                        im0_rho[i_tgt], img)) - sdim(im0_rho[i_tgt]) \
-                        if d_im_rho else 0
+                        im0_rho[i_tgt], img)) - im0_rho[i_tgt].ncols
                     add("hard_lefschetz_im1_rho[t=%d,i=%d]" % (t, i),
                         inside and src_q == tgt_q == quot_rank)
             # duality of dimensions: dim Im0 rho_i = dim Im1 tau_i and
             # dim Im1 rho_(i+2) = dim Im0 tau_i
-            d_im0_tau = sdim(im0_tau[i])
-            d_im1_tau = sdim(im_tau[i]) - d_im0_tau
+            d_im0_tau = im0_tau[i].ncols
+            d_im1_tau = im_tau[i].ncols - d_im0_tau
             add("duality_dims[t=%d,i=%d]" % (t, i),
                 d_im0_rho == d_im1_tau and im1_rho_dim(i + 2) == d_im0_tau)
             # nondegeneracy of the Lefschetz pairing on Im0 (middle range)
@@ -960,57 +885,47 @@ def verify_rz_lemmas(cx, l_system):
                     linalg.rank(sub) == d_im0_tau)
             # isomorphism Im0 rho -> Im1 tau and the orthogonal splitting
             if d_im0_rho or d_im1_tau:
-                img = linalg.matmul(lm.tau(t + 1, i), im0_rho[i]) \
-                    if d_im0_rho else im0_rho[i]
-                st = linalg.stack_columns(im0_tau[i], img)
-                got = linalg.rank(st) - sdim(im0_tau[i]) if d_im0_rho else 0
+                img = linalg.matmul(lm.tau(t + 1, i), im0_rho[i])
+                got = linalg.rank(linalg.stack_columns(im0_tau[i], img)) \
+                    - d_im0_tau
                 add("isomorphism_im0_to_im1[t=%d,i=%d]" % (t, i),
                     got == d_im0_rho == d_im1_tau)
-                whole = linalg.subspace_sum(im0_tau[i], img) if d_im0_rho \
-                    else im0_tau[i]
-                split_ok = linalg.subspace_equal(whole, im_tau[i]) \
-                    and sdim(im0_tau[i]) + got == sdim(im_tau[i])
-                cross_ok = True
-                if d_im0_tau and d_im0_rho and g_lo is not None:
-                    cross = linalg.matmul(linalg.transpose(im0_tau[i]),
-                                          linalg.matmul(g_lo, img))
-                    cross_ok = linalg.is_zero_matrix(cross)
+                split_ok = linalg.subspace_equal(
+                    linalg.subspace_sum(im0_tau[i], img), im_tau[i]) \
+                    and d_im0_tau + got == im_tau[i].ncols
+                cross_ok = g_lo is None or linalg.is_zero_matrix(
+                    linalg.matmul(linalg.transpose(im0_tau[i]),
+                                  linalg.matmul(g_lo, img)))
                 add("orthogonal_splitting_tau[t=%d,i=%d]" % (t, i),
                     split_ok and cross_ok)
             # Ker tau cap Im rho = Im(rho o tau)
-            kmat = _kernel_columns(lm.tau(t + 1, i), lm.dims(t + 1, i),
-                                   lm.dims(t, i + 2))
-            lhs = linalg.subspace_intersection(kmat, im_rho[i])
-            rot = linalg.matmul(lm.rho(t, i), lm.tau(t + 1, i - 2)) \
-                if i >= 2 and lm.dims(t + 1, i - 2) and lm.dims(t, i) else None
-            rhs = linalg.column_space(rot) if rot else \
-                [[] for _ in range(lm.dims(t + 1, i))]
+            lhs = linalg.subspace_intersection(
+                linalg.kernel_basis(lm.tau(t + 1, i)), im_rho[i])
+            rhs = linalg.column_space(
+                linalg.matmul(lm.rho(t, i), lm.tau(t + 1, i - 2)))
             add("ker_tau_cap_im_rho[t=%d,i=%d]" % (t, i),
                 linalg.subspace_equal(lhs, rhs))
             # Ker rho cap Im tau = Im(tau o rho) one degree up
-            kmat2 = _kernel_columns(lm.rho(t, i + 2), lm.dims(t, i + 2),
-                                    lm.dims(t + 1, i + 2))
-            lhs2 = linalg.subspace_intersection(kmat2, im_tau[i])
-            tor = linalg.matmul(lm.tau(t + 1, i), lm.rho(t, i)) \
-                if lm.dims(t + 1, i) and lm.dims(t, i) else None
-            rhs2 = linalg.column_space(tor) if tor else \
-                [[] for _ in range(lm.dims(t, i + 2))]
+            lhs2 = linalg.subspace_intersection(
+                linalg.kernel_basis(lm.rho(t, i + 2)), im_tau[i])
+            rhs2 = linalg.column_space(
+                linalg.matmul(lm.tau(t + 1, i), lm.rho(t, i)))
             add("ker_rho_cap_im_tau[t=%d,i=%d]" % (t, i),
                 linalg.subspace_equal(lhs2, rhs2))
 
     return ok_all, report
 
 
-def _kernel_columns(matrix, source_dim, target_dim):
-    """Kernel of a map as a column matrix; the whole space if the target is 0."""
-    if source_dim == 0:
-        return []
-    if target_dim == 0:
-        return linalg.identity(source_dim)
-    ker = linalg.kernel_basis(matrix)
-    return [[v[r] for v in ker] for r in range(source_dim)]
+def _im0(lm, images, t, shift):
+    """Im0 per degree i: images[i] cut with the primitive part of
+    H^(i+shift)(X^(t)), then closed under L from the lower degrees."""
+    im0 = {i: linalg.subspace_intersection(images[i], lm.primitive(t, i + shift))
+           for i in images}
+    for i in images:
+        for jj in range(1, i // 2 + 1):
+            im0[i] = linalg.subspace_sum(
+                im0[i], linalg.matmul(lm.lef_power(t, i + shift - 2 * jj, jj),
+                                      im0[i - 2 * jj]))
+    return im0
 
 
-def gysin_adjoint(cx, child_id, m):
-    """Public accessor for the per-degree Gysin matrices of one inclusion."""
-    return cx.gysin(child_id, m)

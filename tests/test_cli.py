@@ -154,6 +154,69 @@ def test_zero_denominator_divisor_is_invalid_input(capsys):
     assert "zero denominator" in err
 
 
+def _one_line_complex(tmp_path, q=2, variety=None):
+    """A one-component complex on P^1 written as JSON, with q and the
+    component's variety replaceable."""
+    data = {"schema_version": 1, "q": q, "name": "line", "strata": [
+        {"id": "c0", "subset": [0], "parents": {},
+         "variety": variety or {"kind": "projective", "n": 1}}]}
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("q,msg", [
+    (0, "field size must be >= 2"),
+    (-2, "field size must be >= 2"),
+    (1, "field size must be >= 2"),
+    (6, "6 is not a prime power"),
+    ("3", "'q' must be a JSON integer"),
+])
+def test_json_complex_field_size_is_invalid_input(tmp_path, capsys, q, msg):
+    code, out, err = run(capsys, "wss", "--input",
+                         _one_line_complex(tmp_path, q=q), "--zeta")
+    assert (code, out) == (2, "")
+    assert msg in err
+
+
+@pytest.mark.parametrize("q", [17, 1000000007])
+def test_json_complex_field_size_has_no_upper_bound(tmp_path, capsys, q):
+    code, out, _ = run(capsys, "wss", "--input",
+                       _one_line_complex(tmp_path, q=q), "--zeta")
+    assert code == 0
+    assert "zeta: 1 / ((1 - T) (1 - %dT))" % q in out
+
+
+@pytest.mark.parametrize("variety,msg", [
+    ({"kind": "projective", "n": -1}, "P^n needs n >= 0"),
+    ({"kind": "projective", "n": 1.5}, "'n' must be a JSON integer"),
+    ({"kind": "projective", "n": True}, "'n' must be a JSON integer"),
+    ({"kind": "projective", "n": 3000}, "exceeds guard 4"),
+    ({"kind": "blowup", "n": 2, "q": "2"}, "'q' must be a JSON integer"),
+    ({"kind": "product", "factors": [{"kind": "projective", "n": 1.0}]},
+     "'n' must be a JSON integer"),
+    ({"kind": "surface", "labels": [], "intersection": []},
+     "a surface needs at least one label"),
+])
+def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
+    code, out, err = run(capsys, "--timeout", "30", "wss", "--input",
+                         _one_line_complex(tmp_path, variety=variety))
+    assert (code, out) == (2, "")
+    assert msg in err
+
+
+def test_json_zero_denominator_entry_is_invalid_input(tmp_path, capsys):
+    cx, _ = drinfeld_local(2, 2)
+    data = complex_to_json(cx)
+    node = next(n for n in data["strata"] if n["parents"])
+    node["parents"][sorted(node["parents"])[0]]["restriction"][0][0][0] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "wss", "--input", str(bad))
+    assert code == 2
+    assert "zero denominator" in err
+
+
 def test_wss_json_report(capsys):
     code, out, _ = run(capsys, "--json", "wss", "--fixture", "tate-cycle:2,2",
                        "--zeta")

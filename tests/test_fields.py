@@ -1,6 +1,7 @@
 import pytest
 
-from purity.fields import FieldError, FieldSpec, field_spec, get_field
+from purity.fields import (FieldError, FieldSpec, _prime_power, field_spec,
+                           get_field)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -31,6 +32,21 @@ def test_prime_power_detection():
         field_spec(1)
     with pytest.raises(FieldError):
         field_spec(32)   # beyond the supported bound
+
+
+@pytest.mark.parametrize("q,pe", [(2, (2, 1)), (4, (2, 2)), (9, (3, 2)),
+                                  (17, (17, 1)), (2 ** 40, (2, 40)),
+                                  (3 ** 19, (3, 19)),
+                                  (1000000007, (1000000007, 1))])
+def test_prime_power_split(q, pe):
+    # trial division up to sqrt(q): a large prime is answered at once
+    assert _prime_power(q) == pe
+
+
+@pytest.mark.parametrize("q", [-2, 0, 1, 6, 12, 2 ** 20 * 3, 1000000007 * 2])
+def test_prime_power_rejects(q):
+    with pytest.raises(FieldError):
+        _prime_power(q)
 
 
 def test_modulus_validation():

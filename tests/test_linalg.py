@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from purity import linalg
-from purity.linalg import (LinAlgError, identity, inverse, is_positive_definite,
-                           mat, matmul, rank, rank_kernel, symmetric_signature)
+from purity.linalg import (LinAlgError, Matrix, identity, inverse,
+                           is_positive_definite, kernel_basis, mat, matmul,
+                           rank, symmetric_signature)
 from purity.weightss import _quotient_basis
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -17,14 +19,14 @@ def square(n):
 
 
 def test_rank_kernel_examples():
-    r, k = rank_kernel(identity(3))
-    assert r == 3 and k == []
-    r, k = rank_kernel(mat([[0, 0], [0, 0]]))
-    assert r == 0 and len(k) == 2
-    r, k = rank_kernel(mat([[1, 2], [2, 4]]))
-    assert r == 1 and len(k) == 1
-    v = k[0]
-    assert v[0] * 1 + v[1] * 2 == 0   # proportional to (2, -1)
+    assert rank(identity(3)) == 3
+    assert kernel_basis(identity(3)).shape == (3, 0)
+    assert rank(mat([[0, 0], [0, 0]])) == 0
+    assert kernel_basis(mat([[0, 0], [0, 0]])) == identity(2)
+    m = mat([[1, 2], [2, 4]])
+    k = kernel_basis(m)
+    assert rank(m) == 1 and k.shape == (2, 1)
+    assert linalg.is_zero_matrix(matmul(m, k))   # proportional to (2, -1)
 
 
 def test_signature_examples():
@@ -39,7 +41,7 @@ def test_signature_examples():
 def test_positive_definite_examples():
     assert is_positive_definite(mat([[2, 1], [1, 2]]))
     assert not is_positive_definite(mat([[1, 2], [2, 1]]))
-    assert is_positive_definite([])
+    assert is_positive_definite(mat([]))
     with pytest.raises(LinAlgError):
         is_positive_definite(mat([[1, 2], [0, 1]]))
 
@@ -48,17 +50,16 @@ def test_positive_definite_examples():
 @given(square(3))
 def test_kernel_vectors_are_exact(rows):
     m = mat(rows)
-    r, kernel = rank_kernel(m)
-    assert r + len(kernel) == 3
-    for v in kernel:
-        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+    kernel = kernel_basis(m)
+    assert rank(m) + kernel.ncols == 3
+    assert linalg.is_zero_matrix(matmul(m, kernel))
 
 
 @settings(max_examples=40, deadline=None)
 @given(square(3), square(3))
 def test_signature_invariant_under_congruence(g_rows, p_rows):
     g = mat(g_rows)
-    g = [[g[i][j] + g[j][i] for j in range(3)] for i in range(3)]  # symmetrize
+    g = linalg.add(g, linalg.transpose(g))   # symmetrize
     p = mat(p_rows)
     if rank(p) != 3:
         return
@@ -72,7 +73,7 @@ def test_signature_invariant_under_congruence(g_rows, p_rows):
 @given(square(3))
 def test_positive_definite_iff_full_positive_inertia(rows):
     g = mat(rows)
-    g = [[g[i][j] + g[j][i] for j in range(3)] for i in range(3)]
+    g = linalg.add(g, linalg.transpose(g))
     s = symmetric_signature(g)
     assert is_positive_definite(g) == ((s.n_plus, s.n_minus, s.n_zero) == (3, 0, 0))
 
@@ -105,20 +106,70 @@ def test_subspace_calculus():
     assert not linalg.subspace_leq(b, a)
 
 
-# -- oracle: the integer kernel against plain-Fraction reference code ---------
+# -- canonical form ------------------------------------------------------------
 
-def _ref_matmul(a, b):
-    """Row-by-column product on Fractions."""
-    if linalg.shape(a)[1] != linalg.shape(b)[0]:
+def _is_canonical(m):
+    return (type(m) is Matrix and m.den > 0 and len(m.rows) == m.nrows
+            and all(type(r) is tuple and len(r) == m.ncols for r in m.rows)
+            and all(type(x) is int for r in m.rows for x in r)
+            and gcd(m.den, *(x for r in m.rows for x in r)) == 1)
+
+
+def test_canonical_equality_examples():
+    half = mat([[Fraction(1, 2), 1]])
+    same = [Matrix([[2, 4]], 4), Matrix([[-1, -2]], -2), Matrix([[3, 6]], 6),
+            mat([["1/2", Fraction(2, 2)]])]
+    for m in same:
+        assert m == half and hash(m) == hash(half) and _is_canonical(m)
+    assert (half.rows, half.den) == (((1, 2),), 2)
+    assert Matrix([[0, 0]], 7) == linalg.zeros(1, 2)
+    assert linalg.zeros(1, 2).den == 1
+    # shapes are part of the value, also when there are no entries
+    assert linalg.zeros(0, 3) != linalg.zeros(0, 2)
+    assert linalg.zeros(3, 0) != linalg.zeros(2, 0)
+    assert linalg.zeros(0, 3) == Matrix([], 5, 3)
+    assert half != [[Fraction(1, 2), Fraction(1)]]
+    with pytest.raises(LinAlgError):
+        Matrix([[1, 2], [3]], 1)
+    with pytest.raises(LinAlgError):
+        Matrix([[1]], 0)
+
+
+# -- oracle: every operation against plain-Fraction reference code ------------
+#
+# A reference value is (shape, list of Fraction rows); `_val` reads a Matrix
+# the same way, so 0 x k and k x 0 results compare exactly.
+
+def _m(rows, ncols):
+    """The Matrix of Fraction rows with ncols columns (also with no rows)."""
+    return mat(rows) if rows else linalg.zeros(0, ncols)
+
+
+def _val(m):
+    assert _is_canonical(m)
+    return m.shape, [list(row) for row in m]
+
+
+def _ref(rows, ncols):
+    return (len(rows), ncols), [list(r) for r in rows]
+
+
+def _ref_transpose(rows, ncols):
+    return [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
+
+
+def _ref_matmul(a, b, ca, cb):
+    """Row-by-column product on Fractions (a has ca columns, b has cb)."""
+    if ca != len(b):
         raise LinAlgError("shape mismatch")
-    bt = list(zip(*b)) if b else []
+    bt = _ref_transpose(b, cb)
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt]
             for row in a]
 
 
-def _ref_rref(m):
+def _ref_rref(m, cols):
     """Gauss-Jordan on Fractions, dividing the pivot row first."""
-    rows, cols = linalg.shape(m)
+    rows = len(m)
     a = [list(row) for row in m]
     pivots = []
     r = 0
@@ -140,10 +191,23 @@ def _ref_rref(m):
     return a[:r], pivots
 
 
-def _ref_solve(a, b_cols):
-    ca = linalg.shape(a)[1]
-    cb = linalg.shape(b_cols)[1]
-    red, pivots = _ref_rref([list(ra) + list(rb) for ra, rb in zip(a, b_cols)])
+def _ref_kernel(m, cols):
+    """Kernel columns: 1 at a free column, minus the rref entries at pivots."""
+    red, pivots = _ref_rref(m, cols)
+    free = [c for c in range(cols) if c not in pivots]
+    vecs = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for row, piv in zip(red, pivots):
+            v[piv] = -row[fc]
+        vecs.append(v)
+    return _ref_transpose(vecs, cols), len(free)
+
+
+def _ref_solve(a, b_cols, ca, cb):
+    red, pivots = _ref_rref([list(ra) + list(rb) for ra, rb in zip(a, b_cols)],
+                            ca + cb)
     if any(p >= ca for p in pivots):
         raise LinAlgError("solve: inconsistent system")
     if len(pivots) < ca:
@@ -156,15 +220,56 @@ def _ref_solve(a, b_cols):
     return x
 
 
+def _ref_columns(m, cols):
+    return [[row[c] for c in cols] for row in m]
+
+
+def _ref_column_space(m, cols):
+    pivots = _ref_rref(m, cols)[1]
+    return _ref_columns(m, pivots), len(pivots)
+
+
+def _ref_intersection(a, b, ca, cb):
+    """The kernel of [a | -b], cut to its first ca rows, through a."""
+    stacked = [list(ra) + [-x for x in rb] for ra, rb in zip(a, b)]
+    ker, width = _ref_kernel(stacked, ca + cb)
+    return _ref_column_space(_ref_matmul(a, ker[:ca], ca, width), width)
+
+
+def _ref_charpoly(g):
+    """Coefficients c_0..c_n of det(x I - g), by Faddeev-LeVerrier."""
+    n = len(g)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = _ref_matmul(g, m, n, n)
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]
+        gm = _ref_matmul(g, m, n, n)
+        coeffs[n - k] = -sum(gm[i][i] for i in range(n)) / k
+    return coeffs
+
+
+def _sign_changes(seq):
+    signs = [x > 0 for x in seq if x != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _ref_inertia(g):
+    """Descartes' rule of signs on the characteristic polynomial, exact for a
+    real symmetric matrix (all roots real)."""
+    c = _ref_charpoly(g)
+    n_zero = next(k for k, x in enumerate(c) if x != 0)
+    n_plus = _sign_changes(c)
+    n_minus = _sign_changes([x if k % 2 == 0 else -x for k, x in enumerate(c)])
+    return n_plus, n_minus, n_zero
+
+
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
     except LinAlgError as exc:
         return "error", " ".join(str(exc).split()[:2])
-
-
-def _all_fractions(m):
-    return all(type(x) is Fraction for row in m for x in row)
 
 
 entries = st.one_of(st.just(Fraction(0)), fractions,
@@ -174,8 +279,9 @@ entries = st.one_of(st.just(Fraction(0)), fractions,
 
 @st.composite
 def matrices(draw, rows=None, cols=None):
-    """Sparse rational matrices, sometimes with a zero row, a zero column or a
-    row that is a combination of two others (rank deficiency)."""
+    """Sparse rational matrices as (Fraction rows, column count), with 0 x k
+    and k x 0 shapes, sometimes a zero row, a zero column or a row that is a
+    combination of two others (rank deficiency)."""
     r = draw(st.integers(0, 6)) if rows is None else rows
     c = draw(st.integers(0, 6)) if cols is None else cols
     m = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
@@ -190,7 +296,7 @@ def matrices(draw, rows=None, cols=None):
         k = draw(st.integers(0, c - 1))
         for row in m:
             row[k] = Fraction(0)
-    return m
+    return m, c
 
 
 @st.composite
@@ -202,52 +308,219 @@ def products(draw):
 @settings(max_examples=100, deadline=None)
 @given(products())
 def test_matmul_matches_fraction_reference(ab):
-    a, b = ab
-    got = _outcome(matmul, a, b)
-    assert got == _outcome(_ref_matmul, a, b)
-    assert got[0] == "error" or _all_fractions(got[1])
+    (a, ca), (b, cb) = ab
+    assert _val(matmul(_m(a, ca), _m(b, cb))) == \
+        _ref(_ref_matmul(a, b, ca, cb), cb)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), st.data())
+def test_matmul_shape_mismatch_is_an_error(m, data):
+    rows, c = m
+    other, oc = data.draw(matrices(data.draw(st.integers(0, 6)
+                                             .filter(lambda k: k != c))))
+    with pytest.raises(LinAlgError):
+        matmul(_m(rows, c), _m(other, oc))
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_rref_matches_fraction_reference(m):
-    red, pivots = linalg.rref(m)
-    assert (red, pivots) == _ref_rref(m)
-    assert _all_fractions(red)
-    assert rank(m) == len(pivots)
+    rows, c = m
+    red, pivots = linalg.rref(_m(rows, c))
+    ref_red, ref_pivots = _ref_rref(rows, c)
+    assert (_val(red), pivots) == (_ref(ref_red, c), ref_pivots)
+    assert rank(_m(rows, c)) == len(pivots)
 
 
 @st.composite
 def systems(draw):
     r, c, k = (draw(st.integers(0, 5)) for _ in range(3))
-    a = draw(matrices(r, c))
+    a, _ = draw(matrices(r, c))
     if r and c and draw(st.booleans()):      # consistent right-hand sides
-        b = _ref_matmul(a, draw(matrices(c, k)))
+        b = _ref_matmul(a, draw(matrices(c, k))[0], c, k)
     else:
-        b = draw(matrices(r, k))
-    return a, b
+        b = draw(matrices(r, k))[0]
+    return (a, c), (b, k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(systems())
 def test_solve_matches_fraction_reference(ab):
-    a, b = ab
-    got = _outcome(linalg.solve, a, b)
-    assert got == _outcome(_ref_solve, a, b)
-    assert got[0] == "error" or _all_fractions(got[1])
+    (a, ca), (b, cb) = ab
+    got = _outcome(linalg.solve, _m(a, ca), _m(b, cb))
+    want = _outcome(_ref_solve, a, b, ca, cb)
+    assert got[0] == want[0]
+    assert got[1] == want[1] if got[0] == "error" else \
+        _val(got[1]) == _ref(want[1], cb)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: matrices(n, n)))
+def test_inverse_matches_fraction_reference(m):
+    rows, n = m
+    got = _outcome(inverse, _m(rows, n))
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    want = _outcome(_ref_solve, rows, eye, n, n)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert _val(got[1]) == _ref(want[1], n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices())
+def test_kernel_basis_matches_fraction_reference(m):
+    rows, c = m
+    assert _val(kernel_basis(_m(rows, c))) == _ref(*_ref_kernel(rows, c))
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices())
+def test_column_space_matches_fraction_reference(m):
+    rows, c = m
+    assert _val(linalg.column_space(_m(rows, c))) == \
+        _ref(*_ref_column_space(rows, c))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda r: st.tuples(matrices(r, None), matrices(r, None))))
+def test_subspaces_match_fraction_reference(pair):
+    (a, ca), (b, cb) = pair
+    ma, mb = _m(a, ca), _m(b, cb)
+    assert _val(linalg.subspace_intersection(ma, mb)) == \
+        _ref(*_ref_intersection(a, b, ca, cb))
+    both = [ra + rb for ra, rb in zip(a, b)]
+    assert _val(linalg.subspace_sum(ma, mb)) == \
+        _ref(*_ref_column_space(both, ca + cb))
+    leq = len(_ref_rref(b, cb)[1]) == len(_ref_rref(both, ca + cb)[1])
+    geq = len(_ref_rref(a, ca)[1]) == len(_ref_rref(both, ca + cb)[1])
+    assert linalg.subspace_leq(ma, mb) == leq
+    assert linalg.subspace_equal(ma, mb) == (leq and geq)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda r: st.lists(matrices(r, None), min_size=1, max_size=4)))
+def test_stack_columns_matches_fraction_reference(parts):
+    got = linalg.stack_columns(*(_m(rows, c) for rows, c in parts))
+    rows = [sum((part[0][i] for part in parts), [])
+            for i in range(len(parts[0][0]))]
+    assert _val(got) == _ref(rows, sum(c for _, c in parts))
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices(), st.data())
+def test_shape_operations_match_fraction_reference(m, data):
+    rows, c = m
+    a = _m(rows, c)
+    assert _val(linalg.transpose(a)) == _ref(_ref_transpose(rows, c), len(rows))
+    f = data.draw(fractions)
+    assert _val(linalg.scale(a, f)) == _ref([[f * x for x in r] for r in rows], c)
+    other, _ = data.draw(matrices(len(rows), c))
+    assert _val(linalg.add(a, _m(other, c))) == \
+        _ref([[x + y for x, y in zip(r, s)] for r, s in zip(rows, other)], c)
+    pick_r = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)) \
+        if rows else []
+    pick_c = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
+    assert _val(linalg.submatrix(a, pick_r, pick_c)) == \
+        _ref(_ref_columns([rows[i] for i in pick_r], pick_c), len(pick_c))
+    assert linalg.is_zero_matrix(a) == all(x == 0 for r in rows for x in r)
+    # the Fraction read path
+    assert len(a) == len(rows) and list(a) == rows
+    assert all(a[i] == rows[i] for i in range(len(rows)))
+    assert all(a.entry(i, j) == rows[i][j]
+               for i in range(len(rows)) for j in range(c))
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices(), st.integers(1, 50), st.booleans())
+def test_scaled_numerators_compare_equal(m, k, negate):
+    # one rational matrix written over different denominators is one value
+    rows, c = m
+    a = _m(rows, c)
+    k = -k if negate else k
+    b = Matrix([[k * x for x in r] for r in a.rows], k * a.den, c)
+    assert b == a and hash(b) == hash(a) and _is_canonical(b)
+    assert (b.rows, b.den) == (a.rows, a.den)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_assemble_matches_fraction_reference(nrows, ncols, data):
+    ref = [[Fraction(0)] * ncols for _ in range(nrows)]
+    blocks = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        r0 = data.draw(st.integers(0, nrows))
+        c0 = data.draw(st.integers(0, ncols))
+        block, bc = data.draw(matrices(data.draw(st.integers(0, nrows - r0)),
+                                       data.draw(st.integers(0, ncols - c0))))
+        sign = data.draw(st.sampled_from([1, -1]))
+        blocks.append((r0, c0, _m(block, bc), sign))
+        for r, row in enumerate(block):
+            for cc, x in enumerate(row):
+                ref[r0 + r][c0 + cc] += sign * x
+    assert _val(linalg.assemble(nrows, ncols, blocks)) == _ref(ref, ncols)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
+def test_definiteness_and_inertia_match_fraction_reference(m):
+    rows, n = m
+    g = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+    s = symmetric_signature(_m(g, n))
+    assert (s.n_plus, s.n_minus, s.n_zero) == _ref_inertia(g)
+    # Sylvester: every leading principal minor positive
+    minors = [_ref_det([row[:k] for row in g[:k]]) for k in range(1, n + 1)]
+    assert is_positive_definite(_m(g, n)) == all(d > 0 for d in minors)
+
+
+def _ref_det(m):
+    a = [list(row) for row in m]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_shapes_are_exact(shape):
+    r, c = shape
+    z = linalg.zeros(r, c)
+    assert z.shape == shape and len(z) == r and list(z) == [[]] * r
+    assert linalg.transpose(z).shape == (c, r)
+    assert linalg.column_space(z).shape == (r, 0)
+    assert kernel_basis(z) == identity(c)
+    assert rank(z) == 0 and linalg.rref(z)[1] == []
+    assert matmul(z, linalg.zeros(c, 2)) == linalg.zeros(r, 2)
+    assert matmul(linalg.zeros(2, r), z) == linalg.zeros(2, c)
+    assert linalg.matvec(z, [Fraction(1)] * c) == [Fraction(0)] * r
+    assert linalg.stack_columns(z, linalg.zeros(r, 1)).shape == (r, c + 1)
+    assert linalg.subspace_intersection(z, linalg.zeros(r, 2)).shape == (r, 0)
+    assert linalg.solve(linalg.zeros(r, 0), z).shape == (0, c)
+    assert linalg.is_zero_matrix(z)
+    with pytest.raises(LinAlgError):
+        matmul(z, linalg.zeros(c + 1, 1))
 
 
 def _greedy_quotient_columns(cycles, boundaries):
     """Keep a cycle column when it raises the rank of the columns kept so far
     together with the boundaries."""
-    rows = len(cycles)
-    chosen = [[] for _ in range(rows)]
-    current = rank(boundaries) if linalg.shape(boundaries)[1] else 0
-    for c in range(linalg.shape(cycles)[1]):
-        col = [[cycles[r][c]] for r in range(rows)]
+    chosen = linalg.zeros(cycles.nrows, 0)
+    current = rank(boundaries)
+    for c in range(cycles.ncols):
+        col = linalg.submatrix(cycles, cols=[c])
         if rank(linalg.stack_columns(boundaries, chosen, col)) > current:
-            for r in range(rows):
-                chosen[r].append(cycles[r][c])
+            chosen = linalg.stack_columns(chosen, col)
             current += 1
     return chosen
 
@@ -256,20 +529,20 @@ def _greedy_quotient_columns(cycles, boundaries):
 @given(st.integers(1, 6).flatmap(
     lambda r: st.tuples(matrices(r, None), matrices(r, None))))
 def test_quotient_basis_keeps_the_greedy_columns(pair):
-    cycles, boundaries = pair
+    cycles, boundaries = (_m(rows, c) for rows, c in pair)
     assert _quotient_basis(cycles, boundaries) == \
         _greedy_quotient_columns(cycles, boundaries)
 
 
 # -- oracle: the sparse row elimination behind rank and the ring-basis pick ---
 
-def _ref_independent_rows(m, limit):
+def _ref_independent_rows(m, cols, limit):
     """Row i is picked when it raises the reference rank of rows 0..i."""
     picked, r = [], 0
     for i in range(len(m)):
         if limit is not None and len(picked) == limit:
             break
-        ri = len(_ref_rref(m[:i + 1])[1])
+        ri = len(_ref_rref(m[:i + 1], cols)[1])
         if ri > r:
             picked.append(i)
             r = ri
@@ -281,33 +554,37 @@ def sparse_matrices(draw):
     """Up to 10x10, about one entry in four nonzero, with the zero rows, zero
     columns and dependent rows of `matrices`."""
     r, c = draw(st.integers(0, 10)), draw(st.integers(0, 10))
-    m = draw(matrices(r, c))
+    m, _ = draw(matrices(r, c))
     for row in m:
         for k in range(c):
             if draw(st.integers(0, 3)):
                 row[k] = Fraction(0)
-    return m
+    return m, c
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(matrices(), sparse_matrices()))
 def test_rank_matches_fraction_reference(m):
-    assert rank(m) == len(_ref_rref(m)[1])
+    rows, c = m
+    assert rank(_m(rows, c)) == len(_ref_rref(rows, c)[1])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(matrices(), sparse_matrices()),
        st.one_of(st.none(), st.integers(0, 8)))
 def test_independent_rows_match_fraction_reference(m, limit):
-    assert linalg.independent_rows(m, limit) == _ref_independent_rows(m, limit)
+    rows, c = m
+    assert linalg.independent_rows(_m(rows, c), limit) == \
+        _ref_independent_rows(rows, c, limit)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 6).flatmap(
     lambda k: st.tuples(matrices(None, k), matrices(1, k))))
-def test_integer_matvec_matches_fraction_product(pair):
-    a, (v,) = pair
-    rows, den = linalg.integer_rows(a)
-    got = linalg.integer_matvec(rows, den, v)
+def test_matvec_matches_fraction_product(pair):
+    (a, c), ([v], _) = pair
+    got = linalg.matvec(_m(a, c), v)
     assert got == [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
     assert all(type(x) is Fraction for x in got)
+    with pytest.raises(LinAlgError):
+        linalg.matvec(_m(a, c), v + [Fraction(1)])

@@ -9,7 +9,7 @@ from .geometry import (LinearSubvariety, enumerate_subspaces, contains,
                        point_count, gaussian_binomial, quotient_geometry)
 from .cohomology import (Projective, BlownUp, Product, proj, blowup, product,
                          build_ring, betti_numbers, intersection_number,
-                         hyperplane_relation, restrict_to_divisor, kunneth)
+                         hyperplane_relation, restrict_to_divisor)
 from .lefschetz import (make_context, check_hard_lefschetz,
                         primitive_decomposition, primitive_gram,
                         check_hodge_standard, invariant_form, is_positive,

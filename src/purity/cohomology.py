@@ -21,6 +21,15 @@ Top intersection numbers follow by structural recursion on dimension, and the
 graded ring is the span of monomials in divisor classes with basis chosen by
 exact pairing rank.  The rank in each degree is independently predicted by
 the blow-up Betti recursion; construction fails loudly on any mismatch.
+
+A top monomial h^a prod e_(V_i)^(b_i) vanishes unless its centers form a
+chain V_1 < ... < V_k (incomparable centers are disjoint).  PGL_(n+1)(F_q)
+fixes h, permutes the e_V and acts transitively on the flags of one
+signature, so on a chain the number depends only on the flag type
+(a, (dim V_i, b_i)).  It is computed by descent once per type and kept in one
+integer table; the ring's pairing matrices, and through them the Lefschetz
+operators (one product per degree, see `lefschetz.make_context`), are read
+from it.
 """
 
 from __future__ import annotations
@@ -305,38 +314,63 @@ def _restricted_product(spec, V, gens):
 
 # -- intersection numbers -----------------------------------------------------
 
+# Top intersection numbers of blow-ups by flag type: (spec, flag type) -> int.
 _EVAL_MEMO = {}
 
 
-def _support_is_chain(spec, mono):
-    """True iff the centers of the exceptional factors are pairwise comparable."""
+def flag_type(mono):
+    """The flag type of a blow-up monomial: its sorted tuple of center
+    dimensions, with h as -1.  Distinct centers of a chain have distinct
+    dimensions, so on a chain this is the signature (a, (dim V_i, b_i))."""
+    return tuple(sorted(-1 if g == GEN_H else g[1] for g in mono))
+
+
+def _support_keys(spec, mono):
+    """(centers, comparable, count code) of a blow-up monomial: the bitmask of
+    its centers, the AND of their comparable masks (-1 with no center), and
+    its flag type as a count vector, one base-(n+1) digit per dimension -1..n-2.
+    Two monomials multiply to a chain iff one's centers lie in the other's
+    comparable mask, and the count code of the product is the sum of theirs."""
     table = _gen_table(spec)
-    allowed = -1   # subvarieties comparable with every center seen so far
+    base = spec.n + 1
+    centers, comparable, code = 0, -1, 0
     for g in mono:
-        if g != GEN_H:
-            _, bit, comparable = table[g]
-            if not allowed & bit:
-                return False
-            allowed &= comparable
-    return True
+        if g == GEN_H:
+            code += 1
+        else:
+            _, bit, mask = table[g]
+            centers |= bit
+            comparable &= mask
+            code += base ** (g[1] + 1)
+    return centers, comparable, code
+
+
+def _support_is_chain(spec, mono):
+    """True iff the centers of the exceptional factors are pairwise comparable,
+    that is, each lies in the comparable mask of all of them."""
+    centers, comparable, _ = _support_keys(spec, mono)
+    return not centers & ~comparable
 
 
 def intersection_number(spec, mono, chooser=None):
     """Top intersection number of a monomial of degree dim(spec).
 
-    `chooser` overrides the default lexicographically-least choice of an
-    exceptional factor for descent; the value is independent of the choice.
+    On a blow-up a monomial whose centers do not form a chain gives 0.  A
+    chain monomial is read from the table of its flag type, filled by descent
+    the first time the type is met.  `chooser` overrides the default
+    lexicographically-least choice of an exceptional factor for descent and
+    bypasses the table; the value is independent of the choice.
     """
     if isinstance(spec, Product):
         if len(mono) != len(spec.factors):
             raise CohomologyError("product monomial must be factor-split")
-        val = Fraction(1)
+        val = 1
         for f, m in zip(spec.factors, mono):
             if len(m) != dimension(f):
-                return Fraction(0)
+                return 0
             val *= intersection_number(f, m, chooser)
             if not val:
-                return Fraction(0)
+                return 0
         return val
 
     if len(mono) != dimension(spec):
@@ -346,23 +380,29 @@ def intersection_number(spec, mono, chooser=None):
     if isinstance(spec, Projective):
         if any(g != GEN_H for g in mono):
             raise CohomologyError("projective space has only the generator h")
-        return Fraction(1)
+        return 1
 
-    use_memo = chooser is None
-    key = (spec, mono)
-    if use_memo and key in _EVAL_MEMO:
-        return _EVAL_MEMO[key]
-    val = _eval_blowup(spec, mono, chooser)
-    if use_memo:
-        _EVAL_MEMO[key] = val
+    if not _support_is_chain(spec, mono):
+        return 0
+    if chooser is not None:
+        return _eval_blowup(spec, mono, chooser)
+    key = (spec, flag_type(mono))
+    val = _EVAL_MEMO.get(key)
+    if val is None:
+        val = _eval_blowup(spec, mono, None)
+        if val.denominator != 1:
+            raise CohomologyError(
+                "flag type %r on B^%d/F_%d: top intersection number %s is not "
+                "an integer" % (key[1], spec.n, spec.field.q, val))
+        val = _EVAL_MEMO[key] = int(val)
     return val
 
 
 def _eval_blowup(spec, mono, chooser):
+    """Descent through D_V for the first (or the chosen) center V of a chain
+    monomial."""
     if all(g == GEN_H for g in mono):
         return Fraction(1)
-    if not _support_is_chain(spec, mono):
-        return Fraction(0)
     exc = sorted(set(g for g in mono if g != GEN_H), key=gen_key)
     g0 = exc[0] if chooser is None else chooser(exc)
     V = gen_subvariety(spec, g0)
@@ -493,10 +533,20 @@ class GradedRing:
                     label.append(ring.basis[d][i])
                 v[self.index[j][tuple(label)]] += coeff
             return v
-        if isinstance(self.spec, BlownUp) and not _support_is_chain(self.spec, mono):
+        centers, comparable = self.chain_masks(mono)
+        if centers & ~comparable:   # not a chain: the class is zero
             return self.zero(j)
         rhs = [self._pair_value(mono, dual) for dual in self.basis[self.n - j]]
         return linalg.matvec(self._pairing_solver(j), rhs)
+
+    def chain_masks(self, mono):
+        """(centers, comparable) bitmasks of a monomial (see `_support_keys`):
+        a product of monomials can be nonzero only if each one's centers lie
+        in the others' comparable masks.  A ring without blow-up centers
+        gives (0, -1), which allows every product."""
+        if isinstance(self.spec, BlownUp):
+            return _support_keys(self.spec, mono)[:2]
+        return 0, -1
 
     def _pair_value(self, mono, dual):
         merged = self._merge(mono, dual)
@@ -655,10 +705,7 @@ def _build_blowup(spec):
     # full candidate pairing matrices, one per complementary pair of degrees
     full = {}
     for j in range(n // 2 + 1):
-        rows = candidates[j]
-        cols = candidates[n - j]
-        m = linalg.mat([intersection_number(spec, monomial(r + c))
-                        for c in cols] for r in rows)
+        m = _pairing_block(spec, candidates[j], candidates[n - j])
         full[j] = m
         full[n - j] = linalg.transpose(m)
     picks = []
@@ -677,6 +724,32 @@ def _build_blowup(spec):
             raise CohomologyError("Poincare pairing degenerate in degree %d" % j)
         pairing.append(sub)
     return GradedRing(spec, basis, pairing)
+
+
+def _pairing_block(spec, rows, cols):
+    """The integer matrix of top intersection numbers of the chain monomials
+    `rows` times `cols` on a blow-up.  A product that is not a chain is 0;
+    the others are read by the count code of their flag type, each code
+    looked up in the type table once."""
+    col_keys = [(centers, code) for centers, _, code in
+                (_support_keys(spec, c) for c in cols)]
+    by_code = {}
+    out = []
+    for r in rows:
+        _, comparable, rcode = _support_keys(spec, r)
+        outside = ~comparable
+        row = []
+        for c, (centers, ccode) in zip(cols, col_keys):
+            if centers & outside:
+                row.append(0)
+                continue
+            v = by_code.get(rcode + ccode)
+            if v is None:
+                v = by_code[rcode + ccode] = intersection_number(
+                    spec, monomial(r + c))
+            row.append(v)
+        out.append(row)
+    return linalg.Matrix(out, 1, len(cols))
 
 
 def _build_product(spec):
@@ -721,11 +794,6 @@ def _compositions(total, caps):
     for first in range(min(total, caps[0]) + 1):
         for rest in _compositions(total - first, caps[1:]):
             yield (first,) + rest
-
-
-def kunneth(r1, r2):
-    """Ring of the product variety with tensor basis and factorwise pairing."""
-    return build_ring(product(r1.spec, r2.spec))
 
 
 # -- restriction to an exceptional divisor ---------------------------------------

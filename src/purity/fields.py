@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 # Monic irreducible modulus for the non-prime field sizes we support,
 # as coefficient tuples (c0, c1, ..., 1), constant term first.
@@ -27,30 +26,64 @@ class FieldError(ValueError):
     pass
 
 
+# Miller-Rabin on the prime bases 2..41 decides primality exactly below this
+# bound (Sorenson and Webster 2015); larger sizes are refused.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(m):
+    """Deterministic Miller-Rabin test; raises FieldError at or above MR_BOUND."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    if m >= MR_BOUND:
+        raise FieldError("%d is beyond the primality bound %d" % (m, MR_BOUND))
+    for p in MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
+def _iroot(q, k):
+    """The integer k-th root of q >= 1, rounded down (Newton from above)."""
+    x = 1 << -(-q.bit_length() // k)   # 2^ceil(bits/k) > q^(1/k)
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(q):
-    """Split q into (p, e) with p prime, or raise."""
+    """Split q into (p, e) with p prime, or raise.
+
+    q = p^e for exactly one exponent: the one whose integer e-th root is a
+    prime raised back to q.
+    """
     if q < 2:
         raise FieldError("field size must be >= 2, got %r" % (q,))
-    # the least divisor > 1 is prime; none up to sqrt(q) means q is prime
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise FieldError("%d is not a prime power" % q)
-    return p, e
+    if q >= MR_BOUND:
+        raise FieldError("field size %d is beyond the primality bound %d"
+                         % (q, MR_BOUND))
+    for e in range(q.bit_length(), 0, -1):
+        p = _iroot(q, e)
+        if p ** e == q and is_prime(p):
+            return p, e
+    raise FieldError("%d is not a prime power" % q)
 
 
 def _poly_mod(num, den, p):

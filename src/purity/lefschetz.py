@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .cohomology import (BlownUp, GradedRing, Product, Projective, GEN_H,
@@ -52,10 +53,13 @@ def _memoized(fn):
 
 
 def make_context(ring, divisor):
-    """Context with the cup-action matrices of a degree-1 class.
+    """Context with the cup-action matrices of a degree-1 class D.
 
     `divisor` is either an N^1 coordinate vector or a generator->coefficient
-    dict (normalized through the hyperplane relation first).
+    dict (normalized through the hyperplane relation first).  Each operator
+    is one product L_j = (pairing[j+1]^T)^(-1) E_j, where
+    E_j[k][i] = int D b_i b*_k pairs D b_i with the dual-degree basis b*; a
+    term of D is visited only where the chain masks allow the triple product.
     """
     if ring.n == 0:
         return LefschetzContext(ring, [], [])
@@ -64,14 +68,27 @@ def make_context(ring, divisor):
     if len(divisor) != len(ring.basis[1]):
         raise LefschetzError("operator class is not a degree-1 class")
     divisor = [Fraction(x) for x in divisor]
+    den = lcm(1, *(c.denominator for c in divisor))
+    terms = [(g, ring.chain_masks(g)[0], c.numerator * (den // c.denominator))
+             for g, c in zip(ring.basis[1], divisor) if c]
     ops = []
     for j in range(ring.n):
-        cols = []
-        for mono in ring.basis[j]:
-            unit = ring.zero(j)
-            unit[ring.index[j][mono]] = Fraction(1)
-            cols.append(ring.multiply(1, divisor, j, unit))
-        ops.append(linalg.transpose(linalg.mat(cols)))
+        masks = [ring.chain_masks(b) for b in ring.basis[j]]
+        rows = []
+        for dual in ring.basis[ring.n - j - 1]:
+            _, dual_comparable = ring.chain_masks(dual)
+            row = []
+            for b, (centers, comparable) in zip(ring.basis[j], masks):
+                if centers & ~dual_comparable:
+                    row.append(0)   # b * dual is not a chain
+                    continue
+                outside = ~(comparable & dual_comparable)
+                row.append(sum(c * ring._pair_value(ring._merge(g, b), dual)
+                               for g, g_centers, c in terms
+                               if not g_centers & outside))
+            rows.append(row)
+        e = linalg.scale(linalg.mat(rows), Fraction(1, den))
+        ops.append(linalg.matmul(ring._pairing_solver(j + 1), e))
     return LefschetzContext(ring, divisor, ops)
 
 

@@ -66,7 +66,7 @@ class Stratum:
 class SemistableComplex:
     def __init__(self, strata, q, name="complex"):
         try:
-            _prime_power(q)   # q only enters the zeta factors: no upper bound
+            _prime_power(q)   # q only enters the zeta factors: below MR_BOUND
         except FieldError as exc:
             raise ComplexValidationError("q: %s" % exc) from None
         self.strata = {s.id: s for s in strata}

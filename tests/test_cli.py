@@ -147,6 +147,21 @@ def test_tate_cycle_field_size_has_no_upper_bound(capsys):
     assert "zeta: 1 / (1 - 17T)" in out
 
 
+def test_tate_cycle_large_prime_field_size_is_answered(capsys):
+    # a 61-bit prime q is split by Miller-Rabin, not by trial division
+    code, out, _ = run(capsys, "wss", "--fixture",
+                       "tate-cycle:3,2305843009213693951", "--zeta")
+    assert code == 0
+    assert "zeta: 1 / (1 - 2305843009213693951T)" in out
+
+
+def test_tate_cycle_field_size_beyond_the_primality_bound(capsys):
+    code, _, err = run(capsys, "wss", "--fixture",
+                       "tate-cycle:3,%d" % (2 ** 89 - 1), "--zeta")
+    assert code == 2
+    assert "primality bound" in err
+
+
 def test_zero_denominator_divisor_is_invalid_input(capsys):
     code, _, err = run(capsys, "hodge", "--n", "2", "--q", "2",
                        "--divisor", "1/0,1")
@@ -255,6 +270,9 @@ GOLDEN = [
     pytest.param(("ring", "--n", "3", "--q", "2"), 0,
                  "3e761fb8ca9d814f1cce0a21ba1b82b963f7f035ad18289213cee546e2e8b584",
                  id="ring-b3f2"),
+    pytest.param(("ring", "--n", "3", "--q", "3"), 0,
+                 "9aa3ffe8172916c9adf650d48cb900d3170ed47be4e8e475f774c6c7e8ae0687",
+                 id="ring-b3f3"),
 ]
 
 

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from purity import geometry, linalg
+from purity import cohomology, geometry, linalg
 from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
                                _chain_monomials, _support_is_chain,
                                betti_numbers, blowup, build_ring,
-                               check_resource_guard, gen_e, generators,
-                               hyperplane_relation, intersection_number,
-                               kunneth, monomial, normalize_divisor, proj,
-                               product, restrict_to_divisor)
+                               check_resource_guard, flag_type, gen_e,
+                               generators, hyperplane_relation,
+                               intersection_number, monomial,
+                               normalize_divisor, proj, product,
+                               restrict_to_divisor)
 from purity.fields import field_spec
 from purity.geometry import LinearSubvariety, ambient_geometry
 
@@ -136,6 +137,51 @@ def test_projective_linear_equivariance():
         assert before == after
 
 
+@pytest.mark.parametrize("n,q,types", [(2, 2, 3), (2, 3, 3), (3, 2, 10)])
+def test_type_table_matches_chooser_descent(monkeypatch, n, q, types):
+    # every top chain monomial: the flag-type value equals a random descent,
+    # which bypasses every memo (the table stays empty while it runs)
+    spec = blowup(n, q)
+    chains = _chain_monomials(spec, n)
+    rng = random.Random(7 * n + q)
+    table = {}
+    monkeypatch.setattr(cohomology, "_EVAL_MEMO", table)
+    descents = [intersection_number(spec, m, chooser=rng.choice)
+                for m in chains]
+    assert table == {}
+    for m, value in zip(chains, descents):
+        assert intersection_number(spec, m) == value
+    assert all(type(v) is int for v in table.values())
+    by_spec = [t for s, t in table if s == spec]
+    assert len(by_spec) == types
+    assert {flag_type(m) for m in chains} == set(by_spec)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_non_chain_monomials_vanish_without_a_table_entry(monkeypatch, n, q):
+    spec = blowup(n, q)
+    gens = generators(spec)
+    rng = random.Random(11)
+    sample = []
+    while len(sample) < 50:
+        m = monomial(rng.choice(gens) for _ in range(n))
+        if not _support_is_chain(spec, m):
+            sample.append(m)
+    table = {}
+    monkeypatch.setattr(cohomology, "_EVAL_MEMO", table)
+    assert all(intersection_number(spec, m) == 0 for m in sample)
+    assert table == {}
+
+
+def test_non_integral_type_value_is_refused(monkeypatch):
+    monkeypatch.setattr(cohomology, "_EVAL_MEMO", {})
+    monkeypatch.setattr(cohomology, "_eval_blowup",
+                        lambda spec, mono, chooser: Fraction(1, 2))
+    with pytest.raises(CohomologyError, match="not an integer"):
+        intersection_number(blowup(2, 2), (GEN_H, GEN_H))
+    assert cohomology._EVAL_MEMO == {}
+
+
 # -- Betti numbers and ring construction ------------------------------------------
 
 def test_betti_numbers():
@@ -254,7 +300,7 @@ def test_restriction_kernel_is_zero_below_top():
 def test_kunneth_dims_and_factors():
     r1 = build_ring(blowup(1, 2))
     r2 = build_ring(blowup(2, 2))
-    r = kunneth(r1, r2)
+    r = build_ring(product(r1.spec, r2.spec))
     assert r.dims() == [1, 9, 9, 1]
     assert len(r.factors) == 2
 

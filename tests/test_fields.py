@@ -1,7 +1,9 @@
+from math import isqrt
+
 import pytest
 
-from purity.fields import (FieldError, FieldSpec, _prime_power, field_spec,
-                           get_field)
+from purity.fields import (MR_BOUND, FieldError, FieldSpec, _prime_power,
+                           field_spec, get_field, is_prime)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -47,6 +49,30 @@ def test_prime_power_split(q, pe):
 def test_prime_power_rejects(q):
     with pytest.raises(FieldError):
         _prime_power(q)
+
+
+def test_prime_power_by_integer_roots():
+    assert _prime_power(3 ** 50) == (3, 50)
+    assert _prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+    with pytest.raises(FieldError, match="not a prime power"):
+        _prime_power(1000000007 * 1000000009)
+
+
+def test_prime_power_refuses_sizes_beyond_the_primality_bound():
+    assert 2 ** 89 - 1 > MR_BOUND
+    with pytest.raises(FieldError, match="bound"):
+        _prime_power(2 ** 89 - 1)
+    with pytest.raises(FieldError, match="bound"):
+        is_prime(MR_BOUND)
+
+
+def test_miller_rabin_matches_trial_division():
+    for m in range(-3, 5000):
+        assert is_prime(m) == (m > 1 and all(m % d for d in
+                                             range(2, isqrt(m) + 1)))
+    # strong pseudoprimes to the first bases are composite
+    for m in (2047, 1373653, 3215031751, 3825123056546413051):
+        assert not is_prime(m)
 
 
 def test_modulus_validation():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,3 +244,49 @@ def test_context_memo_survives_every_accessor():
         for step in range(p):
             expected = linalg.matmul(fresh.operators[j + step], expected)
         assert lefschetz_power(ctx, j, p) == expected
+
+
+def _operators_by_multiply(ring, divisor):
+    """The cup-action matrices built column by column through
+    `GradedRing.multiply`, the definition `make_context` replaced."""
+    ops = []
+    for j in range(ring.n):
+        cols = []
+        for i in range(len(ring.basis[j])):
+            unit = ring.zero(j)
+            unit[i] = Fraction(1)
+            cols.append(ring.multiply(1, divisor, j, unit))
+        ops.append(linalg.transpose(linalg.mat(cols)))
+    return ops
+
+
+def _random_class(ring, seed):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in ring.basis[1]]
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_one_product_operators_match_multiply(n, q):
+    ring = build_ring(blowup(n, q))
+    P = ambient_geometry(n, field_spec(q)).subvarieties(0)[0]
+    classes = [omega_vector(ring),
+               ring.divisor_vector({GEN_H: Fraction(1)}),
+               ring.divisor_vector({gen_e(P): Fraction(1)}),
+               _random_class(ring, 10 * n + q)]
+    for divisor in classes:
+        assert make_context(ring, divisor).operators == \
+            _operators_by_multiply(ring, divisor)
+
+
+def test_one_product_operators_match_multiply_on_a_product():
+    # B^1 x B^2 over F_2: the divisor D_V of a line V in B^4/F_2
+    ring = build_ring(product(blowup(1, 2), blowup(2, 2)))
+    b1 = build_ring(blowup(1, 2))
+    b2 = build_ring(blowup(2, 2))
+    classes = [product_lefschetz_vector(ring, [omega_vector(b1, 2),
+                                               omega_vector(b2)]),
+               _random_class(ring, 14)]
+    for divisor in classes:
+        assert make_context(ring, divisor).operators == \
+            _operators_by_multiply(ring, divisor)

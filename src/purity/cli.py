@@ -216,6 +216,24 @@ def cmd_wss(args):
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
+# `signal.alarm` reads 0 as no alarm, wraps a negative count to about 136
+# years and overflows above a C int
+MAX_TIMEOUT = 2 ** 31 - 1
+
+
+def _timeout_seconds(text):
+    """A whole number of seconds in 1..MAX_TIMEOUT, or a parse error."""
+    try:
+        seconds = int(text)
+    except ValueError:
+        seconds = 0
+    if not 1 <= seconds <= MAX_TIMEOUT:
+        raise argparse.ArgumentTypeError(
+            "timeout must be a whole number of seconds in 1..%d, got %r"
+            % (MAX_TIMEOUT, text))
+    return seconds
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="purity",
@@ -223,7 +241,7 @@ def build_parser():
                     "monodromy purity on blow-ups of projective space")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
-    parser.add_argument("--timeout", type=int, default=None,
+    parser.add_argument("--timeout", type=_timeout_seconds, default=None,
                         help="abort with exit code 2 after this many seconds")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -260,7 +278,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     old_alarm = None
-    if getattr(args, "timeout", None):
+    if args.timeout is not None:
         import signal
 
         def _on_alarm(signum, frame):

@@ -17,10 +17,13 @@ The ring is computed from two ingredients:
   class through the quotient geometry (for subvarieties containing V), or
   zero (incomparable centers are disjoint).
 
-Top intersection numbers follow by structural recursion on dimension, and the
-graded ring is the span of monomials in divisor classes with basis chosen by
-exact pairing rank.  The rank in each degree is independently predicted by
-the blow-up Betti recursion; construction fails loudly on any mismatch.
+Top intersection numbers follow by structural recursion on dimension.  The
+basis is the Feichtner-Yuzvinsky chain basis (Invent. Math. 2004), which the
+blow-up Betti recursion (Keel 1992) counts: h^a e_(V_1)^(b_1) ... e_(V_k)^(b_k)
+over chains V_1 < ... < V_k with 1 <= b_i <= d_(i+1) - d_i - 1
+(d_i = dim V_i, d_(k+1) = n) and a <= d_1 (a <= n with no center).
+Construction fails loudly unless its sizes are the Betti numbers and each
+pairing has full rank, which proves the basis independent.
 
 A top monomial h^a prod e_(V_i)^(b_i) vanishes unless its centers form a
 chain V_1 < ... < V_k (incomparable centers are disjoint).  PGL_(n+1)(F_q)
@@ -636,27 +639,39 @@ def _gen_json(g):
 _RING_CACHE = {}
 
 
-def _chain_monomials(spec, degree):
-    """All degree-d monomials in the generators whose support is a chain."""
+def chain_basis(spec, degree):
+    """The chain basis of N^degree (see the module docstring) in the order of
+    sorted generator indices.  Counting h as a center of dimension -1 makes
+    its bound a <= d_1 the bound b_i <= d_(i+1) - d_i - 1 of the others.  Each
+    step repeats the last generator or takes a larger center containing it; a
+    branch stops once the degree left exceeds the room n - d - 1 - b of its
+    last exponent, as a further center leaves less."""
+    n = spec.n
     gens = generators(spec)
     table = _gen_table(spec)
-    # h has no center: it passes every chain test and narrows nothing
-    masks = [(-1, -1) if g == GEN_H else table[g][1:] for g in gens]
+    # first generator index of each center dimension 0..n-1
+    first = [next((i for i, g in enumerate(gens) if g != GEN_H and g[1] >= d),
+                  len(gens)) for d in range(n)]
     out = []
 
-    def extend(prefix, start, remaining, allowed):
+    def extend(prefix, last, dim, exp, remaining, allowed):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        for i in range(start, len(gens)):
-            bit, comparable = masks[i]
-            if not allowed & bit:
-                continue
-            prefix.append(gens[i])
-            extend(prefix, i, remaining - 1, allowed & comparable)
-            prefix.pop()
+        if remaining > n - dim - 1 - exp:
+            return
+        prefix.append(gens[last])   # one more copy of the last generator
+        extend(prefix, last, dim, exp + 1, remaining - 1, allowed)
+        prefix.pop()
+        for i in range(first[dim + exp + 1], len(gens)):
+            _, bit, comparable = table[gens[i]]
+            if allowed & bit:
+                prefix.append(gens[i])
+                extend(prefix, i, gens[i][1], 1, remaining - 1,
+                       allowed & comparable)
+                prefix.pop()
 
-    extend([], 0, degree, -1)
+    extend([], 0, -1, 0, degree, -1)
     return out
 
 
@@ -700,29 +715,20 @@ def _build_projective(spec):
 
 def _build_blowup(spec):
     n = spec.n
-    expected = betti_numbers(spec)
-    candidates = [_chain_monomials(spec, j) for j in range(n + 1)]
-    # full candidate pairing matrices, one per complementary pair of degrees
-    full = {}
+    basis = [chain_basis(spec, j) for j in range(n + 1)]
+    sizes, betti = [len(bs) for bs in basis], betti_numbers(spec)
+    if sizes != betti:
+        raise CohomologyError("chain basis sizes %s are not the Betti numbers "
+                              "%s of B^%d/F_%d" % (sizes, betti, n, spec.field.q))
+    pairing = [None] * (n + 1)
     for j in range(n // 2 + 1):
-        m = _pairing_block(spec, candidates[j], candidates[n - j])
-        full[j] = m
-        full[n - j] = linalg.transpose(m)
-    picks = []
-    for j in range(n + 1):
-        picked = linalg.independent_rows(full[j], expected[j])
-        if len(picked) != expected[j]:
-            raise CohomologyError(
-                "degree %d: pairing rank %d disagrees with Betti number %d on B^%d/F_%d"
-                % (j, len(picked), expected[j], n, spec.field.q))
-        picks.append(picked)
-    basis = [[candidates[j][i] for i in picked] for j, picked in enumerate(picks)]
-    pairing = []
-    for j in range(n + 1):
-        sub = linalg.submatrix(full[j], picks[j], picks[n - j])
-        if linalg.rank(sub) != len(basis[j]):
-            raise CohomologyError("Poincare pairing degenerate in degree %d" % j)
-        pairing.append(sub)
+        pairing[j] = _pairing_block(spec, basis[j], basis[n - j])
+        pairing[n - j] = linalg.transpose(pairing[j])
+        r = linalg.rank(pairing[j])
+        if not r == len(basis[j]) == len(basis[n - j]):
+            raise CohomologyError("degree %d: Poincare pairing of rank %d on "
+                                  "%d x %d basis monomials" % (
+                                      j, r, len(basis[j]), len(basis[n - j])))
     return GradedRing(spec, basis, pairing)
 
 

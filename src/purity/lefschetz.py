@@ -312,18 +312,57 @@ def normalize_invariant(n, q, alpha, levels):
     return InvariantDivisorForm(n, q, alpha, tuple(levels))
 
 
-def is_positive(form: InvariantDivisorForm):
-    """Positivity criterion: alpha > 0 and every level weight
-    a_d + alpha |P^(n-d-1)| / |P^n| is positive."""
+def margins(form: InvariantDivisorForm):
+    """[c_0, ..., c_(n+1)] with c_k = a_(n-k) + alpha |P^(k-1)| / |P^n| for
+    k = 1..n and c_0 = c_(n+1) = 0: the coefficients of the class on the
+    Feichtner-Yuzvinsky generators x_F of the flats of rank k (see
+    `is_positive`)."""
     n, q = form.n, form.q
-    if form.alpha <= 0:
-        return False
     pn = point_count(n, q)
-    for d in range(n):
-        a_d = form.levels[d] if d < len(form.levels) else Fraction(0)
-        if a_d + form.alpha * Fraction(point_count(n - d - 1, q), pn) <= 0:
-            return False
-    return True
+    return [Fraction(0)] + [
+        form.levels[n - k] + form.alpha * Fraction(point_count(k - 1, q), pn)
+        for k in range(1, n + 1)] + [Fraction(0)]
+
+
+def is_positive(form: InvariantDivisorForm):
+    """Ampleness criterion: the margins are strictly concave,
+    2 c_k > c_(k-1) + c_(k+1) for k = 1..n.  A class it accepts satisfies
+    hard Lefschetz and the Hodge-Riemann relations.
+
+    B^n is the wonderful model of the arrangement of all F_q-rational
+    hyperplanes of P^n with the maximal building set, so N^*(B^n) is the
+    Chow ring A(M) of the matroid M of that arrangement (Feichtner-Yuzvinsky).
+    The flats of M are the linear subspaces V of P^n, a flat F of rank
+    k = n - dim V; A(M) has one generator x_F per nonempty proper flat, the
+    class of D_V: e_V when k >= 2, the strict transform
+    h - sum_(W < V) e_W of the hyperplane V when k = 1.  Summing the strict
+    transforms of all hyperplanes gives
+    |P^n| h = sum_V |P^(n - dim V - 1)| x_V, so the class
+    alpha h + sum_d a_d sum_(dim V = d) e_V (with a_(n-1) = 0) is
+    sum_F c(F) x_F with c(F) = c_(rk F), the margins above; on invariant
+    classes these coordinates are unique.
+
+    Adiprasito-Huh-Katz (Ann. Math. 2018, section 4 and Thm 8.8): sum c(F) x_F
+    lies in the ample cone K_M of the Bergman fan when c, extended by
+    c(empty) = c(E) = 0, is strictly submodular, that is, satisfies the flip
+    inequalities c(F) + c(F') > c(F meet F') + c(F join F') for incomparable
+    F, F'; every class of K_M satisfies hard Lefschetz and the Hodge-Riemann
+    relations on A(M).  The lattice of subspaces is modular, so incomparable
+    F, F' of ranks r <= r' have meet and join of ranks r - s and r' + s for
+    one s >= 1.  If k -> c_k is strictly concave, its increments fall, and
+    c_r - c_(r-s) (s increments below r) exceeds c_(r'+s) - c_r' (s
+    increments from r' >= r): each flip inequality holds, so the class is
+    in K_M.  Conversely each k = 1..n has a diamond (q + 1 >= 3 flats of
+    rank k between a flat of rank k - 1 and one of rank k + 1 containing it)
+    whose flip inequality is 2 c_k > c_(k-1) + c_(k+1), and averaging a
+    strictly submodular c over PGL_(n+1)(F_q) keeps it strictly submodular,
+    so the invariant classes of K_M are exactly the concave ones.
+    Concavity with c_0 = c_(n+1) = 0 forces every c_k > 0, but positive
+    margins alone are not enough: alpha,a_0,a_1 = 3,1,1 on B^3/F_2 has
+    margins 0, 1/5, 8/5, 12/5, 0 and fails Hodge-Riemann in degree 0.
+    """
+    c = margins(form)
+    return all(2 * c[k] > c[k - 1] + c[k + 1] for k in range(1, form.n + 1))
 
 
 def omega_form(n, q):

@@ -12,7 +12,7 @@ Every function here takes and returns `Matrix`; scalars and coordinate vectors
 rows of `Fraction`, for output and tests; the algorithms work on the integer
 rows.  Everything is exact; no floating point is used anywhere.  `rref` is
 fraction-free Gauss-Jordan (each eliminated row divided by its content),
-`rank` and `independent_rows` are sparse fraction-free row elimination,
+`rank` is sparse fraction-free row elimination,
 definiteness is one Bareiss sweep, and inertia is congruence reduction on
 Fractions.
 """
@@ -232,23 +232,18 @@ def assemble(nrows, ncols, blocks):
     return Matrix(out, den, ncols)
 
 
-def independent_rows(m, limit=None):
-    """Indices i, in order, of the rows of m that are independent of rows
-    0..i-1 (the greedy row basis); stops once `limit` rows are picked.
+def rank(m):
+    """Exact rank by sparse fraction-free elimination on the integer rows.
 
-    Sparse fraction-free elimination on the integer rows.  Each picked row is
-    kept sparse, reduced by the rows picked before it, with its first nonzero
-    column as pivot.  A new row is reduced by a kept row only when it has a
-    nonzero in that row's pivot column, and the update visits only the kept
-    row's nonzeros; after each step the row is divided by its content.  What
-    is left is zero exactly when the row depends on the rows before it, so the
-    picks do not depend on the elimination order.
+    Each independent row is kept sparse, reduced by the rows kept before it,
+    with its first nonzero column as pivot.  A new row is reduced by a kept
+    row only when it has a nonzero in that row's pivot column, and the update
+    visits only the kept row's nonzeros; after each step the row is divided by
+    its content.  What is left is zero exactly when the row depends on the
+    rows before it.
     """
     kept = []     # (pivot column, pivot value, nonzero (column, value) pairs)
-    picked = []
-    for i, row in enumerate(m.rows):
-        if limit is not None and len(picked) == limit:
-            break
+    for row in m.rows:
         work = {j: x for j, x in enumerate(row) if x}
         for c, p, nz in kept:
             f = work.get(c)
@@ -273,13 +268,7 @@ def independent_rows(m, limit=None):
         if work:
             c = min(work)
             kept.append((c, work[c], list(work.items())))
-            picked.append(i)
-    return picked
-
-
-def rank(m):
-    """Exact rank by sparse fraction-free elimination (`independent_rows`)."""
-    return len(independent_rows(m))
+    return len(kept)
 
 
 def rref(m):

@@ -65,6 +65,25 @@ def test_hodge_refuses_non_positive(capsys):
     assert "REFUSED" in out and "NOT positive" in out
 
 
+def test_hodge_refuses_positive_margins_that_are_not_concave(capsys):
+    # margins 0, 1/5, 8/5, 12/5, 0: all positive, but the class fails
+    # Hodge-Riemann in degree 0 (see lefschetz.is_positive)
+    code, out, _ = run(capsys, "--json", "hodge", "--n", "3", "--q", "2",
+                       "--divisor", "3,1,1")
+    data = json.loads(out)
+    assert (code, data["positive"], data["verdict"]) == (1, False, "refused")
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "x", "2147483648"])
+def test_timeout_outside_the_alarm_range_is_invalid_input(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--timeout", value, "ring", "--n", "2", "--q", "2"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "timeout must be a whole number of seconds in 1..2147483647" \
+        in captured.err
+
+
 def test_wss_fixture_with_zeta(capsys):
     code, out, _ = run(capsys, "wss", "--fixture", "tate-cycle:3,2", "--zeta")
     assert code == 0
@@ -273,6 +292,9 @@ GOLDEN = [
     pytest.param(("ring", "--n", "3", "--q", "3"), 0,
                  "9aa3ffe8172916c9adf650d48cb900d3170ed47be4e8e475f774c6c7e8ae0687",
                  id="ring-b3f3"),
+    pytest.param(("ring", "--n", "2", "--q", "4", "--products"), 0,
+                 "1a4a41bb53e78bfa2c39b387ff3790fb12a91d7fb94a2c396777422a9f9ed6fc",
+                 id="ring-b2f4-products"),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,9 +7,9 @@ import pytest
 
 from purity import cohomology, geometry, linalg
 from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
-                               _chain_monomials, _support_is_chain,
-                               betti_numbers, blowup, build_ring,
-                               check_resource_guard, flag_type, gen_e,
+                               _support_is_chain, betti_numbers, blowup,
+                               build_ring, chain_basis, check_resource_guard,
+                               flag_type, gen_e,
                                generators, hyperplane_relation,
                                intersection_number, monomial,
                                normalize_divisor, proj, product,
@@ -23,6 +24,23 @@ F3 = field_spec(3)
 
 def geom(n, field=F2):
     return ambient_geometry(n, field)
+
+
+def _pairwise_comparable(spec, mono):
+    """The centers of mono's exceptional factors, rebuilt from their keys, are
+    pairwise comparable under F_q containment."""
+    centers = [LinearSubvariety(spec.n, g[1], g[2], spec.field)
+               for g in mono if g != GEN_H]
+    return all(geometry.comparable(a, b)
+               for a, b in itertools.combinations(centers, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_candidates(spec, degree):
+    """Every degree-d monomial in the generators whose centers are pairwise
+    comparable, in `combinations_with_replacement` order."""
+    return [m for m in itertools.combinations_with_replacement(
+        generators(spec), degree) if _pairwise_comparable(spec, m)]
 
 
 # -- hyperplane relation -----------------------------------------------------
@@ -142,7 +160,7 @@ def test_type_table_matches_chooser_descent(monkeypatch, n, q, types):
     # every top chain monomial: the flag-type value equals a random descent,
     # which bypasses every memo (the table stays empty while it runs)
     spec = blowup(n, q)
-    chains = _chain_monomials(spec, n)
+    chains = _chain_candidates(spec, n)
     rng = random.Random(7 * n + q)
     table = {}
     monkeypatch.setattr(cohomology, "_EVAL_MEMO", table)
@@ -313,30 +331,20 @@ def test_ring_serialization_roundtrip_shape():
     assert data["pairing"]["1"][0][0] == "1"
 
 
-# -- oracles for the incidence masks and the ring-basis pick -------------------
-
-def _pairwise_comparable(spec, mono):
-    """The centers of mono's exceptional factors, rebuilt from their keys, are
-    pairwise comparable under F_q containment."""
-    centers = [LinearSubvariety(spec.n, g[1], g[2], spec.field)
-               for g in mono if g != GEN_H]
-    return all(geometry.comparable(a, b)
-               for a, b in itertools.combinations(centers, 2))
-
+# -- oracles for the incidence masks and the chain basis -----------------------
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
 def test_mask_chain_test_matches_pairwise_comparable(n, q):
     spec = blowup(n, q)
     gens = generators(spec)
     for d in range(n + 1):
-        every = list(itertools.combinations_with_replacement(gens, d))
-        chains = [m for m in every if _pairwise_comparable(spec, m)]
-        assert [m for m in every if _support_is_chain(spec, m)] == chains
-        assert _chain_monomials(spec, d) == chains
+        every = itertools.combinations_with_replacement(gens, d)
+        assert [m for m in every if _support_is_chain(spec, m)] == \
+            _chain_candidates(spec, d)
 
 
 def _fraction_greedy_rows(matrix, target_rank):
-    """The ring-basis pick on Fractions: row i is picked when it is
+    """The greedy basis pick on Fractions: row i is picked when it is
     independent of the rows picked before it."""
     chosen = []
     reduced = []   # rref rows of the chosen set
@@ -359,13 +367,59 @@ def _fraction_greedy_rows(matrix, target_rank):
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_basis_pick_matches_fraction_greedy(n, q):
+    # the chain basis is the greedy row basis of the full pairing between all
+    # chain monomials of complementary degrees, in the same order
     spec = blowup(n, q)
     ring = build_ring(spec)
     expected = betti_numbers(spec)
     for j in range(n + 1):
-        rows, cols = _chain_monomials(spec, j), _chain_monomials(spec, n - j)
+        rows, cols = _chain_candidates(spec, j), _chain_candidates(spec, n - j)
         full = [[intersection_number(spec, monomial(r + c)) for c in cols]
                 for r in rows]
-        picked = linalg.independent_rows(linalg.mat(full), expected[j])
-        assert picked == _fraction_greedy_rows(full, expected[j])
-        assert [rows[i] for i in picked] == ring.basis[j]
+        picked = _fraction_greedy_rows(full, expected[j])
+        assert [rows[i] for i in picked] == ring.basis[j] == chain_basis(spec, j)
+
+
+def _exponent_bounds_hold(spec, mono):
+    """The Feichtner-Yuzvinsky bounds on a chain monomial h^a prod e_(V_i)^(b_i):
+    b_i <= d_(i+1) - d_i - 1 with d_0 = -1 for h (b_0 = a) and d_(k+1) = n."""
+    centers = sorted({g for g in mono if g != GEN_H}, key=lambda g: g[1])
+    dims = [-1] + [g[1] for g in centers] + [spec.n]
+    exponents = [mono.count(GEN_H)] + [mono.count(g) for g in centers]
+    return all(b <= dims[i + 1] - dims[i] - 1 for i, b in enumerate(exponents))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_chain_basis_matches_brute_force_definition(n, q):
+    spec = blowup(n, q)
+    for d in range(n + 1):
+        brute = [m for m in _chain_candidates(spec, d)
+                 if _exponent_bounds_hold(spec, m)]
+        assert chain_basis(spec, d) == brute
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                                 (4, 2)])
+def test_chain_basis_sizes_are_the_betti_numbers(n, q):
+    spec = blowup(n, q)
+    assert [len(chain_basis(spec, j)) for j in range(n + 1)] == \
+        betti_numbers(spec)
+
+
+def test_betti_mismatch_is_refused(monkeypatch):
+    monkeypatch.setattr(cohomology, "betti_numbers", lambda spec: [1, 9, 1])
+    with pytest.raises(CohomologyError, match=r"Betti numbers \[1, 9, 1\]"):
+        cohomology._build_blowup(blowup(2, 2))
+
+
+def test_degenerate_pairing_is_refused(monkeypatch):
+    # a repeated monomial keeps the count right but makes the pairing singular
+    real = cohomology.chain_basis
+
+    def repeated(spec, degree):
+        bs = real(spec, degree)
+        return bs[:-1] + bs[:1] if degree == 1 else bs
+
+    monkeypatch.setattr(cohomology, "chain_basis", repeated)
+    with pytest.raises(CohomologyError, match="pairing of rank 7 on 8 x 8"):
+        cohomology._build_blowup(blowup(2, 2))

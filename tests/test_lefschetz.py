@@ -6,11 +6,12 @@ import pytest
 from purity import linalg
 from purity.cohomology import (GEN_H, blowup, build_ring, gen_e, proj, product)
 from purity.fields import field_spec
-from purity.geometry import ambient_geometry
+from purity.geometry import ambient_geometry, point_count
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, hodge_sweep,
                               invariant_form, is_positive, lefschetz_pairing_gram,
-                              lefschetz_power, make_context, normalize_invariant,
+                              lefschetz_power, make_context, margins,
+                              normalize_invariant,
                               omega_form, omega_vector, primitive_decomposition,
                               primitive_gram, product_lefschetz_vector)
 
@@ -105,12 +106,75 @@ def test_invariant_form_rejects_non_invariant():
 
 
 def test_positivity_criterion():
-    assert is_positive(omega_form(2, 2))                       # margin 5/7
+    assert is_positive(omega_form(2, 2))       # margins 0, 4/7, 5/7, 0
     assert not is_positive(normalize_invariant(2, 2, 0, [1, 0]))
     assert not is_positive(normalize_invariant(2, 2, 1, [-1, 0]))  # -1+3/7 < 0
     form = omega_form(2, 2)
+    assert margins(form) == [0, Fraction(4, 7), Fraction(5, 7), 0]
     margin = form.levels[0] + form.alpha * Fraction(3, 7)
     assert margin == Fraction(5, 7)
+
+
+def _form_from_margins(n, q, c):
+    """The invariant class with margins c_1..c_n (the inverse of `margins`)."""
+    pn = point_count(n, q)
+    alpha = c[0] * pn
+    return normalize_invariant(
+        n, q, alpha, [c[n - d - 1] - alpha * Fraction(point_count(n - d - 1, q), pn)
+                      for d in range(n)])
+
+
+def _passes_hl_and_hr(n, q, form):
+    ring = build_ring(blowup(n, q))
+    ctx = make_context(ring, ring.divisor_vector(form.as_divisor(ring.spec)))
+    return check_hard_lefschetz(ctx)[0] and check_hodge_standard(ctx)[0]
+
+
+@pytest.mark.parametrize("n,q,c", [
+    (2, 2, [Fraction(1, 7), Fraction(1)]),
+    (2, 2, [Fraction(1), Fraction(1, 7)]),
+    (2, 3, [Fraction(1), Fraction(1, 3)]),
+    (3, 2, [Fraction(1), Fraction(2), Fraction(1, 2)]),
+    (3, 2, [Fraction(1, 5), Fraction(8, 5), Fraction(12, 5)]),   # 3,1,1
+])
+def test_positive_margins_that_are_not_concave_are_refused(n, q, c):
+    # each of these classes fails Hodge-Riemann: a gate that only asks for
+    # positive margins would send it on as ample
+    form = _form_from_margins(n, q, c)
+    assert margins(form) == [0] + c + [0]
+    assert all(x > 0 for x in c)
+    assert not is_positive(form)
+    assert not _passes_hl_and_hr(n, q, form)
+
+
+def _concave_margins(rng, n):
+    """Random strictly concave c_1..c_n with c_0 = c_(n+1) = 0: strictly
+    falling increments, shifted to sum to 0."""
+    steps = [Fraction(0)]
+    for _ in range(n):
+        steps.append(steps[-1] - Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+    mean = sum(steps) / len(steps)
+    c, total = [], Fraction(0)
+    for step in steps[:-1]:
+        total += step - mean
+        c.append(total)
+    return c
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_every_accepted_class_passes_hl_and_hr(n, q):
+    rng = random.Random(100 * n + q)
+    forms = [_form_from_margins(n, q, _concave_margins(rng, n))
+             for _ in range(6)]
+    assert all(is_positive(f) for f in forms)
+    forms += [normalize_invariant(n, q, rng.randint(-4, 20),
+                                  [Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+                                   for _ in range(n)])
+              for _ in range(40)]
+    accepted = [f for f in forms if is_positive(f)]
+    assert len(accepted) >= 6
+    for form in accepted:
+        assert _passes_hl_and_hr(n, q, form), form
 
 
 def test_folding_the_top_level_preserves_the_class():

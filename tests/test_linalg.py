@@ -534,20 +534,7 @@ def test_quotient_basis_keeps_the_greedy_columns(pair):
         _greedy_quotient_columns(cycles, boundaries)
 
 
-# -- oracle: the sparse row elimination behind rank and the ring-basis pick ---
-
-def _ref_independent_rows(m, cols, limit):
-    """Row i is picked when it raises the reference rank of rows 0..i."""
-    picked, r = [], 0
-    for i in range(len(m)):
-        if limit is not None and len(picked) == limit:
-            break
-        ri = len(_ref_rref(m[:i + 1], cols)[1])
-        if ri > r:
-            picked.append(i)
-            r = ri
-    return picked
-
+# -- oracle: the sparse row elimination behind rank --------------------------
 
 @st.composite
 def sparse_matrices(draw):
@@ -567,15 +554,6 @@ def sparse_matrices(draw):
 def test_rank_matches_fraction_reference(m):
     rows, c = m
     assert rank(_m(rows, c)) == len(_ref_rref(rows, c)[1])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(matrices(), sparse_matrices()),
-       st.one_of(st.none(), st.integers(0, 8)))
-def test_independent_rows_match_fraction_reference(m, limit):
-    rows, c = m
-    assert linalg.independent_rows(_m(rows, c), limit) == \
-        _ref_independent_rows(rows, c, limit)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,14 @@ denominator, with an explicit shape (the layout of FLINT's `fmpq_mat`, used as
 a design, not as a dependency).  A matrix is kept canonical -- the gcd of the
 denominator and all entries is 1 -- so two matrices are equal as rational
 matrices exactly when they compare `==`, and 0 x k and k x 0 shapes are exact.
-Matrices are never mutated after construction, so results may be shared.
+The value of a matrix never changes after construction, so results may be
+shared.  Each matrix also carries its own echelon memo: `rref` eliminates a
+given `Matrix` once and keeps its RREF and pivots (a tuple) on it, and `rank`
+reads the rank from there or keeps the rank it computed.  `column_space` and
+`kernel_basis` mark their results as of full column rank.  Asking `rank`,
+`rref`, `kernel_basis` or `column_space` of the same matrix again makes no new
+elimination, and `subspace_equal(a, b)` eliminates only [a | b] once the
+ranks of a and b are known.
 
 Every function here takes and returns `Matrix`; scalars and coordinate vectors
 (`matvec`) are `Fraction`.  `len`, row indexing and iteration read a matrix as
@@ -51,9 +58,10 @@ class Matrix:
 
     The constructor takes any integer rows and nonzero denominator and brings
     them to canonical form; `ncols` defaults to the length of the first row.
+    `_rref` and `_rank` are the echelon memo, filled by `rref` and `rank`.
     """
 
-    __slots__ = ("rows", "den", "nrows", "ncols")
+    __slots__ = ("rows", "den", "nrows", "ncols", "_rref", "_rank")
 
     def __init__(self, rows, den=1, ncols=None):
         rows = list(rows)
@@ -74,6 +82,7 @@ class Matrix:
 
     def _set(self, rows, den, ncols):
         self.rows, self.den, self.nrows, self.ncols = rows, den, len(rows), ncols
+        self._rref = self._rank = None
 
     @classmethod
     def _canonical(cls, rows, den, ncols):
@@ -233,7 +242,15 @@ def assemble(nrows, ncols, blocks):
 
 
 def rank(m):
-    """Exact rank by sparse fraction-free elimination on the integer rows.
+    """Exact rank, computed once per matrix: read from the RREF when `rref`
+    has run on m, else found by `_row_rank` and kept on m."""
+    if m._rank is None:
+        m._rank = _row_rank(m.rows)
+    return m._rank
+
+
+def _row_rank(rows):
+    """Rank by sparse fraction-free elimination on integer rows.
 
     Each independent row is kept sparse, reduced by the rows kept before it,
     with its first nonzero column as pivot.  A new row is reduced by a kept
@@ -243,7 +260,7 @@ def rank(m):
     rows before it.
     """
     kept = []     # (pivot column, pivot value, nonzero (column, value) pairs)
-    for row in m.rows:
+    for row in rows:
         work = {j: x for j, x in enumerate(row) if x}
         for c, p, nz in kept:
             f = work.get(c)
@@ -272,7 +289,16 @@ def rank(m):
 
 
 def rref(m):
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns).
+    """Reduced row echelon form over Q: (the RREF as a `Matrix`, the tuple of
+    pivot columns), computed once per matrix and returned shared."""
+    if m._rref is None:
+        m._rref = _echelon(m)
+        m._rank = len(m._rref[1])
+    return m._rref
+
+
+def _echelon(m):
+    """The RREF of m and its pivot columns, by elimination.
 
     Fraction-free Gauss-Jordan: rows stay integer, each eliminated row is
     divided by its content, and a pivot row is divided by its pivot only when
@@ -318,7 +344,20 @@ def rref(m):
     rows = tuple(tuple(row) if row[c] == den else
                  tuple(x * (den // row[c]) for x in row)
                  for row, c in zip(out, pivots))
-    return Matrix._canonical(rows, den, ncols), pivots
+    return _with_rank(Matrix._canonical(rows, den, ncols), len(pivots)), \
+        tuple(pivots)
+
+
+def _with_rank(m, r):
+    """m with its rank r, known to the caller, put in its echelon memo."""
+    m._rank = r
+    return m
+
+
+def free_columns(m):
+    """The non-pivot columns of m's rref, in order."""
+    pivot_set = set(rref(m)[1])
+    return [c for c in range(m.ncols) if c not in pivot_set]
 
 
 def kernel_basis(m):
@@ -326,14 +365,13 @@ def kernel_basis(m):
     matrix: one column per free column of the rref, 1 there and 0 at the other
     free columns.  rank + nullity == m.ncols, exactly."""
     red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+    free = free_columns(m)
     rows = [[0] * len(free) for _ in range(m.ncols)]
     for k, fc in enumerate(free):
         rows[fc][k] = red.den
         for row, piv in zip(red.rows, pivots):
             rows[piv][k] = -row[fc]
-    return Matrix(rows, red.den, len(free))
+    return _with_rank(Matrix(rows, red.den, len(free)), len(free))
 
 
 def solve(a, b):
@@ -468,7 +506,8 @@ def is_positive_definite(g):
 
 def column_space(m):
     """The columns of m at the pivots of its rref: a basis of its span."""
-    return submatrix(m, cols=rref(m)[1])
+    pivots = rref(m)[1]
+    return _with_rank(submatrix(m, cols=pivots), len(pivots))
 
 
 def subspace_sum(a, b):
@@ -487,4 +526,5 @@ def subspace_leq(a, b):
 
 
 def subspace_equal(a, b):
-    return subspace_leq(a, b) and subspace_leq(b, a)
+    """True iff col(a) == col(b): both have the rank of [a | b]."""
+    return rank(a) == rank(b) == rank(stack_columns(a, b))

@@ -35,8 +35,9 @@ from fractions import Fraction
 from . import linalg
 from .cohomology import GradedRing, build_ring
 from .fields import FieldError, _prime_power
-from .lefschetz import (check_hard_lefschetz, lefschetz_pairing_gram,
-                        lefschetz_power, make_context, primitive_decomposition)
+from .lefschetz import (_memoized, check_hard_lefschetz,
+                        lefschetz_pairing_gram, lefschetz_power, make_context,
+                        primitive_decomposition)
 
 
 class ComplexValidationError(ValueError):
@@ -125,12 +126,11 @@ class SemistableComplex:
             a = child.n
             out = []
             for j in range(a + 1):
-                # G^T . pairing_parent[j+1] = pairing_child[j] . R_(a-j)
-                pp = parent.pairing[j + 1]
-                pa = child.pairing[j]
-                r = mats[a - j]
-                rhs = linalg.matmul(pa, r)
-                out.append(linalg.transpose(linalg.matmul(rhs, linalg.inverse(pp))))
+                # G^T . pairing_parent[j+1] = pairing_child[j] . R_(a-j), so
+                # G = (pairing_parent[j+1]^T)^(-1) . (pairing_child[j] . R)^T
+                rhs = linalg.matmul(child.pairing[j], mats[a - j])
+                out.append(linalg.matmul(parent._pairing_solver(j + 1),
+                                         linalg.transpose(rhs)))
             self._gysin_cache[key] = out
         return self._gysin_cache[key]
 
@@ -244,7 +244,8 @@ SCHEMA_VERSION = 1
 
 
 def _frac(x):
-    if isinstance(x, (str, int, Fraction)):
+    # a JSON true or false is not the matrix entry 1 or 0
+    if isinstance(x, (str, int, Fraction)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -297,8 +298,13 @@ def explicit_surface_ring(labels, intersection):
     r = len(labels)
     if r == 0:
         raise ComplexValidationError("a surface needs at least one label")
+    if len(set(labels)) != r:
+        raise ComplexValidationError("surface labels must be distinct")
     if intersection.shape != (r, r):
         raise ComplexValidationError("intersection matrix shape mismatch")
+    if intersection != linalg.transpose(intersection):
+        raise ComplexValidationError("surface intersection form is not "
+                                     "symmetric")
     if linalg.rank(intersection) != r:
         raise ComplexValidationError("surface intersection form is degenerate")
     gens = [("s", lbl) for lbl in labels]
@@ -343,14 +349,20 @@ def load_complex(data):
         strata_json = data["strata"]
     except KeyError as exc:
         raise ComplexValidationError("missing required key %s" % exc)
+    if not isinstance(strata_json, list):
+        raise ComplexValidationError("'strata' must be a JSON array")
     strata = []
     for node in strata_json:
         try:
             sid = str(node["id"])
             subset = frozenset(int(x) for x in node["subset"])
             ring = _variety_from_json(node["variety"])
+            parents_json = node.get("parents", {})
+            if not isinstance(parents_json, dict):
+                raise ComplexValidationError(
+                    "stratum %s: 'parents' must be a JSON object" % sid)
             parents = {}
-            for m, pnode in node.get("parents", {}).items():
+            for m, pnode in parents_json.items():
                 parents[int(m)] = (str(pnode["of"]),
                                    [_matrix(mj) for mj in pnode["restriction"]])
         except (KeyError, TypeError, ValueError) as exc:
@@ -531,17 +543,18 @@ class WeightTable:
     # -- E2 --------------------------------------------------------------------------
 
     def e2(self):
+        """E2 per slot, from one RREF per differential (see `_homology`);
+        that the boundaries are cycles is checked, not trusted."""
         if self._e2 is None:
             self._e2 = {}
             for (i, j) in self.entries:
-                kmat = linalg.kernel_basis(self.d1(i, j))
-                imcols = linalg.column_space(self.d1(i - 1, j))
-                if imcols.ncols and not linalg.subspace_leq(imcols, kmat):
+                d = self.d1(i, j)
+                slot = _homology(d, self.d1(i - 1, j))
+                if not linalg.is_zero_matrix(
+                        linalg.matmul(d, slot["boundaries"])):
                     raise SpectralSequenceError(
                         "boundaries not contained in cycles at (%d,%d)" % (i, j))
-                quot = _quotient_basis(kmat, imcols)
-                self._e2[(i, j)] = {"cycles": kmat, "boundaries": imcols,
-                                    "quotient": quot}
+                self._e2[(i, j)] = slot
         return self._e2
 
     def e2_dim(self, i, j):
@@ -559,13 +572,22 @@ class WeightTable:
         return self._induced_n[key]
 
     def _compute_induced_n(self, i, j):
+        """Coordinates of N(quotient) in [boundaries | quotient] of the
+        target, solved in the target's free coordinates once N(quotient) is
+        checked to be made of cycles."""
         sdim, tdim = self.e2_dim(i, j), self.e2_dim(i + 2, j - 2)
         if sdim == 0 or tdim == 0:
             return linalg.zeros(tdim, sdim)
         src, tgt = self.e2()[(i, j)], self.e2()[(i + 2, j - 2)]
         images = linalg.matmul(self.n_map(i, j), src["quotient"])
-        basis = linalg.stack_columns(tgt["boundaries"], tgt["quotient"])
-        coords = linalg.solve(basis, images)
+        if not linalg.is_zero_matrix(linalg.matmul(self.d1(i + 2, j - 2),
+                                                   images)):
+            raise SpectralSequenceError(
+                "N does not map cycles to cycles at (%d,%d)" % (i, j))
+        free = tgt["free"]
+        basis = linalg.submatrix(
+            linalg.stack_columns(tgt["boundaries"], tgt["quotient"]), rows=free)
+        coords = linalg.solve(basis, linalg.submatrix(images, rows=free))
         return linalg.submatrix(coords, rows=range(tgt["boundaries"].ncols,
                                                    coords.nrows))
 
@@ -580,15 +602,30 @@ def _cech_sign(m, subset):
     return (-1) ** pos
 
 
-def _quotient_basis(cycles, boundaries):
-    """Columns of `cycles` extending the boundary space to the cycle space.
+def _homology(d_out, d_in):
+    """Cycles of d_out, a basis of the boundaries of d_in, and the cycles
+    that complete it to a basis of the cycles (the quotient basis).
 
-    A column is kept iff it is a pivot column of rref([boundaries | cycles]),
-    i.e. iff it lies outside the span of the boundaries and the cycle columns
-    before it."""
-    nb = boundaries.ncols
-    pivots = linalg.rref(linalg.stack_columns(boundaries, cycles))[1]
-    return linalg.submatrix(cycles, cols=[c - nb for c in pivots if c >= nb])
+    The RREF of d_out gives the cycles as `kernel_basis`, and that of d_in
+    the boundaries as `column_space`; each differential is the d_out of one
+    slot and the d_in of the next, so it is eliminated once.  Restriction to
+    the free columns of d_out's RREF maps the cycles isomorphically onto
+    Q^free, cycle k to e_k, so questions about cycles are asked in those
+    coordinates (`free`).  Cycle k joins the quotient basis iff it lies
+    outside the boundaries and the cycles before it, that is iff no boundary
+    has its last nonzero free coordinate at k; those last coordinates are the
+    pivots of the boundaries' RREF read from the last free coordinate.
+    """
+    cycles = linalg.kernel_basis(d_out)
+    free = linalg.free_columns(d_out)
+    boundaries = linalg.column_space(d_in)
+    nf = len(free)
+    last = {nf - 1 - c for c in linalg.rref(linalg.transpose(
+        linalg.submatrix(boundaries, rows=free[::-1])))[1]}
+    quotient = linalg.submatrix(cycles,
+                                cols=[k for k in range(nf) if k not in last])
+    return {"cycles": cycles, "boundaries": boundaries, "quotient": quotient,
+            "free": free}
 
 
 def _chain(step_map, i, j, r):
@@ -686,11 +723,17 @@ def euler_check(cx):
 
 class LevelMaps:
     """Raw restriction/Gysin maps between total stratum levels, with Cech signs
-    but without the page-position signs, plus a Lefschetz system."""
+    but without the page-position signs, plus a Lefschetz system.
+
+    `rho`, `tau`, `lef_power`, `gram` and `primitive` are computed once per
+    argument tuple and returned shared, as `LefschetzContext` results are:
+    callers must not mutate them, and the lemma suite's repeated rank and
+    subspace questions on one map reuse its echelon memo."""
 
     def __init__(self, cx, l_system):
         self.cx = cx
         self.l_system = l_system
+        self.memo = {}
         self.records = {t: [cx.strata[sid] for sid in cx.levels[t]]
                         for t in cx.levels}
         self.ctx = {}
@@ -725,6 +768,7 @@ class LevelMaps:
                                [(tgt[tid], src[sid], m, sign)
                                 for sid, tid, m, sign in blocks])
 
+    @_memoized
     def rho(self, t, i):
         """H^i(X^(t)) -> H^i(X^(t+1)) with Cech signs."""
         j = i // 2
@@ -733,6 +777,7 @@ class LevelMaps:
             for cid, sign, mats in self.cx.restriction_blocks(s.id)
             if j <= self.cx.strata[cid].ring.n])
 
+    @_memoized
     def tau(self, t, i):
         """H^i(X^(t)) -> H^(i+2)(X^(t-1)) with Cech signs (t >= 2); the zero
         map for i < 0."""
@@ -742,6 +787,7 @@ class LevelMaps:
             if 0 <= j <= s.ring.n
             for pid, sign, gys in self.cx.gysin_blocks(s.id)])
 
+    @_memoized
     def lef_power(self, t, i, power):
         """Block-diagonal L^power: H^i(X^(t)) -> H^(i+2 power)(X^(t))."""
         j = i // 2
@@ -749,6 +795,7 @@ class LevelMaps:
             (s.id, s.id, lefschetz_power(self.ctx[s.id], j, power), 1)
             for s in self.records.get(t, []) if j + power <= s.ring.n])
 
+    @_memoized
     def gram(self, t, i):
         """Sum of Lefschetz pairings <a, b> = sigma(L^(dim - i) a cup b)."""
         j = i // 2
@@ -758,6 +805,7 @@ class LevelMaps:
              -1 if j % 2 else 1)
             for s in self.records.get(t, []) if 2 * j <= s.ring.n])
 
+    @_memoized
     def primitive(self, t, i):
         """Columns spanning the primitive part of H^i(X^(t))."""
         j = i // 2

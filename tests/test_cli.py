@@ -231,10 +231,37 @@ def test_json_complex_field_size_has_no_upper_bound(tmp_path, capsys, q):
      "'n' must be a JSON integer"),
     ({"kind": "surface", "labels": [], "intersection": []},
      "a surface needs at least one label"),
+    ({"kind": "surface", "labels": ["a", "b"],
+      "intersection": [[1, 2], [0, -1]]},
+     "surface intersection form is not symmetric"),
+    ({"kind": "surface", "labels": ["a", "a"],
+      "intersection": [[1, 0], [0, -1]]},
+     "surface labels must be distinct"),
+    ({"kind": "surface", "labels": ["a"], "intersection": [[True]]},
+     "matrix entries must be integers or 'p/q' strings"),
 ])
 def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
     code, out, err = run(capsys, "--timeout", "30", "wss", "--input",
                          _one_line_complex(tmp_path, variety=variety))
+    assert (code, out) == (2, "")
+    assert msg in err
+
+
+@pytest.mark.parametrize("mutate,msg", [
+    (lambda data: data.update(strata=None), "'strata' must be a JSON array"),
+    (lambda data: data["strata"][0].update(parents=[]),
+     "'parents' must be a JSON object"),
+    (lambda data: data["strata"][0].update(parents=None),
+     "'parents' must be a JSON object"),
+], ids=["strata-null", "parents-list", "parents-null"])
+def test_json_complex_structure_is_checked(tmp_path, capsys, mutate, msg):
+    path = _one_line_complex(tmp_path)
+    with open(path) as fh:
+        data = json.load(fh)
+    mutate(data)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, "wss", "--input", path)
     assert (code, out) == (2, "")
     assert msg in err
 
@@ -280,6 +307,10 @@ GOLDEN = [
                   "--zeta"), 0,
                  "c07ef29f8385d198b253095673d42eef8ad7f78b3614241f51ecee03cc0d3ef0",
                  id="wss-drinfeld-local:2,2"),
+    pytest.param(("wss", "--fixture", "drinfeld-local:2,3", "--check-lemmas",
+                  "--zeta"), 0,
+                 "e455cc2145cecc7ca8242f9c19594707c11703ef31e93c7453e0369469fcdfd7",
+                 id="wss-drinfeld-local:2,3"),
     pytest.param(("hodge", "--n", "2", "--q", "3", "--divisor", "omega"), 0,
                  "7afcd3c0cfc1bf486de63f99f31267195df049a58525714818b05b9dce2e5126",
                  id="hodge-b2f3-omega"),

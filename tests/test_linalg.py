@@ -8,7 +8,6 @@ from purity import linalg
 from purity.linalg import (LinAlgError, Matrix, identity, inverse,
                            is_positive_definite, kernel_basis, mat, matmul,
                            rank, symmetric_signature)
-from purity.weightss import _quotient_basis
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -329,7 +328,7 @@ def test_rref_matches_fraction_reference(m):
     rows, c = m
     red, pivots = linalg.rref(_m(rows, c))
     ref_red, ref_pivots = _ref_rref(rows, c)
-    assert (_val(red), pivots) == (_ref(ref_red, c), ref_pivots)
+    assert (_val(red), pivots) == (_ref(ref_red, c), tuple(ref_pivots))
     assert rank(_m(rows, c)) == len(pivots)
 
 
@@ -500,7 +499,7 @@ def test_empty_shapes_are_exact(shape):
     assert linalg.transpose(z).shape == (c, r)
     assert linalg.column_space(z).shape == (r, 0)
     assert kernel_basis(z) == identity(c)
-    assert rank(z) == 0 and linalg.rref(z)[1] == []
+    assert rank(z) == 0 and linalg.rref(z)[1] == ()
     assert matmul(z, linalg.zeros(c, 2)) == linalg.zeros(r, 2)
     assert matmul(linalg.zeros(2, r), z) == linalg.zeros(2, c)
     assert linalg.matvec(z, [Fraction(1)] * c) == [Fraction(0)] * r
@@ -510,28 +509,6 @@ def test_empty_shapes_are_exact(shape):
     assert linalg.is_zero_matrix(z)
     with pytest.raises(LinAlgError):
         matmul(z, linalg.zeros(c + 1, 1))
-
-
-def _greedy_quotient_columns(cycles, boundaries):
-    """Keep a cycle column when it raises the rank of the columns kept so far
-    together with the boundaries."""
-    chosen = linalg.zeros(cycles.nrows, 0)
-    current = rank(boundaries)
-    for c in range(cycles.ncols):
-        col = linalg.submatrix(cycles, cols=[c])
-        if rank(linalg.stack_columns(boundaries, chosen, col)) > current:
-            chosen = linalg.stack_columns(chosen, col)
-            current += 1
-    return chosen
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(
-    lambda r: st.tuples(matrices(r, None), matrices(r, None))))
-def test_quotient_basis_keeps_the_greedy_columns(pair):
-    cycles, boundaries = (_m(rows, c) for rows, c in pair)
-    assert _quotient_basis(cycles, boundaries) == \
-        _greedy_quotient_columns(cycles, boundaries)
 
 
 # -- oracle: the sparse row elimination behind rank --------------------------
@@ -566,3 +543,71 @@ def test_matvec_matches_fraction_product(pair):
     assert all(type(x) is Fraction for x in got)
     with pytest.raises(LinAlgError):
         linalg.matvec(_m(a, c), v + [Fraction(1)])
+
+
+# -- the echelon memo ---------------------------------------------------------
+
+def _count_eliminations(monkeypatch):
+    """Record every elimination behind `rref` (the matrix) and `rank` (its
+    rows)."""
+    calls = []
+    real_echelon, real_row_rank = linalg._echelon, linalg._row_rank
+
+    def echelon(m):
+        calls.append(m)
+        return real_echelon(m)
+
+    def row_rank(rows):
+        calls.append(rows)
+        return real_row_rank(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", echelon)
+    monkeypatch.setattr(linalg, "_row_rank", row_rank)
+    return calls
+
+
+def test_a_matrix_is_eliminated_once(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    a = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    first = (linalg.rref(a), rank(a), kernel_basis(a), linalg.column_space(a))
+    assert len(calls) == 1
+    assert (linalg.rref(a), rank(a), kernel_basis(a),
+            linalg.column_space(a)) == first
+    assert len(calls) == 1 and first[1] == 2
+    assert type(first[0][1]) is tuple and first[0][1] == (0, 1)
+    # rank first: one sparse elimination, kept; a later rref still eliminates
+    b = mat([[1, 1], [1, 1]])
+    assert rank(b) == rank(b) == 1 and len(calls) == 2
+    assert linalg.rref(b)[1] == (0,) and rank(b) == 1 and len(calls) == 3
+
+
+def test_subspace_questions_reuse_the_memo(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    a = mat([[1, 0], [0, 1], [1, 1]])
+    span = linalg.column_space(a)              # one rref of a
+    ker = kernel_basis(mat([[1, 1, -1]]))      # one rref
+    assert len(calls) == 2
+    # results of column_space and kernel_basis carry their rank
+    assert rank(span) == rank(ker) == 2 and len(calls) == 2
+    # one new elimination, of [span | ker], per question
+    assert linalg.subspace_equal(span, ker) and len(calls) == 3
+    assert linalg.subspace_equal(span, ker) and len(calls) == 4
+    assert calls[2:] == [linalg.stack_columns(span, ker).rows] * 2
+    assert linalg.subspace_leq(span, ker) and len(calls) == 5
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices())
+def test_memo_answers_as_a_fresh_elimination(m):
+    rows, c = m
+    a = _m(rows, c)
+    red, pivots = linalg.rref(a)
+    assert type(pivots) is tuple
+    # a memoized answer equals that of an equal matrix without a memo
+    fresh = _m(rows, c)
+    assert rank(fresh) == rank(a) == len(pivots)
+    assert linalg.rref(_m(rows, c)) == (red, pivots)
+    assert linalg.rref(red) == (red, pivots)
+    # the ranks marked on kernel_basis and column_space results are true
+    for got in (kernel_basis(a), linalg.column_space(a)):
+        assert rank(got) == linalg._row_rank(got.rows) == got.ncols

@@ -4,15 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purity import linalg, zeta
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
                              triangle_of_planes, two_planes)
-from purity.weightss import (ComplexValidationError, LevelMaps,
-                             build_e1, check_purity, complex_to_json,
-                             euler_check, explicit_surface_ring,
-                             inertia_invariants, load_complex, verify_rz_lemmas,
-                             weight_table)
+from purity.weightss import (ComplexValidationError, LevelMaps, _chain,
+                             _homology, build_e1, check_purity,
+                             complex_to_json, euler_check,
+                             explicit_surface_ring, inertia_invariants,
+                             load_complex, verify_rz_lemmas, weight_table)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,12 @@ def quadric():
 @pytest.fixture(scope="module")
 def drinfeld22():
     return drinfeld_local(2, 2)
+
+
+@pytest.fixture(scope="module")
+def oracle_complexes(tate32, quadric, drinfeld22):
+    """tate-cycle:3,2, two-planes:2, triangle-of-planes:2, drinfeld-local:2,2"""
+    return [tate32[0], quadric[0], triangle_of_planes(2)[0], drinfeld22[0]]
 
 
 def test_tate_cycle_e1_shape(tate32):
@@ -241,3 +248,140 @@ def test_induced_n_is_computed_once(monkeypatch):
     assert solves > 0
     assert zeta.zeta_function(cx) == first
     assert len(calls) == solves
+
+
+# -- oracle: E2 and the induced N ------------------------------------------------
+
+def _fresh_rank(m):
+    """The rank of m by an elimination of its own, whatever m's memo holds."""
+    return linalg._row_rank(m.rows)
+
+
+def _greedy_quotient_columns(cycles, boundaries):
+    """Keep a cycle column when it raises the rank of the columns kept so far
+    together with the boundaries."""
+    chosen = linalg.zeros(cycles.nrows, 0)
+    current = _fresh_rank(boundaries)
+    for c in range(cycles.ncols):
+        col = linalg.submatrix(cycles, cols=[c])
+        if _fresh_rank(linalg.stack_columns(boundaries, chosen, col)) > current:
+            chosen = linalg.stack_columns(chosen, col)
+            current += 1
+    return chosen
+
+
+def _full_coordinate_induced_n(table, i, j):
+    """N on E2 solved in the full E1 coordinates of the target: the
+    reference for `WeightTable.induced_n`, which solves in free
+    coordinates."""
+    sdim, tdim = table.e2_dim(i, j), table.e2_dim(i + 2, j - 2)
+    if sdim == 0 or tdim == 0:
+        return linalg.zeros(tdim, sdim)
+    src, tgt = table.e2()[(i, j)], table.e2()[(i + 2, j - 2)]
+    images = linalg.matmul(table.n_map(i, j), src["quotient"])
+    basis = linalg.stack_columns(tgt["boundaries"], tgt["quotient"])
+    coords = linalg.solve(basis, images)
+    return linalg.submatrix(coords, rows=range(tgt["boundaries"].ncols,
+                                               coords.nrows))
+
+
+def test_e2_quotient_is_a_basis_of_cycles_modulo_boundaries(oracle_complexes):
+    for cx in oracle_complexes:
+        table = weight_table(cx)
+        for (i, j), slot in table.e2().items():
+            d_out, d_in = table.d1(i, j), table.d1(i - 1, j)
+            quot, bnd = slot["quotient"], slot["boundaries"]
+            assert linalg.is_zero_matrix(linalg.matmul(d_out, quot))
+            assert _fresh_rank(linalg.stack_columns(bnd, quot)) \
+                == _fresh_rank(bnd) + quot.ncols
+            nullity = d_out.ncols - _fresh_rank(d_out)
+            assert quot.ncols == nullity - _fresh_rank(d_in), (cx.name, i, j)
+
+
+def test_quotient_basis_keeps_the_greedy_columns(oracle_complexes):
+    for cx in oracle_complexes:
+        for slot in weight_table(cx).e2().values():
+            assert slot["quotient"] == _greedy_quotient_columns(
+                slot["cycles"], slot["boundaries"])
+
+
+@st.composite
+def _differential_pairs(draw):
+    """(d_out, d_in) with d_out . d_in = 0: d_in is a random combination of
+    the cycles of a random small integer d_out."""
+    r, c, k = (draw(st.integers(0, 6)) for _ in range(3))
+    entries = st.integers(-2, 2)
+    d_out = linalg.Matrix(draw(st.lists(st.lists(entries, min_size=c,
+                                                 max_size=c),
+                                        min_size=r, max_size=r)), 1, c)
+    cycles = linalg.kernel_basis(d_out)
+    mix = linalg.Matrix(draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                                      min_size=cycles.ncols,
+                                      max_size=cycles.ncols)), 1, k)
+    return d_out, linalg.matmul(cycles, mix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_differential_pairs())
+def test_homology_of_random_differentials_keeps_the_greedy_columns(pair):
+    d_out, d_in = pair
+    slot = _homology(d_out, d_in)
+    assert slot["quotient"] == _greedy_quotient_columns(slot["cycles"],
+                                                        slot["boundaries"])
+    assert slot["quotient"].ncols == \
+        d_out.ncols - _fresh_rank(d_out) - _fresh_rank(d_in)
+
+
+def test_induced_n_matches_the_full_coordinate_solve(oracle_complexes):
+    for cx in oracle_complexes:
+        table = weight_table(cx)
+        for (i, j) in table.slots():
+            assert table.induced_n(i, j) == \
+                _full_coordinate_induced_n(table, i, j), (cx.name, i, j)
+        ref = lambda i, j: _full_coordinate_induced_n(table, i, j)
+        for w in range(2 * cx.n + 1):
+            ok, rows = check_purity(cx, w)
+            for row in rows:
+                if row["dim_source"] or row["dim_target"]:
+                    r = row["r"]
+                    assert row["rank"] == _fresh_rank(
+                        _chain(ref, -r, w + r, r)), (cx.name, w, r)
+            if not ok:
+                continue
+            expected = {}
+            for i in range(-cx.n - 1, cx.n + 2):
+                dim = table.e2_dim(i, w - i)
+                kdim = dim - _fresh_rank(ref(i, w - i)) if dim else 0
+                if kdim:
+                    expected[w - i] = expected.get(w - i, 0) + kdim
+            assert inertia_invariants(cx, w) == expected, (cx.name, w)
+
+
+def test_e2_eliminates_each_differential_once(monkeypatch):
+    cx, _ = drinfeld_local(2, 2)     # fresh: no memo from other tests
+    table = weight_table(cx)
+    eliminated = []
+    real = linalg._echelon
+
+    def counting(m):
+        eliminated.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    slots = table.e2()
+    differentials = [table.d1(i, j) for (i, j) in table.slots()]
+    for d in differentials:
+        times = sum(m is d for m in eliminated)
+        assert times == 1 or (times == 0 and linalg.is_zero_matrix(d))
+    # the rest, empty matrices aside: at most one small elimination per slot,
+    # of its boundaries in free coordinates (transposed)
+    others = [m for m in eliminated if m.nrows and m.ncols
+              and not any(m is d for d in differentials)]
+    small = {(s["boundaries"].ncols, len(s["free"])) for s in slots.values()}
+    assert len(others) <= len(slots)
+    assert all(m.shape in small for m in others)
+    count = len(eliminated)
+    table.e2()
+    for (i, j) in table.slots():
+        table.e2_dim(i, j)
+    assert len(eliminated) == count

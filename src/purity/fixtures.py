@@ -211,14 +211,15 @@ def _dot(fq, u, v):
     return s
 
 
-def _flag_matching(points, lines, offset):
+def _flag_matching(inc, offset):
     """Exact cover by triples (i, j, k) with p_j in l_(i+c), p_k in l_(j+c),
     p_i in l_(k+c); one triple through every incident pair on each of the
-    three sides, or None if the offset admits no cover."""
-    size = len(points)
+    three sides, or None if the offset admits no cover.  `inc[l][b]` tells
+    whether the point p_b lies on the line l_l."""
+    size = len(inc)
 
     def incident(a, b):      # p_b on the line labelled for a
-        return contains(lines[(a + offset) % size], points[b])
+        return inc[(a + offset) % size][b]
 
     flags01 = [(i, j) for i in range(size) for j in range(size) if incident(i, j)]
     candidates = {}
@@ -279,10 +280,11 @@ def drinfeld_local(d=2, q=2):
     ring = build_ring(spec)
     points, lines = _singer_labelling(2, field)
     size = len(points)
+    inc = [[contains(line, pt) for pt in points] for line in lines]
     matching = None
     offset_used = None
     for offset in range(size):
-        matching = _flag_matching(points, lines, offset)
+        matching = _flag_matching(inc, offset)
         if matching is not None:
             offset_used = offset
             break

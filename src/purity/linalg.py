@@ -19,9 +19,9 @@ Every function here takes and returns `Matrix`; scalars and coordinate vectors
 rows of `Fraction`, for output and tests; the algorithms work on the integer
 rows.  Everything is exact; no floating point is used anywhere.  `rref` is
 fraction-free Gauss-Jordan (each eliminated row divided by its content),
-`rank` is sparse fraction-free row elimination,
-definiteness is one Bareiss sweep, and inertia is congruence reduction on
-Fractions.
+`rank` is sparse fraction-free row elimination, and inertia and definiteness
+are one fraction-free symmetric elimination (Bareiss pivots on the diagonal,
+2 x 2 hyperbolic blocks where the diagonal is zero).
 """
 
 from __future__ import annotations
@@ -419,87 +419,79 @@ def _check_symmetric(g):
         raise LinAlgError("matrix is not symmetric")
 
 
-def symmetric_signature(g):
-    """Exact inertia of a symmetric rational matrix via congruence reduction.
+def _pivot_signs(g):
+    """The signs of the pivots of an LDL^T congruence of g, one per row: +1
+    or -1 for each nonsingular pivot, then 0 for each row of the radical.
 
-    Uses diagonal pivots when available and hyperbolic 2x2 blocks otherwise
-    (a 2x2 block [[0,a],[a,0]] contributes one +1 and one -1).  Invariant
-    under congruence g -> P^T g P by Sylvester's law of inertia.
+    One fraction-free symmetric elimination on the lower triangle of g's
+    integer rows (its positive denominator changes no sign).  Any nonzero
+    diagonal entry serves as pivot and is eliminated by Bareiss's exact
+    division, a_uv <- (p a_uv - a_up a_pv) / prev, so the remaining block is
+    D_k times the Schur complement, D_k being the k-th pivot p (a principal
+    minor), and the LDL^T pivot D_k / D_(k-1) has the sign
+    sign(D_k) sign(D_(k-1)).  When every remaining diagonal entry is zero, a
+    nonzero a_ij gives the hyperbolic block [[0, b], [b, 0]], one +1 and one
+    -1; the rest becomes b prev times its Schur complement, which is made a
+    positive multiple and divided by its content, and the Bareiss division
+    starts again from 1.
     """
     _check_symmetric(g)
-    a = list(g)
-    active = list(range(len(a)))
-    n_plus = n_minus = n_zero = 0
-    while active:
-        piv = None
-        for i in active:
-            if a[i][i] != 0:
-                piv = i
-                break
-        if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            active.remove(piv)
-            for i in active:
-                f = a[i][piv] / d
+    a = [list(row[:k + 1]) for k, row in enumerate(g.rows)]
+    prev = 1
+    while a:
+        t = next((k for k, row in enumerate(a) if row[k]), None)
+        if t is not None:
+            col = _column(a, t)
+            p = col.pop(t)
+            del a[t]
+            yield 1 if (p > 0) == (prev > 0) else -1
+            for u, row in enumerate(a):
+                if u >= t:
+                    del row[t]
+                f = col[u]
                 if f:
-                    for j in active:
-                        a[i][j] -= f * a[piv][j]
-            for i in active:
-                a[i][piv] = a[piv][i] = Fraction(0)
+                    row[:] = [(p * x - f * y) // prev for x, y in zip(row, col)]
+                elif p != prev:
+                    row[:] = [p * x // prev for x in row]
+            prev = p
             continue
-        pair = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1:]:
-                if a[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for j, row in enumerate(a)
+                     for i in range(j) if row[i]), None)
         if pair is None:
-            n_zero += len(active)
-            break
+            yield from [0] * len(a)
+            return
+        yield 1
+        yield -1
         i, j = pair
-        n_plus += 1
-        n_minus += 1
-        b = a[i][j]
-        active.remove(i)
-        active.remove(j)
-        # Schur complement of the block [[0, b], [b, 0]]
-        for u in active:
-            fu_i = a[u][i]
-            fu_j = a[u][j]
-            if fu_i or fu_j:
-                for v in active:
-                    a[u][v] -= (fu_i * a[j][v] + fu_j * a[i][v]) / b
-        for u in active:
-            a[u][i] = a[u][j] = a[i][u] = a[j][u] = Fraction(0)
-    return SignatureReport(n_plus, n_minus, n_zero)
+        b, ci, cj = a[j][i], _column(a, i), _column(a, j)
+        if (b > 0) != (prev > 0):
+            b, ci = -b, [-x for x in ci]
+        keep = [u for u in range(len(a)) if u != i and u != j]
+        a = [[b * a[u][v] - ci[u] * cj[v] - cj[u] * ci[v] for v in keep[:k + 1]]
+             for k, u in enumerate(keep)]
+        c = gcd(*chain.from_iterable(a))
+        if c > 1:
+            a = [[x // c for x in row] for row in a]
+        prev = 1
+
+
+def _column(tri, t):
+    """Column t of the symmetric matrix whose lower triangle is `tri`."""
+    return tri[t] + [row[t] for row in tri[t + 1:]]
+
+
+def symmetric_signature(g):
+    """Exact inertia of a symmetric rational matrix: the sign count of the
+    pivots of `_pivot_signs`, invariant under congruence g -> P^T g P by
+    Sylvester's law of inertia."""
+    signs = list(_pivot_signs(g))
+    return SignatureReport(signs.count(1), signs.count(-1), signs.count(0))
 
 
 def is_positive_definite(g):
-    """Sylvester criterion: all leading principal minors positive.
-
-    The pivots of no-exchange fraction-free elimination are ratios of leading
-    principal minors, so a single Bareiss sweep on the integer rows (g times
-    its positive denominator: the minors keep their signs) decides this
-    exactly.
-    """
-    _check_symmetric(g)
-    n = g.nrows
-    a = [list(row) for row in g.rows]
-    prev = 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return True
+    """True iff the inertia of g is (n, 0, 0): every pivot of `_pivot_signs`
+    is positive (the sweep stops at the first that is not)."""
+    return all(x > 0 for x in _pivot_signs(g))
 
 
 # -- subspace calculus (columns span the subspace) --------------------------

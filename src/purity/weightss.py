@@ -355,7 +355,12 @@ def load_complex(data):
     for node in strata_json:
         try:
             sid = str(node["id"])
-            subset = frozenset(int(x) for x in node["subset"])
+            subset = node["subset"]
+            if not isinstance(subset, list) or \
+                    any(type(x) is not int for x in subset):
+                raise ComplexValidationError(
+                    "stratum %s: 'subset' must be a JSON array of integers" % sid)
+            subset = frozenset(subset)
             ring = _variety_from_json(node["variety"])
             parents_json = node.get("parents", {})
             if not isinstance(parents_json, dict):
@@ -443,6 +448,7 @@ class WeightTable:
         self._d1 = {}
         self._n_map = {}
         self._induced_n = {}
+        self._induced_n_power = {}
         self._e2 = None
         self._build_d1()
         self._check_d1_squared()
@@ -571,6 +577,14 @@ class WeightTable:
             self._induced_n[key] = self._compute_induced_n(i, j)
         return self._induced_n[key]
 
+    def induced_n_power(self, i, j, r):
+        """N^r on E2 quotient bases, (i,j) -> (i+2r, j-2r): the composite of
+        `induced_n`, computed once per (i, j, r) and returned shared."""
+        key = (i, j, r)
+        if key not in self._induced_n_power:
+            self._induced_n_power[key] = _chain(self.induced_n, i, j, r)
+        return self._induced_n_power[key]
+
     def _compute_induced_n(self, i, j):
         """Coordinates of N(quotient) in [boundaries | quotient] of the
         target, solved in the target's free coordinates once N(quotient) is
@@ -683,7 +697,7 @@ def check_purity(cx, w):
             report.append({"r": r, "dim_source": 0, "dim_target": 0,
                            "rank": 0, "ok": True})
             continue
-        rk = linalg.rank(_chain(table.induced_n, -r, w + r, r))
+        rk = linalg.rank(table.induced_n_power(-r, w + r, r))
         ok = (sdim == tdim == rk)
         verdict = verdict and ok
         report.append({"r": r, "dim_source": sdim, "dim_target": tdim,

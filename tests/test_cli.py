@@ -253,7 +253,14 @@ def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
      "'parents' must be a JSON object"),
     (lambda data: data["strata"][0].update(parents=None),
      "'parents' must be a JSON object"),
-], ids=["strata-null", "parents-list", "parents-null"])
+    (lambda data: data["strata"][0].update(subset=[0.9]),
+     "'subset' must be a JSON array of integers"),
+    (lambda data: data["strata"][0].update(subset="0"),
+     "'subset' must be a JSON array of integers"),
+    (lambda data: data["strata"][0].update(subset=[True]),
+     "'subset' must be a JSON array of integers"),
+], ids=["strata-null", "parents-list", "parents-null", "subset-float",
+        "subset-string", "subset-bool"])
 def test_json_complex_structure_is_checked(tmp_path, capsys, mutate, msg):
     path = _one_line_complex(tmp_path)
     with open(path) as fh:
@@ -314,6 +321,9 @@ GOLDEN = [
     pytest.param(("hodge", "--n", "2", "--q", "3", "--divisor", "omega"), 0,
                  "7afcd3c0cfc1bf486de63f99f31267195df049a58525714818b05b9dce2e5126",
                  id="hodge-b2f3-omega"),
+    pytest.param(("hodge", "--n", "3", "--q", "2", "--divisor", "omega"), 0,
+                 "106ba59a82ccfa75cc6ab27858cf14d07522704ae7bf6315696dfd5b094f2385",
+                 id="hodge-b3f2-omega"),
     pytest.param(("ring", "--n", "2", "--q", "2", "--products"), 0,
                  "9794f45458eb7a316d0f0d91312a00d6e682785d1b9e08ca344472ecb1242ec5",
                  id="ring-b2f2-products"),

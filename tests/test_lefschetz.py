@@ -63,6 +63,19 @@ def test_b2_omega_hodge_and_inertia():
     assert (sig.n_plus, sig.n_minus, sig.n_zero) == (1, 7, 0)
 
 
+def test_b3f2_omega_grams_have_the_predicted_inertia():
+    # the Grams behind `hodge --n 3 --q 2 --divisor omega`, degree 2
+    ctx = omega_ctx(3, 2)
+    full = lefschetz_pairing_gram(ctx, 1)
+    sig = linalg.symmetric_signature(full)
+    assert full.shape == (51, 51)
+    assert (sig.n_plus, sig.n_minus, sig.n_zero) == (50, 1, 0)
+    prim = primitive_gram(ctx, 2)
+    assert prim.shape == (50, 50) and linalg.is_positive_definite(prim)
+    assert not linalg.is_positive_definite(full)
+    assert not linalg.is_positive_definite(linalg.scale(prim, -1))
+
+
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4)])
 def test_omega_passes_lefschetz_and_hodge(n, q):
     ctx = omega_ctx(n, q)

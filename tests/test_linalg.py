@@ -35,6 +35,11 @@ def test_signature_examples():
     assert (s.n_plus, s.n_minus, s.n_zero) == (2, 0, 0)
     s = symmetric_signature(mat([[0, 1], [1, 0]]))
     assert (s.n_plus, s.n_minus, s.n_zero) == (1, 1, 0)
+    # a negative pivot, then a hyperbolic block: [-1] + the 3x3 all-ones
+    # matrix minus I, whose eigenvalues are 2, -1, -1
+    s = symmetric_signature(mat([[0, 0, 1, 1], [0, -1, 0, 0],
+                                 [1, 0, 0, 1], [1, 0, 1, 0]]))
+    assert (s.n_plus, s.n_minus, s.n_zero) == (1, 3, 0)
 
 
 def test_positive_definite_examples():
@@ -489,6 +494,51 @@ def _ref_det(m):
             f = a[i][c] / a[c][c]
             a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    """Symmetric matrices up to 9x9 as (integer rows, denominator), in
+    shuffled order: a diagonal block of either sign beside a block with a
+    mostly zero diagonal and often sparse rows, so that hyperbolic blocks
+    come up, also after negative pivots; and sometimes rank deficiency made
+    by a congruence P^T g P with P of fewer rows than columns."""
+    k = draw(st.integers(0, 9))
+    d = draw(st.integers(0, k))
+    small = st.integers(-4, 4)
+    diag = st.sampled_from([0] * 3 + [-3, -1, 1, 2]) if draw(st.booleans()) \
+        else st.just(0)
+    sparse = draw(st.integers(0, 3))
+    g = [[0] * k for _ in range(k)]
+    for i in range(k):
+        g[i][i] = draw(small if i < d else diag)
+        for j in range(d, i):
+            if not draw(st.integers(0, sparse)):
+                g[i][j] = g[j][i] = draw(small)
+    perm = draw(st.permutations(range(k)))
+    g = [[g[u][v] for v in perm] for u in perm]
+    if k and not draw(st.integers(0, 3)):
+        n = draw(st.integers(k, 9))
+        p = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+        gp = [[sum(g[i][t] * p[t][v] for t in range(k)) for v in range(n)]
+              for i in range(k)]
+        g = [[sum(p[t][u] * gp[t][v] for t in range(k)) for v in range(n)]
+             for u in range(n)]
+    return g, draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_integer_matrices())
+def test_integer_inertia_matches_fraction_reference(m):
+    rows, den = m
+    g = Matrix(rows, den, len(rows))
+    ref = [[Fraction(x, den) for x in row] for row in rows]
+    s = symmetric_signature(g)
+    assert (s.n_plus, s.n_minus, s.n_zero) == _ref_inertia(ref)
+    minors = [_ref_det([row[:k] for row in ref[:k]])
+              for k in range(1, len(ref) + 1)]
+    assert is_positive_definite(g) == all(d > 0 for d in minors)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

@@ -250,6 +250,21 @@ def test_induced_n_is_computed_once(monkeypatch):
     assert len(calls) == solves
 
 
+def test_check_purity_is_computed_once(monkeypatch):
+    # a fresh complex whose N^2 on E2 is nonzero (w = 2, r = 2)
+    cx, _ = drinfeld_local(2, 2)
+    first = check_purity(cx, 2)
+    assert first[1][1] == {"r": 2, "dim_source": 2, "dim_target": 2,
+                           "rank": 2, "ok": True}
+    calls = []
+    for name in ("matmul", "_echelon", "_row_rank"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    assert check_purity(cx, 2) == first
+    assert calls == []
+
+
 # -- oracle: E2 and the induced N ------------------------------------------------
 
 def _fresh_rank(m):

@@ -2,8 +2,10 @@
 
 Exit codes: 0 = all requested checks pass, 1 = a mathematical check failed,
 2 = invalid input or validation failure.  Reports are deterministic; pass
---json for machine-readable output.  The environment variable PURITY_MAX_DIM
-overrides the variety dimension guard.
+--json for machine-readable output.  A --json report is streamed to stdout as
+it is written, and its bytes are those of json.dumps(report, indent=2,
+sort_keys=True).  The environment variable PURITY_MAX_DIM overrides the
+variety dimension guard.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import cohomology, fixtures, lefschetz, weightss, zeta
 from .cohomology import ResourceGuardError, CohomologyError
@@ -26,10 +30,71 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 
 
+# characters per stdout write: with PYTHONUNBUFFERED=1 every write is a syscall
+_BATCH = 1 << 16
+
+
+def _write_json(obj, write):
+    """Write the text of `json.dumps(obj, indent=2, sort_keys=True)` through
+    `write`, in batches of about _BATCH characters, without ever building the
+    whole text.  A list or tuple whose items are all str, or all int, is
+    written as one piece; any other sequence, such as the lazy
+    `cohomology.PairingRows`, is read once, item by item."""
+    pieces = []
+    size = 0
+
+    def put(s):
+        nonlocal size
+        pieces.append(s)
+        size += len(s)
+        if size >= _BATCH:
+            write("".join(pieces))
+            pieces.clear()
+            size = 0
+
+    def value(o, nl):
+        t = type(o)
+        if t is str:
+            put(_json_str(o))
+        elif t is int:
+            put(int.__repr__(o))
+        elif t is dict:
+            inner = nl + "  "
+            sep = "{" + inner
+            for k in sorted(o):
+                put(sep + _json_str(k) + ": ")
+                value(o[k], inner)
+                sep = "," + inner
+            put("{}" if not o else nl + "}")
+        elif t is list or t is tuple or (isinstance(o, Sequence) and
+                                         not isinstance(o, (str, bytes))):
+            inner = nl + "  "
+            if t is list or t is tuple:
+                kinds = set(map(type, o))
+                # by type, not isinstance: a bool must not print as an int
+                if kinds == {str} or kinds == {int}:
+                    each = _json_str if str in kinds else int.__repr__
+                    put("[" + inner + ("," + inner).join(map(each, o))
+                        + nl + "]")
+                    return
+            first = sep = "[" + inner
+            for item in o:
+                put(sep)
+                value(item, inner)
+                sep = "," + inner
+            put("[]" if sep is first else nl + "]")
+        else:   # bool, None, float; TypeError for what JSON cannot hold
+            put(json.dumps(o))
+
+    value(obj, "\n")
+    write("".join(pieces))
+
+
 def _emit(args, payload, text_lines):
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(payload, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
@@ -80,12 +145,12 @@ def cmd_ring(args):
         k = args.degree
         if not (0 <= k <= ring.n):
             raise ValueError("degree out of range 0..%d" % ring.n)
-        pairing = [[str(x) for x in row] for row in ring.pairing[k]]
+        pairing = cohomology.PairingRows(ring.pairing[k])
         payload["pairing_degree"] = k
         payload["pairing"] = pairing
-        lines.append("pairing in degree %d:" % k)
-        for row in pairing:
-            lines.append("  [%s]" % " ".join(row))
+        if not args.json:
+            lines.append("pairing in degree %d:" % k)
+            lines.extend("  [%s]" % " ".join(row) for row in pairing)
     _emit(args, payload, lines)
     return EXIT_OK if dims == betti else EXIT_CHECK_FAILED
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -461,6 +462,26 @@ def betti_numbers(spec):
 
 # -- graded rings ---------------------------------------------------------------
 
+class PairingRows(Sequence):
+    """The rows of a pairing `linalg.Matrix` as lists of entry strings, each
+    row rendered only when it is read, so a report can be written row by row
+    without holding every entry string at once."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __len__(self):
+        return self.matrix.nrows
+
+    def __getitem__(self, i):
+        m = self.matrix
+        if m.den == 1:
+            return list(map(str, m.rows[i]))
+        return list(map(str, m[i]))
+
+
 class GradedRing:
     """Exact rational cohomology ring with chosen monomial bases.
 
@@ -600,6 +621,8 @@ class GradedRing:
         return v
 
     def to_json(self, include_products=True):
+        """The ring as report data.  Each pairing block is a lazy
+        `PairingRows`; `[list(row) for row in rows]` gives plain lists."""
         def mono_json(m):
             if isinstance(self.spec, Product):
                 return [[_gen_json(g) for g in part] for part in m]
@@ -609,7 +632,7 @@ class GradedRing:
             "dimension": self.n,
             "dims": self.dims(),
             "basis": [[mono_json(m) for m in bs] for bs in self.basis],
-            "pairing": {str(j): [[str(x) for x in row] for row in self.pairing[j]]
+            "pairing": {str(j): PairingRows(self.pairing[j])
                         for j in range(self.n + 1)},
         }
         if include_products:

@@ -368,6 +368,10 @@ def load_complex(data):
                     "stratum %s: 'parents' must be a JSON object" % sid)
             parents = {}
             for m, pnode in parents_json.items():
+                if str(int(m)) != m:
+                    raise ComplexValidationError(
+                        "stratum %s: 'parents' key %r is not a decimal "
+                        "integer" % (sid, m))
                 parents[int(m)] = (str(pnode["of"]),
                                    [_matrix(mj) for mj in pnode["restriction"]])
         except (KeyError, TypeError, ValueError) as exc:

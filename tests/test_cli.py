@@ -1,10 +1,16 @@
 import hashlib
+import io
 import json
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from purity.cli import main
+from purity.cli import _BATCH, _write_json, main
+from purity.cohomology import PairingRows, blowup, build_ring
 from purity.fixtures import drinfeld_local
+from purity.linalg import Matrix
 from purity.weightss import complex_to_json
 
 
@@ -259,8 +265,15 @@ def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
      "'subset' must be a JSON array of integers"),
     (lambda data: data["strata"][0].update(subset=[True]),
      "'subset' must be a JSON array of integers"),
+    (lambda data: data["strata"][0].update(parents={" 0 ": {}}),
+     "'parents' key ' 0 ' is not a decimal integer"),
+    (lambda data: data["strata"][0].update(parents={"+0": {}}),
+     "'parents' key '+0' is not a decimal integer"),
+    (lambda data: data["strata"][0].update(parents={"0_0": {}}),
+     "'parents' key '0_0' is not a decimal integer"),
 ], ids=["strata-null", "parents-list", "parents-null", "subset-float",
-        "subset-string", "subset-bool"])
+        "subset-string", "subset-bool", "parents-key-spaces",
+        "parents-key-plus", "parents-key-underscore"])
 def test_json_complex_structure_is_checked(tmp_path, capsys, mutate, msg):
     path = _one_line_complex(tmp_path)
     with open(path) as fh:
@@ -330,6 +343,9 @@ GOLDEN = [
     pytest.param(("ring", "--n", "3", "--q", "2"), 0,
                  "3e761fb8ca9d814f1cce0a21ba1b82b963f7f035ad18289213cee546e2e8b584",
                  id="ring-b3f2"),
+    pytest.param(("ring", "--n", "3", "--q", "2", "--degree", "1"), 0,
+                 "245d9958bea1c6f23ce60fde03af87e704a45ce8b02183e3651b766c041feeeb",
+                 id="ring-b3f2-degree-1"),
     pytest.param(("ring", "--n", "3", "--q", "3"), 0,
                  "9aa3ffe8172916c9adf650d48cb900d3170ed47be4e8e475f774c6c7e8ae0687",
                  id="ring-b3f3"),
@@ -343,3 +359,63 @@ GOLDEN = [
 def test_json_report_bytes_are_pinned(capsys, argv, code, digest):
     got, out, _ = run(capsys, "--json", *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# -- the streamed --json writer ------------------------------------------------
+
+def _written(obj):
+    out = io.StringIO()
+    _write_json(obj, out.write)
+    return out.getvalue()
+
+
+_text = st.text() | st.text(alphabet='"\\/\x00\x07\x1f\x7f \xe9\u20ac\U0001d11e')
+_ints = st.integers() | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.floats() | _ints | _text
+    | st.lists(_text) | st.lists(_ints) | st.lists(st.booleans())
+    | st.lists(_ints | st.booleans()),
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(_text, kids)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_streamed_json_matches_json_dumps(obj):
+    assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_streamed_json_renders_pairing_rows_in_batches():
+    big = Matrix([[i * j - 7 for j in range(200)] for i in range(200)])
+    obj = {"n": 2, "pairing": {
+        "int": PairingRows(Matrix([[1, -2], [0, 3]])),
+        "frac": PairingRows(Matrix([[1, 2], [3, -4]], 6)),
+        "empty": PairingRows(Matrix([], 1, 0)),
+        "big": PairingRows(big)}}
+    plain = {"n": 2, "pairing": {k: [list(row) for row in rows]
+                                 for k, rows in obj["pairing"].items()}}
+    assert plain["pairing"]["frac"] == [["1/6", "1/3"], ["1/2", "-2/3"]]
+    writes = []
+    _write_json(obj, writes.append)
+    assert "".join(writes) == json.dumps(plain, indent=2, sort_keys=True)
+    assert len(writes) > 1 and max(map(len, writes)) < 2 * _BATCH
+
+
+def test_json_report_is_streamed_in_small_memory(monkeypatch):
+    build_ring(blowup(3, 3))     # cached, so the measured run only reports it
+
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        code = main(["--json", "ring", "--n", "3", "--q", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 1 MB report held as one string, with every pairing entry as a
+    # str, peaks at 9.35 MB
+    assert code == 0 and peak < 2 * 2 ** 20

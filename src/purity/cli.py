@@ -17,11 +17,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import cohomology, fixtures, lefschetz, weightss, zeta
-from .cohomology import ResourceGuardError, CohomologyError
-from .fields import FieldError
-from .geometry import GeometryError
-from .weightss import ComplexValidationError, SpectralSequenceError
+from . import cohomology
 
 SCHEMA_VERSION = 1
 
@@ -102,6 +98,7 @@ def _emit(args, payload, text_lines):
 
 def _parse_divisor(spec_str, n, q, ring):
     """'omega' or comma-separated alpha,a_0..a_(n-1) level coefficients."""
+    from . import lefschetz
     if spec_str == "omega":
         form = lefschetz.omega_form(n, q) if n >= 2 else None
         if n >= 2:
@@ -156,6 +153,7 @@ def cmd_ring(args):
 
 
 def cmd_hodge(args):
+    from . import lefschetz
     if args.n < 1:
         raise lefschetz.LefschetzError(
             "hodge needs n >= 1 (a degree-1 class), got n=%d" % args.n)
@@ -209,15 +207,17 @@ def cmd_hodge(args):
 
 
 def _fixture_from_arg(text):
+    from .fixtures import make_fixture
     if ":" in text:
         name, argstr = text.split(":", 1)
         fargs = [int(x) for x in argstr.split(",") if x != ""]
     else:
         name, fargs = text, []
-    return fixtures.make_fixture(name, *fargs)
+    return make_fixture(name, *fargs)
 
 
 def cmd_wss(args):
+    from . import weightss, zeta
     if args.fixture:
         cx, l_system = _fixture_from_arg(args.fixture)
     else:
@@ -250,7 +250,7 @@ def cmd_wss(args):
     all_ok = all_ok and purity_all
     if args.check_lemmas:
         if l_system is None:
-            raise ComplexValidationError(
+            raise weightss.ComplexValidationError(
                 "lemma suite needs built-in fixtures (they carry the "
                 "polarization data)")
         lem_ok, rows = weightss.verify_rz_lemmas(cx, l_system)
@@ -339,6 +339,12 @@ def build_parser():
     return parser
 
 
+def _late_input_errors():
+    """The one named error that is no ValueError, once `weightss` is loaded."""
+    weightss = sys.modules.get(__package__ + ".weightss")
+    return () if weightss is None else (weightss.SpectralSequenceError,)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -353,10 +359,7 @@ def main(argv=None):
         signal.alarm(args.timeout)
     try:
         return args.func(args)
-    except (ComplexValidationError, SpectralSequenceError, FieldError,
-            GeometryError, ResourceGuardError, CohomologyError,
-            fixtures.FixtureError, ValueError, OSError, TimeoutError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, *_late_input_errors()) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     finally:

@@ -557,20 +557,21 @@ class GradedRing:
                     label.append(ring.basis[d][i])
                 v[self.index[j][tuple(label)]] += coeff
             return v
-        centers, comparable = self.chain_masks(mono)
+        centers, comparable, _ = self.support_keys(mono)
         if centers & ~comparable:   # not a chain: the class is zero
             return self.zero(j)
         rhs = [self._pair_value(mono, dual) for dual in self.basis[self.n - j]]
         return linalg.matvec(self._pairing_solver(j), rhs)
 
-    def chain_masks(self, mono):
-        """(centers, comparable) bitmasks of a monomial (see `_support_keys`):
-        a product of monomials can be nonzero only if each one's centers lie
-        in the others' comparable masks.  A ring without blow-up centers
-        gives (0, -1), which allows every product."""
+    def support_keys(self, mono):
+        """(centers, comparable, count code) of a monomial (see
+        `_support_keys`): a product of monomials can be nonzero only if each
+        one's centers lie in the others' comparable masks.  A ring without
+        blow-up centers gives (0, -1, 0): every product is allowed, and the
+        code tells no two apart."""
         if isinstance(self.spec, BlownUp):
-            return _support_keys(self.spec, mono)[:2]
-        return 0, -1
+            return _support_keys(self.spec, mono)
+        return 0, -1, 0
 
     def _pair_value(self, mono, dual):
         merged = self._merge(mono, dual)

@@ -1,14 +1,25 @@
-"""Independent brute-force enumeration of linear subspaces of F_q^n.
+"""Independent routes the tests check the package against.
 
-Shares nothing with the package's echelon enumeration: field arithmetic is
-rebuilt from the modulus, subspaces of low dimension are grown as explicitly
-closed sets of packed vectors (orderly extension by a point above the current
-maximum), and the upper half of the dimension range comes from orthogonal
-complements for the standard dot product.  Each subspace is reported as the
-frozenset of its nonzero vectors, packed base q.
+Brute-force enumeration of linear subspaces of F_q^n.  It shares nothing with
+the package's echelon enumeration: field arithmetic is rebuilt from the
+modulus, subspaces of low dimension are grown as explicitly closed sets of
+packed vectors (orderly extension by a point above the current maximum), and
+the upper half of the dimension range comes from orthogonal complements for
+the standard dot product.  Each subspace is reported as the frozenset of its
+nonzero vectors, packed base q.
+
+The primitive-Gram route to Hodge-Riemann (see `hodge_by_primitive_grams`):
+definiteness of the signed Lefschetz pairing on the primitive kernels
+themselves, and the orthogonality of the Lefschetz splitting as a computed
+fact, where `lefschetz.check_hodge_standard` reads both from signatures of
+the full Grams.
 """
 
 from functools import lru_cache
+
+from purity import linalg
+from purity.lefschetz import (lefschetz_pairing_gram, lefschetz_power,
+                              primitive_decomposition)
 
 
 class OracleField:
@@ -216,3 +227,59 @@ def subspaces_by_dim(q, n):
             out.append(_orthogonal_complement(rows, q, n))
         levels[k] = out
     return levels
+
+
+# -- Hodge-Riemann by primitive Grams ------------------------------------------
+
+def primitive_gram(ctx, k):
+    """Gram of the signed Lefschetz pairing on the primitive part of H^k.
+
+    k is the cohomological degree; odd k, or k past the middle, gives the
+    0 x 0 matrix.
+    """
+    if k % 2 == 1:
+        return linalg.zeros(0, 0)
+    cols = primitive_decomposition(ctx).primitive.get(k // 2)
+    if cols is None:
+        return linalg.zeros(0, 0)
+    g = lefschetz_pairing_gram(ctx, k // 2)
+    return linalg.matmul(linalg.transpose(cols), linalg.matmul(g, cols))
+
+
+def lefschetz_splitting(ctx, j):
+    """The column blocks L^i P_(j-i) of N^j = sum_i L^i P_(j-i), j <= n/2,
+    checked to span N^j."""
+    prim = primitive_decomposition(ctx).primitive
+    blocks = [linalg.matmul(lefschetz_power(ctx, j - i, i), prim[j - i])
+              for i in range(j + 1) if prim[j - i].ncols]
+    total = linalg.zeros(len(ctx.ring.basis[j]), 0)
+    for block in blocks:
+        total = linalg.stack_columns(total, block)
+    assert total.ncols == linalg.rank(total) == total.nrows, \
+        "Lefschetz splitting does not span N^%d" % j
+    return blocks
+
+
+def hodge_by_primitive_grams(ctx):
+    """Per degree 2j <= n: primitive dimension, positive definiteness of the
+    primitive Gram, the signature of the full Gram as the sum of the
+    signatures of its blocks on the splitting, and whether the blocks
+    L^i P_(j-i) are orthogonal for the Lefschetz pairing.  Hard Lefschetz
+    must hold."""
+    rows = []
+    for j in range(ctx.n // 2 + 1):
+        g = lefschetz_pairing_gram(ctx, j)
+        blocks = lefschetz_splitting(ctx, j)
+
+        def pairing(a, b):
+            return linalg.matmul(linalg.transpose(a), linalg.matmul(g, b))
+        prim = primitive_gram(ctx, 2 * j)
+        rows.append({
+            "degree": 2 * j, "primitive_dim": prim.nrows,
+            "positive_definite": linalg.is_positive_definite(prim),
+            "signature": sum(linalg.symmetric_signature(pairing(b, b)).signature
+                             for b in blocks),
+            "orthogonal_splitting": all(
+                linalg.is_zero_matrix(pairing(a, b))
+                for x, a in enumerate(blocks) for b in blocks[x + 1:])})
+    return rows

@@ -1,15 +1,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from purity.cli import _BATCH, _write_json, main
 from purity.cohomology import PairingRows, blowup, build_ring
-from purity.fixtures import drinfeld_local
+from purity.fixtures import drinfeld_local, make_fixture
 from purity.linalg import Matrix
 from purity.weightss import complex_to_json
 
@@ -125,6 +128,20 @@ def test_wss_rejects_corrupted_input(tmp_path, capsys):
     code, _, err = run(capsys, "wss", "--input", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def test_wss_input_with_nonzero_d1_squared_is_invalid_input(tmp_path, capsys):
+    # the degree-1 restriction of one plane to the double curve, off by one:
+    # the record loads, and the weight table refuses it with a RuntimeError
+    cx, _ = make_fixture("two-planes", 2)
+    data = complex_to_json(cx)
+    entry = data["strata"][0]["parents"]["0"]["restriction"][1][0]
+    entry[0] = str(int(entry[0]) + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "wss", "--input", str(bad))
+    assert code == 2
+    assert "d1 o d1 != 0" in err
 
 
 def test_wss_rejects_missing_file(capsys):
@@ -337,6 +354,9 @@ GOLDEN = [
     pytest.param(("hodge", "--n", "3", "--q", "2", "--divisor", "omega"), 0,
                  "106ba59a82ccfa75cc6ab27858cf14d07522704ae7bf6315696dfd5b094f2385",
                  id="hodge-b3f2-omega"),
+    pytest.param(("hodge", "--n", "3", "--q", "3", "--divisor", "omega"), 0,
+                 "3f2d2e4e84ce3b4ed005043152e3af90fe63485e21351105ddeccf4dd2688775",
+                 id="hodge-b3f3-omega"),
     pytest.param(("ring", "--n", "2", "--q", "2", "--products"), 0,
                  "9794f45458eb7a316d0f0d91312a00d6e682785d1b9e08ca344472ecb1242ec5",
                  id="ring-b2f2-products"),
@@ -419,3 +439,68 @@ def test_json_report_is_streamed_in_small_memory(monkeypatch):
     # the 1 MB report held as one string, with every pairing entry as a
     # str, peaks at 9.35 MB
     assert code == 0 and peak < 2 * 2 ** 20
+
+
+# -- loading only what a command runs ------------------------------------------
+
+# `purity.__all__` before its names were resolved on first access, less
+# `primitive_gram`, which moved into the tests' oracle
+PUBLIC_NAMES = [
+    "BlownUp", "FieldSpec", "LinearSubvariety", "Product", "Projective",
+    "SemistableComplex", "Stratum", "betti_numbers", "blowup", "build_e1",
+    "build_ring", "check_hard_lefschetz", "check_hodge_standard",
+    "check_purity", "cohomology", "complex_to_json", "contains",
+    "enumerate_subspaces", "euler_check", "explicit_surface_ring",
+    "field_spec", "fields", "fixtures", "gaussian_binomial", "geometry",
+    "hodge_sweep", "hyperplane_relation", "inertia_invariants",
+    "intersection_number", "invariant_form", "is_positive", "l_factor",
+    "lefschetz", "linalg", "load_complex", "make_context", "make_fixture",
+    "mu_from_e2", "omega_class", "omega_form", "point_count",
+    "primitive_decomposition", "product", "proj", "quotient_geometry",
+    "restrict_to_divisor", "theorem_shape", "verify_rz_lemmas",
+    "weight_table", "weightss", "zeta", "zeta_function",
+    "zeta_matches_weight_table"]
+
+
+def test_package_exports_are_pinned():
+    import purity
+    assert purity.__all__ == PUBLIC_NAMES
+    names = {}
+    exec("from purity import *", names)
+    assert sorted(k for k in names if k != "__builtins__") == PUBLIC_NAMES
+    assert names["make_context"] is purity.lefschetz.make_context
+    assert names["zeta"] is purity.zeta
+    with pytest.raises(AttributeError):
+        purity.primitive_gram
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from purity import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("purity."))]))
+"""
+
+
+def _modules_loaded_by(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, modules = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (("ring", "--n", "2", "--q", "2"),
+     {"lefschetz", "weightss", "fixtures", "zeta"}),
+    (("hodge", "--n", "2", "--q", "2", "--divisor", "omega"),
+     {"weightss", "fixtures", "zeta"}),
+])
+def test_a_command_loads_only_the_layers_it_runs(argv, absent):
+    loaded = _modules_loaded_by(*argv)
+    assert "purity.cohomology" in loaded
+    assert not loaded & {"purity." + m for m in absent}

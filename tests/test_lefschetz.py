@@ -13,7 +13,8 @@ from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               lefschetz_power, make_context, margins,
                               normalize_invariant,
                               omega_form, omega_vector, primitive_decomposition,
-                              primitive_gram, product_lefschetz_vector)
+                              product_lefschetz_vector)
+from oracle import hodge_by_primitive_grams, primitive_gram
 
 
 def b2_ring(q=2):
@@ -367,3 +368,43 @@ def test_one_product_operators_match_multiply_on_a_product():
     for divisor in classes:
         assert make_context(ring, divisor).operators == \
             _operators_by_multiply(ring, divisor)
+
+
+def _hl_classes(n, q):
+    """Degree-1 classes on B^n/F_q where hard Lefschetz holds: omega, seeded
+    random classes (almost all fail Hodge-Riemann), seeded perturbations of
+    4 omega (some pass, some fail on B^3/F_2) and known failures."""
+    ring = build_ring(blowup(n, q))
+    omega = omega_vector(ring, q)
+    rng = random.Random(7 * n + q)
+    classes = [omega]
+    classes += [_random_class(ring, rng.randrange(10 ** 6)) for _ in range(3)]
+    classes += [[4 * w + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for w in omega] for _ in range(4)]
+    P = ambient_geometry(n, field_spec(q)).subvarieties(0)[0]
+    classes.append(ring.divisor_vector({gen_e(P): Fraction(1)}))
+    if (n, q) == (3, 2):   # positive margins, not concave: `hodge` refuses it
+        form = normalize_invariant(3, 2, 3, [1, 1, 0])
+        classes.append(ring.divisor_vector(form.as_divisor(ring.spec)))
+    contexts = [make_context(ring, v) for v in classes]
+    return [ctx for ctx in contexts if check_hard_lefschetz(ctx)[0]]
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_hodge_riemann_from_signatures_matches_primitive_grams(n, q):
+    # the verdict reads sig Q_j + sig Q_(j-1); the oracle builds the
+    # primitive Grams, their definiteness and the splitting's orthogonality
+    contexts = _hl_classes(n, q)
+    verdicts = []
+    for ctx in contexts:
+        ok, report = check_hodge_standard(ctx)
+        verdicts.append(ok)
+        expected = hodge_by_primitive_grams(ctx)
+        assert len(report["degrees"]) == len(expected)
+        for got, want in zip(report["degrees"], expected):
+            assert want["orthogonal_splitting"] and got["orthogonal_splitting"]
+            for key in ("degree", "primitive_dim", "positive_definite",
+                        "signature"):
+                assert got[key] == want[key], (key, got, want)
+        assert ok == all(row["positive_definite"] for row in expected)
+    assert len(contexts) >= 8 and True in verdicts and False in verdicts

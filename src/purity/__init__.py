@@ -17,7 +17,7 @@ _EXPORTS = {
                   "restrict_to_divisor",
     "lefschetz": "make_context check_hard_lefschetz primitive_decomposition "
                  "check_hodge_standard invariant_form is_positive omega_form "
-                 "omega_class hodge_sweep",
+                 "omega_class",
     "weightss": "load_complex complex_to_json build_e1 check_purity "
                 "euler_check inertia_invariants verify_rz_lemmas weight_table "
                 "SemistableComplex Stratum explicit_surface_ring",

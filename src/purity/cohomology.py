@@ -30,9 +30,13 @@ chain V_1 < ... < V_k (incomparable centers are disjoint).  PGL_(n+1)(F_q)
 fixes h, permutes the e_V and acts transitively on the flags of one
 signature, so on a chain the number depends only on the flag type
 (a, (dim V_i, b_i)).  It is computed by descent once per type and kept in one
-integer table; the ring's pairing matrices, and through them the Lefschetz
-operators (one product per degree, see `lefschetz.make_context`), are read
-from it.
+integer table, from which the ring's pairing matrices are read.
+
+Every ring product is one routine, `GradedRing.cup_matrix`: the matrix of
+x -> v.x is the inverse transposed pairing times a block of triple
+intersection numbers, each read by the count code of its flag type.  The
+Lefschetz operators, `GradedRing.multiply`, the `ring --products` tables and
+the multiplicativity check of restrictions in `weightss` all call it.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 
 from . import linalg
@@ -463,8 +468,8 @@ def betti_numbers(spec):
 # -- graded rings ---------------------------------------------------------------
 
 class PairingRows(Sequence):
-    """The rows of a pairing `linalg.Matrix` as lists of entry strings, each
-    row rendered only when it is read, so a report can be written row by row
+    """The rows of a `linalg.Matrix` as lists of entry strings, each row
+    rendered only when it is read, so a report can be written row by row
     without holding every entry string at once."""
 
     __slots__ = ("matrix",)
@@ -482,32 +487,46 @@ class PairingRows(Sequence):
         return list(map(str, m[i]))
 
 
+class ProductRows(Sequence):
+    """The (j, k) products table of a ring: row a is the `PairingRows` of
+    the transposed `GradedRing.cup_matrix(j, e_a, k)`, computed when read."""
+
+    __slots__ = ("ring", "j", "k")
+
+    def __init__(self, ring, j, k):
+        self.ring, self.j, self.k = ring, j, k
+
+    def __len__(self):
+        return len(self.ring.basis[self.j])
+
+    def __getitem__(self, a):
+        unit = self.ring.zero(self.j)
+        unit[a] = Fraction(1)
+        return PairingRows(linalg.transpose(
+            self.ring.cup_matrix(self.j, unit, self.k)))
+
+
 class GradedRing:
     """Exact rational cohomology ring with chosen monomial bases.
 
     basis[j] lists the monomials spanning N^j; pairing[j] is the
     `linalg.Matrix` of top intersection numbers between basis[j] and
-    basis[n-j].  All pairings
-    are nondegenerate (Poincare duality) by construction.
+    basis[n-j].  All pairings are nondegenerate (Poincare duality) by
+    construction.  Every product of classes is read from one `cup_matrix`.
     """
 
-    def __init__(self, spec, basis, pairing, topeval=None):
+    def __init__(self, spec, basis, pairing):
         self.spec = spec
-        self.n = dimension(spec) if topeval is None else len(basis) - 1
+        self.n = len(basis) - 1
         self.basis = basis
         self.pairing = pairing
         self.index = [{m: i for i, m in enumerate(bs)} for bs in basis]
         self._coords_memo = {}
         self._pairing_inv_t = [None] * (self.n + 1)
         self.factors = None
-        self.topeval = topeval   # top-degree evaluation for explicit rings
 
     def dims(self):
         return [len(b) for b in self.basis]
-
-    @property
-    def components(self):
-        return 1
 
     def zero(self, j):
         return [Fraction(0)] * len(self.basis[j])
@@ -520,8 +539,8 @@ class GradedRing:
         return self._pairing_inv_t[j]
 
     def monomial_coords(self, mono):
-        """Coordinates of an arbitrary monomial in the degree-j basis."""
-        j = self._degree_of(mono)
+        """Coordinates of a monomial of a blow-up, P^n or a product of them."""
+        j = sum(map(len, mono)) if isinstance(self.spec, Product) else len(mono)
         if j > self.n:
             raise CohomologyError("monomial degree exceeds dimension")
         idx = self.index[j].get(mono)
@@ -534,11 +553,6 @@ class GradedRing:
         v = self._coords_vector(mono, j)
         self._coords_memo[mono] = tuple(v)
         return v
-
-    def _degree_of(self, mono):
-        if isinstance(self.spec, Product):
-            return sum(len(m) for m in mono)
-        return len(mono)
 
     def _coords_vector(self, mono, j):
         if isinstance(self.spec, Product):
@@ -560,7 +574,8 @@ class GradedRing:
         centers, comparable, _ = self.support_keys(mono)
         if centers & ~comparable:   # not a chain: the class is zero
             return self.zero(j)
-        rhs = [self._pair_value(mono, dual) for dual in self.basis[self.n - j]]
+        rhs = [intersection_number(self.spec, monomial(mono + dual))
+               for dual in self.basis[self.n - j]]
         return linalg.matvec(self._pairing_solver(j), rhs)
 
     def support_keys(self, mono):
@@ -573,40 +588,68 @@ class GradedRing:
             return _support_keys(self.spec, mono)
         return 0, -1, 0
 
-    def _pair_value(self, mono, dual):
-        merged = self._merge(mono, dual)
-        if self.topeval is not None:
-            return self.topeval(merged)
-        return intersection_number(self.spec, merged)
+    def cup_matrix(self, j, v, k):
+        """The `linalg.Matrix` of x -> v.x from N^k to N^(j+k), for v in N^j
+        in basis coordinates (0 x dim N^k past the top degree).
 
-    def _merge(self, m1, m2):
-        if isinstance(self.spec, Product):
-            return tuple(monomial(a + b) for a, b in zip(m1, m2))
-        return monomial(m1 + m2)
+        It is (pairing[j+k]^T)^(-1) E, E[d][b] = sum_a v_a int a.b.d over
+        the bases a, b, d of N^j, N^k, N^(n-j-k).  A triple with a degree-0
+        factor is a pairing entry.  Otherwise a term is visited only where
+        the chain masks allow the triple product, whose number is then read
+        by count code, each code evaluated once per call; on a product ring
+        it is computed factor by factor by `intersection_number`.
+        """
+        n, m = self.n, j + k
+        if m > n:
+            return linalg.zeros(0, len(self.basis[k]))
+        v = [Fraction(x) for x in v]
+        if j == 0:              # v is a multiple of the unit
+            return linalg.scale(linalg.identity(len(self.basis[k])), v[0])
+        if k == 0:
+            return linalg.mat([[x] for x in v])
+        if m == n:              # E is the row of pairings of v with the b
+            return linalg.matmul(self._pairing_solver(n), linalg.mat(
+                [linalg.matvec(linalg.transpose(self.pairing[j]), v)]))
+        spec, by_code = self.spec, {}
+
+        def top(a, b, d, code):
+            """int a.b.d, for a triple the chain masks allow (on P^n every
+            code is 0 and every number 1)."""
+            if isinstance(spec, Product):
+                return intersection_number(spec, tuple(
+                    monomial(x + y + z) for x, y, z in zip(a, b, d)))
+            value = by_code.get(code)
+            if value is None:
+                value = by_code[code] = intersection_number(
+                    spec, monomial(a + b + d))
+            return value
+
+        keys = {i: [self.support_keys(x) for x in self.basis[i]]
+                for i in {j, k, n - m}}
+        den = lcm(1, *(c.denominator for c in v))
+        terms = [(a, centers, code, c.numerator * (den // c.denominator))
+                 for a, (centers, _, code), c
+                 in zip(self.basis[j], keys[j], v) if c]
+        rows = []
+        for d, (_, d_comparable, d_code) in zip(self.basis[n - m],
+                                                keys[n - m]):
+            row = []
+            for b, (centers, comparable, code) in zip(self.basis[k], keys[k]):
+                if centers & ~d_comparable:
+                    row.append(0)   # b.d is not a chain
+                    continue
+                outside = ~(comparable & d_comparable)
+                code += d_code
+                row.append(sum(c * top(a, b, d, code + a_code)
+                               for a, a_centers, a_code, c in terms
+                               if not a_centers & outside))
+            rows.append(row)
+        e = linalg.Matrix(rows, den, len(self.basis[k]))
+        return linalg.matmul(self._pairing_solver(m), e)
 
     def multiply(self, j, vj, k, vk):
         """Product N^j x N^k -> N^(j+k) in basis coordinates."""
-        if j + k > self.n:
-            return []
-        out = self.zero(j + k)
-        for a, ca in enumerate(vj):
-            if not ca:
-                continue
-            ma = self.basis[j][a]
-            for b, cb in enumerate(vk):
-                if not cb:
-                    continue
-                prod = self.monomial_coords(self._merge(ma, self.basis[k][b]))
-                f = ca * cb
-                for i, x in enumerate(prod):
-                    if x:
-                        out[i] += f * x
-        return out
-
-    def pair(self, j, vj, vk):
-        """Intersection pairing N^j x N^(n-j) -> Q on coordinate vectors."""
-        return sum((x * y for x, y in
-                    zip(vj, linalg.matvec(self.pairing[j], vk))), Fraction(0))
+        return linalg.matvec(self.cup_matrix(j, vj, k), vk)
 
     def divisor_vector(self, coeffs):
         """Coordinates in N^1 of a normalized divisor class dict."""
@@ -623,7 +666,8 @@ class GradedRing:
 
     def to_json(self, include_products=True):
         """The ring as report data.  Each pairing block is a lazy
-        `PairingRows`; `[list(row) for row in rows]` gives plain lists."""
+        `PairingRows`, `[list(row) for row in rows]` gives plain lists, and
+        each products table a lazy `ProductRows` of them."""
         def mono_json(m):
             if isinstance(self.spec, Product):
                 return [[_gen_json(g) for g in part] for part in m]
@@ -637,18 +681,9 @@ class GradedRing:
                         for j in range(self.n + 1)},
         }
         if include_products:
-            tables = {}
-            for j in range(1, self.n + 1):
-                for k in range(j, self.n + 1 - j):
-                    table = []
-                    for ma in self.basis[j]:
-                        row = []
-                        for mb in self.basis[k]:
-                            coords = self.monomial_coords(self._merge(ma, mb))
-                            row.append([str(x) for x in coords])
-                        table.append(row)
-                    tables["%d,%d" % (j, k)] = table
-            out["products"] = tables
+            out["products"] = {"%d,%d" % (j, k): ProductRows(self, j, k)
+                               for j in range(1, self.n + 1)
+                               for k in range(j, self.n + 1 - j)}
         return out
 
 

@@ -2,7 +2,9 @@
 positivity of the signed Lefschetz pairings, all in exact arithmetic.
 
 Degrees are algebraic: N^j sits in cohomological degree 2j, so the classical
-statements about H^k appear here with k = 2j.  Odd degrees vanish.
+statements about H^k appear here with k = 2j.  Odd degrees vanish.  The
+operator of a class D on N^j is the ring's cup matrix of D
+(`GradedRing.cup_matrix`), built once per context by `make_context`.
 
 Hodge-Riemann needs no primitive Gram: once hard Lefschetz holds, the
 Lefschetz splitting is orthogonal for the signed pairings Q_j, so Q_j is
@@ -16,12 +18,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .cohomology import (BlownUp, GradedRing, Product, Projective, GEN_H,
-                         gen_e, intersection_number, monomial,
-                         normalize_divisor)
+                         gen_e, normalize_divisor)
 from .geometry import ambient_geometry, point_count
 
 
@@ -63,12 +63,8 @@ def make_context(ring, divisor):
     """Context with the cup-action matrices of a degree-1 class D.
 
     `divisor` is either an N^1 coordinate vector or a generator->coefficient
-    dict (normalized through the hyperplane relation first).  Each operator
-    is one product L_j = (pairing[j+1]^T)^(-1) E_j, where
-    E_j[k][i] = int D b_i b*_k pairs D b_i with the dual-degree basis b*; a
-    term of D is visited only where the chain masks allow the triple product.
-    On a blow-up that product is a chain, so its number is read by count
-    code, the sum of the three monomials' codes, each code evaluated once.
+    dict (normalized through the hyperplane relation first).  The operator
+    L_j: N^j -> N^(j+1) is `ring.cup_matrix(1, D, j)`.
     """
     if ring.n == 0:
         return LefschetzContext(ring, [], [])
@@ -77,43 +73,8 @@ def make_context(ring, divisor):
     if len(divisor) != len(ring.basis[1]):
         raise LefschetzError("operator class is not a degree-1 class")
     divisor = [Fraction(x) for x in divisor]
-    den = lcm(1, *(c.denominator for c in divisor))
-    counted = isinstance(ring.spec, BlownUp)
-    by_code = {}
-
-    def triple(g, b, dual, code):
-        """int g b dual, for a triple the chain masks allow."""
-        if not counted:
-            return ring._pair_value(ring._merge(g, b), dual)
-        v = by_code.get(code)
-        if v is None:
-            v = by_code[code] = intersection_number(ring.spec,
-                                                    monomial(g + b + dual))
-        return v
-
-    keys = [[ring.support_keys(m) for m in bs] for bs in ring.basis]
-    terms = [(g, centers, code, c.numerator * (den // c.denominator))
-             for g, (centers, _, code), c
-             in zip(ring.basis[1], keys[1], divisor) if c]
-    ops = []
-    for j in range(ring.n):
-        rows = []
-        for dual, (_, dual_comparable, dual_code) in zip(
-                ring.basis[ring.n - j - 1], keys[ring.n - j - 1]):
-            row = []
-            for b, (centers, comparable, code) in zip(ring.basis[j], keys[j]):
-                if centers & ~dual_comparable:
-                    row.append(0)   # b * dual is not a chain
-                    continue
-                outside = ~(comparable & dual_comparable)
-                pair_code = code + dual_code
-                row.append(sum(c * triple(g, b, dual, pair_code + g_code)
-                               for g, g_centers, g_code, c in terms
-                               if not g_centers & outside))
-            rows.append(row)
-        e = linalg.scale(linalg.mat(rows), Fraction(1, den))
-        ops.append(linalg.matmul(ring._pairing_solver(j + 1), e))
-    return LefschetzContext(ring, divisor, ops)
+    return LefschetzContext(ring, divisor, [ring.cup_matrix(1, divisor, j)
+                                            for j in range(ring.n)])
 
 
 @_memoized
@@ -383,28 +344,3 @@ def product_lefschetz_vector(ring, factor_vectors):
             v[ring.index[1][label]] += Fraction(c)
     return v
 
-
-def hodge_sweep(ring, l0, l1, steps):
-    """Run the Lefschetz and positivity checks along (1-t) L0 + t L1.
-
-    Rational grid t = i/steps, i = 0..steps.  Returns one verdict row per t;
-    Hodge positivity is reported only where hard Lefschetz holds.
-    """
-    if steps < 2:
-        raise LefschetzError("steps must be >= 2")
-    if isinstance(l0, dict):
-        l0 = ring.divisor_vector(l0)
-    if isinstance(l1, dict):
-        l1 = ring.divisor_vector(l1)
-    rows = []
-    for i in range(steps + 1):
-        t = Fraction(i, steps)
-        vec = [(1 - t) * a + t * b for a, b in zip(l0, l1)]
-        ctx = make_context(ring, vec)
-        hl, _ = check_hard_lefschetz(ctx)
-        if hl:
-            hodge, _ = check_hodge_standard(ctx)
-        else:
-            hodge = None
-        rows.append({"t": t, "hard_lefschetz": hl, "hodge_standard": hodge})
-    return rows

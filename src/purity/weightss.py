@@ -191,25 +191,22 @@ class SemistableComplex:
                 self._check_multiplicative(parent, s, mats)
 
     def _check_multiplicative(self, parent, child, mats):
-        """rho(x.y) = rho(x).rho(y) on degree-1 basis classes, where defined."""
+        """rho(x.y) = rho(x).rho(y) on degree-1 classes, where defined: for
+        each degree-1 basis class e, rho_2 (e .) = (rho_1(e) .) rho_1 as maps
+        N^1 -> N^2, read from `GradedRing.cup_matrix`."""
         pring, cring = parent.ring, child.ring
         if cring.n < 2 or pring.n < 1:
             return
-        nb = len(pring.basis[1])
-        for a in range(nb):
-            va = pring.zero(1)
-            va[a] = Fraction(1)
-            ra = linalg.matvec(mats[1], va)
-            for b in range(a, nb):
-                vb = pring.zero(1)
-                vb[b] = Fraction(1)
-                prod = pring.multiply(1, va, 1, vb)
-                lhs = linalg.matvec(mats[2], prod)
-                rhs = cring.multiply(1, ra, 1, linalg.matvec(mats[1], vb))
-                if lhs != rhs:
-                    raise ComplexValidationError(
-                        "restriction %s->%s is not a ring homomorphism"
-                        % (parent.id, child.id))
+        for a in range(len(pring.basis[1])):
+            e = pring.zero(1)
+            e[a] = Fraction(1)
+            lhs = linalg.matmul(mats[2], pring.cup_matrix(1, e, 1))
+            rhs = linalg.matmul(
+                cring.cup_matrix(1, linalg.matvec(mats[1], e), 1), mats[1])
+            if lhs != rhs:
+                raise ComplexValidationError(
+                    "restriction %s->%s is not a ring homomorphism"
+                    % (parent.id, child.id))
 
     def _check_squares(self):
         for s in self.strata.values():
@@ -312,20 +309,12 @@ def explicit_surface_ring(labels, intersection):
     pivot = next((i, j) for i in range(r) for j in range(r)
                  if intersection.rows[i][j])
 
-    lookup = {g: i for i, g in enumerate(gens)}
-
-    def topeval(mono):
-        if len(mono) != 2:
-            raise ValueError("surface topeval expects degree-2 monomials")
-        a, b = mono
-        return intersection.entry(lookup[a], lookup[b])
-
     basis = [[()], [(g,) for g in gens],
              [tuple(sorted((gens[pivot[0]], gens[pivot[1]])))]]
-    top = linalg.mat([[topeval(basis[2][0])]])
+    top = linalg.mat([[intersection.entry(*pivot)]])
     pairing = [top, intersection, top]
     spec = SurfaceSpec(tuple(labels), intersection)
-    return GradedRing(spec, basis, pairing, topeval=topeval)
+    return GradedRing(spec, basis, pairing)
 
 
 @dataclass(frozen=True)

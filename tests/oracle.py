@@ -13,13 +13,25 @@ definiteness of the signed Lefschetz pairing on the primitive kernels
 themselves, and the orthogonality of the Lefschetz splitting as a computed
 fact, where `lefschetz.check_hodge_standard` reads both from signatures of
 the full Grams.
+
+The monomial route to ring products (see `multiply`): merge the monomials,
+take the top intersection number of each merged monomial with the dual basis,
+and solve against the pairing, where `GradedRing.cup_matrix` reads triple
+numbers by count code behind the chain masks and multiplies by the inverse
+pairing.  With it come the intersection pairing on coordinate vectors and the
+sweep of Lefschetz checks along a segment of classes.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from purity import linalg
-from purity.lefschetz import (lefschetz_pairing_gram, lefschetz_power,
+from purity.cohomology import Product, intersection_number, monomial
+from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
+                              check_hodge_standard, lefschetz_pairing_gram,
+                              lefschetz_power, make_context,
                               primitive_decomposition)
+from purity.weightss import SurfaceSpec
 
 
 class OracleField:
@@ -282,4 +294,86 @@ def hodge_by_primitive_grams(ctx):
             "orthogonal_splitting": all(
                 linalg.is_zero_matrix(pairing(a, b))
                 for x, a in enumerate(blocks) for b in blocks[x + 1:])})
+    return rows
+
+
+# -- ring products by merged monomials ------------------------------------------
+
+def merge(ring, m1, m2):
+    """The monomial m1.m2 (factor by factor on a product ring)."""
+    if isinstance(ring.spec, Product):
+        return tuple(monomial(a + b) for a, b in zip(m1, m2))
+    return monomial(m1 + m2)
+
+
+def top_number(ring, mono):
+    """The top intersection number of a monomial of degree n: the given form
+    on an explicit surface, `intersection_number` elsewhere."""
+    spec = ring.spec
+    if isinstance(spec, SurfaceSpec):
+        a, b = (spec.labels.index(g[1]) for g in mono)
+        return spec.intersection.entry(a, b)
+    return intersection_number(spec, mono)
+
+
+def products(ring, j, vj, k, columns):
+    """The coordinates of vj . x for each N^k vector x of `columns`, as the
+    columns of one Matrix: each product of basis monomials is merged, paired
+    with the dual basis of N^(n-j-k) by top intersection numbers, and solved
+    against the transposed pairing."""
+    m = j + k
+    pairs = [[(a, b, x * y) for a, x in zip(ring.basis[j], vj) if x
+              for b, y in zip(ring.basis[k], col) if y] for col in columns]
+    rhs = [[sum((c * top_number(ring, merge(ring, merge(ring, a, b), d))
+                 for a, b, c in terms), Fraction(0)) for terms in pairs]
+           for d in ring.basis[ring.n - m]]
+    return linalg.solve(linalg.transpose(ring.pairing[m]), linalg.mat(rhs))
+
+
+def multiply(ring, j, vj, k, vk):
+    """Product N^j x N^k -> N^(j+k) in basis coordinates; [] past the top
+    degree."""
+    if j + k > ring.n:
+        return []
+    return [row[0] for row in products(ring, j, vj, k, [vk])]
+
+
+def cup_matrix(ring, j, v, k):
+    """The Matrix of x -> v.x from N^k to N^(j+k), column by column."""
+    if j + k > ring.n:
+        return linalg.zeros(0, len(ring.basis[k]))
+    return products(ring, j, v, k, list(linalg.identity(len(ring.basis[k]))))
+
+
+def pair(ring, j, vj, vk):
+    """Intersection pairing N^j x N^(n-j) -> Q on coordinate vectors."""
+    return sum((x * y for x, y in
+                zip(vj, linalg.matvec(ring.pairing[j], vk))), Fraction(0))
+
+
+# -- Lefschetz checks along a segment --------------------------------------------
+
+def hodge_sweep(ring, l0, l1, steps):
+    """Run the Lefschetz and positivity checks along (1-t) L0 + t L1.
+
+    Rational grid t = i/steps, i = 0..steps.  Returns one verdict row per t;
+    Hodge positivity is reported only where hard Lefschetz holds.
+    """
+    if steps < 2:
+        raise LefschetzError("steps must be >= 2")
+    if isinstance(l0, dict):
+        l0 = ring.divisor_vector(l0)
+    if isinstance(l1, dict):
+        l1 = ring.divisor_vector(l1)
+    rows = []
+    for i in range(steps + 1):
+        t = Fraction(i, steps)
+        vec = [(1 - t) * a + t * b for a, b in zip(l0, l1)]
+        ctx = make_context(ring, vec)
+        hl, _ = check_hard_lefschetz(ctx)
+        if hl:
+            hodge, _ = check_hodge_standard(ctx)
+        else:
+            hodge = None
+        rows.append({"t": t, "hard_lefschetz": hl, "hodge_standard": hodge})
     return rows

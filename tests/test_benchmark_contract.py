@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from purity.cohomology import build_ring, proj
+from purity.fixtures import make_fixture
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -32,6 +35,14 @@ def test_every_traced_target_resolves(module, owner, attr):
     assert callable(getattr(_holder(module, owner), attr))
 
 
+# one instance of each class that owns a traced cache: a cache the class
+# sets up in its constructor is read there on every traced call
+_INSTANCES = {
+    "cohomology.coords_memo": lambda: build_ring(proj(1)),
+    "weightss.gysin_cache": lambda: make_fixture("tate-cycle", 3, 2)[0],
+}
+
+
 @pytest.mark.parametrize("key", sorted(_TRACER.CACHES))
 def test_every_traced_cache_resolves(key):
     module, owner, attr, filler = _TRACER.CACHES[key]
@@ -39,3 +50,5 @@ def test_every_traced_cache_resolves(key):
     assert callable(getattr(holder, filler))
     if owner is None:
         assert hasattr(holder, attr)
+    else:
+        assert hasattr(_INSTANCES[key](), attr)

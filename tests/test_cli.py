@@ -372,6 +372,9 @@ GOLDEN = [
     pytest.param(("ring", "--n", "2", "--q", "4", "--products"), 0,
                  "1a4a41bb53e78bfa2c39b387ff3790fb12a91d7fb94a2c396777422a9f9ed6fc",
                  id="ring-b2f4-products"),
+    pytest.param(("ring", "--n", "3", "--q", "2", "--products"), 0,
+                 "d06ae27974d47a5410abcd80b59da306857c33d77020eb5fb844a9cd7576f763",
+                 id="ring-b3f2-products"),
 ]
 
 
@@ -441,10 +444,29 @@ def test_json_report_is_streamed_in_small_memory(monkeypatch):
     assert code == 0 and peak < 2 * 2 ** 20
 
 
+def test_products_report_is_streamed_in_small_memory(monkeypatch):
+    build_ring(blowup(3, 2))     # cached, so the measured run only reports it
+
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        code = main(["--json", "ring", "--n", "3", "--q", "2", "--products"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every products table held as nested lists of strings before the
+    # report is written peaks at 9.5 MB
+    assert code == 0 and peak < 2 * 2 ** 20
+
+
 # -- loading only what a command runs ------------------------------------------
 
 # `purity.__all__` before its names were resolved on first access, less
-# `primitive_gram`, which moved into the tests' oracle
+# `primitive_gram` and `hodge_sweep`, which moved into the tests' oracle
 PUBLIC_NAMES = [
     "BlownUp", "FieldSpec", "LinearSubvariety", "Product", "Projective",
     "SemistableComplex", "Stratum", "betti_numbers", "blowup", "build_e1",
@@ -452,7 +474,7 @@ PUBLIC_NAMES = [
     "check_purity", "cohomology", "complex_to_json", "contains",
     "enumerate_subspaces", "euler_check", "explicit_surface_ring",
     "field_spec", "fields", "fixtures", "gaussian_binomial", "geometry",
-    "hodge_sweep", "hyperplane_relation", "inertia_invariants",
+    "hyperplane_relation", "inertia_invariants",
     "intersection_number", "invariant_form", "is_positive", "l_factor",
     "lefschetz", "linalg", "load_complex", "make_context", "make_fixture",
     "mu_from_e2", "omega_class", "omega_form", "point_count",
@@ -470,8 +492,9 @@ def test_package_exports_are_pinned():
     assert sorted(k for k in names if k != "__builtins__") == PUBLIC_NAMES
     assert names["make_context"] is purity.lefschetz.make_context
     assert names["zeta"] is purity.zeta
-    with pytest.raises(AttributeError):
-        purity.primitive_gram
+    for gone in ("primitive_gram", "hodge_sweep"):
+        with pytest.raises(AttributeError):
+            getattr(purity, gone)
 
 
 _LOADED = """

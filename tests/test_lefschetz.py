@@ -8,13 +8,14 @@ from purity.cohomology import (GEN_H, blowup, build_ring, gen_e, proj, product)
 from purity.fields import field_spec
 from purity.geometry import ambient_geometry, point_count
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
-                              check_hodge_standard, hodge_sweep,
+                              check_hodge_standard,
                               invariant_form, is_positive, lefschetz_pairing_gram,
                               lefschetz_power, make_context, margins,
                               normalize_invariant,
                               omega_form, omega_vector, primitive_decomposition,
                               product_lefschetz_vector)
-from oracle import hodge_by_primitive_grams, primitive_gram
+from oracle import (hodge_by_primitive_grams, hodge_sweep, multiply, pair,
+                    primitive_gram)
 
 
 def b2_ring(q=2):
@@ -278,7 +279,7 @@ def test_operator_is_self_adjoint_for_the_pairing():
         b = [Fraction(rng.randint(-2, 2)) for _ in ring.basis[1]]
         la = linalg.matvec(ctx.operators[1], a)
         lb = linalg.matvec(ctx.operators[1], b)
-        assert ring.pair(2, la, b) == ring.pair(1, a, lb)
+        assert pair(ring, 2, la, b) == pair(ring, 1, a, lb)
 
 
 def test_b3_omega_full_verification():
@@ -333,7 +334,7 @@ def _operators_by_multiply(ring, divisor):
         for i in range(len(ring.basis[j])):
             unit = ring.zero(j)
             unit[i] = Fraction(1)
-            cols.append(ring.multiply(1, divisor, j, unit))
+            cols.append(multiply(ring, 1, divisor, j, unit))
         ops.append(linalg.transpose(linalg.mat(cols)))
     return ops
 

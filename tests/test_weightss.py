@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purity import linalg, zeta
+from purity.cohomology import blowup, build_ring, proj, restrict_to_divisor
+from purity.fields import field_spec
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
                              triangle_of_planes, two_planes)
-from purity.weightss import (ComplexValidationError, LevelMaps, _chain,
+from purity.geometry import ambient_geometry
+from purity.weightss import (ComplexValidationError, LevelMaps,
+                             SemistableComplex, Stratum, _chain,
                              _homology, build_e1, check_purity,
                              complex_to_json, euler_check,
                              explicit_surface_ring, inertia_invariants,
                              load_complex, verify_rz_lemmas, weight_table)
+from oracle import pair
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +116,8 @@ def test_gysin_adjoint_relation(quadric):
                 b = [Fraction(rng.randint(-3, 3)) for _ in child.basis[j]]
                 x = [Fraction(rng.randint(-3, 3))
                      for _ in parent.basis[parent.n - j - 1]]
-                lhs = parent.pair(j + 1, linalg.matvec(gys[j], b), x)
-                rhs = child.pair(j, b, linalg.matvec(mats[child.n - j], x))
+                lhs = pair(parent, j + 1, linalg.matvec(gys[j], b), x)
+                rhs = pair(child, j, b, linalg.matvec(mats[child.n - j], x))
                 assert lhs == rhs
 
 
@@ -158,6 +163,40 @@ def test_corrupted_restriction_is_rejected():
     assert "does not commute" in str(err.value) or "unit" in str(err.value)
 
 
+def _two_glued(ring, child, mats):
+    """Two copies of `ring` glued along `child` by the restriction `mats`."""
+    return SemistableComplex([
+        Stratum("X0", frozenset({0}), ring, {}),
+        Stratum("X1", frozenset({1}), ring, {}),
+        Stratum("D", frozenset({0, 1}), child,
+                {0: ("X1", mats), 1: ("X0", mats)})], 2)
+
+
+def test_multiplicativity_is_checked_on_a_plane_stratum():
+    # two P^3 glued along a P^2: h restricts to h, so h^2 to h^2
+    p3, p2 = build_ring(proj(3)), build_ring(proj(2))
+    one = linalg.identity(1)
+    _two_glued(p3, p2, [one, one, one])
+    with pytest.raises(ComplexValidationError,
+                       match="is not a ring homomorphism"):
+        _two_glued(p3, p2, [one, one, linalg.mat([[2]])])
+
+
+def test_multiplicativity_is_checked_on_a_blown_up_plane():
+    # two B^3/F_2 glued along the divisor of a plane
+    ring = build_ring(blowup(3, 2))
+    plane = ambient_geometry(3, field_spec(2)).subvarieties(2)[0]
+    target, mats = restrict_to_divisor(ring, plane)
+    _two_glued(ring, target, mats)
+    m = mats[2]
+    rows = [list(r) for r in m.rows]
+    rows[0][0] += m.den      # one entry raised by 1
+    bad = mats[:2] + [linalg.Matrix(rows, m.den, m.ncols)] + mats[3:]
+    with pytest.raises(ComplexValidationError,
+                       match="is not a ring homomorphism"):
+        _two_glued(ring, target, bad)
+
+
 def test_schema_validation_errors():
     with pytest.raises(ComplexValidationError):
         load_complex({"schema_version": 99, "q": 2, "strata": []})
@@ -180,10 +219,10 @@ def test_explicit_surface_ring_sanity():
     assert ring.dims() == [1, 2, 1]
     va = ring.zero(1); va[0] = Fraction(1)
     vb = ring.zero(1); vb[1] = Fraction(1)
-    assert ring.pair(1, va, va) == 1
-    assert ring.pair(1, vb, vb) == -1
+    assert pair(ring, 1, va, va) == 1
+    assert pair(ring, 1, vb, vb) == -1
     prod = ring.multiply(1, va, 1, va)
-    assert ring.pair(2, prod, [Fraction(1)]) == 1
+    assert pair(ring, 2, prod, [Fraction(1)]) == 1
     with pytest.raises(ComplexValidationError):
         explicit_surface_ring(["a"], linalg.mat([[0]]))
 

@@ -630,21 +630,31 @@ class GradedRing:
         terms = [(a, centers, code, c.numerator * (den // c.denominator))
                  for a, (centers, _, code), c
                  in zip(self.basis[j], keys[j], v) if c]
+
+        def meets(comparable):
+            """Some term of v times a monomial with this mask is a chain."""
+            return any(not a_centers & ~comparable
+                       for _, a_centers, _, _ in terms)
+
+        width = len(self.basis[k])
+        cols = [(col, b, key) for col, (b, key)
+                in enumerate(zip(self.basis[k], keys[k])) if meets(key[1])]
         rows = []
         for d, (_, d_comparable, d_code) in zip(self.basis[n - m],
                                                 keys[n - m]):
-            row = []
-            for b, (centers, comparable, code) in zip(self.basis[k], keys[k]):
+            row = [0] * width
+            rows.append(row)
+            if not meets(d_comparable):
+                continue
+            for col, b, (centers, comparable, code) in cols:
                 if centers & ~d_comparable:
-                    row.append(0)   # b.d is not a chain
-                    continue
+                    continue        # b.d is not a chain
                 outside = ~(comparable & d_comparable)
                 code += d_code
-                row.append(sum(c * top(a, b, d, code + a_code)
+                row[col] = sum(c * top(a, b, d, code + a_code)
                                for a, a_centers, a_code, c in terms
-                               if not a_centers & outside))
-            rows.append(row)
-        e = linalg.Matrix(rows, den, len(self.basis[k]))
+                               if not a_centers & outside)
+        e = linalg.Matrix(rows, den, width)
         return linalg.matmul(self._pairing_solver(m), e)
 
     def multiply(self, j, vj, k, vk):

@@ -17,18 +17,21 @@ ranks of a and b are known.
 Every function here takes and returns `Matrix`; scalars and coordinate vectors
 (`matvec`) are `Fraction`.  `len`, row indexing and iteration read a matrix as
 rows of `Fraction`, for output and tests; the algorithms work on the integer
-rows.  Everything is exact; no floating point is used anywhere.  `rref` is
-fraction-free Gauss-Jordan (each eliminated row divided by its content),
-`rank` is sparse fraction-free row elimination, and inertia and definiteness
-are one fraction-free symmetric elimination (Bareiss pivots on the diagonal,
-2 x 2 hyperbolic blocks where the diagonal is zero).
+rows.  Everything is exact; no floating point is used anywhere.  `rank` and
+`rref` share one sparse fraction-free forward elimination (`_forward`) on
+rows held as {column: value}, which visits only nonzero entries and divides
+each kept row by its content once: `rank` counts the kept rows
+(`_row_rank`), and `rref` finishes them by back substitution (`_echelon`).
+Inertia and definiteness are one fraction-free symmetric elimination
+(Bareiss pivots on the diagonal, 2 x 2 hyperbolic blocks where the diagonal
+is zero).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, count
 from math import gcd, lcm
 
 
@@ -145,8 +148,12 @@ def zeros(nrows, ncols):
 
 
 def identity(n):
-    return Matrix._canonical(
-        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        rows.append(tuple(row))
+    return Matrix._canonical(tuple(rows), 1, n)
 
 
 def transpose(m):
@@ -249,43 +256,60 @@ def rank(m):
     return m._rank
 
 
-def _row_rank(rows):
-    """Rank by sparse fraction-free elimination on integer rows.
+def _forward(rows):
+    """Sparse fraction-free forward elimination of integer rows: the kept
+    rows, in order, as (pivot column, {column: value}) with a positive pivot.
 
-    Each independent row is kept sparse, reduced by the rows kept before it,
-    with its first nonzero column as pivot.  A new row is reduced by a kept
-    row only when it has a nonzero in that row's pivot column, and the update
-    visits only the kept row's nonzeros; after each step the row is divided by
-    its content.  What is left is zero exactly when the row depends on the
-    rows before it.
+    A row is held as its nonzero entries and reduced, in order, by each kept
+    row whose pivot column it meets: p * row - f * kept, both divided by
+    gcd(p, f), an update that visits only the kept row's nonzeros.  A row
+    that reduces to zero depends on the rows before it and is dropped;
+    otherwise it is kept, with its first nonzero column as pivot and its
+    content divided out once.  So each kept row is zero at the pivots kept
+    before it, the kept rows span the row space, and their number is the
+    rank.
     """
-    kept = []     # (pivot column, pivot value, nonzero (column, value) pairs)
+    kept = []
     for row in rows:
-        work = {j: x for j, x in enumerate(row) if x}
-        for c, p, nz in kept:
-            f = work.get(c)
-            if not f:
-                continue
-            g = gcd(p, f)
-            s = p // g
-            if s != 1:
-                work = {j: s * x for j, x in work.items()}
-            f //= g
-            for j, y in nz:
-                x = work.get(j, 0) - f * y
-                if x:
-                    work[j] = x
-                else:
-                    del work[j]
-            if not work:
-                break
-            g = gcd(*work.values())
-            if g > 1:
-                work = {j: x // g for j, x in work.items()}
+        work = dict(zip(compress(count(), row), filter(None, row)))
+        for c, nz in kept:
+            if c in work:
+                work = _clear(work, c, nz)
+                if not work:
+                    break
         if work:
             c = min(work)
-            kept.append((c, work[c], list(work.items())))
-    return len(kept)
+            g = gcd(*work.values())
+            if work[c] < 0:
+                g = -g
+            if g != 1:
+                work = {j: x // g for j, x in work.items()}
+            kept.append((c, work))
+    return kept
+
+
+def _clear(work, c, nz):
+    """p * work - f * nz over gcd(p, f), with p and f the entries of nz and
+    work at column c: work cleared at c, integer, visiting nz's nonzeros
+    only.  p > 0, so the signs of work's other entries are kept."""
+    p, f = nz[c], work[c]
+    g = gcd(p, f)
+    if g != p:
+        s = p // g
+        work = {j: s * x for j, x in work.items()}
+    f //= g
+    for j, y in nz.items():
+        x = work.get(j, 0) - f * y
+        if x:
+            work[j] = x
+        else:
+            del work[j]
+    return work
+
+
+def _row_rank(rows):
+    """Rank of integer rows: the number of rows `_forward` keeps."""
+    return len(_forward(rows))
 
 
 def rref(m):
@@ -298,54 +322,38 @@ def rref(m):
 
 
 def _echelon(m):
-    """The RREF of m and its pivot columns, by elimination.
+    """The RREF of m and its pivot columns: `_forward`, then back
+    substitution.
 
-    Fraction-free Gauss-Jordan: rows stay integer, each eliminated row is
-    divided by its content, and a pivot row is divided by its pivot only when
-    it is emitted.  Every row is then a nonzero multiple of the corresponding
-    row of the (unique) RREF, so the result is exact.
+    The kept rows are finished from the last pivot column to the first: a
+    row is nonzero only from its pivot on, and the rows with later pivots are
+    already zero at every pivot but their own, so subtracting them clears
+    the row at every other pivot without touching one.  Each finished row is
+    divided by its content once, with a positive pivot; it is then a
+    positive multiple of the corresponding row of the (unique) RREF, so the
+    result is exact and does not depend on the order of elimination.
     """
-    nrows, ncols = m.shape
-    a = [list(row) for row in m.rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        p = prow[c]
-        nz = [(j, y) for j, y in enumerate(prow) if y]
-        for i in range(nrows):
-            f = a[i][c]
-            if i == r or not f:
-                continue
-            row = a[i] if p == 1 else [p * x for x in a[i]]
-            for j, y in nz:
-                row[j] -= f * y
-            g = gcd(*row)
-            a[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # each row divided by its content, pivot positive: row / pivot is then
-    # canonical, and so is the whole over the lcm of the pivots
-    out = []
-    for row, c in zip(a, pivots):
-        g = gcd(*row) if row[c] > 0 else -gcd(*row)
-        out.append([x // g for x in row])
-    den = lcm(1, *(row[c] for row, c in zip(out, pivots)))
-    rows = tuple(tuple(row) if row[c] == den else
-                 tuple(x * (den // row[c]) for x in row)
-                 for row, c in zip(out, pivots))
-    return _with_rank(Matrix._canonical(rows, den, ncols), len(pivots)), \
-        tuple(pivots)
+    done = {}                       # pivot column -> finished row
+    for c, row in sorted(_forward(m.rows), reverse=True):
+        for c2 in [j for j in row if j in done]:
+            row = _clear(row, c2, done[c2])
+        g = gcd(*row.values())
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        done[c] = row
+    # each row / its pivot is canonical, and so is the whole over the lcm of
+    # the pivots
+    pivots = sorted(done)
+    den = lcm(1, *(done[c][c] for c in pivots))
+    rows = []
+    for c in pivots:
+        f = den // done[c][c]
+        out = [0] * m.ncols
+        for j, x in done[c].items():
+            out[j] = f * x
+        rows.append(tuple(out))
+    return _with_rank(Matrix._canonical(tuple(rows), den, m.ncols),
+                      len(pivots)), tuple(pivots)
 
 
 def _with_rank(m, r):

@@ -20,12 +20,20 @@ and solve against the pairing, where `GradedRing.cup_matrix` reads triple
 numbers by count code behind the chain masks and multiplies by the inverse
 pairing.  With it come the intersection pairing on coordinate vectors and the
 sweep of Lefschetz checks along a segment of classes.
+
+The subspace route to the lemma suite (see `verify_rz_lemmas_by_subspaces`):
+Ker tau n Im rho and Ker rho n Im tau as explicit intersections of subspace
+bases compared with the images of the composites, and Im0 as the
+intersection of an image with the primitive part, where
+`weightss.verify_rz_lemmas` reads the first two from ranks of composites and
+cuts Im0 by a kernel.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
-from purity import linalg
+from purity import linalg, weightss
 from purity.cohomology import Product, intersection_number, monomial
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, lefschetz_pairing_gram,
@@ -377,3 +385,56 @@ def hodge_sweep(ring, l0, l1, steps):
             hodge = None
         rows.append({"t": t, "hard_lefschetz": hl, "hodge_standard": hodge})
     return rows
+
+
+# -- the lemma suite by subspace bases -----------------------------------------
+
+def ker_cap_im_by_intersection(lm, t, i):
+    """Ker tau(t+1, i) n Im rho(t, i) == Im(rho(t, i) tau(t+1, i-2)) and
+    Ker rho(t, i+2) n Im tau(t+1, i) == Im(tau(t+1, i) rho(t, i)), each side
+    a subspace basis."""
+    rho, tau = lm.rho(t, i), lm.tau(t + 1, i)
+    lhs = linalg.subspace_intersection(linalg.kernel_basis(tau),
+                                       linalg.column_space(rho))
+    rhs = linalg.column_space(linalg.matmul(rho, lm.tau(t + 1, i - 2)))
+    lhs2 = linalg.subspace_intersection(linalg.kernel_basis(lm.rho(t, i + 2)),
+                                        linalg.column_space(tau))
+    rhs2 = linalg.column_space(linalg.matmul(tau, rho))
+    return linalg.subspace_equal(lhs, rhs), linalg.subspace_equal(lhs2, rhs2)
+
+
+def level_primitive(lm, t, i):
+    """Columns spanning the primitive part of H^i(X^(t)): the primitive
+    kernels of the level-t strata, block by block."""
+    j = i // 2
+    rows = lm.offsets(t, i)
+    blocks, width = [], 0
+    for s in lm.records.get(t, []):
+        if 2 * j <= s.ring.n:
+            block = primitive_decomposition(lm.ctx[s.id]).primitive[j]
+            blocks.append((rows[s.id], width, block, 1))
+            width += block.ncols
+    return linalg.assemble(lm.dims(t, i), width, blocks)
+
+
+def im0_by_intersection(lm, images, t, shift):
+    """Im0 per degree i: images[i] intersected with `level_primitive`, then
+    closed under L from the lower degrees."""
+    im0 = {i: linalg.subspace_intersection(images[i],
+                                           level_primitive(lm, t, i + shift))
+           for i in images}
+    for i in images:
+        for jj in range(1, i // 2 + 1):
+            im0[i] = linalg.subspace_sum(
+                im0[i], linalg.matmul(lm.lef_power(t, i + shift - 2 * jj, jj),
+                                      im0[i - 2 * jj]))
+    return im0
+
+
+def verify_rz_lemmas_by_subspaces(cx, l_system):
+    """`weightss.verify_rz_lemmas` with the ker-cap-im rows and Im0 taken by
+    the subspace route; every other row is computed as in the package."""
+    with mock.patch.object(weightss, "_ker_cap_im",
+                           ker_cap_im_by_intersection), \
+            mock.patch.object(weightss, "_im0", im0_by_intersection):
+        return weightss.verify_rz_lemmas(cx, l_system)

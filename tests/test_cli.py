@@ -270,6 +270,32 @@ def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
     assert msg in err
 
 
+def _meeting_point(restriction):
+    """A mutation that adds a second line and the point where it meets the
+    first, the point's restriction from the second line replaced."""
+    def mutate(data):
+        line = data["strata"][0]
+        point = {"id": "p", "subset": [0, 1],
+                 "variety": {"kind": "projective", "n": 0},
+                 "parents": {"0": {"of": "c1", "restriction": restriction},
+                             "1": {"of": "c0", "restriction": [[[1]]]}}}
+        data["strata"] += [dict(line, id="c1", subset=[1]), point]
+    return mutate
+
+
+def test_json_lines_meeting_in_a_point_are_accepted(tmp_path, capsys):
+    path = _one_line_complex(tmp_path)
+    with open(path) as fh:
+        data = json.load(fh)
+    _meeting_point([[[1]]])(data)
+    data["dimension"] = 1
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, out, _ = run(capsys, "wss", "--input", path, "--zeta")
+    assert code == 0
+    assert "zeta: 1 / ((1 - T) (1 - 2T))" in out
+
+
 @pytest.mark.parametrize("mutate,msg", [
     (lambda data: data.update(strata=None), "'strata' must be a JSON array"),
     (lambda data: data["strata"][0].update(parents=[]),
@@ -288,9 +314,32 @@ def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
      "'parents' key '+0' is not a decimal integer"),
     (lambda data: data["strata"][0].update(parents={"0_0": {}}),
      "'parents' key '0_0' is not a decimal integer"),
+    (_meeting_point("1"), "'restriction' must be a JSON array of matrices"),
+    (_meeting_point(["1"]), "a matrix must be a JSON array of arrays"),
+    (_meeting_point([[1]]), "a matrix must be a JSON array of arrays"),
+    (_meeting_point({"0": [[1]]}),
+     "'restriction' must be a JSON array of matrices"),
+    (lambda data: data["strata"][0].update(variety={
+        "kind": "surface", "labels": ["a"], "intersection": "1"}),
+     "a matrix must be a JSON array of arrays"),
+    (lambda data: data["strata"][0].update(variety={
+        "kind": "surface", "labels": ["a"], "intersection": ["1"]}),
+     "a matrix must be a JSON array of arrays"),
+    (lambda data: data.update(dimension="1"),
+     "'dimension' must be a JSON integer"),
+    (lambda data: data.update(dimension=True),
+     "'dimension' must be a JSON integer"),
+    (lambda data: data.update(dimension=10 ** 9),
+     "'dimension' is 1000000000, but the components have dimension 1"),
+    (lambda data: data.update(dimension=2),
+     "'dimension' is 2, but the components have dimension 1"),
 ], ids=["strata-null", "parents-list", "parents-null", "subset-float",
         "subset-string", "subset-bool", "parents-key-spaces",
-        "parents-key-plus", "parents-key-underscore"])
+        "parents-key-plus", "parents-key-underscore", "restriction-string",
+        "restriction-matrix-string", "restriction-matrix-flat",
+        "restriction-object", "intersection-string",
+        "intersection-row-string", "dimension-string", "dimension-bool",
+        "dimension-huge", "dimension-wrong"])
 def test_json_complex_structure_is_checked(tmp_path, capsys, mutate, msg):
     path = _one_line_complex(tmp_path)
     with open(path) as fh:

@@ -661,3 +661,40 @@ def test_memo_answers_as_a_fresh_elimination(m):
     # the ranks marked on kernel_basis and column_space results are true
     for got in (kernel_basis(a), linalg.column_space(a)):
         assert rank(got) == linalg._row_rank(got.rows) == got.ncols
+
+
+@st.composite
+def sparse_sign_matrices(draw):
+    """Sparse +-1 integer matrices shaped like the level maps of the lemma
+    suite, as (Fraction rows, column count): wide or tall, about one entry in
+    five nonzero, sometimes with a zero row, a repeated row or a row that is
+    the sum or difference of two others."""
+    short, long = draw(st.integers(0, 8)), draw(st.integers(0, 24))
+    r, c = (short, long) if draw(st.booleans()) else (long, short)
+    sign = st.sampled_from([0, 0, 0, 0, 0, 0, 0, 0, 1, -1])
+    m = [[Fraction(x) for x in row] for row in draw(
+        st.lists(st.lists(sign, min_size=c, max_size=c),
+                 min_size=r, max_size=r))]
+    if r >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        m[i] = list(m[j])
+    if r >= 3 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, r - 1)) for _ in range(3))
+        e = draw(st.sampled_from([1, -1]))
+        m[i] = [x + e * y for x, y in zip(m[j], m[k])]
+    if r and draw(st.booleans()):
+        m[draw(st.integers(0, r - 1))] = [Fraction(0)] * c
+    return m, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_sign_matrices())
+def test_sparse_elimination_matches_fraction_reference(m):
+    rows, c = m
+    red, pivots = linalg.rref(_m(rows, c))
+    ref_red, ref_pivots = _ref_rref(rows, c)
+    assert (_val(red), pivots) == (_ref(ref_red, c), tuple(ref_pivots))
+    # rank by the forward elimination alone, on fresh copies without a memo
+    assert rank(_m(rows, c)) == len(pivots) == len(linalg._forward(
+        _m(rows, c).rows))
+    assert rank(linalg.transpose(_m(rows, c))) == len(pivots)

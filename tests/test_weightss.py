@@ -18,7 +18,7 @@ from purity.weightss import (ComplexValidationError, LevelMaps,
                              complex_to_json, euler_check,
                              explicit_surface_ring, inertia_invariants,
                              load_complex, verify_rz_lemmas, weight_table)
-from oracle import pair
+from oracle import level_primitive, pair, verify_rz_lemmas_by_subspaces
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +263,7 @@ def test_assembled_maps_are_exact(drinfeld22):
     lm = LevelMaps(cx, ls)
     for t in sorted(cx.levels):
         for i in range(0, 2 * cx.n + 1, 2):
-            mats += [lm.rho(t, i), lm.gram(t, i), lm.primitive(t, i)]
+            mats += [lm.rho(t, i), lm.gram(t, i), level_primitive(lm, t, i)]
             mats += [lm.lef_power(t, i, p) for p in range(cx.n + 1)]
             if t >= 2:
                 mats.append(lm.tau(t, i))
@@ -439,3 +439,62 @@ def test_e2_eliminates_each_differential_once(monkeypatch):
     for (i, j) in table.slots():
         table.e2_dim(i, j)
     assert len(eliminated) == count
+
+
+def _verdicts(rows):
+    return [(r["lemma"], r["ok"]) for r in rows]
+
+
+# the rows whose verdict the rank identities and the Im0 kernel cut decide
+_REWRITTEN = ("ker_tau_cap_im_rho", "ker_rho_cap_im_tau",
+              "hard_lefschetz_im0_rho", "hard_lefschetz_im1_rho",
+              "duality_dims", "nondegenerate_im0_rho", "nondegenerate_im0_tau",
+              "isomorphism_im0_to_im1", "orthogonal_splitting_tau")
+
+
+def test_lemma_rows_match_the_subspace_route(tate32, quadric, drinfeld22):
+    for cx, ls in (tate32, quadric, triangle_of_planes(2), drinfeld22):
+        ok, rows = verify_rz_lemmas(cx, ls)
+        want_ok, want = verify_rz_lemmas_by_subspaces(cx, ls)
+        assert ok and want_ok
+        assert _verdicts(rows) == _verdicts(want)
+
+
+def _perturbed_level_maps(t, i, row, col):
+    """LevelMaps with entry (row, col) of rho(t, i) raised by one."""
+    class Perturbed(LevelMaps):
+        def __init__(self, cx, l_system):
+            super().__init__(cx, l_system)
+            m = self.rho(t, i)
+            rows = [list(r) for r in m.rows]
+            rows[row][col] += m.den
+            self.memo[("rho", t, i)] = linalg.Matrix(rows, m.den, m.ncols)
+    return Perturbed
+
+
+@pytest.mark.parametrize("t,i,row,col", [(1, 0, 0, 0), (1, 2, 0, 0),
+                                         (2, 0, 5, 1)])
+def test_perturbed_rho_fails_the_same_rows_on_both_routes(
+        monkeypatch, drinfeld22, t, i, row, col):
+    cx, ls = drinfeld22
+    monkeypatch.setattr("purity.weightss.LevelMaps",
+                        _perturbed_level_maps(t, i, row, col))
+    ok, rows = verify_rz_lemmas(cx, ls)
+    want_ok, want = verify_rz_lemmas_by_subspaces(cx, ls)
+    assert not ok and not want_ok
+    assert _verdicts(rows) == _verdicts(want)
+    assert any(not r["ok"] and r["lemma"].startswith(_REWRITTEN) for r in rows)
+
+
+def test_lemma_suite_takes_no_subspace_intersection(monkeypatch):
+    cx, ls = drinfeld_local(2, 2)
+    calls = []
+    real = linalg.subspace_intersection
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "subspace_intersection", counted)
+    ok, _ = verify_rz_lemmas(cx, ls)
+    assert ok and calls == []

@@ -12,23 +12,27 @@ The first page has entries
     E1[i][j] = sum over k >= max(0, i) of H^(j+2i-2k) of the level-(2k-i+1)
                strata, carrying weight tag j,
 
-with the differential assembled from signed restriction blocks (Cech signs,
-with the extra (-1)^(r+k) factor per summand) and signed Gysin blocks (Cech
-signs with the factor (-1)^k).  d1 o d1 = 0 is checked, not trusted, and the
-monodromy map N (reindexing with per-column sign) is checked to commute with
-d1 and to give isomorphisms E1[-r, w+r] -> E1[r, w-r].
+with the differential assembled from restrictions (Cech signs times
+(-1)^(k-i)) and Gysin maps (Cech signs times (-1)^k).  d1 o d1 = 0 is
+checked, not trusted, and the monodromy map N (reindexing k -> k+1 with the
+sign (-1)^i) is checked to commute with d1 and to give isomorphisms
+E1[-r, w+r] -> E1[r, w-r].
 
-Every block matrix here -- d1, N and the level maps of the lemma suite -- is
-written by the single assembler `linalg.assemble`, fed by the per-stratum
-`SemistableComplex.restriction_blocks` and `gysin_blocks`.  Matrices are
-`linalg.Matrix` throughout, with exact shapes: a map from or to a zero space
-is a k x 0 or 0 x k matrix, never a special case.
+The strata of one level t lay out H^i(X^(t)), the sum of their H^i, and
+the complex assembles its level maps rho(t, i) (restrictions) and tau(t, i)
+(Gysin maps), with Cech signs, once each.  E1 is laid out in level parts, so
+d1 and N are signed copies of rho, tau and identities, and the lemma suite
+reads the same rho and tau.  Every block matrix is written by
+`linalg.assemble`.  Matrices are `linalg.Matrix` throughout, with exact
+shapes: a map from or to a zero space is a k x 0 or 0 x k matrix, never a
+special case.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,7 +86,6 @@ class SemistableComplex:
             raise ComplexValidationError(
                 "components have mixed dimensions %s" % sorted(dims))
         self.n = dims.pop()
-        self.max_level = max(s.level for s in strata)
         self.levels = {}
         for s in strata:
             self.levels.setdefault(s.level, []).append(s.id)
@@ -95,21 +98,58 @@ class SemistableComplex:
         for pid in self.children:
             self.children[pid].sort()
         self._gysin_cache = {}
+        self.memo = {}
         self._validate()
 
-    # -- data access ----------------------------------------------------------
+    # -- levels and level maps --------------------------------------------------
 
-    def restriction_blocks(self, sid):
-        """(child id, Cech sign, restriction matrix per degree) per child."""
-        for child_id, m in self.children.get(sid, []):
-            child = self.strata[child_id]
-            yield child_id, _cech_sign(m, child.subset), child.parents[m][1]
+    @_memoized
+    def level_layout(self, t, i):
+        """({stratum id: offset}, dimension) of H^i(X^(t)), the sum of the H^i
+        of the level-t strata in id order; zero in odd or absent degrees."""
+        offsets, dim = {}, 0
+        for sid in self.levels.get(t, []):
+            offsets[sid] = dim
+            ring = self.strata[sid].ring
+            if i % 2 == 0 and 0 <= i // 2 <= ring.n:
+                dim += len(ring.basis[i // 2])
+        return offsets, dim
 
-    def gysin_blocks(self, sid):
-        """(parent id, Cech sign, Gysin matrix per degree) per parent."""
-        s = self.strata[sid]
-        for m in sorted(s.parents):
-            yield s.parents[m][0], _cech_sign(m, s.subset), self.gysin(sid, m)
+    def level_dim(self, t, i):
+        return self.level_layout(t, i)[1]
+
+    def level_map(self, t, i, t2, i2, blocks):
+        """H^i(X^(t)) -> H^i2(X^(t2)) from (source id, target id, block, sign)."""
+        (src, ncols), (tgt, nrows) = self.level_layout(t, i), \
+            self.level_layout(t2, i2)
+        return linalg.assemble(nrows, ncols, [(tgt[tid], src[sid], m, sign)
+                                              for sid, tid, m, sign in blocks])
+
+    @_memoized
+    def rho(self, t, i):
+        """H^i(X^(t)) -> H^i(X^(t+1)): the restrictions, with Cech signs."""
+        j = i // 2
+        blocks = []
+        for sid in self.levels.get(t, []):
+            for cid, m in self.children.get(sid, []):
+                child = self.strata[cid]
+                if 0 <= j <= child.ring.n:
+                    blocks.append((sid, cid, child.parents[m][1][j],
+                                   _cech_sign(m, child.subset)))
+        return self.level_map(t, i, t + 1, i, blocks)
+
+    @_memoized
+    def tau(self, t, i):
+        """H^i(X^(t)) -> H^(i+2)(X^(t-1)): the Gysin maps, with Cech signs
+        (t >= 2); the zero map for i < 0."""
+        j = i // 2
+        blocks = []
+        for sid in self.levels.get(t, []):
+            s = self.strata[sid]
+            if 0 <= j <= s.ring.n:
+                blocks += [(sid, s.parents[m][0], self.gysin(sid, m)[j],
+                            _cech_sign(m, s.subset)) for m in sorted(s.parents)]
+        return self.level_map(t, i, t - 1, i + 2, blocks)
 
     def gysin(self, child_id, m):
         """Pairing adjoint of the restriction from parent to child, per degree.
@@ -239,9 +279,15 @@ class SemistableComplex:
 SCHEMA_VERSION = 1
 
 
+# the documented string forms of a matrix entry, "n" and "p/q": Fraction
+# would also read exponents, and reading "1e-9999999" alone takes seconds
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _frac(x):
     # a JSON true or false is not the matrix entry 1 or 0
-    if isinstance(x, (str, int, Fraction)) and not isinstance(x, bool):
+    if isinstance(x, str) and _ENTRY.fullmatch(x) or \
+            isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -287,6 +333,9 @@ def _variety_from_json(node):
                 raise ComplexValidationError("nested product factors unsupported")
         return build_ring(cohomology.product(*factors))
     if kind == "surface":
+        if not isinstance(node["labels"], list):
+            raise ComplexValidationError("surface 'labels' must be a JSON "
+                                         "array, got %r" % (node["labels"],))
         return explicit_surface_ring(node["labels"], _matrix(node["intersection"]))
     raise ComplexValidationError("unknown variety kind %r" % kind)
 
@@ -417,89 +466,60 @@ def complex_to_json(cx):
 
 # -- the E1 page ------------------------------------------------------------------
 
-@dataclass
-class Summand:
-    stratum: str
-    k: int
-    s: int          # cohomological stratum degree (even)
-    offset: int
-    dim: int
-
-
 class WeightTable:
-    """Full E1/E2 table with differentials and monodromy, all degrees at once."""
+    """Full E1/E2 table with differentials and monodromy, all degrees at once.
+
+    E1[i, j] is laid out as level parts: part k >= max(0, i) is H^s(X^(t)),
+    t = 2k-i+1 and s = j+2i-2k, after the parts before it.  d1 sends part k
+    by (-1)^(k-i) rho(t, s) to part k+1 and by (-1)^k tau(t, s) to part k of
+    E1[i+1, j]; N sends it by (-1)^i to part k+1 of E1[i+2, j-2].  Layouts,
+    maps and E2 data are computed once per argument tuple and returned
+    shared: callers must not mutate them."""
 
     def __init__(self, cx):
         self.cx = cx
+        self.memo = {}
         n = cx.n
-        self.entries = {}
-        for i in range(-(n + 2), n + 3):
-            for j in range(0, 2 * n + 3):
-                summands = []
-                offset = 0
-                for k in range(max(0, i), n + 2):
-                    t = 2 * k - i + 1
-                    if t < 1 or t > cx.max_level:
-                        continue
-                    s = j + 2 * i - 2 * k
-                    if s < 0 or s % 2 or s > 2 * (n - t + 1):
-                        continue
-                    for sid in cx.levels.get(t, []):
-                        d = len(cx.strata[sid].ring.basis[s // 2])
-                        if d:
-                            summands.append(Summand(sid, k, s, offset, d))
-                            offset += d
-                if summands:
-                    self.entries[(i, j)] = summands
-        self._d1 = {}
-        self._n_map = {}
-        self._induced_n = {}
-        self._induced_n_power = {}
-        self._e2 = None
-        self._build_d1()
+        self.entries = [(i, j) for i in range(-(n + 2), n + 3)
+                        for j in range(0, 2 * n + 3) if self.e1_dim(i, j)]
         self._check_d1_squared()
         self._check_monodromy()
 
     # dimensions ------------------------------------------------------------------
 
+    @_memoized
+    def parts(self, i, j):
+        """({k: (t, s, offset)}, dimension) of E1[i, j]."""
+        parts, dim = {}, 0
+        for k in range(max(0, i), self.cx.n + 2):
+            t, s = 2 * k - i + 1, j + 2 * i - 2 * k
+            parts[k] = (t, s, dim)
+            dim += self.cx.level_dim(t, s)
+        return parts, dim
+
     def e1_dim(self, i, j):
-        summands = self.entries.get((i, j), [])
-        return sum(s.dim for s in summands)
+        return self.parts(i, j)[1]
 
     def slots(self):
-        return sorted(self.entries)
+        return self.entries
 
-    # -- d1 -------------------------------------------------------------------------
+    # -- d1 and N -------------------------------------------------------------------
 
-    def _build_d1(self):
-        cx = self.cx
-        for (i, j), summands in self.entries.items():
-            target = self.entries.get((i + 1, j), [])
-            tgt_index = {(s.stratum, s.k, s.s): s for s in target}
-            blocks = []
-            for src in summands:
-                d = src.s // 2
-                # restriction blocks: k -> k+1, same s, extra sign (-1)^(k-i)
-                for child_id, sign, mats in cx.restriction_blocks(src.stratum):
-                    tgt = tgt_index.get((child_id, src.k + 1, src.s))
-                    if tgt is not None:
-                        blocks.append((tgt.offset, src.offset, mats[d],
-                                       sign * (-1) ** (src.k - i)))
-                # Gysin blocks: same k, s -> s+2, extra sign (-1)^k
-                for pid, sign, gys in cx.gysin_blocks(src.stratum):
-                    tgt = tgt_index.get((pid, src.k, src.s + 2))
-                    if tgt is not None:
-                        blocks.append((tgt.offset, src.offset, gys[d],
-                                       sign * (-1) ** src.k))
-            self._d1[(i, j)] = linalg.assemble(sum(s.dim for s in target),
-                                               sum(s.dim for s in summands),
-                                               blocks)
-
+    @_memoized
     def d1(self, i, j):
         """d1: E1[i,j] -> E1[i+1,j]; a k x 0 matrix where E1[i,j] is zero."""
-        if (i, j) in self._d1:
-            return self._d1[(i, j)]
-        return linalg.zeros(self.e1_dim(i + 1, j), 0)
+        cx = self.cx
+        (src, ncols), (tgt, nrows) = self.parts(i, j), self.parts(i + 1, j)
+        blocks = []
+        for k, (t, s, col) in src.items():
+            if not cx.level_dim(t, s):
+                continue
+            if k + 1 in tgt:
+                blocks.append((tgt[k + 1][2], col, cx.rho(t, s),
+                               (-1) ** (k - i)))
+            if k in tgt:
+                blocks.append((tgt[k][2], col, cx.tau(t, s), (-1) ** k))
+        return linalg.assemble(nrows, ncols, blocks)
 
     def _check_d1_squared(self):
         for (i, j) in self.entries:
@@ -509,25 +529,14 @@ class WeightTable:
                     "d1 o d1 != 0 at entry (%d, %d); sign assembly or input "
                     "geometry is inconsistent" % (i, j))
 
-    # -- monodromy ---------------------------------------------------------------------
-
+    @_memoized
     def n_map(self, i, j):
-        """Matrix of N: E1[i,j] -> E1[i+2, j-2] (reindex k -> k+1, sign (-1)^i)."""
-        key = (i, j)
-        if key not in self._n_map:
-            src = self.entries.get((i, j), [])
-            tgt = self.entries.get((i + 2, j - 2), [])
-            tgt_index = {(s.stratum, s.k, s.s): s for s in tgt}
-            sign = -1 if i % 2 else 1
-            blocks = []
-            for s in src:
-                t = tgt_index.get((s.stratum, s.k + 1, s.s))
-                if t is not None:
-                    blocks.append((t.offset, s.offset, linalg.identity(s.dim),
-                                   sign))
-            self._n_map[key] = linalg.assemble(sum(s.dim for s in tgt),
-                                               sum(s.dim for s in src), blocks)
-        return self._n_map[key]
+        """Matrix of N: E1[i,j] -> E1[i+2, j-2]."""
+        (src, ncols), (tgt, nrows) = self.parts(i, j), self.parts(i + 2, j - 2)
+        sign = -1 if i % 2 else 1
+        return linalg.assemble(nrows, ncols, [
+            (tgt[k + 1][2], col, linalg.identity(self.cx.level_dim(t, s)), sign)
+            for k, (t, s, col) in src.items() if k + 1 in tgt])
 
     def _check_monodromy(self):
         for (i, j) in self.entries:
@@ -554,45 +563,29 @@ class WeightTable:
 
     # -- E2 --------------------------------------------------------------------------
 
+    @_memoized
     def e2(self):
         """E2 per slot, from one RREF per differential (see `_homology`);
         that the boundaries are cycles is checked, not trusted."""
-        if self._e2 is None:
-            self._e2 = {}
-            for (i, j) in self.entries:
-                d = self.d1(i, j)
-                slot = _homology(d, self.d1(i - 1, j))
-                if not linalg.is_zero_matrix(
-                        linalg.matmul(d, slot["boundaries"])):
-                    raise SpectralSequenceError(
-                        "boundaries not contained in cycles at (%d,%d)" % (i, j))
-                self._e2[(i, j)] = slot
-        return self._e2
+        out = {}
+        for (i, j) in self.entries:
+            d = self.d1(i, j)
+            slot = _homology(d, self.d1(i - 1, j))
+            if not linalg.is_zero_matrix(linalg.matmul(d, slot["boundaries"])):
+                raise SpectralSequenceError(
+                    "boundaries not contained in cycles at (%d,%d)" % (i, j))
+            out[(i, j)] = slot
+        return out
 
     def e2_dim(self, i, j):
         slot = self.e2().get((i, j))
         return slot["quotient"].ncols if slot else 0
 
+    @_memoized
     def induced_n(self, i, j):
         """Matrix of N on E2 quotient bases, (i,j) -> (i+2, j-2).
 
-        Computed once per (i, j) and returned shared: callers must not mutate
-        it."""
-        key = (i, j)
-        if key not in self._induced_n:
-            self._induced_n[key] = self._compute_induced_n(i, j)
-        return self._induced_n[key]
-
-    def induced_n_power(self, i, j, r):
-        """N^r on E2 quotient bases, (i,j) -> (i+2r, j-2r): the composite of
-        `induced_n`, computed once per (i, j, r) and returned shared."""
-        key = (i, j, r)
-        if key not in self._induced_n_power:
-            self._induced_n_power[key] = _chain(self.induced_n, i, j, r)
-        return self._induced_n_power[key]
-
-    def _compute_induced_n(self, i, j):
-        """Coordinates of N(quotient) in [boundaries | quotient] of the
+        The coordinates of N(quotient) in [boundaries | quotient] of the
         target, solved in the target's free coordinates once N(quotient) is
         checked to be made of cycles."""
         sdim, tdim = self.e2_dim(i, j), self.e2_dim(i + 2, j - 2)
@@ -610,6 +603,12 @@ class WeightTable:
         coords = linalg.solve(basis, linalg.submatrix(images, rows=free))
         return linalg.submatrix(coords, rows=range(tgt["boundaries"].ncols,
                                                    coords.nrows))
+
+    @_memoized
+    def induced_n_power(self, i, j, r):
+        """N^r on E2 quotient bases, (i,j) -> (i+2r, j-2r): the composite of
+        `induced_n`."""
+        return _chain(self.induced_n, i, j, r)
 
     def euler_characteristics(self):
         e1 = sum((-1) ** (i + j) * self.e1_dim(i, j) for (i, j) in self.entries)
@@ -656,10 +655,10 @@ def _chain(step_map, i, j, r):
     return m
 
 
+@_memoized
 def weight_table(cx):
-    if not hasattr(cx, "_weight_table"):
-        cx._weight_table = WeightTable(cx)
-    return cx._weight_table
+    """The `WeightTable` of cx, built once per complex."""
+    return WeightTable(cx)
 
 
 @dataclass
@@ -742,98 +741,63 @@ def euler_check(cx):
 # -- the level-map lemma suite -----------------------------------------------------
 
 class LevelMaps:
-    """Raw restriction/Gysin maps between total stratum levels, with Cech signs
-    but without the page-position signs, plus a Lefschetz system.
+    """The Lefschetz side of the lemma suite on the level layout of the
+    complex: one context per distinct (ring, class) pair, the block-diagonal
+    `lef_power` and `gram`, and the composites `rho_tau` and `tau_rho` of the
+    complex's level maps.
 
-    `rho`, `tau`, the composites `rho_tau` and `tau_rho`, `lef_power` and
-    `gram` are computed once per argument tuple and returned shared, as `LefschetzContext` results are: callers must not mutate them,
-    and the lemma suite's repeated rank and subspace questions on one map
-    reuse its echelon memo."""
+    These are computed once per argument tuple and returned shared, as
+    `LefschetzContext` results are: callers must not mutate them, and the
+    lemma suite's repeated rank and subspace questions on one map reuse its
+    echelon memo."""
 
     def __init__(self, cx, l_system):
         self.cx = cx
-        self.l_system = l_system
         self.memo = {}
-        self.records = {t: [cx.strata[sid] for sid in cx.levels[t]]
-                        for t in cx.levels}
         self.ctx = {}
-        for t, recs in self.records.items():
-            for s in recs:
-                if s.id not in l_system:
+        contexts = {}
+        for t in cx.levels:
+            for sid in cx.levels[t]:
+                if sid not in l_system:
                     raise ValueError("no Lefschetz class supplied for stratum %s"
-                                     % s.id)
-                self.ctx[s.id] = make_context(s.ring, l_system[s.id])
-
-    def dims(self, t, i):
-        if i % 2 or i < 0:
-            return 0
-        j = i // 2
-        return sum(len(s.ring.basis[j]) for s in self.records.get(t, [])
-                   if j <= s.ring.n)
-
-    def offsets(self, t, i):
-        out = {}
-        off = 0
-        j = i // 2
-        for s in self.records.get(t, []):
-            out[s.id] = off
-            if i % 2 == 0 and 0 <= j <= s.ring.n:
-                off += len(s.ring.basis[j])
-        return out
-
-    def _block_map(self, t, i, t2, i2, blocks):
-        """H^i(X^(t)) -> H^i2(X^(t2)) from (source id, target id, block, sign)."""
-        src, tgt = self.offsets(t, i), self.offsets(t2, i2)
-        return linalg.assemble(self.dims(t2, i2), self.dims(t, i),
-                               [(tgt[tid], src[sid], m, sign)
-                                for sid, tid, m, sign in blocks])
-
-    @_memoized
-    def rho(self, t, i):
-        """H^i(X^(t)) -> H^i(X^(t+1)) with Cech signs."""
-        j = i // 2
-        return self._block_map(t, i, t + 1, i, [
-            (s.id, cid, mats[j], sign) for s in self.records.get(t, [])
-            for cid, sign, mats in self.cx.restriction_blocks(s.id)
-            if j <= self.cx.strata[cid].ring.n])
-
-    @_memoized
-    def tau(self, t, i):
-        """H^i(X^(t)) -> H^(i+2)(X^(t-1)) with Cech signs (t >= 2); the zero
-        map for i < 0."""
-        j = i // 2
-        return self._block_map(t, i, t - 1, i + 2, [
-            (s.id, pid, gys[j], sign) for s in self.records.get(t, [])
-            if 0 <= j <= s.ring.n
-            for pid, sign, gys in self.cx.gysin_blocks(s.id)])
+                                     % sid)
+                ring, cls = cx.strata[sid].ring, l_system[sid]
+                if ring.n and isinstance(cls, dict):
+                    cls = ring.divisor_vector(cls)
+                key = (id(ring), tuple(map(Fraction, cls)) if ring.n else ())
+                if key not in contexts:
+                    contexts[key] = make_context(ring, cls)
+                self.ctx[sid] = contexts[key]
 
     @_memoized
     def rho_tau(self, t, i):
         """rho(t, i) tau(t+1, i-2): H^(i-2)(X^(t+1)) -> H^i(X^(t+1))."""
-        return linalg.matmul(self.rho(t, i), self.tau(t + 1, i - 2))
+        return linalg.matmul(self.cx.rho(t, i), self.cx.tau(t + 1, i - 2))
 
     @_memoized
     def tau_rho(self, t, i):
         """tau(t+1, i) rho(t, i): H^i(X^(t)) -> H^(i+2)(X^(t))."""
-        return linalg.matmul(self.tau(t + 1, i), self.rho(t, i))
+        return linalg.matmul(self.cx.tau(t + 1, i), self.cx.rho(t, i))
 
     @_memoized
     def lef_power(self, t, i, power):
         """Block-diagonal L^power: H^i(X^(t)) -> H^(i+2 power)(X^(t))."""
         j = i // 2
-        return self._block_map(t, i, t, i + 2 * power, [
-            (s.id, s.id, lefschetz_power(self.ctx[s.id], j, power), 1)
-            for s in self.records.get(t, []) if j + power <= s.ring.n])
+        return self.cx.level_map(t, i, t, i + 2 * power, [
+            (sid, sid, lefschetz_power(self.ctx[sid], j, power), 1)
+            for sid in self.cx.levels.get(t, [])
+            if j + power <= self.cx.strata[sid].ring.n])
 
     @_memoized
     def gram(self, t, i):
         """Sum of Lefschetz pairings <a, b> = sigma(L^(dim - i) a cup b)."""
         j = i // 2
         # lefschetz_pairing_gram carries the sign (-1)^j; undo it
-        return self._block_map(t, i, t, i, [
-            (s.id, s.id, lefschetz_pairing_gram(self.ctx[s.id], j),
+        return self.cx.level_map(t, i, t, i, [
+            (sid, sid, lefschetz_pairing_gram(self.ctx[sid], j),
              -1 if j % 2 else 1)
-            for s in self.records.get(t, []) if 2 * j <= s.ring.n])
+            for sid in self.cx.levels.get(t, [])
+            if 2 * j <= self.cx.strata[sid].ring.n])
 
 
 def verify_rz_lemmas(cx, l_system):
@@ -872,21 +836,21 @@ def verify_rz_lemmas(cx, l_system):
     max_i = 2 * n + 2
     # composition identities
     def dims_ok(*pairs):
-        return all(lm.dims(t_, i_) for t_, i_ in pairs)
+        return all(cx.level_dim(t_, i_) for t_, i_ in pairs)
 
     for t in sorted(cx.levels):
         for i in range(0, max_i, 2):
-            if lm.dims(t, i) == 0:
+            if cx.level_dim(t, i) == 0:
                 continue
             if dims_ok((t + 1, i), (t + 2, i)):
                 add("rho_rho_zero[t=%d,i=%d]" % (t, i),
                     linalg.is_zero_matrix(
-                        linalg.matmul(lm.rho(t + 1, i), lm.rho(t, i))))
+                        linalg.matmul(cx.rho(t + 1, i), cx.rho(t, i))))
             if t >= 3 and dims_ok((t - 1, i + 2), (t - 2, i + 4)):
                 add("tau_tau_zero[t=%d,i=%d]" % (t, i),
                     linalg.is_zero_matrix(
-                        linalg.matmul(lm.tau(t - 1, i + 2), lm.tau(t, i))))
-            if t >= 2 and lm.dims(t, i + 2):
+                        linalg.matmul(cx.tau(t - 1, i + 2), cx.tau(t, i))))
+            if t >= 2 and cx.level_dim(t, i + 2):
                 # tau rho + rho tau = 0 between interior levels
                 add("anticommute[t=%d,i=%d]" % (t, i),
                     linalg.is_zero_matrix(linalg.add(
@@ -895,7 +859,7 @@ def verify_rz_lemmas(cx, l_system):
             if dims_ok((t + 1, i), (t, i + 2), (t + 1, i + 2)):
                 add("rho_tau_rho_zero[t=%d,i=%d]" % (t, i),
                     linalg.is_zero_matrix(
-                        linalg.matmul(lm.rho(t, i + 2), lm.tau_rho(t, i))))
+                        linalg.matmul(cx.rho(t, i + 2), lm.tau_rho(t, i))))
 
     for t in sorted(cx.levels):
         if t + 1 not in cx.levels:
@@ -903,8 +867,8 @@ def verify_rz_lemmas(cx, l_system):
         dim_hi = n - t          # dim X^(t+1)
         dim_lo = n - t + 1      # dim X^(t)
         degrees = range(0, 2 * dim_hi + 1, 2)
-        im_rho = {i: linalg.column_space(lm.rho(t, i)) for i in degrees}
-        im_tau = {i: linalg.column_space(lm.tau(t + 1, i)) for i in degrees}
+        im_rho = {i: linalg.column_space(cx.rho(t, i)) for i in degrees}
+        im_tau = {i: linalg.column_space(cx.tau(t + 1, i)) for i in degrees}
         im0_rho = _im0(lm, im_rho, t + 1, 0)
         im0_tau = _im0(lm, im_tau, t, 2)
 
@@ -959,7 +923,7 @@ def verify_rz_lemmas(cx, l_system):
                     linalg.rank(sub) == d_im0_tau)
             # isomorphism Im0 rho -> Im1 tau and the orthogonal splitting
             if d_im0_rho or d_im1_tau:
-                img = linalg.matmul(lm.tau(t + 1, i), im0_rho[i])
+                img = linalg.matmul(cx.tau(t + 1, i), im0_rho[i])
                 got = linalg.rank(linalg.stack_columns(im0_tau[i], img)) \
                     - d_im0_tau
                 add("isomorphism_im0_to_im1[t=%d,i=%d]" % (t, i),
@@ -984,10 +948,11 @@ def _ker_cap_im(lm, t, i):
     and Ker rho(t, i+2) n Im tau(t+1, i) = Im(tau(t+1, i) rho(t, i)), by the
     rank identities of `verify_rz_lemmas`."""
     rank, zero, matmul = linalg.rank, linalg.is_zero_matrix, linalg.matmul
-    rho, tau = lm.rho(t, i), lm.tau(t + 1, i)
+    cx = lm.cx
+    rho, tau = cx.rho(t, i), cx.tau(t + 1, i)
     rt, tr = lm.rho_tau(t, i), lm.tau_rho(t, i)
     return (zero(matmul(tau, rt)) and rank(rt) == rank(rho) - rank(tr),
-            zero(matmul(lm.rho(t, i + 2), tr))
+            zero(matmul(cx.rho(t, i + 2), tr))
             and rank(tr) == rank(tau) - rank(lm.rho_tau(t, i + 2)))
 
 

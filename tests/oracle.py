@@ -393,11 +393,12 @@ def ker_cap_im_by_intersection(lm, t, i):
     """Ker tau(t+1, i) n Im rho(t, i) == Im(rho(t, i) tau(t+1, i-2)) and
     Ker rho(t, i+2) n Im tau(t+1, i) == Im(tau(t+1, i) rho(t, i)), each side
     a subspace basis."""
-    rho, tau = lm.rho(t, i), lm.tau(t + 1, i)
+    cx = lm.cx
+    rho, tau = cx.rho(t, i), cx.tau(t + 1, i)
     lhs = linalg.subspace_intersection(linalg.kernel_basis(tau),
                                        linalg.column_space(rho))
-    rhs = linalg.column_space(linalg.matmul(rho, lm.tau(t + 1, i - 2)))
-    lhs2 = linalg.subspace_intersection(linalg.kernel_basis(lm.rho(t, i + 2)),
+    rhs = linalg.column_space(linalg.matmul(rho, cx.tau(t + 1, i - 2)))
+    lhs2 = linalg.subspace_intersection(linalg.kernel_basis(cx.rho(t, i + 2)),
                                         linalg.column_space(tau))
     rhs2 = linalg.column_space(linalg.matmul(tau, rho))
     return linalg.subspace_equal(lhs, rhs), linalg.subspace_equal(lhs2, rhs2)
@@ -407,14 +408,14 @@ def level_primitive(lm, t, i):
     """Columns spanning the primitive part of H^i(X^(t)): the primitive
     kernels of the level-t strata, block by block."""
     j = i // 2
-    rows = lm.offsets(t, i)
+    rows, nrows = lm.cx.level_layout(t, i)
     blocks, width = [], 0
-    for s in lm.records.get(t, []):
-        if 2 * j <= s.ring.n:
-            block = primitive_decomposition(lm.ctx[s.id]).primitive[j]
-            blocks.append((rows[s.id], width, block, 1))
+    for sid in lm.cx.levels.get(t, []):
+        if 2 * j <= lm.cx.strata[sid].ring.n:
+            block = primitive_decomposition(lm.ctx[sid]).primitive[j]
+            blocks.append((rows[sid], width, block, 1))
             width += block.ncols
-    return linalg.assemble(lm.dims(t, i), width, blocks)
+    return linalg.assemble(nrows, width, blocks)
 
 
 def im0_by_intersection(lm, images, t, shift):

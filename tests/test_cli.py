@@ -14,7 +14,8 @@ from purity.cli import _BATCH, _write_json, main
 from purity.cohomology import PairingRows, blowup, build_ring
 from purity.fixtures import drinfeld_local, make_fixture
 from purity.linalg import Matrix
-from purity.weightss import complex_to_json
+from purity.weightss import (ComplexValidationError, complex_to_json,
+                             load_complex)
 
 
 def run(capsys, *argv):
@@ -211,14 +212,18 @@ def test_zero_denominator_divisor_is_invalid_input(capsys):
     assert "zero denominator" in err
 
 
-def _one_line_complex(tmp_path, q=2, variety=None):
-    """A one-component complex on P^1 written as JSON, with q and the
-    component's variety replaceable."""
-    data = {"schema_version": 1, "q": q, "name": "line", "strata": [
+def _one_line_data(q=2, variety=None):
+    """A one-component complex on P^1, with q and the component's variety
+    replaceable."""
+    return {"schema_version": 1, "q": q, "name": "line", "strata": [
         {"id": "c0", "subset": [0], "parents": {},
          "variety": variety or {"kind": "projective", "n": 1}}]}
+
+
+def _one_line_complex(tmp_path, q=2, variety=None):
+    """`_one_line_data` written as JSON; its path."""
     path = tmp_path / "cx.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(_one_line_data(q, variety)))
     return str(path)
 
 
@@ -262,12 +267,37 @@ def test_json_complex_field_size_has_no_upper_bound(tmp_path, capsys, q):
      "surface labels must be distinct"),
     ({"kind": "surface", "labels": ["a"], "intersection": [[True]]},
      "matrix entries must be integers or 'p/q' strings"),
+    # Fraction reads exponents, and computing 10^999999999 would not end
+    ({"kind": "surface", "labels": ["a"], "intersection": [["1e-999999999"]]},
+     "matrix entries must be integers or 'p/q' strings"),
+    ({"kind": "surface", "labels": ["a"], "intersection": [["1e999999"]]},
+     "matrix entries must be integers or 'p/q' strings"),
+    ({"kind": "surface", "labels": ["a"], "intersection": [["0.5"]]},
+     "matrix entries must be integers or 'p/q' strings"),
+    ({"kind": "surface", "labels": ["a"], "intersection": [[" 1"]]},
+     "matrix entries must be integers or 'p/q' strings"),
+    ({"kind": "surface", "labels": "ab", "intersection": [[1, 0], [0, -1]]},
+     "surface 'labels' must be a JSON array"),
 ])
 def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
     code, out, err = run(capsys, "--timeout", "30", "wss", "--input",
                          _one_line_complex(tmp_path, variety=variety))
     assert (code, out) == (2, "")
     assert msg in err
+
+
+@settings(max_examples=200, deadline=2000)
+@given(st.text(alphabet="0123456789/eE.+-_ ", max_size=12),
+       st.integers(0, 1), st.integers(0, 1))
+def test_any_matrix_entry_string_loads_or_is_refused_quickly(entry, row, col):
+    intersection = [[1, 0], [0, -1]]
+    intersection[row][col] = entry
+    data = _one_line_data(variety={"kind": "surface", "labels": ["a", "b"],
+                                   "intersection": intersection})
+    try:
+        load_complex(data)
+    except ComplexValidationError:
+        pass
 
 
 def _meeting_point(restriction):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from purity import linalg, zeta
+from purity import linalg, weightss, zeta
 from purity.cohomology import blowup, build_ring, proj, restrict_to_divisor
 from purity.fields import field_spec
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
@@ -263,10 +263,10 @@ def test_assembled_maps_are_exact(drinfeld22):
     lm = LevelMaps(cx, ls)
     for t in sorted(cx.levels):
         for i in range(0, 2 * cx.n + 1, 2):
-            mats += [lm.rho(t, i), lm.gram(t, i), level_primitive(lm, t, i)]
+            mats += [cx.rho(t, i), lm.gram(t, i), level_primitive(lm, t, i)]
             mats += [lm.lef_power(t, i, p) for p in range(cx.n + 1)]
             if t >= 2:
-                mats.append(lm.tau(t, i))
+                mats.append(cx.tau(t, i))
     assert all(type(m) is linalg.Matrix for m in mats)
     assert all(type(x) is int for m in mats for row in m.rows for x in row)
 
@@ -460,25 +460,20 @@ def test_lemma_rows_match_the_subspace_route(tate32, quadric, drinfeld22):
         assert _verdicts(rows) == _verdicts(want)
 
 
-def _perturbed_level_maps(t, i, row, col):
-    """LevelMaps with entry (row, col) of rho(t, i) raised by one."""
-    class Perturbed(LevelMaps):
-        def __init__(self, cx, l_system):
-            super().__init__(cx, l_system)
-            m = self.rho(t, i)
-            rows = [list(r) for r in m.rows]
-            rows[row][col] += m.den
-            self.memo[("rho", t, i)] = linalg.Matrix(rows, m.den, m.ncols)
-    return Perturbed
+def _perturb_rho(cx, t, i, row, col):
+    """Raise entry (row, col) of the complex's rho(t, i) by one."""
+    m = cx.rho(t, i)
+    rows = [list(r) for r in m.rows]
+    rows[row][col] += m.den
+    cx.memo[("rho", t, i)] = linalg.Matrix(rows, m.den, m.ncols)
 
 
 @pytest.mark.parametrize("t,i,row,col", [(1, 0, 0, 0), (1, 2, 0, 0),
                                          (2, 0, 5, 1)])
-def test_perturbed_rho_fails_the_same_rows_on_both_routes(
-        monkeypatch, drinfeld22, t, i, row, col):
-    cx, ls = drinfeld22
-    monkeypatch.setattr("purity.weightss.LevelMaps",
-                        _perturbed_level_maps(t, i, row, col))
+def test_perturbed_rho_fails_the_same_rows_on_both_routes(t, i, row, col):
+    # a fresh complex: the perturbed map stays on it
+    cx, ls = drinfeld_local(2, 2)
+    _perturb_rho(cx, t, i, row, col)
     ok, rows = verify_rz_lemmas(cx, ls)
     want_ok, want = verify_rz_lemmas_by_subspaces(cx, ls)
     assert not ok and not want_ok
@@ -498,3 +493,94 @@ def test_lemma_suite_takes_no_subspace_intersection(monkeypatch):
     monkeypatch.setattr(linalg, "subspace_intersection", counted)
     ok, _ = verify_rz_lemmas(cx, ls)
     assert ok and calls == []
+
+
+# -- one layout for d1, N and the lemma suite --------------------------------------
+
+def test_d1_is_made_of_signed_level_maps(oracle_complexes):
+    # part k of E1[i, j] goes to part k+1 of E1[i+1, j] by (-1)^(k-i)
+    # rho(t, s) and to part k by (-1)^k tau(t, s); every other block is zero
+    for cx in oracle_complexes:
+        table = weight_table(cx)
+        for (i, j) in table.slots():
+            d = table.d1(i, j)
+            src, _ = table.parts(i, j)
+            tgt, _ = table.parts(i + 1, j)
+            for k, (t, s, col) in src.items():
+                cols = range(col, col + cx.level_dim(t, s))
+                for k2, (t2, s2, row) in tgt.items():
+                    rows = range(row, row + cx.level_dim(t2, s2))
+                    if k2 == k + 1:
+                        want = linalg.scale(cx.rho(t, s), (-1) ** (k - i))
+                    elif k2 == k:
+                        want = linalg.scale(cx.tau(t, s), (-1) ** k)
+                    else:
+                        want = linalg.zeros(len(rows), len(cols))
+                    assert linalg.submatrix(d, rows, cols) == want, \
+                        (cx.name, i, j, k, k2)
+
+
+def _span(cx, t, i, sid):
+    """The rows or columns of stratum sid in H^i(X^(t))."""
+    offsets, _ = cx.level_layout(t, i)
+    ring = cx.strata[sid].ring
+    return range(offsets[sid], offsets[sid] + len(ring.basis[i // 2])
+                 if i // 2 <= ring.n else offsets[sid])
+
+
+def test_level_maps_carry_the_cech_signs(oracle_complexes):
+    # the block of rho(t, i) from a parent to a child that drops index m is
+    # (-1)^(position of m in the child's subset) times the restriction, and
+    # that of tau(t+1, i) from the child to the parent the same sign times
+    # the Gysin map
+    for cx in oracle_complexes:
+        for t in sorted(cx.levels):
+            for i in range(0, 2 * cx.n + 1, 2):
+                for cid in cx.levels.get(t + 1, []):
+                    child = cx.strata[cid]
+                    for m, (pid, mats) in child.parents.items():
+                        sign = (-1) ** sorted(child.subset).index(m)
+                        rows, cols = _span(cx, t + 1, i, cid), _span(cx, t, i, pid)
+                        if rows and cols:
+                            assert linalg.submatrix(cx.rho(t, i), rows, cols) \
+                                == linalg.scale(mats[i // 2], sign)
+                        rows, cols = _span(cx, t, i + 2, pid), \
+                            _span(cx, t + 1, i, cid)
+                        if rows and cols:
+                            assert linalg.submatrix(cx.tau(t + 1, i), rows,
+                                                    cols) \
+                                == linalg.scale(cx.gysin(cid, m)[i // 2], sign)
+
+
+def test_lemma_suite_reads_the_level_maps_of_d1():
+    cx, ls = drinfeld_local(2, 2)     # fresh: no memo from other tests
+    weight_table(cx)
+    built = {key: m for key, m in cx.memo.items() if key[0] in ("rho", "tau")}
+    assert built
+    ok, _ = verify_rz_lemmas(cx, ls)
+    assert ok
+    assert all(cx.memo[key] is m for key, m in built.items())
+    # the suite adds only the tau out of degree -2 (the rho tau' of its
+    # kernel-image rows at i = 0), a map from the zero space
+    added = {key: cx.memo[key] for key in cx.memo
+             if key[0] in ("rho", "tau") and key not in built}
+    assert all(key[2] < 0 and m.ncols == 0 for key, m in added.items())
+
+
+def test_one_lefschetz_context_per_ring_and_class(monkeypatch):
+    cx, ls = drinfeld_local(2, 3)
+    rings = []
+    real = weightss.make_context
+    monkeypatch.setattr(weightss, "make_context",
+                        lambda ring, cls: rings.append(ring) or real(ring, cls))
+    ok, _ = verify_rz_lemmas(cx, ls)
+    assert ok
+    assert len(cx.strata) == 94 and len(rings) == 3   # 3 distinct pairs
+
+
+def test_hard_lefschetz_failure_names_the_stratum():
+    # c0 and c1 share their ring; only c1's class fails hard Lefschetz
+    cx, ls = tate_cycle(3, 2)
+    with pytest.raises(ValueError,
+                       match="hard Lefschetz fails on stratum c1;"):
+        verify_rz_lemmas(cx, dict(ls, c1=[Fraction(0)]))

@@ -523,6 +523,7 @@ class GradedRing:
         self.index = [{m: i for i, m in enumerate(bs)} for bs in basis]
         self._coords_memo = {}
         self._pairing_inv_t = [None] * (self.n + 1)
+        self._basis_keys = [None] * (self.n + 1)
         self.factors = None
 
     def dims(self):
@@ -588,6 +589,12 @@ class GradedRing:
             return _support_keys(self.spec, mono)
         return 0, -1, 0
 
+    def basis_keys(self, j):
+        """`support_keys` of each monomial of basis[j], computed once."""
+        if self._basis_keys[j] is None:
+            self._basis_keys[j] = [self.support_keys(x) for x in self.basis[j]]
+        return self._basis_keys[j]
+
     def cup_matrix(self, j, v, k):
         """The `linalg.Matrix` of x -> v.x from N^k to N^(j+k), for v in N^j
         in basis coordinates (0 x dim N^k past the top degree).
@@ -624,12 +631,10 @@ class GradedRing:
                     spec, monomial(a + b + d))
             return value
 
-        keys = {i: [self.support_keys(x) for x in self.basis[i]]
-                for i in {j, k, n - m}}
         den = lcm(1, *(c.denominator for c in v))
         terms = [(a, centers, code, c.numerator * (den // c.denominator))
                  for a, (centers, _, code), c
-                 in zip(self.basis[j], keys[j], v) if c]
+                 in zip(self.basis[j], self.basis_keys(j), v) if c]
 
         def meets(comparable):
             """Some term of v times a monomial with this mask is a chain."""
@@ -638,10 +643,11 @@ class GradedRing:
 
         width = len(self.basis[k])
         cols = [(col, b, key) for col, (b, key)
-                in enumerate(zip(self.basis[k], keys[k])) if meets(key[1])]
+                in enumerate(zip(self.basis[k], self.basis_keys(k)))
+                if meets(key[1])]
         rows = []
         for d, (_, d_comparable, d_code) in zip(self.basis[n - m],
-                                                keys[n - m]):
+                                                self.basis_keys(n - m)):
             row = [0] * width
             rows.append(row)
             if not meets(d_comparable):

@@ -147,12 +147,6 @@ def _singer_labelling(n, field):
     q = field.q
     size = (q ** (n + 1) - 1) // (q - 1)
 
-    def mat_mul(a, b):
-        return tuple(tuple(
-            _dot(fq, [a[i][k] for k in range(n + 1)],
-                 [b[k][j] for k in range(n + 1)])
-            for j in range(n + 1)) for i in range(n + 1))
-
     def act_on(sub, c):
         rows = [[_dot(fq, row, [c[k][j] for k in range(n + 1)])
                  for j in range(n + 1)] for row in sub.basis]

@@ -314,13 +314,18 @@ def omega_class(spec, q=None):
     """omega as a normalized generator dict on B^n (n >= 1).
 
     For n <= 1 the blow-up is projective space itself and omega degenerates
-    to (q-1) h; q must then be passed explicitly.
+    to (q-1) h; q must then be passed explicitly.  P^n with n >= 2 is no B^n,
+    and has no omega.
     """
     if isinstance(spec, Projective):
         if spec.n == 0:
             return {}
-        scale = Fraction((q or 2) - 1)
-        return {GEN_H: scale}
+        if spec.n > 1:
+            raise LefschetzError("omega is defined on B^n; P^%d is not a "
+                                 "blow-up B^%d" % (spec.n, spec.n))
+        if q is None:
+            raise LefschetzError("omega on P^1 = B^1 needs q")
+        return {GEN_H: Fraction(q - 1)}
     form = omega_form(spec.n, spec.field.q)
     return form.as_divisor(spec)
 

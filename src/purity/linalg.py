@@ -22,9 +22,11 @@ rows.  Everything is exact; no floating point is used anywhere.  `rank` and
 rows held as {column: value}, which visits only nonzero entries and divides
 each kept row by its content once: `rank` counts the kept rows
 (`_row_rank`), and `rref` finishes them by back substitution (`_echelon`).
-Inertia and definiteness are one fraction-free symmetric elimination
-(Bareiss pivots on the diagonal, 2 x 2 hyperbolic blocks where the diagonal
-is zero).
+Inertia and definiteness are one sweep (`_pivot_signs`) over the same sparse
+rows with the same `_clear` step: a least-degree nonzero diagonal pivot, or a
+2 x 2 hyperbolic block where the diagonal is zero.  Rows are only ever scaled
+by positive factors, so each pivot has the sign of the true one, and by
+Sylvester's law of inertia the pivot order is free.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ def _forward(rows):
     """
     kept = []
     for row in rows:
-        work = dict(zip(compress(count(), row), filter(None, row)))
+        work = _sparse(row)
         for c, nz in kept:
             if c in work:
                 work = _clear(work, c, nz)
@@ -279,13 +281,20 @@ def _forward(rows):
                     break
         if work:
             c = min(work)
-            g = gcd(*work.values())
-            if work[c] < 0:
-                g = -g
-            if g != 1:
-                work = {j: x // g for j, x in work.items()}
-            kept.append((c, work))
+            kept.append((c, _primitive(work, work[c] < 0)))
     return kept
+
+
+def _sparse(row):
+    """A dense integer row as {column: value} over its nonzero entries."""
+    return dict(zip(compress(count(), row), filter(None, row)))
+
+
+def _primitive(row, negate=False):
+    """A {column: value} row divided by the gcd of its entries, and negated
+    too when `negate`."""
+    g = -gcd(*row.values()) if negate else gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
 def _clear(work, c, nz):
@@ -337,10 +346,7 @@ def _echelon(m):
     for c, row in sorted(_forward(m.rows), reverse=True):
         for c2 in [j for j in row if j in done]:
             row = _clear(row, c2, done[c2])
-        g = gcd(*row.values())
-        if g != 1:
-            row = {j: x // g for j, x in row.items()}
-        done[c] = row
+        done[c] = _primitive(row)
     # each row / its pivot is canonical, and so is the whole over the lcm of
     # the pivots
     pivots = sorted(done)
@@ -428,64 +434,55 @@ def _check_symmetric(g):
 
 
 def _pivot_signs(g):
-    """The signs of the pivots of an LDL^T congruence of g, one per row: +1
-    or -1 for each nonsingular pivot, then 0 for each row of the radical.
+    """The signs of the pivots of a symmetric elimination of g, one per row:
+    +1 or -1 for each nonsingular pivot, +1 and -1 for each 2 x 2 hyperbolic
+    block, 0 for each row left in the radical.
 
-    One fraction-free symmetric elimination on the lower triangle of g's
-    integer rows (its positive denominator changes no sign).  Any nonzero
-    diagonal entry serves as pivot and is eliminated by Bareiss's exact
-    division, a_uv <- (p a_uv - a_up a_pv) / prev, so the remaining block is
-    D_k times the Schur complement, D_k being the k-th pivot p (a principal
-    minor), and the LDL^T pivot D_k / D_(k-1) has the sign
-    sign(D_k) sign(D_(k-1)).  When every remaining diagonal entry is zero, a
-    nonzero a_ij gives the hyperbolic block [[0, b], [b, 0]], one +1 and one
-    -1; the rest becomes b prev times its Schur complement, which is made a
-    positive multiple and divided by its content, and the Bareiss division
-    starts again from 1.
+    A sweep over g's integer rows held as {column: value} (g's positive
+    denominator changes no sign).  Each step pivots on the diagonal of the
+    remaining row with the fewest nonzeros (ties by index) whose diagonal is
+    nonzero, yields its sign and negates the pivot row if needed so that the
+    pivot is positive; `_clear` then removes the pivot column from each row
+    the pivot row meets, and each such row is divided by its content.  So a
+    row is only ever scaled by positive factors: every remaining row is a
+    positive multiple of the same row of the Schur complement, the nonzero
+    pattern stays symmetric, and each stored diagonal has the sign of the
+    true one.  When no nonzero diagonal is left, a nonzero a_ij (i the least
+    nonzero row, j its first column) is a block [[0, b], [b, 0]], one +1 and
+    one -1: rows i and j are made positive at (i, j) and (j, i), column i is
+    cleared by row j and then column j by row i, which leaves b^2 times the
+    Schur complement of the block, again up to positive factors.  A zero
+    rest yields 0s.  By Sylvester's law of inertia, with Haynsworth's
+    additivity In(g) = In(pivot block) + In(Schur complement), the counts do
+    not depend on the pivot order.
     """
     _check_symmetric(g)
-    a = [list(row[:k + 1]) for k, row in enumerate(g.rows)]
-    prev = 1
-    while a:
-        t = next((k for k, row in enumerate(a) if row[k]), None)
+    rows = dict(enumerate(map(_sparse, g.rows)))
+
+    def least(keys):
+        return min(keys, default=None, key=lambda k: (len(rows[k]), k))
+
+    while rows:
+        t = least(k for k, row in rows.items() if k in row)
         if t is not None:
-            col = _column(a, t)
-            p = col.pop(t)
-            del a[t]
-            yield 1 if (p > 0) == (prev > 0) else -1
-            for u, row in enumerate(a):
-                if u >= t:
-                    del row[t]
-                f = col[u]
-                if f:
-                    row[:] = [(p * x - f * y) // prev for x, y in zip(row, col)]
-                elif p != prev:
-                    row[:] = [p * x // prev for x in row]
-            prev = p
+            p = rows.pop(t)
+            yield 1 if p[t] > 0 else -1
+            p = _primitive(p, p[t] < 0)
+            for u in p.keys() - {t}:
+                rows[u] = _primitive(_clear(rows[u], t, p))
             continue
-        pair = next(((i, j) for j, row in enumerate(a)
-                     for i in range(j) if row[i]), None)
-        if pair is None:
-            yield from [0] * len(a)
+        i = least(k for k, row in rows.items() if row)
+        if i is None:
+            yield from [0] * len(rows)
             return
         yield 1
         yield -1
-        i, j = pair
-        b, ci, cj = a[j][i], _column(a, i), _column(a, j)
-        if (b > 0) != (prev > 0):
-            b, ci = -b, [-x for x in ci]
-        keep = [u for u in range(len(a)) if u != i and u != j]
-        a = [[b * a[u][v] - ci[u] * cj[v] - cj[u] * ci[v] for v in keep[:k + 1]]
-             for k, u in enumerate(keep)]
-        c = gcd(*chain.from_iterable(a))
-        if c > 1:
-            a = [[x // c for x in row] for row in a]
-        prev = 1
-
-
-def _column(tri, t):
-    """Column t of the symmetric matrix whose lower triangle is `tri`."""
-    return tri[t] + [row[t] for row in tri[t + 1:]]
+        j = min(rows[i])
+        ri, rj = rows.pop(i), rows.pop(j)
+        ri, rj = _primitive(ri, ri[j] < 0), _primitive(rj, rj[i] < 0)
+        for c, nz, meets in ((i, rj, ri), (j, ri, rj)):
+            for u in meets.keys() - {i, j}:
+                rows[u] = _primitive(_clear(rows[u], c, nz))
 
 
 def symmetric_signature(g):

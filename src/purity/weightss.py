@@ -333,17 +333,18 @@ def _variety_from_json(node):
                 raise ComplexValidationError("nested product factors unsupported")
         return build_ring(cohomology.product(*factors))
     if kind == "surface":
-        if not isinstance(node["labels"], list):
+        labels = node["labels"]
+        if not (isinstance(labels, list)
+                and all(isinstance(x, str) for x in labels)):
             raise ComplexValidationError("surface 'labels' must be a JSON "
-                                         "array, got %r" % (node["labels"],))
-        return explicit_surface_ring(node["labels"], _matrix(node["intersection"]))
+                                         "array of strings, got %r" % (labels,))
+        return explicit_surface_ring(labels, _matrix(node["intersection"]))
     raise ComplexValidationError("unknown variety kind %r" % kind)
 
 
 def explicit_surface_ring(labels, intersection):
-    """Ring of a smooth projective surface given by its N^1 intersection
-    matrix (a `linalg.Matrix`)."""
-    labels = [str(x) for x in labels]
+    """Ring of a smooth projective surface given by the labels (distinct
+    strings) of an N^1 basis and its intersection matrix (a `linalg.Matrix`)."""
     r = len(labels)
     if r == 0:
         raise ComplexValidationError("a surface needs at least one label")

@@ -278,6 +278,12 @@ def test_json_complex_field_size_has_no_upper_bound(tmp_path, capsys, q):
      "matrix entries must be integers or 'p/q' strings"),
     ({"kind": "surface", "labels": "ab", "intersection": [[1, 0], [0, -1]]},
      "surface 'labels' must be a JSON array"),
+    ({"kind": "surface", "labels": [{"x": 1}], "intersection": [[1]]},
+     "surface 'labels' must be a JSON array of strings"),
+    ({"kind": "surface", "labels": [True], "intersection": [[1]]},
+     "surface 'labels' must be a JSON array of strings"),
+    ({"kind": "surface", "labels": [1], "intersection": [[1]]},
+     "surface 'labels' must be a JSON array of strings"),
 ])
 def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
     code, out, err = run(capsys, "--timeout", "30", "wss", "--input",
@@ -436,6 +442,9 @@ GOLDEN = [
     pytest.param(("hodge", "--n", "3", "--q", "3", "--divisor", "omega"), 0,
                  "3f2d2e4e84ce3b4ed005043152e3af90fe63485e21351105ddeccf4dd2688775",
                  id="hodge-b3f3-omega"),
+    pytest.param(("hodge", "--n", "3", "--q", "4", "--divisor", "omega"), 0,
+                 "3a61f0367b319d328058376bf1773df2196d0d470d5ad1dfe2c03b8f4a9a311d",
+                 id="hodge-b3f4-omega"),
     pytest.param(("ring", "--n", "2", "--q", "2", "--products"), 0,
                  "9794f45458eb7a316d0f0d91312a00d6e682785d1b9e08ca344472ecb1242ec5",
                  id="ring-b2f2-products"),

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -279,6 +280,28 @@ def test_cup_matrix_matches_the_monomial_route(name):
             for v in (unit, sparse):
                 assert ring.cup_matrix(j, v, k) == cup_matrix(ring, j, v, k), \
                     (j, k, v)
+
+
+def test_cup_matrix_reads_the_basis_keys_once(monkeypatch):
+    # a fresh ring on the cached B^3/F_2 bases, so no key is known yet
+    built = build_ring(blowup(3, 2))
+    ring = cohomology.GradedRing(built.spec, built.basis, built.pairing)
+    seen = collections.Counter()
+    support_keys = cohomology._support_keys
+
+    def counted(spec, mono):
+        seen[mono] += 1
+        return support_keys(spec, mono)
+
+    monkeypatch.setattr(cohomology, "_support_keys", counted)
+    v = ring.zero(1)
+    v[0], v[-1] = Fraction(1), Fraction(-2)
+    first = ring.cup_matrix(1, v, 1)
+    assert ring.cup_matrix(1, v, 1) == first
+    # below the top degree; top products are evaluated by intersection_number
+    below = list(itertools.chain(*ring.basis[:ring.n]))
+    assert 0 < sum(seen[m] for m in below) <= len(below)
+    assert max(seen[m] for m in below) == 1
 
 
 def test_resource_guard():

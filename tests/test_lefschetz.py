@@ -11,7 +11,7 @@ from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard,
                               invariant_form, is_positive, lefschetz_pairing_gram,
                               lefschetz_power, make_context, margins,
-                              normalize_invariant,
+                              normalize_invariant, omega_class,
                               omega_form, omega_vector, primitive_decomposition,
                               product_lefschetz_vector)
 from oracle import (hodge_by_primitive_grams, hodge_sweep, multiply, pair,
@@ -118,6 +118,19 @@ def test_invariant_form_rejects_non_invariant():
     P = geom.subvarieties(0)[0]
     with pytest.raises(LefschetzError):
         invariant_form(ring.spec, {gen_e(P): Fraction(1)})
+
+
+def test_omega_on_p1_needs_q():
+    with pytest.raises(LefschetzError, match="needs q"):
+        omega_class(proj(1))
+    assert omega_class(proj(1), 3) == {GEN_H: Fraction(2)}
+    assert omega_class(proj(0)) == {}
+
+
+def test_omega_is_refused_on_projective_space_of_dimension_two_or_more():
+    for n in (2, 3):
+        with pytest.raises(LefschetzError, match="not a blow-up"):
+            omega_class(proj(n), 2)
 
 
 def test_positivity_criterion():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purity import linalg
+from purity.cohomology import blowup, build_ring
+from purity.lefschetz import (lefschetz_pairing_gram, make_context,
+                              omega_vector)
 from purity.linalg import (LinAlgError, Matrix, identity, inverse,
                            is_positive_definite, kernel_basis, mat, matmul,
                            rank, symmetric_signature)
@@ -539,6 +543,45 @@ def test_integer_inertia_matches_fraction_reference(m):
     minors = [_ref_det([row[:k] for row in ref[:k]])
               for k in range(1, len(ref) + 1)]
     assert is_positive_definite(g) == all(d > 0 for d in minors)
+
+
+@pytest.mark.parametrize("rows,inertia", [
+    # the diagonal is all zero only after the first pivot: the rest is the
+    # hyperbolic block [[0, 1], [1, 0]]
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], (2, 1, 0)),
+    # the Schur complement of the first pivot is [[0, 0], [0, 1]]
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 2]], (2, 0, 1)),
+    # the Schur complement of the first hyperbolic block is zero
+    ([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], (1, 1, 2)),
+    # a hyperbolic block whose Schur complement is another one
+    ([[0, -2, 0, 1], [-2, 0, 3, 0], [0, 3, 0, 0], [1, 0, 0, 0]], (2, 2, 0)),
+    # a negative hyperbolic entry, then a negative pivot and a zero row
+    ([[0, -2, 1, 0], [-2, 0, -1, 0], [1, -1, 0, 0], [0, 0, 0, 0]], (1, 2, 1)),
+    # a negative hyperbolic entry a_10 with a row (2) that meets one side of
+    # the block only; the rest [[0, -1], [-1, -8]] has a negative pivot
+    ([[0, -1, -1, -2], [-1, 0, 0, 2], [-1, 0, 0, 1], [-2, 2, 1, 0]],
+     (2, 2, 0)),
+])
+def test_inertia_after_fill_and_singular_schur_complements(rows, inertia):
+    s = symmetric_signature(mat(rows))
+    assert (s.n_plus, s.n_minus, s.n_zero) == inertia
+    assert inertia == _ref_inertia([[Fraction(x) for x in r] for r in rows])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_omega_gram_inertia_survives_symmetric_permutations(q):
+    # Q_0 and Q_1 of omega on B^3/F_q in seeded orders P G P^T; by
+    # Hodge-Riemann Q_0 is positive and Q_1 has one negative direction, L P_0
+    ring = build_ring(blowup(3, q))
+    ctx = make_context(ring, omega_vector(ring, q))
+    rng = random.Random(q)
+    for j, inertia in ((0, (1, 0, 0)), (1, (len(ring.basis[1]) - 1, 1, 0))):
+        g = lefschetz_pairing_gram(ctx, j)
+        for _ in range(3):
+            perm = rng.sample(range(g.nrows), g.nrows)
+            s = symmetric_signature(Matrix(
+                [[g.rows[u][v] for v in perm] for u in perm], g.den, g.ncols))
+            assert (s.n_plus, s.n_minus, s.n_zero) == inertia, (j, perm)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

@@ -100,12 +100,8 @@ def _parse_divisor(spec_str, n, q, ring):
     """'omega' or comma-separated alpha,a_0..a_(n-1) level coefficients."""
     from . import lefschetz
     if spec_str == "omega":
-        form = lefschetz.omega_form(n, q) if n >= 2 else None
-        if n >= 2:
-            vec = ring.divisor_vector(form.as_divisor(ring.spec))
-        else:
-            vec = lefschetz.omega_vector(ring, q)
-        return vec, form
+        return (lefschetz.omega_vector(ring, q),
+                lefschetz.omega_form(n, q) if n >= 2 else None)
     try:
         parts = [Fraction(p) for p in spec_str.split(",")]
     except ZeroDivisionError:
@@ -117,13 +113,9 @@ def _parse_divisor(spec_str, n, q, ring):
         raise ValueError("divisor needs alpha and %d or %d level coefficients"
                          % (n - 1, n))
     form = lefschetz.normalize_invariant(n, q, parts[0], parts[1:])
-    if n >= 2:
-        vec = ring.divisor_vector(form.as_divisor(ring.spec))
-    else:
-        v = ring.zero(1)
-        v[0] = form.alpha
-        vec = v
-    return vec, form
+    if n < 2:
+        return [form.alpha], form
+    return ring.divisor_vector(form.as_divisor(ring.spec)), form
 
 
 def cmd_ring(args):

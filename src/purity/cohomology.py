@@ -843,25 +843,12 @@ def _build_product(spec):
             for combo in itertools.product(*[r.basis[a] for r, a in zip(rings, split)]):
                 bs.append(tuple(combo))
         basis.append(bs)
-    pairing = []
-    for j in range(n + 1):
-        rows = basis[j]
-        cols = basis[n - j]
-        m = []
-        for r in rows:
-            row = []
-            for c in cols:
-                val = Fraction(1)
-                for ring, a, b in zip(rings, r, c):
-                    da = len(a)
-                    if da + len(b) != ring.n:
-                        val = Fraction(0)
-                        break
-                    val *= ring.pairing[da].entry(ring.index[da][a],
-                                                  ring.index[ring.n - da][b])
-                row.append(val)
-            m.append(row)
-        pairing.append(linalg.mat(m))
+    # the pairing is read from `intersection_number`, which evaluates a
+    # product monomial factor by factor
+    pairing = [linalg.Matrix([[intersection_number(
+        spec, tuple(monomial(x + y) for x, y in zip(r, c)))
+        for c in basis[n - j]] for r in basis[j]], 1, len(basis[n - j]))
+        for j in range(n + 1)]
     ring = GradedRing(spec, basis, pairing)
     ring.factors = rings
     return ring

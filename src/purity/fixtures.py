@@ -148,8 +148,7 @@ def _singer_labelling(n, field):
     size = (q ** (n + 1) - 1) // (q - 1)
 
     def act_on(sub, c):
-        rows = [[_dot(fq, row, [c[k][j] for k in range(n + 1)])
-                 for j in range(n + 1)] for row in sub.basis]
+        rows = [[_dot(fq, row, crow) for crow in c] for row in sub.basis]
         return make_subvariety(sub.ambient_n, rows, field)
 
     # search for a companion matrix of projective order q^2+q+1
@@ -165,11 +164,10 @@ def _singer_labelling(n, field):
         cmat = tuple(tuple(row) for row in comp)
         # projective order: orbit length of a point
         start = make_subvariety(n, [[1] + [0] * n], field)
-        seen = {start}
         cur = start
         order = 0
         for _ in range(size + 1):
-            cur = act_on(cur, _transpose_rows(cmat))
+            cur = act_on(cur, cmat)
             order += 1
             if cur == start:
                 break
@@ -178,7 +176,6 @@ def _singer_labelling(n, field):
             break
     if target is None:
         raise FixtureError("no Singer cycle found for q=%d" % q)
-    ct = _transpose_rows(target)
     geom = ambient_geometry(n, field)
     start_pt = make_subvariety(n, [[1] + [0] * n], field)
     start_line = geom.subvarieties(n - 1)[0]
@@ -187,15 +184,11 @@ def _singer_labelling(n, field):
     for _ in range(size):
         points.append(cur_p)
         lines.append(cur_l)
-        cur_p = act_on(cur_p, ct)
-        cur_l = act_on(cur_l, ct)
+        cur_p = act_on(cur_p, target)
+        cur_l = act_on(cur_l, target)
     if len(set(points)) != size or len(set(lines)) != size:
         raise FixtureError("Singer orbit degenerate")
     return points, lines
-
-
-def _transpose_rows(m):
-    return tuple(tuple(m[j][i] for j in range(len(m))) for i in range(len(m)))
 
 
 def _dot(fq, u, v):
@@ -267,8 +260,6 @@ def drinfeld_local(d=2, q=2):
     type, with triple points given by a flag matching."""
     if d != 2:
         raise FixtureError("drinfeld-local is implemented for d=2")
-    if q not in (2, 3):
-        raise FixtureError("drinfeld-local supports q in {2, 3}")
     field = field_spec(q)
     spec = blowup(2, field)
     ring = build_ring(spec)

@@ -6,11 +6,17 @@ statements about H^k appear here with k = 2j.  Odd degrees vanish.  The
 operator of a class D on N^j is the ring's cup matrix of D
 (`GradedRing.cup_matrix`), built once per context by `make_context`.
 
-Hodge-Riemann needs no primitive Gram: once hard Lefschetz holds, the
-Lefschetz splitting is orthogonal for the signed pairings Q_j, so Q_j is
-positive definite on the primitive part P_j iff
-sig Q_j + sig Q_(j-1) = dim N^j - dim N^(j-1) (Adiprasito-Huh-Katz, Ann.
-Math. 2018, section 7; the argument is in `check_hodge_standard`).
+Both checks read one inertia per degree, that of the signed Lefschetz
+pairing Q_j = (-1)^j (L^(n-2j))^T P_(n-j) (`lefschetz_inertia`), with P_(n-j)
+the Poincare pairing of N^(n-j) with N^j.  Hard Lefschetz reads the rank of
+L^(n-2j) as n_plus + n_minus of it: rank(A^T P) <= rank A for any A, so a
+full rank is never claimed falsely, and equality holds because P is
+nondegenerate (`build_ring`, `explicit_surface_ring` and the validation of a
+`SemistableComplex` each check that it is).  Hodge-Riemann needs no
+primitive Gram: once hard Lefschetz holds, the Lefschetz splitting is
+orthogonal for the Q_j, so Q_j is positive definite on the primitive part
+P_j iff sig Q_j + sig Q_(j-1) = dim N^j - dim N^(j-1) (Adiprasito-Huh-Katz,
+Ann. Math. 2018, section 7; the argument is in `check_hodge_standard`).
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ class LefschetzError(ValueError):
 class LefschetzContext:
     """The cup-action matrices of one degree-1 class on one ring.
 
-    Powers, the hard Lefschetz report, the primitive decomposition and the
-    pairing Grams are computed once per context and returned shared: callers
-    must not mutate them.
+    Powers, the hard Lefschetz report, the primitive decomposition, the
+    pairing Grams and their inertias are computed once per context and
+    returned shared: callers must not mutate them.
     """
     ring: GradedRing
     divisor: list                  # N^1 coordinates of the operator class
@@ -92,16 +98,17 @@ def lefschetz_power(ctx, j, power):
 
 @_memoized
 def check_hard_lefschetz(ctx):
-    """L^(n-2j): N^j -> N^(n-j) bijective for all j <= n/2, with rank report."""
+    """L^(n-2j): N^j -> N^(n-j) bijective for all j <= n/2, with rank report.
+    The rank is n_plus + n_minus of `lefschetz_inertia(ctx, j)`."""
     ring = ctx.ring
     n = ring.n
     report = []
     ok = True
     for j in range(0, n // 2 + 1):
-        m = lefschetz_power(ctx, j, n - 2 * j)
+        inertia = lefschetz_inertia(ctx, j)
         dim_lo = len(ring.basis[j])
         dim_hi = len(ring.basis[n - j])
-        r = linalg.rank(m)
+        r = inertia.n_plus + inertia.n_minus
         good = (r == dim_lo == dim_hi)
         ok = ok and good
         report.append({"degree": 2 * j, "power": n - 2 * j, "rank": r,
@@ -138,6 +145,12 @@ def lefschetz_pairing_gram(ctx, j):
                          ring.pairing[n - j])
 
 
+@_memoized
+def lefschetz_inertia(ctx, j):
+    """The inertia (`linalg.SignatureReport`) of `lefschetz_pairing_gram`."""
+    return linalg.symmetric_signature(lefschetz_pairing_gram(ctx, j))
+
+
 def check_hodge_standard(ctx):
     """Hodge-Riemann: Q_j(x, y) = (-1)^j int L^(n-2j) x y (see
     `lefschetz_pairing_gram`) is positive definite on each primitive part
@@ -164,7 +177,7 @@ def check_hodge_standard(ctx):
     report = []
     sig_below = expected_below = 0
     for j in range(0, ctx.n // 2 + 1):
-        sig = linalg.symmetric_signature(lefschetz_pairing_gram(ctx, j))
+        sig = lefschetz_inertia(ctx, j)
         prim_dim = dims[j] - (dims[j - 1] if j > 0 else 0)
         pos = sig.signature + sig_below == prim_dim
         expected_sig = prim_dim - expected_below

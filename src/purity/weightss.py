@@ -396,12 +396,19 @@ def load_complex(data):
     strata = []
     for node in strata_json:
         try:
-            sid = str(node["id"])
+            sid = node["id"]
+            if not isinstance(sid, str):
+                raise ComplexValidationError(
+                    "stratum 'id' must be a JSON string, got %r" % (sid,))
             subset = node["subset"]
             if not isinstance(subset, list) or \
                     any(type(x) is not int for x in subset):
                 raise ComplexValidationError(
                     "stratum %s: 'subset' must be a JSON array of integers" % sid)
+            if not subset or len(set(subset)) != len(subset):
+                raise ComplexValidationError(
+                    "stratum %s: 'subset' must be nonempty with no repeated "
+                    "index, got %r" % (sid, subset))
             subset = frozenset(subset)
             ring = _variety_from_json(node["variety"])
             parents_json = node.get("parents", {})
@@ -419,12 +426,19 @@ def load_complex(data):
                     raise ComplexValidationError(
                         "stratum %s: 'restriction' must be a JSON array of "
                         "matrices" % sid)
-                parents[int(m)] = (str(pnode["of"]),
-                                   [_matrix(mj) for mj in mats])
+                if not isinstance(pnode["of"], str):
+                    raise ComplexValidationError(
+                        "stratum %s: parent 'of' must be a JSON string, got %r"
+                        % (sid, pnode["of"]))
+                parents[int(m)] = (pnode["of"], [_matrix(mj) for mj in mats])
         except (KeyError, TypeError, ValueError) as exc:
             raise ComplexValidationError("malformed stratum record: %s" % exc)
         strata.append(Stratum(sid, subset, ring, parents))
-    cx = SemistableComplex(strata, q, name=str(data.get("name", "complex")))
+    name = data.get("name", "complex")
+    if not isinstance(name, str):
+        raise ComplexValidationError("'name' must be a JSON string, got %r"
+                                     % (name,))
+    cx = SemistableComplex(strata, q, name=name)
     if "dimension" in data and _json_int(data, "dimension") != cx.n:
         raise ComplexValidationError(
             "'dimension' is %d, but the components have dimension %d"

@@ -14,6 +14,15 @@ themselves, and the orthogonality of the Lefschetz splitting as a computed
 fact, where `lefschetz.check_hodge_standard` reads both from signatures of
 the full Grams.
 
+The rank route to hard Lefschetz (see `hard_lefschetz_ranks`): an
+elimination of each power L^(n-2j), where `lefschetz.check_hard_lefschetz`
+reads the rank from the inertia of the Lefschetz Gram.
+
+The factor-entry route to the pairing of a product ring (see
+`product_pairing`): each entry is the product of the factor pairing entries,
+where `cohomology._build_product` reads `intersection_number` of the merged
+monomials.
+
 The monomial route to ring products (see `multiply`): merge the monomials,
 take the top intersection number of each merged monomial with the dual basis,
 and solve against the pairing, where `GradedRing.cup_matrix` reads triple
@@ -303,6 +312,32 @@ def hodge_by_primitive_grams(ctx):
                 linalg.is_zero_matrix(pairing(a, b))
                 for x, a in enumerate(blocks) for b in blocks[x + 1:])})
     return rows
+
+
+# -- hard Lefschetz by ranks of the powers ----------------------------------------
+
+def hard_lefschetz_ranks(ctx):
+    """rank L^(n-2j): N^j -> N^(n-j) for j <= n/2, by eliminating each power."""
+    return [linalg.rank(lefschetz_power(ctx, j, ctx.n - 2 * j))
+            for j in range(ctx.n // 2 + 1)]
+
+
+# -- the pairing of a product ring by factor entries ------------------------------
+
+def product_pairing(ring, j):
+    """The pairing of N^j with N^(n-j) on a product ring: each entry is the
+    product over the factors of their pairing entries, 0 where a factor's
+    degrees do not add up to its dimension."""
+    def entry(r, c):
+        val = Fraction(1)
+        for f, a, b in zip(ring.factors, r, c):
+            if len(a) + len(b) != f.n:
+                return Fraction(0)
+            val *= f.pairing[len(a)].entry(f.index[len(a)][a],
+                                           f.index[f.n - len(a)][b])
+        return val
+    return linalg.mat([[entry(r, c) for c in ring.basis[ring.n - j]]
+                       for r in ring.basis[j]])
 
 
 # -- ring products by merged monomials ------------------------------------------

@@ -163,6 +163,13 @@ def test_fixture_arity_is_invalid_input(capsys, spec):
     assert "'tate-cycle' takes arguments (m, q)" in err
 
 
+def test_drinfeld_local_over_a_field_above_the_ring_guard(capsys):
+    code, out, err = run(capsys, "wss", "--fixture", "drinfeld-local:2,5",
+                         "--check-lemmas", "--zeta")
+    assert (code, out) == (2, "")
+    assert "field size 5 exceeds guard 4" in err
+
+
 @pytest.mark.parametrize("argv", [("hodge", "--n", "0", "--q", "2"),
                                   ("hodge", "--n", "-1", "--q", "2"),
                                   ("ring", "--n", "-1", "--q", "2")])
@@ -319,6 +326,19 @@ def _meeting_point(restriction):
     return mutate
 
 
+def _object_parent_reference(data):
+    """The meeting point of `_meeting_point`, with its reference to the first
+    line replaced by a JSON object."""
+    _meeting_point([[[1]]])(data)
+    data["strata"][2]["parents"]["1"]["of"] = {"x": 1}
+
+
+def _object_ids(data):
+    """`_object_parent_reference`, with the first line's id the same object."""
+    _object_parent_reference(data)
+    data["strata"][0]["id"] = {"x": 1}
+
+
 def test_json_lines_meeting_in_a_point_are_accepted(tmp_path, capsys):
     path = _one_line_complex(tmp_path)
     with open(path) as fh:
@@ -369,13 +389,24 @@ def test_json_lines_meeting_in_a_point_are_accepted(tmp_path, capsys):
      "'dimension' is 1000000000, but the components have dimension 1"),
     (lambda data: data.update(dimension=2),
      "'dimension' is 2, but the components have dimension 1"),
+    (lambda data: data["strata"].append(
+        {"id": "x", "subset": [], "parents": {},
+         "variety": {"kind": "projective", "n": 2}}),
+     "stratum x: 'subset' must be nonempty with no repeated index"),
+    (lambda data: data["strata"][0].update(subset=[0, 0]),
+     "stratum c0: 'subset' must be nonempty with no repeated index"),
+    (_object_ids, "stratum 'id' must be a JSON string"),
+    (_object_parent_reference, "stratum p: parent 'of' must be a JSON string"),
+    (lambda data: data.update(name={"a": [1, 2]}),
+     "'name' must be a JSON string"),
 ], ids=["strata-null", "parents-list", "parents-null", "subset-float",
         "subset-string", "subset-bool", "parents-key-spaces",
         "parents-key-plus", "parents-key-underscore", "restriction-string",
         "restriction-matrix-string", "restriction-matrix-flat",
         "restriction-object", "intersection-string",
         "intersection-row-string", "dimension-string", "dimension-bool",
-        "dimension-huge", "dimension-wrong"])
+        "dimension-huge", "dimension-wrong", "subset-empty",
+        "subset-repeated", "id-object", "parent-of-object", "name-object"])
 def test_json_complex_structure_is_checked(tmp_path, capsys, mutate, msg):
     path = _one_line_complex(tmp_path)
     with open(path) as fh:
@@ -463,6 +494,10 @@ GOLDEN = [
     pytest.param(("ring", "--n", "3", "--q", "2", "--products"), 0,
                  "d06ae27974d47a5410abcd80b59da306857c33d77020eb5fb844a9cd7576f763",
                  id="ring-b3f2-products"),
+    pytest.param(("wss", "--fixture", "drinfeld-local:2,4", "--check-lemmas",
+                  "--zeta"), 0,
+                 "46c1fd5f410354db1c7545e7615cf2d42e26d755be6da6c7217118823629f854",
+                 id="wss-drinfeld-local:2,4"),
 ]
 
 

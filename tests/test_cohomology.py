@@ -18,7 +18,7 @@ from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
 from purity.fields import field_spec
 from purity.geometry import LinearSubvariety, ambient_geometry
 from purity.weightss import explicit_surface_ring
-from oracle import cup_matrix, multiply
+from oracle import cup_matrix, multiply, product_pairing
 
 
 F2 = field_spec(2)
@@ -237,6 +237,18 @@ def test_ring_b3_poincare_and_betti():
 def test_product_middle_pairing_hyperbolic():
     ring = build_ring(product(proj(1), proj(1)))
     assert ring.pairing[1] == linalg.mat([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("factors", [
+    [(0, 3), (3, 3)], [(1, 3), (2, 3)], [(2, 2), (2, 2)],
+    [(1, 2), (1, 2), (2, 2)]],
+    ids=["b0-x-b3f3", "b1-x-b2f3", "b2-x-b2f2", "b1-x-b1-x-b2f2"])
+def test_product_pairing_equals_the_factor_entries(factors):
+    # the ring reads intersection_number of the merged monomials; the oracle
+    # multiplies the factor pairing entries
+    ring = build_ring(product(*(blowup(n, q) for n, q in factors)))
+    for j in range(ring.n + 1):
+        assert ring.pairing[j] == product_pairing(ring, j)
 
 
 def test_multiplication_is_associative_on_samples():

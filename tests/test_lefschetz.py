@@ -14,8 +14,9 @@ from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               normalize_invariant, omega_class,
                               omega_form, omega_vector, primitive_decomposition,
                               product_lefschetz_vector)
-from oracle import (hodge_by_primitive_grams, hodge_sweep, multiply, pair,
-                    primitive_gram)
+from purity.fixtures import two_planes
+from oracle import (hard_lefschetz_ranks, hodge_by_primitive_grams,
+                    hodge_sweep, multiply, pair, primitive_gram)
 
 
 def b2_ring(q=2):
@@ -422,3 +423,39 @@ def test_hodge_riemann_from_signatures_matches_primitive_grams(n, q):
                 assert got[key] == want[key], (key, got, want)
         assert ok == all(row["positive_definite"] for row in expected)
     assert len(contexts) >= 8 and True in verdicts and False in verdicts
+
+
+def _h_ctx(n, q):
+    return make_context(build_ring(blowup(n, q)), {GEN_H: Fraction(1)})
+
+
+def _surface_ctx():
+    cx, l_system = two_planes()
+    return make_context(cx.strata["X1"].ring, l_system["X1"])   # 3h - e1 - e2
+
+
+def _product_ctx():
+    ring = build_ring(product(proj(1), blowup(2, 2)))
+    return make_context(ring, product_lefschetz_vector(
+        ring, [[Fraction(1)], omega_vector(b2_ring())]))
+
+
+@pytest.mark.parametrize("make,deficit", [
+    (lambda: omega_ctx(2, 3), None),
+    (lambda: omega_ctx(3, 2), None),
+    (lambda: omega_ctx(3, 3), None),
+    (lambda: _h_ctx(3, 2), (36, 51)),
+    (lambda: _h_ctx(4, 2), (156, 342)),
+    (_surface_ctx, None),
+    (_product_ctx, None),
+], ids=["omega-b2f3", "omega-b3f2", "omega-b3f3", "h-b3f2", "h-b4f2",
+        "two-planes-3h-e1-e2", "p1-x-b2f2"])
+def test_hard_lefschetz_rows_equal_the_rank_route(make, deficit):
+    # the rows read n_plus + n_minus of the Lefschetz Gram's inertia; the
+    # oracle eliminates each power L^(n-2j)
+    ctx = make()
+    ok, rows = check_hard_lefschetz(ctx)
+    assert [row["rank"] for row in rows] == hard_lefschetz_ranks(ctx)
+    failing = [(row["rank"], row["expected"]) for row in rows if not row["ok"]]
+    assert failing == ([deficit] if deficit else [])
+    assert ok is (deficit is None)

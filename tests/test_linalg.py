@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from purity import linalg
 from purity.cohomology import blowup, build_ring
-from purity.lefschetz import (lefschetz_pairing_gram, make_context,
-                              omega_vector)
+from purity.lefschetz import (check_hard_lefschetz, check_hodge_standard,
+                              lefschetz_pairing_gram, lefschetz_power,
+                              make_context, omega_vector)
 from purity.linalg import (LinAlgError, Matrix, identity, inverse,
                            is_positive_definite, kernel_basis, mat, matmul,
                            rank, symmetric_signature)
@@ -687,6 +688,27 @@ def test_subspace_questions_reuse_the_memo(monkeypatch):
     assert linalg.subspace_equal(span, ker) and len(calls) == 4
     assert calls[2:] == [linalg.stack_columns(span, ker).rows] * 2
     assert linalg.subspace_leq(span, ker) and len(calls) == 5
+
+
+def test_hodge_check_sweeps_each_lefschetz_gram_once(monkeypatch):
+    # hard Lefschetz and Hodge-Riemann read one inertia per degree; no power
+    # L^(n-2j) is eliminated for its rank
+    ring = build_ring(blowup(3, 2))
+    ctx = make_context(ring, omega_vector(ring))
+    calls = _count_eliminations(monkeypatch)
+    sweeps = []
+    real_pivot_signs = linalg._pivot_signs
+
+    def pivot_signs(g):
+        sweeps.append(g)
+        return real_pivot_signs(g)
+
+    monkeypatch.setattr(linalg, "_pivot_signs", pivot_signs)
+    assert check_hard_lefschetz(ctx)[0] and check_hodge_standard(ctx)[0]
+    assert len(sweeps) == 2 and all(
+        s is lefschetz_pairing_gram(ctx, j) for j, s in enumerate(sweeps))
+    powers = [lefschetz_power(ctx, j, 3 - 2 * j) for j in (0, 1)]
+    assert not [c for c in calls for p in powers if c is p or c is p.rows]
 
 
 @settings(max_examples=50, deadline=None)

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import cohomology
+from . import cohomology, linalg
 
 SCHEMA_VERSION = 1
 
@@ -102,8 +102,13 @@ def _parse_divisor(spec_str, n, q, ring):
     if spec_str == "omega":
         return (lefschetz.omega_vector(ring, q),
                 lefschetz.omega_form(n, q) if n >= 2 else None)
+    parts = spec_str.split(",")
+    bad = next((p for p in parts if not linalg.RATIONAL.fullmatch(p)), None)
+    if bad is not None:
+        raise ValueError("divisor coefficient %r is not an integer or 'p/q'"
+                         % bad)
     try:
-        parts = [Fraction(p) for p in spec_str.split(",")]
+        parts = [Fraction(p) for p in parts]
     except ZeroDivisionError:
         raise ValueError("divisor coefficient with zero denominator in %r"
                          % spec_str) from None
@@ -317,7 +322,8 @@ def build_parser():
     p_hodge.add_argument("--n", type=int, required=True)
     p_hodge.add_argument("--q", type=int, required=True)
     p_hodge.add_argument("--divisor", default="omega",
-                         help="'omega' or 'alpha,a0,...' level coefficients")
+                         help="'omega' or 'alpha,a0,...' level coefficients, "
+                              "each an integer or p/q")
     p_hodge.set_defaults(func=cmd_hodge)
 
     p_wss = sub.add_parser("wss", help="run the weight spectral sequence on a "

@@ -30,13 +30,17 @@ chain V_1 < ... < V_k (incomparable centers are disjoint).  PGL_(n+1)(F_q)
 fixes h, permutes the e_V and acts transitively on the flags of one
 signature, so on a chain the number depends only on the flag type
 (a, (dim V_i, b_i)).  It is computed by descent once per type and kept in one
-integer table, from which the ring's pairing matrices are read.
+integer table.
 
-Every ring product is one routine, `GradedRing.cup_matrix`: the matrix of
-x -> v.x is the inverse transposed pairing times a block of triple
-intersection numbers, each read by the count code of its flag type.  The
-Lefschetz operators, `GradedRing.multiply`, the `ring --products` tables and
-the multiplicativity check of restrictions in `weightss` all call it.
+Every matrix of top intersection numbers is one routine, `GradedRing.block`:
+E[d][b] = sum c int a.b.d for a class sum c.a, each number read by the count
+code of its flag type behind the chain masks.  The Poincare pairings are the
+blocks of the unit, and the coordinates of a blow-up monomial solve the
+transposed pairing against its one-column block.  Every ring product is
+`GradedRing.cup_matrix`: the matrix of x -> v.x is the inverse transposed
+pairing times the block of v.  The Lefschetz operators,
+`GradedRing.multiply`, the `ring --products` tables and the multiplicativity
+check of restrictions in `weightss` all call it.
 """
 
 from __future__ import annotations
@@ -511,20 +515,27 @@ class GradedRing:
 
     basis[j] lists the monomials spanning N^j; pairing[j] is the
     `linalg.Matrix` of top intersection numbers between basis[j] and
-    basis[n-j].  All pairings are nondegenerate (Poincare duality) by
-    construction.  Every product of classes is read from one `cup_matrix`.
+    basis[n-j], the `block` of the unit unless given (an explicit surface
+    passes its own form).  All pairings are nondegenerate (Poincare duality)
+    by construction.  Every product of classes is read from one `cup_matrix`.
     """
 
-    def __init__(self, spec, basis, pairing):
+    def __init__(self, spec, basis, pairing=None):
         self.spec = spec
-        self.n = len(basis) - 1
+        self.n = n = len(basis) - 1
         self.basis = basis
-        self.pairing = pairing
         self.index = [{m: i for i, m in enumerate(bs)} for bs in basis]
         self._coords_memo = {}
-        self._pairing_inv_t = [None] * (self.n + 1)
-        self._basis_keys = [None] * (self.n + 1)
+        self._pairing_inv_t = [None] * (n + 1)
+        self._basis_keys = [None] * (n + 1)
         self.factors = None
+        if pairing is None:     # the blocks of the unit
+            pairing = [None] * (n + 1)
+            unit = list(zip(basis[0], self.basis_keys(0), [1]))
+            for j in range(n // 2 + 1):
+                pairing[j] = self.block(0, unit, n - j)
+                pairing[n - j] = linalg.transpose(pairing[j])
+        self.pairing = pairing
 
     def dims(self):
         return [len(b) for b in self.basis]
@@ -572,12 +583,11 @@ class GradedRing:
                     label.append(ring.basis[d][i])
                 v[self.index[j][tuple(label)]] += coeff
             return v
-        centers, comparable, _ = self.support_keys(mono)
-        if centers & ~comparable:   # not a chain: the class is zero
+        keys = self.support_keys(mono)
+        if keys[0] & ~keys[1]:   # not a chain: the class is zero
             return self.zero(j)
-        rhs = [intersection_number(self.spec, monomial(mono + dual))
-               for dual in self.basis[self.n - j]]
-        return linalg.matvec(self._pairing_solver(j), rhs)
+        rhs = self.block(j, [(mono, keys, 1)], 0)
+        return linalg.matvec(self._pairing_solver(j), [r[0] for r in rhs.rows])
 
     def support_keys(self, mono):
         """(centers, comparable, count code) of a monomial (see
@@ -595,28 +605,18 @@ class GradedRing:
             self._basis_keys[j] = [self.support_keys(x) for x in self.basis[j]]
         return self._basis_keys[j]
 
-    def cup_matrix(self, j, v, k):
-        """The `linalg.Matrix` of x -> v.x from N^k to N^(j+k), for v in N^j
-        in basis coordinates (0 x dim N^k past the top degree).
+    def block(self, j, terms, k):
+        """The integer `linalg.Matrix` E[d][b] = sum c int a.b.d over the
+        terms (a, support keys of a, integer c) of degree j, with b over
+        basis[k] and d over basis[n-j-k].  Every matrix of top intersection
+        numbers is one: the pairings (the unit's blocks), the cup matrices and
+        the coordinates of a blow-up monomial.
 
-        It is (pairing[j+k]^T)^(-1) E, E[d][b] = sum_a v_a int a.b.d over
-        the bases a, b, d of N^j, N^k, N^(n-j-k).  A triple with a degree-0
-        factor is a pairing entry.  Otherwise a term is visited only where
-        the chain masks allow the triple product, whose number is then read
-        by count code, each code evaluated once per call; on a product ring
-        it is computed factor by factor by `intersection_number`.
+        A term is visited only where the chain masks allow the triple
+        product, whose number is then read by count code, each code evaluated
+        once per call; on a product ring it is computed factor by factor by
+        `intersection_number`.
         """
-        n, m = self.n, j + k
-        if m > n:
-            return linalg.zeros(0, len(self.basis[k]))
-        v = [Fraction(x) for x in v]
-        if j == 0:              # v is a multiple of the unit
-            return linalg.scale(linalg.identity(len(self.basis[k])), v[0])
-        if k == 0:
-            return linalg.mat([[x] for x in v])
-        if m == n:              # E is the row of pairings of v with the b
-            return linalg.matmul(self._pairing_solver(n), linalg.mat(
-                [linalg.matvec(linalg.transpose(self.pairing[j]), v)]))
         spec, by_code = self.spec, {}
 
         def top(a, b, d, code):
@@ -631,37 +631,60 @@ class GradedRing:
                     spec, monomial(a + b + d))
             return value
 
-        den = lcm(1, *(c.denominator for c in v))
-        terms = [(a, centers, code, c.numerator * (den // c.denominator))
-                 for a, (centers, _, code), c
-                 in zip(self.basis[j], self.basis_keys(j), v) if c]
+        terms = [(a, centers, code, c)
+                 for a, (centers, _, code), c in terms if c]
 
         def meets(comparable):
-            """Some term of v times a monomial with this mask is a chain."""
+            """Some term times a monomial with this mask is a chain."""
             return any(not a_centers & ~comparable
                        for _, a_centers, _, _ in terms)
 
         width = len(self.basis[k])
-        cols = [(col, b, key) for col, (b, key)
-                in enumerate(zip(self.basis[k], self.basis_keys(k)))
-                if meets(key[1])]
+        cols = [(col, b, centers, comparable, code) for col, (b, (
+            centers, comparable, code)) in enumerate(zip(
+                self.basis[k], self.basis_keys(k))) if meets(comparable)]
         rows = []
-        for d, (_, d_comparable, d_code) in zip(self.basis[n - m],
-                                                self.basis_keys(n - m)):
+        for d, (_, d_comparable, d_code) in zip(
+                self.basis[self.n - j - k], self.basis_keys(self.n - j - k)):
             row = [0] * width
             rows.append(row)
             if not meets(d_comparable):
                 continue
-            for col, b, (centers, comparable, code) in cols:
-                if centers & ~d_comparable:
+            d_outside = ~d_comparable
+            for col, b, centers, comparable, code in cols:
+                if centers & d_outside:
                     continue        # b.d is not a chain
                 outside = ~(comparable & d_comparable)
                 code += d_code
                 row[col] = sum(c * top(a, b, d, code + a_code)
                                for a, a_centers, a_code, c in terms
                                if not a_centers & outside)
-        e = linalg.Matrix(rows, den, width)
-        return linalg.matmul(self._pairing_solver(m), e)
+        return linalg.Matrix(rows, 1, width)
+
+    def cup_matrix(self, j, v, k):
+        """The `linalg.Matrix` of x -> v.x from N^k to N^(j+k), for v in N^j
+        in basis coordinates (0 x dim N^k past the top degree).
+
+        It is (pairing[j+k]^T)^(-1) E, E the `block` of v over the bases of
+        N^k and N^(n-j-k).  A triple with a degree-0 factor is a pairing
+        entry.
+        """
+        n, m = self.n, j + k
+        if m > n:
+            return linalg.zeros(0, len(self.basis[k]))
+        v = [Fraction(x) for x in v]
+        if j == 0:              # v is a multiple of the unit
+            return linalg.scale(linalg.identity(len(self.basis[k])), v[0])
+        if k == 0:
+            return linalg.mat([[x] for x in v])
+        if m == n:              # E is the row of pairings of v with the b
+            return linalg.matmul(self._pairing_solver(n), linalg.mat(
+                [linalg.matvec(linalg.transpose(self.pairing[j]), v)]))
+        den = lcm(1, *(c.denominator for c in v))
+        e = self.block(j, zip(self.basis[j], self.basis_keys(j), (
+            c.numerator * (den // c.denominator) for c in v)), k)
+        return linalg.matmul(self._pairing_solver(m),
+                             linalg.Matrix(e.rows, den, e.ncols))
 
     def multiply(self, j, vj, k, vk):
         """Product N^j x N^k -> N^(j+k) in basis coordinates."""
@@ -782,10 +805,7 @@ def build_ring(spec):
 
 
 def _build_projective(spec):
-    n = spec.n
-    basis = [[tuple([GEN_H] * j)] for j in range(n + 1)]
-    pairing = [linalg.identity(1)] * (n + 1)
-    return GradedRing(spec, basis, pairing)
+    return GradedRing(spec, [[tuple([GEN_H] * j)] for j in range(spec.n + 1)])
 
 
 def _build_blowup(spec):
@@ -795,42 +815,14 @@ def _build_blowup(spec):
     if sizes != betti:
         raise CohomologyError("chain basis sizes %s are not the Betti numbers "
                               "%s of B^%d/F_%d" % (sizes, betti, n, spec.field.q))
-    pairing = [None] * (n + 1)
+    ring = GradedRing(spec, basis)
     for j in range(n // 2 + 1):
-        pairing[j] = _pairing_block(spec, basis[j], basis[n - j])
-        pairing[n - j] = linalg.transpose(pairing[j])
-        r = linalg.rank(pairing[j])
+        r = linalg.rank(ring.pairing[j])
         if not r == len(basis[j]) == len(basis[n - j]):
             raise CohomologyError("degree %d: Poincare pairing of rank %d on "
                                   "%d x %d basis monomials" % (
                                       j, r, len(basis[j]), len(basis[n - j])))
-    return GradedRing(spec, basis, pairing)
-
-
-def _pairing_block(spec, rows, cols):
-    """The integer matrix of top intersection numbers of the chain monomials
-    `rows` times `cols` on a blow-up.  A product that is not a chain is 0;
-    the others are read by the count code of their flag type, each code
-    looked up in the type table once."""
-    col_keys = [(centers, code) for centers, _, code in
-                (_support_keys(spec, c) for c in cols)]
-    by_code = {}
-    out = []
-    for r in rows:
-        _, comparable, rcode = _support_keys(spec, r)
-        outside = ~comparable
-        row = []
-        for c, (centers, ccode) in zip(cols, col_keys):
-            if centers & outside:
-                row.append(0)
-                continue
-            v = by_code.get(rcode + ccode)
-            if v is None:
-                v = by_code[rcode + ccode] = intersection_number(
-                    spec, monomial(r + c))
-            row.append(v)
-        out.append(row)
-    return linalg.Matrix(out, 1, len(cols))
+    return ring
 
 
 def _build_product(spec):
@@ -843,13 +835,7 @@ def _build_product(spec):
             for combo in itertools.product(*[r.basis[a] for r, a in zip(rings, split)]):
                 bs.append(tuple(combo))
         basis.append(bs)
-    # the pairing is read from `intersection_number`, which evaluates a
-    # product monomial factor by factor
-    pairing = [linalg.Matrix([[intersection_number(
-        spec, tuple(monomial(x + y) for x, y in zip(r, c)))
-        for c in basis[n - j]] for r in basis[j]], 1, len(basis[n - j]))
-        for j in range(n + 1)]
-    ring = GradedRing(spec, basis, pairing)
+    ring = GradedRing(spec, basis)
     ring.factors = rings
     return ring
 

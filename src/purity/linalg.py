@@ -31,6 +31,7 @@ Sylvester's law of inertia the pivot order is free.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
@@ -38,6 +39,10 @@ from math import gcd, lcm
 
 
 _ZERO = Fraction(0)
+
+# the documented string forms of a rational input, "n" and "p/q": Fraction
+# would also read exponents, and reading "1e-9999999" alone takes seconds
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class LinAlgError(ValueError):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -279,14 +278,9 @@ class SemistableComplex:
 SCHEMA_VERSION = 1
 
 
-# the documented string forms of a matrix entry, "n" and "p/q": Fraction
-# would also read exponents, and reading "1e-9999999" alone takes seconds
-_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def _frac(x):
     # a JSON true or false is not the matrix entry 1 or 0
-    if isinstance(x, str) and _ENTRY.fullmatch(x) or \
+    if isinstance(x, str) and linalg.RATIONAL.fullmatch(x) or \
             isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         try:
             return Fraction(x)
@@ -380,7 +374,11 @@ def load_complex(data):
     """Build and validate a complex from a parsed JSON object (or a path)."""
     if isinstance(data, str):
         with open(data) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ComplexValidationError(
+                    "JSON input is nested too deeply") from None
     if not isinstance(data, dict):
         raise ComplexValidationError("top-level JSON must be an object")
     if data.get("schema_version") != SCHEMA_VERSION:
@@ -431,6 +429,8 @@ def load_complex(data):
                         "stratum %s: parent 'of' must be a JSON string, got %r"
                         % (sid, pnode["of"]))
                 parents[int(m)] = (pnode["of"], [_matrix(mj) for mj in mats])
+        except ComplexValidationError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ComplexValidationError("malformed stratum record: %s" % exc)
         strata.append(Stratum(sid, subset, ring, parents))

@@ -20,14 +20,19 @@ reads the rank from the inertia of the Lefschetz Gram.
 
 The factor-entry route to the pairing of a product ring (see
 `product_pairing`): each entry is the product of the factor pairing entries,
-where `cohomology._build_product` reads `intersection_number` of the merged
-monomials.
+where the ring reads the unit's `GradedRing.block`, `intersection_number` of
+the merged monomials.
+
+The all-pairs route to pairings and monomial coordinates (see `merge` and
+`top_number`): the top number of every merged pair of monomials, with no
+chain masks and no count codes, where `GradedRing.block` reads each count
+code once behind the masks.
 
 The monomial route to ring products (see `multiply`): merge the monomials,
 take the top intersection number of each merged monomial with the dual basis,
-and solve against the pairing, where `GradedRing.cup_matrix` reads triple
-numbers by count code behind the chain masks and multiplies by the inverse
-pairing.  With it come the intersection pairing on coordinate vectors and the
+and solve against the pairing, where `GradedRing.cup_matrix` reads the
+`GradedRing.block` of triple numbers by count code behind the chain masks and
+multiplies by the inverse pairing.  With it come the intersection pairing on coordinate vectors and the
 sweep of Lefschetz checks along a segment of classes.
 
 The subspace route to the lemma suite (see `verify_rz_lemmas_by_subspaces`):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -219,6 +220,28 @@ def test_zero_denominator_divisor_is_invalid_input(capsys):
     assert "zero denominator" in err
 
 
+def _cli_process(*argv, timeout=60):
+    """One fresh `python -m purity.cli` process: (exit code, stdout, stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "purity.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
+
+
+# Fraction alone reads exponents and decimals, and the digits of 10^20000000
+# would take minutes
+@pytest.mark.parametrize("divisor", ["1e-20000000,1", "0.5,1", ",,"])
+def test_divisor_coefficients_are_integers_or_fractions(divisor):
+    start = time.perf_counter()
+    code, out, err = _cli_process("hodge", "--n", "2", "--q", "2",
+                                  "--divisor", divisor, timeout=30)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert "is not an integer or 'p/q'" in err
+    assert "Traceback" not in err
+
+
 def _one_line_data(q=2, variety=None):
     """A one-component complex on P^1, with q and the component's variety
     replaceable."""
@@ -417,6 +440,46 @@ def test_json_complex_structure_is_checked(tmp_path, capsys, mutate, msg):
     code, out, err = run(capsys, "wss", "--input", path)
     assert (code, out) == (2, "")
     assert msg in err
+
+
+@pytest.mark.parametrize("mutate,line", [
+    (lambda data: data["strata"][0].update(subset=[0, 0]),
+     "stratum c0: 'subset' must be nonempty with no repeated index, "
+     "got [0, 0]"),
+    (lambda data: data["strata"][0].update(id=5),
+     "stratum 'id' must be a JSON string, got 5"),
+], ids=["subset-repeated", "id-int"])
+def test_json_stratum_error_is_reported_once(tmp_path, capsys, mutate, line):
+    data = _one_line_data()
+    mutate(data)
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "wss", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % line)
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def _tate_cycle_with_nested_intersection():
+    """The tate-cycle:3,2 complex with its first component replaced by a
+    surface whose intersection form is nested 50000 deep."""
+    data = complex_to_json(make_fixture("tate-cycle", 3, 2)[0])
+    data["strata"][0]["variety"] = {"kind": "surface", "labels": ["a"],
+                                    "intersection": "@"}
+    return json.dumps(data).replace('"@"', _nested(50000))
+
+
+@pytest.mark.parametrize("text", [
+    lambda: _nested(100000), _tate_cycle_with_nested_intersection],
+    ids=["arrays", "surface-intersection"])
+def test_deeply_nested_json_is_invalid_input(tmp_path, text):
+    path = tmp_path / "cx.json"
+    path.write_text(text())
+    code, out, err = _cli_process("wss", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: JSON input is nested too deeply\n"
 
 
 def test_json_zero_denominator_entry_is_invalid_input(tmp_path, capsys):

@@ -18,7 +18,8 @@ from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
 from purity.fields import field_spec
 from purity.geometry import LinearSubvariety, ambient_geometry
 from purity.weightss import explicit_surface_ring
-from oracle import cup_matrix, multiply, product_pairing
+from oracle import (cup_matrix, merge, multiply, product_pairing,
+                    top_number)
 
 
 F2 = field_spec(2)
@@ -292,6 +293,52 @@ def test_cup_matrix_matches_the_monomial_route(name):
             for v in (unit, sparse):
                 assert ring.cup_matrix(j, v, k) == cup_matrix(ring, j, v, k), \
                     (j, k, v)
+
+
+@pytest.mark.parametrize("spec", [
+    proj(3), blowup(2, 2), blowup(2, 3), blowup(2, 4), blowup(3, 2),
+    blowup(3, 3), product(blowup(1, 2), blowup(2, 2)),
+    product(blowup(0, 3), blowup(3, 3))],
+    ids=["P^3", "B^2/F_2", "B^2/F_3", "B^2/F_4", "B^3/F_2", "B^3/F_3",
+         "B^1xB^2/F_2", "B^0xB^3/F_3"])
+def test_pairing_equals_the_all_pairs_top_numbers(spec):
+    # the ring reads the unit's block behind the chain masks by count code;
+    # the oracle merges every pair of basis monomials
+    ring = build_ring(spec)
+    for j in range(ring.n + 1):
+        assert ring.pairing[j] == linalg.mat(
+            [[top_number(ring, merge(ring, r, c))
+              for c in ring.basis[ring.n - j]] for r in ring.basis[j]]), j
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_monomial_coords_solve_against_all_top_numbers(n, q):
+    # the ring reads the monomial's one-column block behind its chain masks;
+    # the oracle solves the transposed pairing against every top number.
+    # The sample is h and the first three centers of each dimension, so it
+    # holds chains, non-chains and powers of one center.
+    ring = build_ring(blowup(n, q))
+    gens = generators(ring.spec)
+    sample = [GEN_H] + [g for d in range(n - 1)
+                        for g in [x for x in gens[1:] if x[1] == d][:3]]
+    seen = collections.Counter()
+    for j in range(n + 1):
+        for mono in itertools.combinations_with_replacement(sample, j):
+            mono = monomial(mono)
+            if mono in ring.index[j]:
+                continue
+            col = [[top_number(ring, merge(ring, mono, d))]
+                   for d in ring.basis[n - j]]
+            want = linalg.solve(linalg.transpose(ring.pairing[j]),
+                                linalg.mat(col))
+            got = ring.monomial_coords(mono)
+            assert got == [row[0] for row in want], mono
+            chain = _support_is_chain(ring.spec, mono)
+            assert chain or not any(got), mono
+            power = any(g != GEN_H and mono.count(g) > 1 for g in mono)
+            seen[j, chain, power] += 1
+    for j in range(2, n + 1):
+        assert seen[j, False, False] and seen[j, True, True], (j, seen)
 
 
 def test_cup_matrix_reads_the_basis_keys_once(monkeypatch):

@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fields": "FieldSpec field_spec",
     "geometry": "LinearSubvariety enumerate_subspaces contains point_count "
-                "gaussian_binomial quotient_geometry",
+                "gaussian_binomial",
     "linalg": "",
     "cohomology": "Projective BlownUp Product proj blowup product build_ring "
                   "betti_numbers intersection_number hyperplane_relation "
@@ -18,7 +18,7 @@ _EXPORTS = {
     "lefschetz": "make_context check_hard_lefschetz primitive_decomposition "
                  "check_hodge_standard invariant_form is_positive omega_form "
                  "omega_class",
-    "weightss": "load_complex complex_to_json build_e1 check_purity "
+    "weightss": "load_complex complex_to_json check_purity "
                 "euler_check inertia_invariants verify_rz_lemmas weight_table "
                 "SemistableComplex Stratum explicit_surface_ring",
     "fixtures": "make_fixture",

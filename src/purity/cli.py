@@ -239,8 +239,8 @@ def cmd_wss(args):
         ok, rows = weightss.check_purity(cx, w)
         purity_all = purity_all and ok
         purity_payload[str(w)] = {"ok": ok, "ranks": rows}
-        dims = weightss.build_e1(cx, w).e2_entry_dims()
-        total = sum(dims.values())
+        total = sum(table.e2_dim(i, w - i)
+                    for i in range(-cx.n - 1, cx.n + 2))
         lines.append("purity w=%d: %s (E2 total dim %d)"
                      % (w, "PASS" if ok else "FAIL", total))
     payload["purity"] = purity_payload

@@ -35,10 +35,10 @@ integer table.
 Every matrix of top intersection numbers is one routine, `GradedRing.block`:
 E[d][b] = sum c int a.b.d for a class sum c.a, each number read by the count
 code of its flag type behind the chain masks.  The Poincare pairings are the
-blocks of the unit, and the coordinates of a blow-up monomial solve the
-transposed pairing against its one-column block.  Every ring product is
-`GradedRing.cup_matrix`: the matrix of x -> v.x is the inverse transposed
-pairing times the block of v.  The Lefschetz operators,
+blocks of the unit, and the coordinates of a monomial solve the transposed
+pairing against its one-column block (`GradedRing.dual_solve`).  Every ring
+product is `GradedRing.cup_matrix`: the matrix of x -> v.x is the inverse
+transposed pairing times the block of v.  The Lefschetz operators,
 `GradedRing.multiply`, the `ring --products` tables and the multiplicativity
 check of restrictions in `weightss` all call it.
 """
@@ -90,6 +90,14 @@ class Product:
     factors: tuple
 
 
+@dataclass(frozen=True)
+class SurfaceSpec:
+    """A smooth projective surface given by the labels of an N^1 basis and
+    its intersection matrix (see `weightss.explicit_surface_ring`)."""
+    labels: tuple
+    intersection: linalg.Matrix
+
+
 def proj(n):
     if n < 0:
         raise CohomologyError("P^n needs n >= 0, got n=%d" % n)
@@ -119,10 +127,10 @@ def product(*specs):
 
 
 def dimension(spec):
-    if isinstance(spec, Projective):
+    if isinstance(spec, (Projective, BlownUp)):
         return spec.n
-    if isinstance(spec, BlownUp):
-        return spec.n
+    if isinstance(spec, SurfaceSpec):
+        return 2
     return sum(dimension(f) for f in spec.factors)
 
 
@@ -368,6 +376,7 @@ def _support_is_chain(spec, mono):
 def intersection_number(spec, mono, chooser=None):
     """Top intersection number of a monomial of degree dim(spec).
 
+    On an explicit surface it is the entry of the given intersection form.
     On a blow-up a monomial whose centers do not form a chain gives 0.  A
     chain monomial is read from the table of its flag type, filled by descent
     the first time the type is met.  `chooser` overrides the default
@@ -394,6 +403,10 @@ def intersection_number(spec, mono, chooser=None):
         if any(g != GEN_H for g in mono):
             raise CohomologyError("projective space has only the generator h")
         return 1
+
+    if isinstance(spec, SurfaceSpec):   # the given form, entry by label
+        a, b = (spec.labels.index(g[1]) for g in mono)
+        return spec.intersection.entry(a, b)
 
     if not _support_is_chain(spec, mono):
         return 0
@@ -515,12 +528,12 @@ class GradedRing:
 
     basis[j] lists the monomials spanning N^j; pairing[j] is the
     `linalg.Matrix` of top intersection numbers between basis[j] and
-    basis[n-j], the `block` of the unit unless given (an explicit surface
-    passes its own form).  All pairings are nondegenerate (Poincare duality)
-    by construction.  Every product of classes is read from one `cup_matrix`.
+    basis[n-j], the `block` of the unit.  All pairings are nondegenerate
+    (Poincare duality) by construction.  Every product of classes is read
+    from one `cup_matrix`.
     """
 
-    def __init__(self, spec, basis, pairing=None):
+    def __init__(self, spec, basis):
         self.spec = spec
         self.n = n = len(basis) - 1
         self.basis = basis
@@ -529,13 +542,11 @@ class GradedRing:
         self._pairing_inv_t = [None] * (n + 1)
         self._basis_keys = [None] * (n + 1)
         self.factors = None
-        if pairing is None:     # the blocks of the unit
-            pairing = [None] * (n + 1)
-            unit = list(zip(basis[0], self.basis_keys(0), [1]))
-            for j in range(n // 2 + 1):
-                pairing[j] = self.block(0, unit, n - j)
-                pairing[n - j] = linalg.transpose(pairing[j])
-        self.pairing = pairing
+        self.pairing = [None] * (n + 1)
+        unit = list(zip(basis[0], self.basis_keys(0), [1]))
+        for j in range(n // 2 + 1):
+            self.pairing[j] = self.block(0, unit, n - j)
+            self.pairing[n - j] = linalg.transpose(self.pairing[j])
 
     def dims(self):
         return [len(b) for b in self.basis]
@@ -543,15 +554,18 @@ class GradedRing:
     def zero(self, j):
         return [Fraction(0)] * len(self.basis[j])
 
-    def _pairing_solver(self, j):
-        """Inverse of the transposed degree-j pairing, computed once."""
+    def dual_solve(self, j, e):
+        """(pairing[j]^T)^(-1) e for a `linalg.Matrix` e with dim N^j rows:
+        the N^j coordinates of the classes whose pairings with basis[n-j] are
+        the columns of e.  The inverse is computed once per degree."""
         if self._pairing_inv_t[j] is None:
             self._pairing_inv_t[j] = linalg.inverse(
                 linalg.transpose(self.pairing[j]))
-        return self._pairing_inv_t[j]
+        return linalg.matmul(self._pairing_inv_t[j], e)
 
     def monomial_coords(self, mono):
-        """Coordinates of a monomial of a blow-up, P^n or a product of them."""
+        """Coordinates of a monomial of a blow-up, P^n, an explicit surface or
+        a product of blow-ups and P^n."""
         j = sum(map(len, mono)) if isinstance(self.spec, Product) else len(mono)
         if j > self.n:
             raise CohomologyError("monomial degree exceeds dimension")
@@ -586,8 +600,8 @@ class GradedRing:
         keys = self.support_keys(mono)
         if keys[0] & ~keys[1]:   # not a chain: the class is zero
             return self.zero(j)
-        rhs = self.block(j, [(mono, keys, 1)], 0)
-        return linalg.matvec(self._pairing_solver(j), [r[0] for r in rhs.rows])
+        return [r[0] for r in self.dual_solve(j, self.block(
+            j, [(mono, keys, 1)], 0))]
 
     def support_keys(self, mono):
         """(centers, comparable, count code) of a monomial (see
@@ -606,16 +620,17 @@ class GradedRing:
         return self._basis_keys[j]
 
     def block(self, j, terms, k):
-        """The integer `linalg.Matrix` E[d][b] = sum c int a.b.d over the
-        terms (a, support keys of a, integer c) of degree j, with b over
-        basis[k] and d over basis[n-j-k].  Every matrix of top intersection
-        numbers is one: the pairings (the unit's blocks), the cup matrices and
-        the coordinates of a blow-up monomial.
+        """The `linalg.Matrix` E[d][b] = sum c int a.b.d over the terms
+        (a, support keys of a, integer c) of degree j, with b over basis[k]
+        and d over basis[n-j-k].  Every matrix of top intersection numbers is
+        one: the pairings (the unit's blocks), the cup matrices and the
+        coordinates of a monomial.  It is an integer matrix unless the given
+        form of an explicit surface has denominators.
 
         A term is visited only where the chain masks allow the triple
         product, whose number is then read by count code, each code evaluated
-        once per call; on a product ring it is computed factor by factor by
-        `intersection_number`.
+        once per call; on a product ring it is computed factor by factor, and
+        on a surface read from its form, by `intersection_number`.
         """
         spec, by_code = self.spec, {}
 
@@ -625,6 +640,8 @@ class GradedRing:
             if isinstance(spec, Product):
                 return intersection_number(spec, tuple(
                     monomial(x + y + z) for x, y, z in zip(a, b, d)))
+            if isinstance(spec, SurfaceSpec):
+                return intersection_number(spec, a + b + d)
             value = by_code.get(code)
             if value is None:
                 value = by_code[code] = intersection_number(
@@ -659,6 +676,8 @@ class GradedRing:
                 row[col] = sum(c * top(a, b, d, code + a_code)
                                for a, a_centers, a_code, c in terms
                                if not a_centers & outside)
+        if isinstance(spec, SurfaceSpec):   # Fraction entries of its form
+            return linalg.mat(rows)
         return linalg.Matrix(rows, 1, width)
 
     def cup_matrix(self, j, v, k):
@@ -678,13 +697,12 @@ class GradedRing:
         if k == 0:
             return linalg.mat([[x] for x in v])
         if m == n:              # E is the row of pairings of v with the b
-            return linalg.matmul(self._pairing_solver(n), linalg.mat(
+            return self.dual_solve(n, linalg.mat(
                 [linalg.matvec(linalg.transpose(self.pairing[j]), v)]))
         den = lcm(1, *(c.denominator for c in v))
         e = self.block(j, zip(self.basis[j], self.basis_keys(j), (
             c.numerator * (den // c.denominator) for c in v)), k)
-        return linalg.matmul(self._pairing_solver(m),
-                             linalg.Matrix(e.rows, den, e.ncols))
+        return self.dual_solve(m, linalg.Matrix(e.rows, den * e.den, e.ncols))
 
     def multiply(self, j, vj, k, vk):
         """Product N^j x N^k -> N^(j+k) in basis coordinates."""

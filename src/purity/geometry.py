@@ -55,8 +55,8 @@ def rref(rows, fq):
 class LinearSubvariety:
     """Canonical form of an F_q-rational linear subvariety of P^ambient_n.
 
-    dim == -1 encodes the empty subvariety (basis is the empty matrix); it can
-    appear as a meet but is never produced by enumeration.
+    dim is the projective dimension, one less than the number of basis rows;
+    enumeration produces dims 0..ambient_n.
     """
 
     ambient_n: int
@@ -85,16 +85,6 @@ def make_subvariety(ambient_n, rows, field):
     return LinearSubvariety(ambient_n, len(reduced) - 1, reduced, field)
 
 
-def empty_subvariety(ambient_n, field):
-    return LinearSubvariety(ambient_n, -1, (), field)
-
-
-def whole_space(ambient_n, field):
-    rows = tuple(tuple(1 if j == i else 0 for j in range(ambient_n + 1))
-                 for i in range(ambient_n + 1))
-    return LinearSubvariety(ambient_n, ambient_n, rows, field)
-
-
 def _reduce_vector(vec, V, fq):
     """Reduce vec modulo the row space of V (in rref)."""
     vec = list(vec)
@@ -120,46 +110,6 @@ def contains(V, W):
 
 def comparable(V, W):
     return contains(V, W) or contains(W, V)
-
-
-def meet(V, W):
-    """Intersection of subvarieties; may be the empty subvariety (dim -1)."""
-    if V.ambient_n != W.ambient_n or V.field != W.field:
-        raise GeometryError("ambient space mismatch")
-    fq = get_field(V.field)
-    # Solve lam * V.basis = mu * W.basis: kernel of the stacked system.
-    a, b = len(V.basis), len(W.basis)
-    if a == 0 or b == 0:
-        return empty_subvariety(V.ambient_n, V.field)
-    ncols = V.ambient_n + 1
-    rows = []
-    for j in range(ncols):
-        rows.append([V.basis[i][j] for i in range(a)]
-                    + [fq.neg(W.basis[i][j]) for i in range(b)])
-    # kernel of the (ncols x (a+b)) matrix
-    red, pivots = rref(rows, fq)
-    free = [c for c in range(a + b) if c not in pivots]
-    vecs = []
-    for fcol in free:
-        sol = [0] * (a + b)
-        sol[fcol] = 1
-        for row, piv in zip(reversed(red), reversed(pivots)):
-            s = 0
-            for c in range(piv + 1, a + b):
-                s = fq.add(s, fq.mul(row[c], sol[c]))
-            sol[piv] = fq.neg(s)
-        vecs.append(sol)
-    inter_rows = []
-    for sol in vecs:
-        vec = [0] * ncols
-        for i in range(a):
-            if sol[i]:
-                vec = [fq.add(x, fq.mul(sol[i], y)) for x, y in zip(vec, V.basis[i])]
-        if any(vec):
-            inter_rows.append(vec)
-    if not inter_rows:
-        return empty_subvariety(V.ambient_n, V.field)
-    return make_subvariety(V.ambient_n, inter_rows, V.field)
 
 
 def point_count(k, q):
@@ -251,12 +201,6 @@ def sub_image(V, W):
     return make_subvariety(V.dim, rows, V.field)
 
 
-def quotient_geometry(V):
-    """The bijection {W : W strictly contains V} -> subvarieties of P^(n-d-1)."""
-    geom = ambient_geometry(V.ambient_n, V.field)
-    return {W: quotient_image(V, W) for W in geom.strict_supers(V)}
-
-
 class AmbientGeometry:
     """Cached incidence structure of all F_q-rational linear subvarieties of P^n.
 
@@ -277,7 +221,6 @@ class AmbientGeometry:
         self._below = None     # bit index -> mask of the subvarieties it contains
         self._above = None     # bit index -> mask of the subvarieties containing it
         self._subs = {}
-        self._supers = {}
 
     def subvarieties(self, d):
         if d not in self._by_dim:
@@ -354,22 +297,12 @@ class AmbientGeometry:
                                     % (U, self.n))
         return bool(self._below[bits[V]] >> bits[W] & 1)
 
-    def comparable(self, V, W):
-        return self.contains(V, W) or self.contains(W, V)
-
     def strict_subs(self, V):
         """All proper nonempty subvarieties strictly contained in V."""
         if V not in self._subs:
             i = self.bit(V)
             self._subs[V] = self._members(self._below[i] & ~(1 << i))
         return self._subs[V]
-
-    def strict_supers(self, V):
-        """All proper subvarieties of P^n strictly containing V."""
-        if V not in self._supers:
-            i = self.bit(V)
-            self._supers[V] = self._members(self._above[i] & ~(1 << i))
-        return self._supers[V]
 
     def least_hyperplane_containing(self, V):
         hyperplanes = self.subvarieties(self.n - 1)

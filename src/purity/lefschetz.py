@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import (BlownUp, GradedRing, Product, Projective, GEN_H,
+from .cohomology import (BlownUp, GradedRing, Projective, GEN_H,
                          gen_e, normalize_divisor)
 from .geometry import ambient_geometry, point_count
 
@@ -346,19 +346,3 @@ def omega_class(spec, q=None):
 def omega_vector(ring, q=None):
     """omega in N^1 coordinates of a blow-up or projective ring."""
     return ring.divisor_vector(omega_class(ring.spec, q))
-
-
-def product_lefschetz_vector(ring, factor_vectors):
-    """pr_1* L_1 + ... + pr_k* L_k in N^1 coordinates of a product ring."""
-    if not isinstance(ring.spec, Product):
-        raise LefschetzError("needs a product ring")
-    v = ring.zero(1)
-    for i, (fring, fvec) in enumerate(zip(ring.factors, factor_vectors)):
-        for a, c in enumerate(fvec):
-            if not c:
-                continue
-            label = tuple(fring.basis[1][a] if t == i else ()
-                          for t in range(len(ring.factors)))
-            v[ring.index[1][label]] += Fraction(c)
-    return v
-

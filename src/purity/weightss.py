@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import GradedRing, build_ring
+from .cohomology import GradedRing, SurfaceSpec, build_ring
 from .fields import FieldError, _prime_power
 from .lefschetz import (_memoized, check_hard_lefschetz,
                         lefschetz_pairing_gram, lefschetz_power, make_context)
@@ -167,8 +167,7 @@ class SemistableComplex:
                 # G^T . pairing_parent[j+1] = pairing_child[j] . R_(a-j), so
                 # G = (pairing_parent[j+1]^T)^(-1) . (pairing_child[j] . R)^T
                 rhs = linalg.matmul(child.pairing[j], mats[a - j])
-                out.append(linalg.matmul(parent._pairing_solver(j + 1),
-                                         linalg.transpose(rhs)))
+                out.append(parent.dual_solve(j + 1, linalg.transpose(rhs)))
             self._gysin_cache[key] = out
         return self._gysin_cache[key]
 
@@ -358,16 +357,7 @@ def explicit_surface_ring(labels, intersection):
 
     basis = [[()], [(g,) for g in gens],
              [tuple(sorted((gens[pivot[0]], gens[pivot[1]])))]]
-    top = linalg.mat([[intersection.entry(*pivot)]])
-    pairing = [top, intersection, top]
-    spec = SurfaceSpec(tuple(labels), intersection)
-    return GradedRing(spec, basis, pairing)
-
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    labels: tuple
-    intersection: linalg.Matrix
+    return GradedRing(SurfaceSpec(tuple(labels), intersection), basis)
 
 
 def load_complex(data):
@@ -515,9 +505,6 @@ class WeightTable:
     def e1_dim(self, i, j):
         return self.parts(i, j)[1]
 
-    def slots(self):
-        return self.entries
-
     # -- d1 and N -------------------------------------------------------------------
 
     @_memoized
@@ -625,11 +612,6 @@ class WeightTable:
         `induced_n`."""
         return _chain(self.induced_n, i, j, r)
 
-    def euler_characteristics(self):
-        e1 = sum((-1) ** (i + j) * self.e1_dim(i, j) for (i, j) in self.entries)
-        e2 = sum((-1) ** (i + j) * self.e2_dim(i, j) for (i, j) in self.entries)
-        return e1, e2
-
 
 def _cech_sign(m, subset):
     pos = sorted(subset).index(m)
@@ -676,34 +658,6 @@ def weight_table(cx):
     return WeightTable(cx)
 
 
-@dataclass
-class SpectralTable:
-    """Per-degree view of the full table for one cohomological degree w."""
-    table: WeightTable
-    w: int
-
-    def e1_entry_dims(self):
-        w = self.w
-        return {(i, w - i): self.table.e1_dim(i, w - i)
-                for i in range(-self.table.cx.n - 1, self.table.cx.n + 2)
-                if self.table.e1_dim(i, w - i)}
-
-    def e2_entry_dims(self):
-        w = self.w
-        return {(i, w - i): self.table.e2_dim(i, w - i)
-                for i in range(-self.table.cx.n - 1, self.table.cx.n + 2)
-                if self.table.e2_dim(i, w - i)}
-
-    def weight_tags(self):
-        return sorted({j for (_, j) in self.e2_entry_dims()})
-
-
-def build_e1(cx, w):
-    if not (0 <= w <= 2 * cx.n):
-        raise ValueError("degree w out of range 0..%d" % (2 * cx.n))
-    return SpectralTable(weight_table(cx), w)
-
-
 def check_purity(cx, w):
     """N^r: E2[-r, w+r] -> E2[r, w-r] bijective for every r >= 1."""
     table = weight_table(cx)
@@ -748,8 +702,10 @@ def inertia_invariants(cx, w):
 
 
 def euler_check(cx):
+    """Alternating sums of the E1 and E2 dimensions, which must agree."""
     table = weight_table(cx)
-    e1, e2 = table.euler_characteristics()
+    e1 = sum((-1) ** (i + j) * table.e1_dim(i, j) for (i, j) in table.entries)
+    e2 = sum((-1) ** (i + j) * table.e2_dim(i, j) for (i, j) in table.entries)
     return e1 == e2, {"e1": e1, "e2": e2}
 
 

@@ -41,10 +41,6 @@ class FactoredRationalT:
         return FactoredRationalT.from_dict(
             self.q, {a: m * e for a, m in self.factors})
 
-    def degree_balance(self):
-        """Degree of the denominator minus degree of the numerator."""
-        return -sum(m for _, m in self.factors)
-
     def _piece(self, a, m):
         base = "(1 - T)" if a == 0 else "(1 - %dT)" % (self.q ** a)
         return base if m == 1 else "%s^%d" % (base, m)

@@ -21,7 +21,8 @@ reads the rank from the inertia of the Lefschetz Gram.
 The factor-entry route to the pairing of a product ring (see
 `product_pairing`): each entry is the product of the factor pairing entries,
 where the ring reads the unit's `GradedRing.block`, `intersection_number` of
-the merged monomials.
+the merged monomials.  `product_lefschetz_vector` builds the product classes
+pr_1* L_1 + ... + pr_k* L_k that the product tests polarize with.
 
 The all-pairs route to pairings and monomial coordinates (see `merge` and
 `top_number`): the top number of every merged pair of monomials, with no
@@ -343,6 +344,21 @@ def product_pairing(ring, j):
         return val
     return linalg.mat([[entry(r, c) for c in ring.basis[ring.n - j]]
                        for r in ring.basis[j]])
+
+
+def product_lefschetz_vector(ring, factor_vectors):
+    """pr_1* L_1 + ... + pr_k* L_k in N^1 coordinates of a product ring."""
+    if not isinstance(ring.spec, Product):
+        raise LefschetzError("needs a product ring")
+    v = ring.zero(1)
+    for i, (fring, fvec) in enumerate(zip(ring.factors, factor_vectors)):
+        for a, c in enumerate(fvec):
+            if not c:
+                continue
+            label = tuple(fring.basis[1][a] if t == i else ()
+                          for t in range(len(ring.factors)))
+            v[ring.index[1][label]] += Fraction(c)
+    return v
 
 
 # -- ring products by merged monomials ------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracle import subspaces_by_dim
+from oracle import product_lefschetz_vector, subspaces_by_dim
 
 from purity import linalg
 from purity.cli import main as cli_main
@@ -26,7 +26,7 @@ from purity.geometry import ambient_geometry, enumerate_subspaces, \
     gaussian_binomial
 from purity.lefschetz import (check_hard_lefschetz, check_hodge_standard,
                               is_positive, make_context, omega_form,
-                              omega_vector, product_lefschetz_vector)
+                              omega_vector)
 from purity.weightss import (ComplexValidationError, check_purity,
                              complex_to_json, euler_check, load_complex,
                              verify_rz_lemmas, weight_table)

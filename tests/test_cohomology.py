@@ -108,7 +108,7 @@ def test_intersection_examples_threefold():
     assert intersection_number(spec, monomial([e_p, e_l, e_l])) == -1
     assert intersection_number(spec, monomial([e_p, e_l, h])) == 0
     assert intersection_number(spec, monomial([e_p, e_p, h])) == 0
-    M = next(l for l in g.subvarieties(1) if not g.comparable(l, L))
+    M = next(l for l in g.subvarieties(1) if not geometry.comparable(l, L))
     assert intersection_number(spec, monomial([e_l, gen_e(M), h])) == 0
 
 
@@ -341,10 +341,28 @@ def test_monomial_coords_solve_against_all_top_numbers(n, q):
         assert seen[j, False, False] and seen[j, True, True], (j, seen)
 
 
+@pytest.mark.parametrize("form", [[[1, 0], [0, -1]],
+                                  [["1/2", 1], [1, "-1/3"]]],
+                         ids=["integral", "rational"])
+def test_surface_monomial_coords_are_entries_over_the_top_entry(form):
+    # the pairings are the unit's blocks, read from the given form; the top
+    # monomial is a.a, named by the first nonzero entry, so a non-basis
+    # monomial x.y is its form entry over that of a.a times the top class
+    form = linalg.mat(form)
+    ring = explicit_surface_ring(["a", "b"], form)
+    top = linalg.mat([[form.entry(0, 0)]])
+    assert ring.pairing == [top, form, top]
+    for x, y in [("a", "b"), ("b", "b")]:
+        mono = monomial([("s", x), ("s", y)])
+        assert mono not in ring.index[2]
+        want = form.entry("ab".index(x), "ab".index(y)) / form.entry(0, 0)
+        assert ring.monomial_coords(mono) == [want]
+
+
 def test_cup_matrix_reads_the_basis_keys_once(monkeypatch):
-    # a fresh ring on the cached B^3/F_2 bases, so no key is known yet
+    # a fresh ring on the cached B^3/F_2 bases, so no key is known yet; its
+    # pairings and the cup matrices below share the keys
     built = build_ring(blowup(3, 2))
-    ring = cohomology.GradedRing(built.spec, built.basis, built.pairing)
     seen = collections.Counter()
     support_keys = cohomology._support_keys
 
@@ -353,6 +371,8 @@ def test_cup_matrix_reads_the_basis_keys_once(monkeypatch):
         return support_keys(spec, mono)
 
     monkeypatch.setattr(cohomology, "_support_keys", counted)
+    ring = cohomology.GradedRing(built.spec, built.basis)
+    assert ring.pairing == built.pairing
     v = ring.zero(1)
     v[0], v[-1] = Fraction(1), Fraction(-2)
     first = ring.cup_matrix(1, v, 1)

@@ -8,12 +8,24 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracle import subspaces_by_dim
 
 from purity.fields import field_spec, get_field
-from purity.geometry import (AmbientGeometry, GeometryError, ambient_geometry,
-                             contains,
+from purity.geometry import (AmbientGeometry, GeometryError,
+                             LinearSubvariety, ambient_geometry, contains,
                              enumerate_subspaces, gaussian_binomial,
-                             make_subvariety, meet, point_count,
-                             quotient_geometry, quotient_image, sub_image,
-                             whole_space)
+                             make_subvariety, point_count, quotient_image,
+                             sub_image)
+
+
+def whole_space(ambient_n, field):
+    rows = tuple(tuple(1 if j == i else 0 for j in range(ambient_n + 1))
+                 for i in range(ambient_n + 1))
+    return LinearSubvariety(ambient_n, ambient_n, rows, field)
+
+
+def quotient_map(V):
+    """{W: its quotient image} over the proper W strictly containing V."""
+    geom = ambient_geometry(V.ambient_n, V.field)
+    return {W: quotient_image(V, W) for W in geom.all_proper()
+            if W != V and contains(W, V)}
 
 
 def packed_points(V):
@@ -101,7 +113,7 @@ def test_quotient_geometry_examples():
     field = field_spec(2)
     geom = ambient_geometry(2, field)
     P = geom.subvarieties(0)[0]
-    qmap = quotient_geometry(P)
+    qmap = quotient_map(P)
     lines_through = [w for w in qmap if w.dim == 1]
     assert len(lines_through) == 3
     images = {qmap[w] for w in lines_through}
@@ -110,7 +122,6 @@ def test_quotient_geometry_examples():
     # top element maps to the whole target
     geom3 = ambient_geometry(3, field)
     L = geom3.subvarieties(1)[0]
-    from purity.geometry import whole_space
     top = whole_space(3, field)
     img = quotient_image(L, top)
     assert img.dim == 1 and img.ambient_n == 1
@@ -120,7 +131,7 @@ def test_quotient_preserves_containment():
     field = field_spec(2)
     geom = ambient_geometry(3, field)
     P = geom.subvarieties(0)[0]
-    qmap = quotient_geometry(P)
+    qmap = quotient_map(P)
     planes = [w for w in qmap if w.dim == 2]
     assert len(planes) == 7
     assert len({qmap[w] for w in planes}) == 7
@@ -154,18 +165,6 @@ def test_canonical_form_under_coordinate_permutation():
     assert permuted == set(subs)
 
 
-def test_meet_is_the_lattice_meet():
-    field = field_spec(2)
-    geom = ambient_geometry(2, field)
-    lines = geom.subvarieties(1)
-    a, b = lines[0], lines[1]
-    m = meet(a, b)
-    assert m.dim == 0 and contains(a, m) and contains(b, m)
-    pts = geom.subvarieties(0)
-    p, r = pts[0], pts[1]
-    assert meet(p, r).dim == -1
-
-
 @pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 2), (3, 3)])
 def test_incidence_masks_match_fq_containment(n, q):
     geom = AmbientGeometry(n, field_spec(q))   # fresh: numbered on first use
@@ -175,8 +174,6 @@ def test_incidence_masks_match_fq_containment(n, q):
             [contains(V, W) for W in proper]
         assert geom.strict_subs(V) == tuple(
             W for W in proper if W.dim < V.dim and contains(V, W))
-        assert geom.strict_supers(V) == tuple(
-            W for W in proper if W.dim > V.dim and contains(W, V))
         assert geom.least_hyperplane_containing(V) == next(
             H for H in geom.subvarieties(n - 1) if contains(H, V))
 

@@ -12,11 +12,11 @@ from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               invariant_form, is_positive, lefschetz_pairing_gram,
                               lefschetz_power, make_context, margins,
                               normalize_invariant, omega_class,
-                              omega_form, omega_vector, primitive_decomposition,
-                              product_lefschetz_vector)
+                              omega_form, omega_vector, primitive_decomposition)
 from purity.fixtures import two_planes
 from oracle import (hard_lefschetz_ranks, hodge_by_primitive_grams,
-                    hodge_sweep, multiply, pair, primitive_gram)
+                    hodge_sweep, multiply, pair, primitive_gram,
+                    product_lefschetz_vector)
 
 
 def b2_ring(q=2):

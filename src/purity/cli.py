@@ -215,11 +215,14 @@ def _fixture_from_arg(text):
 
 def cmd_wss(args):
     from . import weightss, zeta
+    if args.input is not None and args.check_lemmas:
+        raise weightss.ComplexValidationError(
+            "lemma suite needs built-in fixtures (they carry the "
+            "polarization data)")
     if args.fixture:
         cx, l_system = _fixture_from_arg(args.fixture)
     else:
         cx = weightss.load_complex(args.input)
-        l_system = None
     lines = ["complex: %s (%d strata, dimension %d, q=%d)"
              % (cx.name, len(cx.strata), cx.n, cx.q)]
     payload = {"command": "wss", "complex": cx.name, "q": cx.q,
@@ -246,10 +249,6 @@ def cmd_wss(args):
     payload["purity"] = purity_payload
     all_ok = all_ok and purity_all
     if args.check_lemmas:
-        if l_system is None:
-            raise weightss.ComplexValidationError(
-                "lemma suite needs built-in fixtures (they carry the "
-                "polarization data)")
         lem_ok, rows = weightss.verify_rz_lemmas(cx, l_system)
         failed = [r["lemma"] for r in rows if not r["ok"]]
         lines.append("positivity lemma suite: %s (%d checks%s)"

@@ -38,10 +38,17 @@ class FixtureError(ValueError):
 _ONE = linalg.identity(1)
 
 
+# the E1 blocks of an m-gon are dense m x m matrices, so time grows as m^2
+MAX_TATE_COMPONENTS = 1000
+
+
 def tate_cycle(m, q):
     """Cycle of m projective lines over F_q; the special fiber of a Tate curve."""
     if m < 2:
         raise FixtureError("tate-cycle needs at least 2 components")
+    if m > MAX_TATE_COMPONENTS:
+        raise FixtureError("tate-cycle takes at most %d components, got %d"
+                           % (MAX_TATE_COMPONENTS, m))
     p1 = build_ring(proj(1))
     pt = build_ring(proj(0))
     strata = []

@@ -146,6 +146,33 @@ def test_wss_input_with_nonzero_d1_squared_is_invalid_input(tmp_path, capsys):
     assert "d1 o d1 != 0" in err
 
 
+def test_wss_input_with_check_lemmas_is_refused_up_front(tmp_path):
+    # only built-in fixtures carry a Lefschetz class per stratum
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(complex_to_json(drinfeld_local(2, 2)[0])))
+    code, out, err = _cli_process("wss", "--input", str(path),
+                                  "--check-lemmas")
+    assert (code, out) == (2, "")
+    assert "lemma suite needs built-in fixtures (they carry the " \
+        "polarization data)" in err
+
+
+def test_wss_input_with_check_lemmas_does_not_load_the_input(monkeypatch,
+                                                              capsys):
+    from purity import weightss
+    loaded = []
+
+    def load(path):
+        loaded.append(path)
+        raise AssertionError("load_complex(%r) was called" % path)
+
+    monkeypatch.setattr(weightss, "load_complex", load)
+    code, out, err = run(capsys, "wss", "--input", "cx.json", "--zeta",
+                         "--check-lemmas")
+    assert (code, out, loaded) == (2, "", [])
+    assert "lemma suite needs built-in fixtures" in err
+
+
 def test_wss_rejects_missing_file(capsys):
     code, _, err = run(capsys, "wss", "--input", "/nonexistent/x.json")
     assert code == 2
@@ -211,6 +238,16 @@ def test_tate_cycle_field_size_beyond_the_primality_bound(capsys):
                        "tate-cycle:3,%d" % (2 ** 89 - 1), "--zeta")
     assert code == 2
     assert "primality bound" in err
+
+
+@pytest.mark.parametrize("m", [1001, 100000])
+def test_tate_cycle_component_count_is_bounded(m):
+    start = time.perf_counter()
+    code, out, err = _cli_process("wss", "--fixture", "tate-cycle:%d,2" % m,
+                                  "--check-lemmas", "--zeta", timeout=30)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert "tate-cycle takes at most 1000 components, got %d" % m in err
 
 
 def test_zero_denominator_divisor_is_invalid_input(capsys):

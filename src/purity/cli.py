@@ -219,7 +219,7 @@ def cmd_wss(args):
         raise weightss.ComplexValidationError(
             "lemma suite needs built-in fixtures (they carry the "
             "polarization data)")
-    if args.fixture:
+    if args.fixture is not None:
         cx, l_system = _fixture_from_arg(args.fixture)
     else:
         cx = weightss.load_complex(args.input)
@@ -336,12 +336,6 @@ def build_parser():
     return parser
 
 
-def _late_input_errors():
-    """The one named error that is no ValueError, once `weightss` is loaded."""
-    weightss = sys.modules.get(__package__ + ".weightss")
-    return () if weightss is None else (weightss.SpectralSequenceError,)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -356,7 +350,7 @@ def main(argv=None):
         signal.alarm(args.timeout)
     try:
         return args.func(args)
-    except (ValueError, OSError, *_late_input_errors()) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     finally:

@@ -264,39 +264,20 @@ def restrict_generator(spec, V, g):
 
 
 def _restrict_generator(spec, V, g):
-    geom = ambient_geometry(spec.n, spec.field)
-    d = V.dim
-    out = {}
-
-    def add(side, cls, coeff):
-        for gg, cc in cls.items():
-            key = (side, gg)
-            out[key] = out.get(key, Fraction(0)) + coeff * cc
-
     if g == GEN_H:
-        if d >= 1:
-            add(0, {GEN_H: Fraction(1)}, Fraction(1))
-        return {k: c for k, c in out.items() if c}
-
+        return {(0, GEN_H): Fraction(1)} if V.dim >= 1 else {}
     W = gen_subvariety(spec, g)
-    if W == V:
-        # rewrite one copy through the least hyperplane containing V, then
-        # restrict the rewritten expression term by term
-        H = geom.least_hyperplane_containing(V)
-        terms = [(GEN_H, Fraction(1)), (("strict", H), Fraction(-1))]
-        terms += [(gen_e(U), Fraction(-1))
-                  for U in geom.strict_subs(H) if U != V]
-        for term, coeff in terms:
-            if term == GEN_H:
-                if d >= 1:
-                    add(0, {GEN_H: Fraction(1)}, coeff)
-                continue
-            U = H if term[0] == "strict" else gen_subvariety(spec, term)
-            for key, c in _restrict_subvariety_divisor(spec, V, U).items():
-                out[key] = out.get(key, Fraction(0)) + coeff * c
-        return {k: c for k, c in out.items() if c}
-
-    return _restrict_subvariety_divisor(spec, V, W)
+    if W != V:
+        return _restrict_subvariety_divisor(spec, V, W)
+    # rewrite D_V through the least hyperplane H containing V,
+    # D_V = h - H~ - (the D_U of the other U < H), and restrict term by term
+    geom = ambient_geometry(spec.n, spec.field)
+    H = geom.least_hyperplane_containing(V)
+    out = _restrict_generator(spec, V, GEN_H)
+    for U in [H] + [U for U in geom.strict_subs(H) if U != V]:
+        for key, c in _restrict_subvariety_divisor(spec, V, U).items():
+            out[key] = out.get(key, Fraction(0)) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def _restrict_subvariety_divisor(spec, V, W):

@@ -108,10 +108,6 @@ def contains(V, W):
     return True
 
 
-def comparable(V, W):
-    return contains(V, W) or contains(W, V)
-
-
 def point_count(k, q):
     """Number of F_q-points of P^k: (q^(k+1) - 1) / (q - 1)."""
     if k < 0:

@@ -38,10 +38,19 @@ sweep of Lefschetz checks along a segment of classes.
 
 The subspace route to the lemma suite (see `verify_rz_lemmas_by_subspaces`):
 Ker tau n Im rho and Ker rho n Im tau as explicit intersections of subspace
-bases compared with the images of the composites, and Im0 as the
-intersection of an image with the primitive part, where
-`weightss.verify_rz_lemmas` reads the first two from ranks of composites and
-cuts Im0 by a kernel.
+bases compared with the images of the composites, Im0 as the intersection of
+an image with the primitive part, and the splitting of Im tau as a subspace
+sum compared with Im tau, where `weightss.verify_rz_lemmas` reads the first
+two from ranks of composites, cuts Im0 by a kernel and decides the splitting
+by a rank it already has and one containment.
+
+The rank route to the inertia invariants (see `inertia_invariants_by_ranks`):
+dim E2[i] minus the rank of the induced N on it, for every i, where
+`weightss.inertia_invariants` reads the kernel off the E2 dimensions once
+purity holds.
+
+`comparable`, containment either way, is the relation of the blow-up
+centers that the package encodes in the comparable masks of its geometry.
 """
 
 from fractions import Fraction
@@ -50,6 +59,7 @@ from unittest import mock
 
 from purity import linalg, weightss
 from purity.cohomology import Product, intersection_number, monomial
+from purity.geometry import contains
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, lefschetz_pairing_gram,
                               lefschetz_power, make_context,
@@ -262,6 +272,10 @@ def subspaces_by_dim(q, n):
             out.append(_orthogonal_complement(rows, q, n))
         levels[k] = out
     return levels
+
+
+def comparable(V, W):
+    return contains(V, W) or contains(W, V)
 
 
 # -- Hodge-Riemann by primitive Grams ------------------------------------------
@@ -488,10 +502,39 @@ def im0_by_intersection(lm, images, t, shift):
     return im0
 
 
+def tau_splits_by_subspaces(im_tau, im0_tau, img, sum_rank):
+    """Im tau == Im0 tau + img as subspace bases, and sum_rank, the rank of
+    [Im0 tau | img], is dim Im tau."""
+    return linalg.subspace_equal(linalg.subspace_sum(im0_tau, img), im_tau) \
+        and sum_rank == im_tau.ncols
+
+
 def verify_rz_lemmas_by_subspaces(cx, l_system):
-    """`weightss.verify_rz_lemmas` with the ker-cap-im rows and Im0 taken by
-    the subspace route; every other row is computed as in the package."""
+    """`weightss.verify_rz_lemmas` with the ker-cap-im rows, Im0 and the
+    splitting of Im tau taken by the subspace route; every other row is
+    computed as in the package."""
     with mock.patch.object(weightss, "_ker_cap_im",
                            ker_cap_im_by_intersection), \
-            mock.patch.object(weightss, "_im0", im0_by_intersection):
+            mock.patch.object(weightss, "_im0", im0_by_intersection), \
+            mock.patch.object(weightss, "_tau_splits",
+                              tau_splits_by_subspaces):
         return weightss.verify_rz_lemmas(cx, l_system)
+
+
+# -- the inertia invariants by ranks -------------------------------------------
+
+def inertia_invariants_by_ranks(cx, w):
+    """{weight tag j: dim E2[w - j, j] - rank of the induced N on it} over
+    the degree-w E2 column, nonzero values only; the kernel of N wherever it
+    is defined, purity or not."""
+    table = weightss.weight_table(cx)
+    out = {}
+    for i in range(-cx.n - 1, cx.n + 2):
+        j = w - i
+        dim = table.e2_dim(i, j)
+        if not dim:
+            continue
+        kdim = dim - linalg.rank(table.induced_n(i, j))
+        if kdim:
+            out[j] = out.get(j, 0) + kdim
+    return out

@@ -134,7 +134,8 @@ def test_wss_rejects_corrupted_input(tmp_path, capsys):
 
 def test_wss_input_with_nonzero_d1_squared_is_invalid_input(tmp_path, capsys):
     # the degree-1 restriction of one plane to the double curve, off by one:
-    # the record loads, and the weight table refuses it with a RuntimeError
+    # the record loads, and the weight table refuses it with a
+    # SpectralSequenceError
     cx, _ = make_fixture("two-planes", 2)
     data = complex_to_json(cx)
     entry = data["strata"][0]["parents"]["0"]["restriction"][1][0]
@@ -182,6 +183,12 @@ def test_unknown_fixture(capsys):
     code, _, err = run(capsys, "wss", "--fixture", "bogus:1")
     assert code == 2
     assert "unknown fixture" in err
+
+
+def test_empty_fixture_name_is_an_unknown_fixture(capsys):
+    code, out, err = run(capsys, "wss", "--fixture", "")
+    assert (code, out) == (2, "")
+    assert "unknown fixture ''" in err
 
 
 @pytest.mark.parametrize("spec", ["tate-cycle:3", "tate-cycle:3,2,1"])

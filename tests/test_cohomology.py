@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from purity import cohomology, geometry, linalg
+from purity import cohomology, linalg
 from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
                                _support_is_chain, betti_numbers, blowup,
                                build_ring, chain_basis, check_resource_guard,
@@ -18,8 +18,8 @@ from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
 from purity.fields import field_spec
 from purity.geometry import LinearSubvariety, ambient_geometry
 from purity.weightss import explicit_surface_ring
-from oracle import (cup_matrix, merge, multiply, product_pairing,
-                    top_number)
+from oracle import (comparable, cup_matrix, merge, multiply,
+                    product_pairing, top_number)
 
 
 F2 = field_spec(2)
@@ -35,7 +35,7 @@ def _pairwise_comparable(spec, mono):
     pairwise comparable under F_q containment."""
     centers = [LinearSubvariety(spec.n, g[1], g[2], spec.field)
                for g in mono if g != GEN_H]
-    return all(geometry.comparable(a, b)
+    return all(comparable(a, b)
                for a, b in itertools.combinations(centers, 2))
 
 
@@ -108,7 +108,7 @@ def test_intersection_examples_threefold():
     assert intersection_number(spec, monomial([e_p, e_l, e_l])) == -1
     assert intersection_number(spec, monomial([e_p, e_l, h])) == 0
     assert intersection_number(spec, monomial([e_p, e_p, h])) == 0
-    M = next(l for l in g.subvarieties(1) if not geometry.comparable(l, L))
+    M = next(l for l in g.subvarieties(1) if not comparable(l, L))
     assert intersection_number(spec, monomial([e_l, gen_e(M), h])) == 0
 
 

@@ -26,14 +26,39 @@ def _definitions(tree):
                     yield item.name, item
 
 
-def _references(tree):
-    """(name, line) of every identifier the module reads: bare names and
-    attributes."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(function):
+    """The names a function binds itself: its parameters, and every name it
+    stores to or defines outside its nested functions and classes."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a)
+    body = list(ast.iter_child_nodes(function))
+    while body:
+        node = body.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            body.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, local=frozenset()):
+    """(name, line) of every identifier the module reads: attributes, and
+    bare names that no enclosing function binds as a parameter or local."""
+    if isinstance(node, _FUNCTIONS):
+        local = local | _bound(node)
+    if isinstance(node, ast.Name) and node.id not in local:
+        yield node.id, node.lineno
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, local)
 
 
 def _kept_by_name():
@@ -71,12 +96,18 @@ def test_every_engine_definition_has_a_use():
 
 
 def test_an_unused_definition_is_reported(tmp_path):
+    # a parameter or local of the same name is no use of a definition
     (tmp_path / "a.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
         "class Holder:\n    def spare(self):\n        return 0\n\n"
-        "    def __len__(self):\n        return 0\n")
+        "    def __len__(self):\n        return 0\n\n\n"
+        "def shadowed():\n    return 0\n\n\n"
+        "def reader(shadowed):\n    spare = [x for x in shadowed]\n"
+        "    return lambda: spare\n")
     (tmp_path / "b.py").write_text(
-        "from a import Holder\n\nHOLDER = Holder()\n")
+        "from a import Holder, reader\n\n"
+        "HOLDER = Holder()\nREAD = reader([])\n")
     assert unused_definitions(tmp_path) == ["a.py:5 recursive",
-                                            "a.py:10 spare"]
+                                            "a.py:10 spare",
+                                            "a.py:17 shadowed"]

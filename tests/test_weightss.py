@@ -18,7 +18,8 @@ from purity.weightss import (ComplexValidationError, LevelMaps,
                              complex_to_json, euler_check,
                              explicit_surface_ring, inertia_invariants,
                              load_complex, verify_rz_lemmas, weight_table)
-from oracle import level_primitive, pair, verify_rz_lemmas_by_subspaces
+from oracle import (inertia_invariants_by_ranks, level_primitive, pair,
+                    verify_rz_lemmas_by_subspaces)
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +294,31 @@ def test_induced_n_is_computed_once(monkeypatch):
     assert len(calls) == products
 
 
+def test_inertia_invariants_match_the_rank_route(oracle_complexes):
+    larger = [tate_cycle(4, 3)[0], two_planes(2, 3)[0],
+              triangle_of_planes(3)[0], drinfeld_local(2, 3)[0]]
+    for cx in oracle_complexes + larger:
+        for w in range(2 * cx.n + 1):
+            if check_purity(cx, w)[0]:
+                assert inertia_invariants(cx, w) == \
+                    inertia_invariants_by_ranks(cx, w), (cx.name, w)
+
+
+def test_zeta_after_purity_makes_no_elimination(monkeypatch):
+    # a fresh complex: purity ranks its N^r here, before the patch
+    cx, _ = drinfeld_local(2, 3)
+    assert all(check_purity(cx, w)[0] for w in range(2 * cx.n + 1))
+    calls = []
+    for name in ("_row_rank", "_echelon", "matmul"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    assert str(zeta.zeta_function(cx)) == \
+        "1 / ((1 - T)^16 (1 - 3T) (1 - 9T))"
+    assert zeta.zeta_matches_weight_table(cx)
+    assert calls == []
+
+
 def test_induced_n_makes_no_elimination(monkeypatch):
     # a fresh complex: its E2 slots are computed here, before the patch
     cx, _ = drinfeld_local(2, 3)
@@ -499,6 +525,8 @@ def test_perturbed_rho_fails_the_same_rows_on_both_routes(t, i, row, col):
     assert not ok and not want_ok
     assert _verdicts(rows) == _verdicts(want)
     assert any(not r["ok"] and r["lemma"].startswith(_REWRITTEN) for r in rows)
+    if (t, i, row, col) == (1, 0, 0, 0):
+        assert not dict(_verdicts(rows))["orthogonal_splitting_tau[t=1,i=0]"]
 
 
 def test_lemma_suite_takes_no_subspace_intersection(monkeypatch):

@@ -4,8 +4,10 @@ Exit codes: 0 = all requested checks pass, 1 = a mathematical check failed,
 2 = invalid input or validation failure.  Reports are deterministic; pass
 --json for machine-readable output.  A --json report is streamed to stdout as
 it is written, and its bytes are those of json.dumps(report, indent=2,
-sort_keys=True).  The environment variable PURITY_MAX_DIM overrides the
-variety dimension guard.
+sort_keys=True).  Oversized requests exit 2 up front: a variety of dimension
+above cohomology.MAX_DIMENSION (4), a ring whose Betti numbers sum to more than
+cohomology.SIZE_BUDGET (4000), or a complex whose E1 page has a larger total
+dimension (see README.md for the measured boundary).
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ check of restrictions in `weightss` all call it.
 from __future__ import annotations
 
 import itertools
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +67,22 @@ class ResourceGuardError(CohomologyError):
     pass
 
 
-# guard for ring construction (PURITY_MAX_DIM overrides max_dim; see the CLI)
-RESOURCE_LIMITS = {"max_dim": 4, "max_q": 4}
+# Resource guard.  A variety above MAX_DIMENSION is refused before its Betti
+# numbers are computed.  SIZE_BUDGET bounds the total dimension the exact
+# eliminations run over: the sum of the Betti numbers of a ring, and the total
+# E1 dimension of a complex (see `weightss.SemistableComplex`).  It admits
+# B^3/F_5 (total 1928) and drinfeld-local:2,8 (3075), and refuses B^3/F_7
+# (6504), B^4/F_3 (24568) and drinfeld-local:2,9 (4104).
+MAX_DIMENSION = 4
+SIZE_BUDGET = 4000
+
+
+def check_size_budget(total, what):
+    """Refuse a computation whose `what` (a total dimension) exceeds
+    SIZE_BUDGET."""
+    if total > SIZE_BUDGET:
+        raise ResourceGuardError("%s %d exceeds the size budget %d"
+                                 % (what, total, SIZE_BUDGET))
 
 
 # -- variety specifications -------------------------------------------------
@@ -773,19 +786,12 @@ def chain_basis(spec, degree):
 
 
 def check_resource_guard(spec):
-    """Refuse a variety of dimension above PURITY_MAX_DIM (default
-    RESOURCE_LIMITS["max_dim"]), or a blow-up factor over a field above
-    RESOURCE_LIMITS["max_q"]."""
-    max_dim = int(os.environ.get("PURITY_MAX_DIM", RESOURCE_LIMITS["max_dim"]))
-    if dimension(spec) > max_dim:
-        raise ResourceGuardError(
-            "variety dimension %d exceeds guard %d (set PURITY_MAX_DIM to raise)"
-            % (dimension(spec), max_dim))
-    for f in spec.factors if isinstance(spec, Product) else (spec,):
-        if isinstance(f, BlownUp) and f.field.q > RESOURCE_LIMITS["max_q"]:
-            raise ResourceGuardError(
-                "field size %d exceeds guard %d"
-                % (f.field.q, RESOURCE_LIMITS["max_q"]))
+    """Refuse a variety of dimension above MAX_DIMENSION, then one whose
+    Betti numbers sum to more than SIZE_BUDGET."""
+    if dimension(spec) > MAX_DIMENSION:
+        raise ResourceGuardError("variety dimension %d exceeds guard %d"
+                                 % (dimension(spec), MAX_DIMENSION))
+    check_size_budget(sum(betti_numbers(spec)), "Betti total")
 
 
 def build_ring(spec):

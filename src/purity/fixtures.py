@@ -24,7 +24,8 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import blowup, build_ring, proj, restrict_to_divisor
+from .cohomology import (SIZE_BUDGET, blowup, build_ring, proj,
+                         restrict_to_divisor)
 from .fields import field_spec, get_field
 from .geometry import ambient_geometry, contains, make_subvariety
 from .lefschetz import omega_vector
@@ -38,8 +39,9 @@ class FixtureError(ValueError):
 _ONE = linalg.identity(1)
 
 
-# the E1 blocks of an m-gon are dense m x m matrices, so time grows as m^2
-MAX_TATE_COMPONENTS = 1000
+# an m-gon has E1 total dimension 4m: refuse it over the size budget before
+# any stratum is built
+MAX_TATE_COMPONENTS = SIZE_BUDGET // 4
 
 
 def tate_cycle(m, q):
@@ -222,30 +224,33 @@ def _flag_matching(inc, offset):
         if not opts:
             return None
         candidates[(i, j)] = opts
-    used12 = set()
-    used20 = set()
-    chosen = {}
     order = sorted(flags01, key=lambda f: len(candidates[f]))
-
-    def solve(idx):
-        if idx == len(order):
-            return True
-        i, j = order[idx]
-        for k in candidates[(i, j)]:
-            if (j, k) in used12 or (k, i) in used20:
-                continue
-            used12.add((j, k))
-            used20.add((k, i))
-            chosen[(i, j)] = k
-            if solve(idx + 1):
-                return True
-            used12.discard((j, k))
-            used20.discard((k, i))
-            del chosen[(i, j)]
-        return False
-
-    if not solve(0):
-        return None
+    # depth-first search with an explicit stack (one level per flag would
+    # overflow Python's recursion limit from q = 11 on)
+    used12, used20 = set(), set()
+    picks = []     # the candidate position taken at each depth of `order`
+    start = 0      # the first candidate position to try at the next depth
+    while len(picks) < len(order):
+        i, j = order[len(picks)]
+        opts = candidates[(i, j)]
+        pos = next((p for p in range(start, len(opts))
+                    if (j, opts[p]) not in used12
+                    and (opts[p], i) not in used20), None)
+        if pos is not None:
+            used12.add((j, opts[pos]))
+            used20.add((opts[pos], i))
+            picks.append(pos)
+            start = 0
+            continue
+        if not picks:
+            return None
+        # backtrack: undo the last pick and try its next candidate
+        start = picks.pop() + 1
+        i, j = order[len(picks)]
+        k = candidates[(i, j)][start - 1]
+        used12.discard((j, k))
+        used20.discard((k, i))
+    chosen = {f: candidates[f][p] for f, p in zip(order, picks)}
     return [(i, j, chosen[(i, j)]) for (i, j) in flags01]
 
 

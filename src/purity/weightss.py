@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import GradedRing, SurfaceSpec, build_ring
+from .cohomology import (GradedRing, ResourceGuardError, SurfaceSpec,
+                         build_ring, check_size_budget)
 from .fields import FieldError, _prime_power
 from .lefschetz import (_memoized, check_hard_lefschetz,
                         lefschetz_pairing_gram, lefschetz_power, make_context)
@@ -79,6 +80,9 @@ class SemistableComplex:
             raise ComplexValidationError("duplicate stratum ids")
         self.q = q
         self.name = name
+        # H^i(X^(t)) lies in t level parts of E1, so this is its total dimension
+        check_size_budget(sum(s.level * sum(s.ring.dims()) for s in strata),
+                          "E1 total dimension")
         comps = [s for s in strata if s.level == 1]
         if not comps:
             raise ComplexValidationError("no components (level-1 strata)")
@@ -421,9 +425,12 @@ def load_complex(data):
                         "stratum %s: parent 'of' must be a JSON string, got %r"
                         % (sid, pnode["of"]))
                 parents[int(m)] = (pnode["of"], [_matrix(mj) for mj in mats])
-        except ComplexValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ComplexValidationError, ResourceGuardError):
+            raise   # named already; a refused size is no malformed record
+        except KeyError as exc:
+            raise ComplexValidationError(
+                "malformed stratum record: missing key %s" % exc) from None
+        except (TypeError, ValueError) as exc:
             raise ComplexValidationError("malformed stratum record: %s" % exc)
         strata.append(Stratum(sid, subset, ring, parents))
     name = data.get("name", "complex")

@@ -1,7 +1,10 @@
+import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purity.cli import _BATCH, _write_json, main
-from purity.cohomology import PairingRows, blowup, build_ring
+from purity.cohomology import SIZE_BUDGET, PairingRows, blowup, build_ring
 from purity.fixtures import drinfeld_local, make_fixture
 from purity.linalg import Matrix
-from purity.weightss import (ComplexValidationError, complex_to_json,
-                             load_complex)
+from purity.weightss import (ComplexValidationError, SemistableComplex,
+                             complex_to_json, load_complex)
 
 
 def run(capsys, *argv):
@@ -198,11 +201,37 @@ def test_fixture_arity_is_invalid_input(capsys, spec):
     assert "'tate-cycle' takes arguments (m, q)" in err
 
 
-def test_drinfeld_local_over_a_field_above_the_ring_guard(capsys):
-    code, out, err = run(capsys, "wss", "--fixture", "drinfeld-local:2,5",
+def _validate_must_not_run(monkeypatch):
+    def unreachable(self):
+        raise AssertionError("SemistableComplex._validate ran")
+    monkeypatch.setattr(SemistableComplex, "_validate", unreachable)
+
+
+# E1 totals 3(q^2+q+4) + 12(q^2+q+1) + 3(q+1)(q^2+q+1); from q = 11 on, the
+# flag matching has more flags than Python's default recursion limit
+@pytest.mark.parametrize("q,total", [(9, 4104), (11, 6792), (13, 10440),
+                                     (16, 18027)])
+def test_drinfeld_local_over_the_size_budget_is_refused(monkeypatch, capsys,
+                                                        q, total):
+    _validate_must_not_run(monkeypatch)
+    code, out, err = run(capsys, "wss", "--fixture", "drinfeld-local:2,%d" % q,
                          "--check-lemmas", "--zeta")
-    assert (code, out) == (2, "")
-    assert "field size 5 exceeds guard 4" in err
+    assert (code, out, err) == (
+        2, "", "error: E1 total dimension %d exceeds the size budget 4000\n"
+        % total)
+
+
+@pytest.mark.parametrize("argv,total", [
+    (("ring", "--n", "4", "--q", "3"), 24568),
+    (("ring", "--n", "4", "--q", "4"), 163344),
+    (("hodge", "--n", "3", "--q", "7", "--divisor", "omega"), 6504),
+], ids=["ring-b4f3", "ring-b4f4", "hodge-b3f7"])
+def test_rings_over_the_size_budget_are_refused_up_front(capsys, argv, total):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        2, "", "error: Betti total %d exceeds the size budget 4000\n" % total)
 
 
 @pytest.mark.parametrize("argv", [("hodge", "--n", "0", "--q", "2"),
@@ -406,6 +435,50 @@ def _object_ids(data):
     data["strata"][0]["id"] = {"x": 1}
 
 
+def _tate_cycle_data(m):
+    """The JSON complex of an m-gon of lines over F_2 (E1 total 4m), written
+    out directly: the tate-cycle fixture takes at most 1000 components."""
+    line, point = {"kind": "projective", "n": 1}, {"kind": "projective", "n": 0}
+    strata = [{"id": "c%d" % i, "subset": [i], "variety": line, "parents": {}}
+              for i in range(m)]
+    for a in range(m):
+        b = (a + 1) % m
+        strata.append({"id": "node%d" % a, "subset": [a, b], "variety": point,
+                       "parents": {str(a): {"of": "c%d" % b,
+                                            "restriction": [[[1]]]},
+                                   str(b): {"of": "c%d" % a,
+                                            "restriction": [[[1]]]}}})
+    return {"schema_version": 1, "q": 2, "name": "%d-gon" % m,
+            "strata": strata}
+
+
+def test_json_tate_cycle_data_is_a_tate_cycle(tmp_path, capsys):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(_tate_cycle_data(3)))
+    code, out, _ = run(capsys, "wss", "--input", str(path), "--zeta")
+    assert code == 0
+    assert "zeta: 1 / (1 - 2T)" in out
+
+
+@pytest.mark.parametrize("data,line", [
+    (_one_line_data(variety={"kind": "blowup", "n": 3000, "q": 2}),
+     "variety dimension 3000 exceeds guard 4"),
+    (_one_line_data(variety={"kind": "blowup", "n": 3, "q": 7}),
+     "Betti total 6504 exceeds the size budget 4000"),
+    (_tate_cycle_data(1001),
+     "E1 total dimension 4004 exceeds the size budget 4000"),
+], ids=["blowup-n3000", "blowup-b3f7", "1001-gon"])
+def test_json_complex_over_the_guard_is_refused_up_front(
+        tmp_path, monkeypatch, capsys, data, line):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(data))
+    _validate_must_not_run(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wss", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: %s\n" % line)
+
+
 def test_json_lines_meeting_in_a_point_are_accepted(tmp_path, capsys):
     path = _one_line_complex(tmp_path)
     with open(path) as fh:
@@ -500,6 +573,163 @@ def test_json_stratum_error_is_reported_once(tmp_path, capsys, mutate, line):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "wss", "--input", str(path))
     assert (code, out, err) == (2, "", "error: %s\n" % line)
+
+
+# -- mutated fixture JSON -------------------------------------------------------
+
+_FUZZ_BASES = [("tate-cycle", 3, 2), ("two-planes", 2),
+               ("triangle-of-planes", 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_text(fixture):
+    return json.dumps(complex_to_json(make_fixture(*fixture)[0]))
+
+
+def _two_strata(data, draw):
+    return draw(st.lists(st.sampled_from(data["strata"]), min_size=2,
+                         max_size=2, unique_by=id))
+
+
+def _restriction_link(data, draw):
+    node = draw(st.sampled_from([n for n in data["strata"] if n["parents"]]))
+    return node["parents"][draw(st.sampled_from(sorted(node["parents"])))]
+
+
+def _wrong_shape(data, draw):
+    mats = _restriction_link(data, draw)["restriction"]
+    j = draw(st.integers(0, len(mats) - 1))
+    how = draw(st.sampled_from(["drop-degree", "drop-row", "drop-column",
+                                "add-row", "add-column", "ragged", "flat"]))
+    m = mats[j]
+    if how == "drop-degree":
+        del mats[j]
+    elif how == "drop-row":
+        del m[-1]
+    elif how == "drop-column":
+        for row in m:
+            del row[-1]
+    elif how == "add-row":
+        m.append(["0"] * len(m[0]))
+    elif how == "add-column":
+        for row in m:
+            row.append(1)
+    elif how == "ragged":
+        m.append([1] * (len(m[0]) + 1))
+    else:
+        mats[j] = [x for row in m for x in row]
+
+
+def _perturbed_entry(data, draw):
+    mats = _restriction_link(data, draw)["restriction"]
+    row = draw(st.sampled_from(draw(st.sampled_from(mats))))
+    row[draw(st.integers(0, len(row) - 1))] = draw(
+        st.sampled_from([0, 2, -1, "1/2", "-3/7"]))
+
+
+def _missing_parent(data, draw):
+    node = draw(st.sampled_from([n for n in data["strata"] if n["parents"]]))
+    m = draw(st.sampled_from(sorted(node["parents"])))
+    if draw(st.booleans()):
+        del node["parents"][m]
+    else:
+        node["parents"][m]["of"] = "no-such-stratum"
+
+
+def _cyclic_parent(data, draw):
+    """A parent link, new or replaced, onto the stratum itself or onto a
+    stratum that names it as a parent."""
+    node = draw(st.sampled_from(data["strata"]))
+    children = [c["id"] for c in data["strata"]
+                if any(p["of"] == node["id"] for p in c["parents"].values())]
+    m = str(draw(st.sampled_from(sorted(node["subset"]))))
+    link = node["parents"].setdefault(m, {"restriction": [[[1]]]})
+    link["of"] = draw(st.sampled_from([node["id"]] + children))
+
+
+def _duplicate_id(data, draw):
+    a, b = _two_strata(data, draw)
+    a["id"] = b["id"]
+
+
+def _swapped_strata(data, draw):
+    """Two strata swap their place in the list (the same complex) or one of
+    their fields."""
+    a, b = _two_strata(data, draw)
+    key = draw(st.sampled_from(["place", "id", "subset", "variety",
+                                "parents"]))
+    if key == "place":
+        strata = data["strata"]
+        i, j = strata.index(a), strata.index(b)
+        strata[i], strata[j] = b, a
+    else:
+        a[key], b[key] = b[key], a[key]
+
+
+def _over_budget(data, draw):
+    """One stratum on a ring over the size budget, or copies of one component
+    on new indices until the E1 total is over it."""
+    if draw(st.booleans()):
+        draw(st.sampled_from(data["strata"]))["variety"] = draw(
+            st.sampled_from([
+                {"kind": "blowup", "n": 3, "q": 7},
+                {"kind": "blowup", "n": 4, "q": 3},
+                {"kind": "product",
+                 "factors": [{"kind": "blowup", "n": 2, "q": 16}] * 2}]))
+        return
+    comp = draw(st.sampled_from([n for n in data["strata"]
+                                 if len(n["subset"]) == 1]))
+    first = 1 + max(i for n in data["strata"] for i in n["subset"])
+    # the components of the bases are P^n and surfaces
+    variety = comp["variety"]
+    betti_total = variety["n"] + 1 if variety["kind"] == "projective" \
+        else len(variety["labels"]) + 2
+    for k in range(SIZE_BUDGET // betti_total + 1):
+        data["strata"].append(dict(comp, id="copy%d" % k, subset=[first + k]))
+
+
+_JUNK = [None, True, 0, -1, 2.5, "", "x", [], [[]], {}, {"kind": "surface"}]
+
+
+def _junk_value(data, draw):
+    """Any one value of the document, at any depth, replaced or deleted."""
+    slots = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(data)
+    node, key = draw(st.sampled_from(slots))
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(_JUNK))
+
+
+_MUTATIONS = [_wrong_shape, _perturbed_entry, _missing_parent, _cyclic_parent,
+              _duplicate_id, _swapped_strata, _over_budget, _junk_value]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_BASES), st.sampled_from(_MUTATIONS), st.data())
+def test_mutated_fixture_json_is_answered_or_refused_by_name(
+        tmp_path_factory, fixture, mutate, data):
+    doc = json.loads(_fixture_text(fixture))
+    mutate(doc, data.draw)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["wss", "--input", str(path), "--zeta"])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"error: \S[^\n]*\n", err.getvalue())
+    else:
+        assert code in (0, 1) and err.getvalue() == ""
 
 
 def _nested(depth):
@@ -605,6 +835,10 @@ GOLDEN = [
                   "--zeta"), 0,
                  "46c1fd5f410354db1c7545e7615cf2d42e26d755be6da6c7217118823629f854",
                  id="wss-drinfeld-local:2,4"),
+    pytest.param(("wss", "--fixture", "drinfeld-local:2,5", "--check-lemmas",
+                  "--zeta"), 0,
+                 "c63a4367fe0d5eef72ccc094c5520260724e0c2946ec3844862fd0b31e1cd75a",
+                 id="wss-drinfeld-local:2,5"),
 ]
 
 

@@ -384,17 +384,48 @@ def test_cup_matrix_reads_the_basis_keys_once(monkeypatch):
 
 
 def test_resource_guard():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError,
+                       match="variety dimension 5 exceeds guard 4"):
         check_resource_guard(blowup(5, 2))
-    with pytest.raises(ResourceGuardError):
-        check_resource_guard(blowup(2, 8))
+    # no field-size cap: B^2/F_8 (Betti 1, 74, 1) is admitted
+    check_resource_guard(blowup(2, 8))
     check_resource_guard(blowup(3, 2))
 
 
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv("PURITY_MAX_DIM", "2")
-    with pytest.raises(ResourceGuardError):
-        check_resource_guard(blowup(3, 2))
+def test_a_huge_dimension_is_refused_before_the_betti_recursion(monkeypatch):
+    def no_recursion(spec):
+        raise AssertionError("betti_numbers called")
+    monkeypatch.setattr(cohomology, "betti_numbers", no_recursion)
+    with pytest.raises(ResourceGuardError,
+                       match="variety dimension 3000 exceeds guard 4"):
+        check_resource_guard(blowup(3000, 2))
+
+
+BUILTIN_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def test_resource_guard_refuses_exactly_over_the_size_budget():
+    admitted = set()
+    for n, q in itertools.product((2, 3, 4), BUILTIN_Q):
+        total = sum(betti_numbers(blowup(n, q)))
+        if total > cohomology.SIZE_BUDGET:
+            with pytest.raises(ResourceGuardError) as err:
+                check_resource_guard(blowup(n, q))
+            assert str(err.value) == ("Betti total %d exceeds the size "
+                                      "budget %d" % (total, 4000))
+        else:
+            check_resource_guard(blowup(n, q))
+            admitted.add((n, q))
+    # every B^2/F_q, B^3/F_q for q <= 5, and B^4/F_2 (Betti total 2268)
+    assert admitted == {(2, q) for q in BUILTIN_Q} | \
+        {(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)}
+
+
+def test_resource_guard_sums_the_betti_numbers_of_a_product():
+    # B^2/F_16 alone totals 276; the product totals 276^2
+    check_resource_guard(blowup(2, 16))
+    with pytest.raises(ResourceGuardError, match="Betti total 76176 exceeds"):
+        build_ring(product(blowup(2, 16), blowup(2, 16)))
 
 
 # -- restriction --------------------------------------------------------------------

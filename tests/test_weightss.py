@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purity import linalg, weightss, zeta
-from purity.cohomology import blowup, build_ring, proj, restrict_to_divisor
+from purity.cohomology import (ResourceGuardError, blowup, build_ring, proj,
+                               restrict_to_divisor)
 from purity.fields import field_spec
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
                              triangle_of_planes, two_planes)
@@ -245,6 +246,32 @@ def test_spectral_table_views(tate32):
     cx, _ = tate32
     assert sorted(j for _, j in column(cx, 1, page=2)) == [0, 2]
     assert column(cx, 7) == column(cx, 7, page=2) == {}
+
+
+@pytest.mark.parametrize("fixture,total", [
+    (("tate-cycle", 10, 2), 40), (("two-planes", 2), 12),
+    (("triangle-of-planes", 2), 33), (("drinfeld-local", 2, 3), 360),
+    (("drinfeld-local", 2, 4), 639)])
+def test_the_size_budget_reads_the_total_e1_dimension(fixture, total):
+    cx, _ = make_fixture(*fixture)
+    table = weight_table(cx)
+    assert sum(table.e1_dim(i, j) for i, j in table.entries) == total == \
+        sum(s.level * sum(s.ring.dims()) for s in cx.strata.values())
+
+
+def test_a_complex_over_the_size_budget_is_refused_before_validation(
+        monkeypatch):
+    def unreachable(self):
+        raise AssertionError("SemistableComplex._validate ran")
+    monkeypatch.setattr(SemistableComplex, "_validate", unreachable)
+    line = build_ring(proj(1))
+    # 2001 lines: E1 total 4002
+    strata = [Stratum("c%d" % i, frozenset([i]), line, {})
+              for i in range(2001)]
+    with pytest.raises(ResourceGuardError,
+                       match="E1 total dimension 4002 exceeds the size "
+                             "budget 4000"):
+        SemistableComplex(strata, 2)
 
 
 def test_monodromy_squares_to_zero_on_e1(tate32):

@@ -14,7 +14,10 @@ All fixtures are generated in process so they always match the live schema:
 * drinfeld_local(d=2, q): the one-vertex-per-type quotient shape of the
   Drinfeld special fiber: three components isomorphic to B^2, glued along all
   their exceptional-type divisors, with triple points indexed by a flag
-  matching found by exact cover over a cyclic (Singer) labelling.
+  matching over a cyclic (Singer) labelling, in closed form from the
+  translate of the Singer difference set fixed by the multiplier q (the
+  least such offset).  Its E1 total is 9 + 3m(q+6), m = q^2+q+1, so q >= 9
+  is refused over the size budget before anything is built.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import (SIZE_BUDGET, blowup, build_ring, proj,
-                         restrict_to_divisor)
+from .cohomology import (SIZE_BUDGET, blowup, build_ring, check_size_budget,
+                         proj, restrict_to_divisor)
 from .fields import field_spec, get_field
 from .geometry import ambient_geometry, contains, make_subvariety
 from .lefschetz import omega_vector
@@ -207,53 +210,6 @@ def _dot(fq, u, v):
     return s
 
 
-def _flag_matching(inc, offset):
-    """Exact cover by triples (i, j, k) with p_j in l_(i+c), p_k in l_(j+c),
-    p_i in l_(k+c); one triple through every incident pair on each of the
-    three sides, or None if the offset admits no cover.  `inc[l][b]` tells
-    whether the point p_b lies on the line l_l."""
-    size = len(inc)
-
-    def incident(a, b):      # p_b on the line labelled for a
-        return inc[(a + offset) % size][b]
-
-    flags01 = [(i, j) for i in range(size) for j in range(size) if incident(i, j)]
-    candidates = {}
-    for (i, j) in flags01:
-        opts = [k for k in range(size) if incident(j, k) and incident(k, i)]
-        if not opts:
-            return None
-        candidates[(i, j)] = opts
-    order = sorted(flags01, key=lambda f: len(candidates[f]))
-    # depth-first search with an explicit stack (one level per flag would
-    # overflow Python's recursion limit from q = 11 on)
-    used12, used20 = set(), set()
-    picks = []     # the candidate position taken at each depth of `order`
-    start = 0      # the first candidate position to try at the next depth
-    while len(picks) < len(order):
-        i, j = order[len(picks)]
-        opts = candidates[(i, j)]
-        pos = next((p for p in range(start, len(opts))
-                    if (j, opts[p]) not in used12
-                    and (opts[p], i) not in used20), None)
-        if pos is not None:
-            used12.add((j, opts[pos]))
-            used20.add((opts[pos], i))
-            picks.append(pos)
-            start = 0
-            continue
-        if not picks:
-            return None
-        # backtrack: undo the last pick and try its next candidate
-        start = picks.pop() + 1
-        i, j = order[len(picks)]
-        k = candidates[(i, j)][start - 1]
-        used12.discard((j, k))
-        used20.discard((k, i))
-    chosen = {f: candidates[f][p] for f, p in zip(order, picks)}
-    return [(i, j, chosen[(i, j)]) for (i, j) in flags01]
-
-
 def _swap_matrices(ring_src, ring_dst):
     """Coordinate change from a two-factor product ring onto the ring of the
     swapped product, degree by degree."""
@@ -267,29 +223,44 @@ def _swap_matrices(ring_src, ring_dst):
     return out
 
 
+def _triangle_matching(points, lines, q):
+    """(c, T): the flag matching of the Singer labelling, in closed form.
+
+    The labelling makes p_b lie on l_(a+c) iff b - a is in D = D0 + c, where
+    D0 = {b : p_b on l_0} is a perfect difference set mod m = q^2+q+1.  The
+    offset c is the least one whose translate is fixed by the multiplier q,
+    q*D = D (Hall 1947), so with d in D also qd and q^2 d = -(1+q)d are in D,
+    and the triples T = {(i, i+d, i+(1+q)d) mod m : i in Z/m, d in D} use
+    every incident pair (i, j), (j, k), (k, i) exactly once: the
+    difference-set form of a triangle presentation (Cartwright, Mantero,
+    Steger and Zappa 1993).
+    """
+    size = len(points)
+    d0 = [b for b in range(size) if contains(lines[0], points[b])]
+    offset = next(c for c in range(size)
+                  if {q * (x + c) % size for x in d0}
+                  == {(x + c) % size for x in d0})
+    return offset, [(i, (i + x) % size, (i + (1 + q) * x) % size)
+                    for i in range(size) for x in (y + offset for y in d0)]
+
+
 def drinfeld_local(d=2, q=2):
     """Three B^d components glued along all their divisors D_V, one vertex per
-    type, with triple points given by a flag matching."""
+    type, with triple points given by a flag matching (`_triangle_matching`).
+    The E1 total dimension is 9 + 3m(q+6), m = q^2+q+1, so a q over the size
+    budget is refused before anything is built."""
     if d != 2:
         raise FixtureError("drinfeld-local is implemented for d=2")
     field = field_spec(q)
+    size = q * q + q + 1
+    check_size_budget(9 + 3 * size * (q + 6), "E1 total dimension")
     spec = blowup(2, field)
     ring = build_ring(spec)
     points, lines = _singer_labelling(2, field)
-    size = len(points)
-    inc = [[contains(line, pt) for pt in points] for line in lines]
-    matching = None
-    offset_used = None
-    for offset in range(size):
-        matching = _flag_matching(inc, offset)
-        if matching is not None:
-            offset_used = offset
-            break
-    if matching is None:
-        raise FixtureError("no flag matching found for q=%d" % q)
+    offset, matching = _triangle_matching(points, lines, q)
 
     def line_for(label):
-        return lines[(label + offset_used) % size]
+        return lines[(label + offset) % size]
 
     # restriction data, computed once per center
     point_side = {i: restrict_to_divisor(ring, points[i]) for i in range(size)}

@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain, compress, count
 from math import gcd, lcm
 
@@ -463,18 +464,34 @@ def _pivot_signs(g):
     """
     _check_symmetric(g)
     rows = dict(enumerate(map(_sparse, g.rows)))
+    # (nonzeros, index) of each row with a nonzero diagonal, pushed again
+    # whenever the row changes; an entry that no longer matches is stale
+    heap = [(len(row), k) for k, row in rows.items() if k in row]
+    heapify(heap)
+
+    def store(u, row):
+        rows[u] = row
+        if u in row:
+            heappush(heap, (len(row), u))
+
+    def least_pivot():
+        while heap:
+            size, t = heappop(heap)
+            if t in rows.get(t, ()) and len(rows[t]) == size:
+                return t
+        return None
 
     def least(keys):
         return min(keys, default=None, key=lambda k: (len(rows[k]), k))
 
     while rows:
-        t = least(k for k, row in rows.items() if k in row)
+        t = least_pivot()
         if t is not None:
             p = rows.pop(t)
             yield 1 if p[t] > 0 else -1
             p = _primitive(p, p[t] < 0)
             for u in p.keys() - {t}:
-                rows[u] = _primitive(_clear(rows[u], t, p))
+                store(u, _primitive(_clear(rows[u], t, p)))
             continue
         i = least(k for k, row in rows.items() if row)
         if i is None:
@@ -487,7 +504,7 @@ def _pivot_signs(g):
         ri, rj = _primitive(ri, ri[j] < 0), _primitive(rj, rj[i] < 0)
         for c, nz, meets in ((i, rj, ri), (j, ri, rj)):
             for u in meets.keys() - {i, j}:
-                rows[u] = _primitive(_clear(rows[u], c, nz))
+                store(u, _primitive(_clear(rows[u], c, nz)))
 
 
 def symmetric_signature(g):

@@ -49,6 +49,11 @@ dim E2[i] minus the rank of the induced N on it, for every i, where
 `weightss.inertia_invariants` reads the kernel off the E2 dimensions once
 purity holds.
 
+The scan route to the pivot order of the symmetric sweep (see
+`pivot_signs_by_scans`): every step rescans the remaining rows for the least
+(nonzeros, index) with a nonzero diagonal, where `linalg._pivot_signs` pops
+it from a heap of the rows it has changed.
+
 `comparable`, containment either way, is the relation of the blow-up
 centers that the package encodes in the comparable masks of its geometry.
 """
@@ -340,6 +345,40 @@ def hard_lefschetz_ranks(ctx):
     """rank L^(n-2j): N^j -> N^(n-j) for j <= n/2, by eliminating each power."""
     return [linalg.rank(lefschetz_power(ctx, j, ctx.n - 2 * j))
             for j in range(ctx.n // 2 + 1)]
+
+
+# -- the pivot order of the symmetric sweep by rescans ----------------------------
+
+def pivot_signs_by_scans(g):
+    """The signs of `linalg._pivot_signs`, with each pivot found by a scan of
+    all remaining rows."""
+    rows = dict(enumerate(map(linalg._sparse, g.rows)))
+    signs = []
+
+    def least(keys):
+        return min(keys, default=None, key=lambda k: (len(rows[k]), k))
+
+    while rows:
+        t = least(k for k, row in rows.items() if k in row)
+        if t is not None:
+            p = rows.pop(t)
+            signs.append(1 if p[t] > 0 else -1)
+            p = linalg._primitive(p, p[t] < 0)
+            for u in p.keys() - {t}:
+                rows[u] = linalg._primitive(linalg._clear(rows[u], t, p))
+            continue
+        i = least(k for k, row in rows.items() if row)
+        if i is None:
+            return signs + [0] * len(rows)
+        signs += [1, -1]
+        j = min(rows[i])
+        ri, rj = rows.pop(i), rows.pop(j)
+        ri = linalg._primitive(ri, ri[j] < 0)
+        rj = linalg._primitive(rj, rj[i] < 0)
+        for c, nz, meets in ((i, rj, ri), (j, ri, rj)):
+            for u in meets.keys() - {i, j}:
+                rows[u] = linalg._primitive(linalg._clear(rows[u], c, nz))
+    return signs
 
 
 # -- the pairing of a product ring by factor entries ------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from purity import fixtures
 from purity.cli import _BATCH, _write_json, main
 from purity.cohomology import SIZE_BUDGET, PairingRows, blowup, build_ring
 from purity.fixtures import drinfeld_local, make_fixture
@@ -207,15 +208,21 @@ def _validate_must_not_run(monkeypatch):
     monkeypatch.setattr(SemistableComplex, "_validate", unreachable)
 
 
-# E1 totals 3(q^2+q+4) + 12(q^2+q+1) + 3(q+1)(q^2+q+1); from q = 11 on, the
-# flag matching has more flags than Python's default recursion limit
+# E1 total 9 + 3m(q+6) with m = q^2+q+1, refused from q before anything is
+# built
 @pytest.mark.parametrize("q,total", [(9, 4104), (11, 6792), (13, 10440),
                                      (16, 18027)])
 def test_drinfeld_local_over_the_size_budget_is_refused(monkeypatch, capsys,
                                                         q, total):
     _validate_must_not_run(monkeypatch)
+    for name in ("restrict_to_divisor", "build_ring", "_singer_labelling"):
+        def unreachable(*args, name=name):
+            raise AssertionError("fixtures.%s ran" % name)
+        monkeypatch.setattr(fixtures, name, unreachable)
+    start = time.perf_counter()
     code, out, err = run(capsys, "wss", "--fixture", "drinfeld-local:2,%d" % q,
                          "--check-lemmas", "--zeta")
+    assert time.perf_counter() - start < 1
     assert (code, out, err) == (
         2, "", "error: E1 total dimension %d exceeds the size budget 4000\n"
         % total)

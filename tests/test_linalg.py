@@ -13,6 +13,7 @@ from purity.lefschetz import (check_hard_lefschetz, check_hodge_standard,
 from purity.linalg import (LinAlgError, Matrix, identity, inverse,
                            is_positive_definite, kernel_basis, mat, matmul,
                            rank, symmetric_signature)
+from oracle import pivot_signs_by_scans
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -567,6 +568,23 @@ def test_inertia_after_fill_and_singular_schur_complements(rows, inertia):
     s = symmetric_signature(mat(rows))
     assert (s.n_plus, s.n_minus, s.n_zero) == inertia
     assert inertia == _ref_inertia([[Fraction(x) for x in r] for r in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_integer_matrices())
+def test_pivot_order_matches_the_scan_route(m):
+    rows, den = m
+    g = Matrix(rows, den, len(rows))
+    assert list(linalg._pivot_signs(g)) == pivot_signs_by_scans(g)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_omega_gram_pivot_order_matches_the_scan_route(q):
+    ring = build_ring(blowup(3, q))
+    ctx = make_context(ring, omega_vector(ring, q))
+    for j in (0, 1):
+        g = lefschetz_pairing_gram(ctx, j)
+        assert list(linalg._pivot_signs(g)) == pivot_signs_by_scans(g)
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -251,12 +251,17 @@ def test_spectral_table_views(tate32):
 @pytest.mark.parametrize("fixture,total", [
     (("tate-cycle", 10, 2), 40), (("two-planes", 2), 12),
     (("triangle-of-planes", 2), 33), (("drinfeld-local", 2, 3), 360),
-    (("drinfeld-local", 2, 4), 639)])
+    (("drinfeld-local", 2, 4), 639), (("drinfeld-local", 2, 2), 177),
+    (("drinfeld-local", 2, 5), 1032)])
 def test_the_size_budget_reads_the_total_e1_dimension(fixture, total):
     cx, _ = make_fixture(*fixture)
     table = weight_table(cx)
     assert sum(table.e1_dim(i, j) for i, j in table.entries) == total == \
         sum(s.level * sum(s.ring.dims()) for s in cx.strata.values())
+    if fixture[0] == "drinfeld-local":
+        # the total drinfeld_local refuses from before building anything
+        q = fixture[2]
+        assert total == 9 + 3 * (q * q + q + 1) * (q + 6)
 
 
 def test_a_complex_over_the_size_budget_is_refused_before_validation(

@@ -62,6 +62,14 @@ def test_triangle_zeta():
     assert zeta_matches_weight_table(cx)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_drinfeld_mu_is_the_euler_characteristic_of_the_dual_complex(q):
+    # dual complex: 3 vertices, 3m edges, (q+1)m triangles with m = q^2+q+1,
+    # and H^1 = 0, so mu = chi - 1 = 2 + (q-2)m
+    cx, _ = drinfeld_local(2, q)
+    assert mu_from_e2(cx, 2) == 2 + (q - 2) * (q * q + q + 1)
+
+
 def test_drinfeld_zeta_theorem_shape():
     cx, _ = drinfeld_local(2, 2)
     shape = theorem_shape(cx, 2)

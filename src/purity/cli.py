@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -206,13 +207,15 @@ def cmd_hodge(args):
 
 
 def _fixture_from_arg(text):
-    from .fixtures import make_fixture
-    if ":" in text:
-        name, argstr = text.split(":", 1)
-        fargs = [int(x) for x in argstr.split(",") if x != ""]
-    else:
-        name, fargs = text, []
-    return make_fixture(name, *fargs)
+    """`name[:args]`: each comma field of args must match -?[0-9]+."""
+    from .fixtures import FixtureError, make_fixture
+    name, colon, argstr = text.partition(":")
+    fields = argstr.split(",") if colon else []
+    for field in fields:
+        if not re.fullmatch("-?[0-9]+", field):
+            raise FixtureError("fixture argument %r in %r is not an integer"
+                               % (field, text))
+    return make_fixture(name, *map(int, fields))
 
 
 def cmd_wss(args):

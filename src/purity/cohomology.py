@@ -34,13 +34,15 @@ integer table.
 
 Every matrix of top intersection numbers is one routine, `GradedRing.block`:
 E[d][b] = sum c int a.b.d for a class sum c.a, each number read by the count
-code of its flag type behind the chain masks.  The Poincare pairings are the
-blocks of the unit, and the coordinates of a monomial solve the transposed
-pairing against its one-column block (`GradedRing.dual_solve`).  Every ring
-product is `GradedRing.cup_matrix`: the matrix of x -> v.x is the inverse
-transposed pairing times the block of v.  The Lefschetz operators,
-`GradedRing.multiply`, the `ring --products` tables and the multiplicativity
-check of restrictions in `weightss` all call it.
+code of its flag type behind the chain masks (factor by factor on a product).
+The Poincare pairings are the blocks of the unit, pairing[n-j] stored as the
+transpose of pairing[j].  On every ring kind, products included, the
+coordinates of a non-basis monomial of degree j are the cached inverse of
+pairing[n-j] times its one-column block (`GradedRing.dual_solve`).  Every ring
+product is `GradedRing.cup_matrix`: the matrix of x -> v.x is that inverse
+times the block of v.  The Lefschetz operators, `GradedRing.multiply`, the
+`ring --products` tables and the multiplicativity check of restrictions in
+`weightss` all call it.
 """
 
 from __future__ import annotations
@@ -201,8 +203,12 @@ def normalize_divisor(spec, coeffs):
     """Unique h / e_V representation; eliminates dim n-1 exceptional keys.
 
     A key of dimension n-1 denotes the strict transform of a hyperplane H and
-    is rewritten as h - sum of e_W over proper subvarieties W of H.
+    is rewritten as h - sum of e_W over proper subvarieties W of H.  Only
+    P^n and blow-ups have named generators; any other ring is refused.
     """
+    if not isinstance(spec, (Projective, BlownUp)):
+        raise CohomologyError("a generator dict needs a P^n or blow-up "
+                              "ring, not a %s ring" % type(spec).__name__)
     if isinstance(spec, Projective):
         out = {}
         for g, c in coeffs.items():
@@ -522,9 +528,11 @@ class GradedRing:
 
     basis[j] lists the monomials spanning N^j; pairing[j] is the
     `linalg.Matrix` of top intersection numbers between basis[j] and
-    basis[n-j], the `block` of the unit.  All pairings are nondegenerate
-    (Poincare duality) by construction.  Every product of classes is read
-    from one `cup_matrix`.
+    basis[n-j], the `block` of the unit; pairing[n-j] is stored as its
+    transpose.  All pairings are nondegenerate (Poincare duality) by
+    construction.  A non-basis monomial's coordinates solve its one-column
+    block by `dual_solve`, on products as on every other ring, and every
+    product of classes is read from one `cup_matrix`.
     """
 
     def __init__(self, spec, basis):
@@ -533,14 +541,13 @@ class GradedRing:
         self.basis = basis
         self.index = [{m: i for i, m in enumerate(bs)} for bs in basis]
         self._coords_memo = {}
-        self._pairing_inv_t = [None] * (n + 1)
+        self._dual_inv = [None] * (n + 1)
         self._basis_keys = [None] * (n + 1)
-        self.factors = None
         self.pairing = [None] * (n + 1)
         unit = list(zip(basis[0], self.basis_keys(0), [1]))
         for j in range(n // 2 + 1):
-            self.pairing[j] = self.block(0, unit, n - j)
-            self.pairing[n - j] = linalg.transpose(self.pairing[j])
+            p = self.block(0, unit, n - j)
+            self.pairing[j], self.pairing[n - j] = p, linalg.transpose(p)
 
     def dims(self):
         return [len(b) for b in self.basis]
@@ -549,13 +556,13 @@ class GradedRing:
         return [Fraction(0)] * len(self.basis[j])
 
     def dual_solve(self, j, e):
-        """(pairing[j]^T)^(-1) e for a `linalg.Matrix` e with dim N^j rows:
+        """pairing[n-j]^(-1) e for a `linalg.Matrix` e with dim N^j rows:
         the N^j coordinates of the classes whose pairings with basis[n-j] are
-        the columns of e.  The inverse is computed once per degree."""
-        if self._pairing_inv_t[j] is None:
-            self._pairing_inv_t[j] = linalg.inverse(
-                linalg.transpose(self.pairing[j]))
-        return linalg.matmul(self._pairing_inv_t[j], e)
+        the columns of e.  pairing[n-j] is the stored transpose of
+        pairing[j], and its inverse is computed once per degree."""
+        if self._dual_inv[j] is None:
+            self._dual_inv[j] = linalg.inverse(self.pairing[self.n - j])
+        return linalg.matmul(self._dual_inv[j], e)
 
     def monomial_coords(self, mono):
         """Coordinates of a monomial of a blow-up, P^n, an explicit surface or
@@ -575,22 +582,6 @@ class GradedRing:
         return v
 
     def _coords_vector(self, mono, j):
-        if isinstance(self.spec, Product):
-            if any(len(m) > r.n for r, m in zip(self.factors, mono)):
-                return self.zero(j)   # a factor class above its top degree
-            # tensor of factor coordinates
-            parts = [r.monomial_coords(m) for r, m in zip(self.factors, mono)]
-            degs = [len(m) for m in mono]
-            v = self.zero(j)
-            nonzero = [[(i, c) for i, c in enumerate(p) if c] for p in parts]
-            for combo in itertools.product(*nonzero):
-                coeff = Fraction(1)
-                label = []
-                for (i, c), ring, d in zip(combo, self.factors, degs):
-                    coeff *= c
-                    label.append(ring.basis[d][i])
-                v[self.index[j][tuple(label)]] += coeff
-            return v
         keys = self.support_keys(mono)
         if keys[0] & ~keys[1]:   # not a chain: the class is zero
             return self.zero(j)
@@ -678,21 +669,19 @@ class GradedRing:
         """The `linalg.Matrix` of x -> v.x from N^k to N^(j+k), for v in N^j
         in basis coordinates (0 x dim N^k past the top degree).
 
-        It is (pairing[j+k]^T)^(-1) E, E the `block` of v over the bases of
-        N^k and N^(n-j-k).  A triple with a degree-0 factor is a pairing
-        entry.
+        It is `dual_solve(j+k, E)`, E the `block` of v over the bases of
+        N^k and N^(n-j-k).  With k = 0 it is v itself, and with j + k = n E
+        is the row pairing[k] v.
         """
         n, m = self.n, j + k
         if m > n:
             return linalg.zeros(0, len(self.basis[k]))
         v = [Fraction(x) for x in v]
-        if j == 0:              # v is a multiple of the unit
-            return linalg.scale(linalg.identity(len(self.basis[k])), v[0])
         if k == 0:
             return linalg.mat([[x] for x in v])
         if m == n:              # E is the row of pairings of v with the b
             return self.dual_solve(n, linalg.mat(
-                [linalg.matvec(linalg.transpose(self.pairing[j]), v)]))
+                [linalg.matvec(self.pairing[k], v)]))
         den = lcm(1, *(c.denominator for c in v))
         e = self.block(j, zip(self.basis[j], self.basis_keys(j), (
             c.numerator * (den // c.denominator) for c in v)), k)
@@ -703,13 +692,11 @@ class GradedRing:
         return linalg.matvec(self.cup_matrix(j, vj, k), vk)
 
     def divisor_vector(self, coeffs):
-        """Coordinates in N^1 of a normalized divisor class dict."""
-        coeffs = normalize_divisor(self.spec, coeffs) \
-            if not isinstance(self.spec, Product) else coeffs
+        """Coordinates in N^1 of a divisor class dict on P^n or a blow-up
+        (see `normalize_divisor`)."""
         v = self.zero(1)
-        for g, c in coeffs.items():
-            mono = (g,) if not isinstance(self.spec, Product) else g
-            idx = self.index[1].get(mono)
+        for g, c in normalize_divisor(self.spec, coeffs).items():
+            idx = self.index[1].get((g,))
             if idx is None:
                 raise CohomologyError("generator %r is not a basis monomial" % (g,))
             v[idx] += Fraction(c)
@@ -719,15 +706,11 @@ class GradedRing:
         """The ring as report data.  Each pairing block is a lazy
         `PairingRows`, `[list(row) for row in rows]` gives plain lists, and
         each products table a lazy `ProductRows` of them."""
-        def mono_json(m):
-            if isinstance(self.spec, Product):
-                return [[_gen_json(g) for g in part] for part in m]
-            return [_gen_json(g) for g in m]
-
         out = {
             "dimension": self.n,
             "dims": self.dims(),
-            "basis": [[mono_json(m) for m in bs] for bs in self.basis],
+            "basis": [[[_gen_json(g) for g in m] for m in bs]
+                      for bs in self.basis],
             "pairing": {str(j): PairingRows(self.pairing[j])
                         for j in range(self.n + 1)},
         }
@@ -840,9 +823,7 @@ def _build_product(spec):
             for combo in itertools.product(*[r.basis[a] for r, a in zip(rings, split)]):
                 bs.append(tuple(combo))
         basis.append(bs)
-    ring = GradedRing(spec, basis)
-    ring.factors = rings
-    return ring
+    return GradedRing(spec, basis)
 
 
 def _compositions(total, caps):

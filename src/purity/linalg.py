@@ -427,10 +427,6 @@ class SignatureReport:
     def signature(self):
         return self.n_plus - self.n_minus
 
-    @property
-    def dim(self):
-        return self.n_plus + self.n_minus + self.n_zero
-
 
 def _check_symmetric(g):
     if g.nrows != g.ncols:

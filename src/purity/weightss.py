@@ -449,8 +449,7 @@ def complex_to_json(cx):
     """Serialize a complex; rings built from specs keep their spec description."""
     from . import cohomology
 
-    def variety_json(ring):
-        spec = ring.spec
+    def variety_json(spec):
         if isinstance(spec, SurfaceSpec):
             return {"kind": "surface", "labels": list(spec.labels),
                     "intersection": [[str(x) for x in row]
@@ -460,13 +459,13 @@ def complex_to_json(cx):
         if isinstance(spec, cohomology.BlownUp):
             return {"kind": "blowup", "n": spec.n, "q": spec.field.q}
         return {"kind": "product",
-                "factors": [variety_json(f) for f in ring.factors]}
+                "factors": [variety_json(f) for f in spec.factors]}
 
     strata = []
     for sid in sorted(cx.strata):
         s = cx.strata[sid]
         node = {"id": s.id, "subset": sorted(s.subset),
-                "variety": variety_json(s.ring), "parents": {}}
+                "variety": variety_json(s.ring.spec), "parents": {}}
         for m, (pid, mats) in sorted(s.parents.items()):
             node["parents"][str(m)] = {
                 "of": pid,
@@ -732,8 +731,6 @@ class LevelMaps:
                     raise ValueError("no Lefschetz class supplied for stratum %s"
                                      % sid)
                 ring, cls = cx.strata[sid].ring, l_system[sid]
-                if ring.n and isinstance(cls, dict):
-                    cls = ring.divisor_vector(cls)
                 key = (id(ring), tuple(map(Fraction, cls)) if ring.n else ())
                 if key not in contexts:
                     contexts[key] = make_context(ring, cls)
@@ -773,8 +770,8 @@ class LevelMaps:
 def verify_rz_lemmas(cx, l_system):
     """Run the positivity lemma suite; returns (verdict, report rows).
 
-    l_system maps stratum id -> Lefschetz class (N^1 coordinates or generator
-    dict).  Hard Lefschetz must hold on every stratum for its class.
+    l_system maps stratum id -> Lefschetz class in N^1 coordinates, as every
+    fixture gives it.  Hard Lefschetz must hold on every stratum for its class.
 
     The kernel-image rows ask for ranks of composites, never for a basis of
     an intersection.  With rho = rho(t, i), tau = tau(t+1, i) and

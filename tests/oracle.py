@@ -24,6 +24,10 @@ where the ring reads the unit's `GradedRing.block`, `intersection_number` of
 the merged monomials.  `product_lefschetz_vector` builds the product classes
 pr_1* L_1 + ... + pr_k* L_k that the product tests polarize with.
 
+The tensor route to the coordinates of a product monomial (see
+`tensor_coords`): the tensor product of its factors' coordinates, where
+`GradedRing.monomial_coords` solves its one-column block as on every ring.
+
 The all-pairs route to pairings and monomial coordinates (see `merge` and
 `top_number`): the top number of every merged pair of monomials, with no
 chain masks and no count codes, where `GradedRing.block` reads each count
@@ -58,12 +62,14 @@ it from a heap of the rows it has changed.
 centers that the package encodes in the comparable masks of its geometry.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
 from purity import linalg, weightss
-from purity.cohomology import Product, intersection_number, monomial
+from purity.cohomology import (Product, build_ring, intersection_number,
+                               monomial)
 from purity.geometry import contains
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, lefschetz_pairing_gram,
@@ -387,9 +393,11 @@ def product_pairing(ring, j):
     """The pairing of N^j with N^(n-j) on a product ring: each entry is the
     product over the factors of their pairing entries, 0 where a factor's
     degrees do not add up to its dimension."""
+    factors = [build_ring(f) for f in ring.spec.factors]
+
     def entry(r, c):
         val = Fraction(1)
-        for f, a, b in zip(ring.factors, r, c):
+        for f, a, b in zip(factors, r, c):
             if len(a) + len(b) != f.n:
                 return Fraction(0)
             val *= f.pairing[len(a)].entry(f.index[len(a)][a],
@@ -403,14 +411,35 @@ def product_lefschetz_vector(ring, factor_vectors):
     """pr_1* L_1 + ... + pr_k* L_k in N^1 coordinates of a product ring."""
     if not isinstance(ring.spec, Product):
         raise LefschetzError("needs a product ring")
+    factors = [build_ring(f) for f in ring.spec.factors]
     v = ring.zero(1)
-    for i, (fring, fvec) in enumerate(zip(ring.factors, factor_vectors)):
+    for i, (fring, fvec) in enumerate(zip(factors, factor_vectors)):
         for a, c in enumerate(fvec):
             if not c:
                 continue
             label = tuple(fring.basis[1][a] if t == i else ()
-                          for t in range(len(ring.factors)))
+                          for t in range(len(factors)))
             v[ring.index[1][label]] += Fraction(c)
+    return v
+
+
+def tensor_coords(ring, mono):
+    """Coordinates of a factor-split monomial of a product ring: the tensor
+    product of each factor's `monomial_coords`, zero when a factor class lies
+    above its factor's top degree."""
+    factors = [build_ring(f) for f in ring.spec.factors]
+    j = sum(map(len, mono))
+    v = ring.zero(j)
+    if any(len(m) > f.n for f, m in zip(factors, mono)):
+        return v
+    parts = [[(f.basis[len(m)][i], c)
+              for i, c in enumerate(f.monomial_coords(m)) if c]
+             for f, m in zip(factors, mono)]
+    for combo in itertools.product(*parts):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        v[ring.index[j][tuple(b for b, _ in combo)]] += coeff
     return v
 
 

@@ -202,6 +202,25 @@ def test_fixture_arity_is_invalid_input(capsys, spec):
     assert "'tate-cycle' takes arguments (m, q)" in err
 
 
+def test_fixture_without_arguments_runs_its_defaults(capsys):
+    assert run(capsys, "--json", "wss", "--fixture", "drinfeld-local") == \
+        run(capsys, "--json", "wss", "--fixture", "drinfeld-local:2,2")
+
+
+# each comma field must match -?[0-9]+: no empty field, no '+', spaces,
+# underscores or non-ASCII digits that int() would take
+@pytest.mark.parametrize("spec,field", [
+    ("tate-cycle:3,,2", ""), ("tate-cycle:3,2,", ""), ("tate-cycle:x,2", "x"),
+    ("tate-cycle:3_0,2", "3_0"), ("tate-cycle:+3,2", "+3"),
+    ("tate-cycle: 3,2", " 3"), ("tate-cycle:\u0663,2", "\u0663"),
+    ("drinfeld-local:", "")])
+def test_fixture_argument_fields_are_integers(capsys, spec, field):
+    code, out, err = run(capsys, "wss", "--fixture", spec)
+    assert (code, out) == (2, "")
+    assert ("fixture argument %r in %r is not an integer" % (field, spec)
+            in err), err
+
+
 def _validate_must_not_run(monkeypatch):
     def unreachable(self):
         raise AssertionError("SemistableComplex._validate ran")

@@ -19,7 +19,7 @@ from purity.fields import field_spec
 from purity.geometry import LinearSubvariety, ambient_geometry
 from purity.weightss import explicit_surface_ring
 from oracle import (comparable, cup_matrix, merge, multiply,
-                    product_pairing, top_number)
+                    product_pairing, tensor_coords, top_number)
 
 
 F2 = field_spec(2)
@@ -341,6 +341,50 @@ def test_monomial_coords_solve_against_all_top_numbers(n, q):
         assert seen[j, False, False] and seen[j, True, True], (j, seen)
 
 
+@pytest.mark.parametrize("spec", [
+    product(blowup(1, 2), blowup(2, 2)), product(blowup(0, 2), blowup(3, 2)),
+    product(blowup(2, 3), blowup(1, 3)), product(proj(1), blowup(2, 2))],
+    ids=["B^1xB^2/F_2", "B^0xB^3/F_2", "B^2xB^1/F_3", "P^1xB^2/F_2"])
+def test_product_monomial_coords_solve_against_all_top_numbers(spec):
+    # a product monomial's one-column block is solved as on any ring; the
+    # oracles solve against every top number and tensor the factor
+    # coordinates.  The sample is every non-basis factor-split monomial in h
+    # and the first two centers of each factor, so it holds non-chain factors
+    # and factor classes above their factor's top degree.
+    ring = build_ring(spec)
+    n = ring.n
+    samples = [generators(f)[:3] for f in spec.factors]
+    seen = collections.Counter()
+    for j in range(1, n + 1):
+        for split in itertools.product(range(j + 1), repeat=len(samples)):
+            if sum(split) != j:
+                continue
+            for mono in itertools.product(*(
+                    itertools.combinations_with_replacement(s, d)
+                    for s, d in zip(samples, split))):
+                mono = tuple(monomial(m) for m in mono)
+                if mono in ring.index[j]:
+                    continue
+                col = [[top_number(ring, merge(ring, mono, d))]
+                       for d in ring.basis[n - j]]
+                want = linalg.solve(linalg.transpose(ring.pairing[j]),
+                                    linalg.mat(col))
+                got = ring.monomial_coords(mono)
+                assert got == [row[0] for row in want], mono
+                assert got == tensor_coords(ring, mono), mono
+                above = any(len(m) > cohomology.dimension(f)
+                            for f, m in zip(spec.factors, mono))
+                chain = all(_support_is_chain(f, m)
+                            for f, m in zip(spec.factors, mono)
+                            if isinstance(f, cohomology.BlownUp))
+                seen[above, chain] += 1
+    assert seen[False, False] and seen[False, True], seen
+    # a factor with generators below the dimension n can go above its top
+    assert bool(seen[True, True]) == any(
+        s and cohomology.dimension(f) < n
+        for f, s in zip(spec.factors, samples)), seen
+
+
 @pytest.mark.parametrize("form", [[[1, 0], [0, -1]],
                                   [["1/2", 1], [1, "-1/3"]]],
                          ids=["integral", "rational"])
@@ -484,7 +528,7 @@ def test_kunneth_dims_and_factors():
     r2 = build_ring(blowup(2, 2))
     r = build_ring(product(r1.spec, r2.spec))
     assert r.dims() == [1, 9, 9, 1]
-    assert len(r.factors) == 2
+    assert len(r.spec.factors) == 2
 
 
 def test_ring_serialization_roundtrip_shape():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from purity import linalg
-from purity.cohomology import (GEN_H, blowup, build_ring, gen_e, proj, product)
+from purity.cohomology import (GEN_H, CohomologyError, blowup, build_ring,
+                               gen_e, proj, product)
 from purity.fields import field_spec
 from purity.geometry import ambient_geometry, point_count
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
@@ -40,6 +41,19 @@ def test_projective_space_lefschetz():
     assert primitive_gram(ctx, 1) == linalg.zeros(0, 0)   # odd degree: empty
     ok, _ = check_hodge_standard(ctx)
     assert ok
+
+
+@pytest.mark.parametrize("ring,kind", [
+    (lambda: two_planes()[0].strata["X1"].ring, "SurfaceSpec"),
+    (lambda: build_ring(product(blowup(1, 2), blowup(2, 2))), "Product")],
+    ids=["surface", "product"])
+def test_generator_dict_needs_a_ring_with_generators(ring, kind):
+    # only P^n and blow-ups name their N^1 generators; any other ring refuses
+    # a generator dict by name instead of failing inside the normalization
+    with pytest.raises(CohomologyError, match="not a %s ring" % kind):
+        make_context(ring(), {("s", "h"): Fraction(1)})
+    with pytest.raises(CohomologyError, match="not a %s ring" % kind):
+        make_context(ring(), {GEN_H: Fraction(1)})
 
 
 def test_b2_context_shapes():

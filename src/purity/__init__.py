@@ -16,8 +16,7 @@ _EXPORTS = {
                   "betti_numbers intersection_number hyperplane_relation "
                   "restrict_to_divisor",
     "lefschetz": "make_context check_hard_lefschetz primitive_decomposition "
-                 "check_hodge_standard invariant_form is_positive omega_form "
-                 "omega_class",
+                 "check_hodge_standard is_positive omega_form",
     "weightss": "load_complex complex_to_json check_purity "
                 "euler_check inertia_invariants verify_rz_lemmas weight_table "
                 "SemistableComplex Stratum explicit_surface_ring",

@@ -99,12 +99,12 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _parse_divisor(spec_str, n, q, ring):
-    """'omega' or comma-separated alpha,a_0..a_(n-1) level coefficients."""
+def _parse_divisor(spec_str, n, q):
+    """The `lefschetz.InvariantDivisorForm` of 'omega' or of comma-separated
+    alpha,a_0..a_(n-1) level coefficients."""
     from . import lefschetz
     if spec_str == "omega":
-        return (lefschetz.omega_vector(ring, q),
-                lefschetz.omega_form(n, q) if n >= 2 else None)
+        return lefschetz.omega_form(n, q)
     parts = spec_str.split(",")
     bad = next((p for p in parts if not linalg.RATIONAL.fullmatch(p)), None)
     if bad is not None:
@@ -120,10 +120,7 @@ def _parse_divisor(spec_str, n, q, ring):
     if len(parts) != n + 1:
         raise ValueError("divisor needs alpha and %d or %d level coefficients"
                          % (n - 1, n))
-    form = lefschetz.normalize_invariant(n, q, parts[0], parts[1:])
-    if n < 2:
-        return [form.alpha], form
-    return ring.divisor_vector(form.as_divisor(ring.spec)), form
+    return lefschetz.normalize_invariant(n, q, parts[0], parts[1:])
 
 
 def cmd_ring(args):
@@ -158,25 +155,24 @@ def cmd_hodge(args):
         raise lefschetz.LefschetzError(
             "hodge needs n >= 1 (a degree-1 class), got n=%d" % args.n)
     ring = cohomology.build_ring(cohomology.blowup(args.n, args.q))
-    vec, form = _parse_divisor(args.divisor, args.n, args.q, ring)
+    form = _parse_divisor(args.divisor, args.n, args.q)
     lines = ["variety: B^%d over F_%d" % (args.n, args.q)]
     payload = {"command": "hodge", "n": args.n, "q": args.q,
                "divisor": args.divisor}
-    if form is not None:
-        positive = lefschetz.is_positive(form)
-        payload["positive"] = positive
-        payload["alpha"] = str(form.alpha)
-        payload["levels"] = [str(a) for a in form.levels]
-        lines.append("positivity criterion: %s (alpha=%s, levels=%s)"
-                     % ("positive" if positive else "NOT positive",
-                        form.alpha, ",".join(str(a) for a in form.levels)))
-        if not positive:
-            lines.append("REFUSED: class is not positive; "
-                         "Lefschetz verification needs a positive class")
-            payload["verdict"] = "refused"
-            _emit(args, payload, lines)
-            return EXIT_CHECK_FAILED
-    ctx = lefschetz.make_context(ring, vec)
+    positive = lefschetz.is_positive(form)
+    payload["positive"] = positive
+    payload["alpha"] = str(form.alpha)
+    payload["levels"] = [str(a) for a in form.levels]
+    lines.append("positivity criterion: %s (alpha=%s, levels=%s)"
+                 % ("positive" if positive else "NOT positive",
+                    form.alpha, ",".join(str(a) for a in form.levels)))
+    if not positive:
+        lines.append("REFUSED: class is not positive; "
+                     "Lefschetz verification needs a positive class")
+        payload["verdict"] = "refused"
+        _emit(args, payload, lines)
+        return EXIT_CHECK_FAILED
+    ctx = lefschetz.make_context(ring, form.vector(ring))
     hl, hl_report = lefschetz.check_hard_lefschetz(ctx)
     payload["hard_lefschetz"] = {"ok": hl, "degrees": hl_report}
     for row in hl_report:

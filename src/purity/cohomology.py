@@ -215,7 +215,10 @@ def normalize_divisor(spec, coeffs):
             if g != GEN_H:
                 raise CohomologyError("projective space has only the class h")
             out[GEN_H] = out.get(GEN_H, Fraction(0)) + Fraction(c)
-        return {g: c for g, c in out.items() if c}
+        out = {g: c for g, c in out.items() if c}
+        if out and spec.n == 0:
+            raise CohomologyError("P^0 has no degree-1 class")
+        return out
     geom = ambient_geometry(spec.n, spec.field)
     out = {}
     for g, c in coeffs.items():
@@ -690,17 +693,6 @@ class GradedRing:
     def multiply(self, j, vj, k, vk):
         """Product N^j x N^k -> N^(j+k) in basis coordinates."""
         return linalg.matvec(self.cup_matrix(j, vj, k), vk)
-
-    def divisor_vector(self, coeffs):
-        """Coordinates in N^1 of a divisor class dict on P^n or a blow-up
-        (see `normalize_divisor`)."""
-        v = self.zero(1)
-        for g, c in normalize_divisor(self.spec, coeffs).items():
-            idx = self.index[1].get((g,))
-            if idx is None:
-                raise CohomologyError("generator %r is not a basis monomial" % (g,))
-            v[idx] += Fraction(c)
-        return v
 
     def to_json(self, include_products=True):
         """The ring as report data.  Each pairing block is a lazy

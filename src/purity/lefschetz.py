@@ -4,7 +4,10 @@ positivity of the signed Lefschetz pairings, all in exact arithmetic.
 Degrees are algebraic: N^j sits in cohomological degree 2j, so the classical
 statements about H^k appear here with k = 2j.  Odd degrees vanish.  The
 operator of a class D on N^j is the ring's cup matrix of D
-(`GradedRing.cup_matrix`), built once per context by `make_context`.
+(`GradedRing.cup_matrix`), built once per context by `make_context`, which
+takes D by its N^1 coordinates only.  The invariant classes
+alpha h + sum a_d D_d of B^n (`InvariantDivisorForm`, omega among them) have
+one route there, `InvariantDivisorForm.vector`.
 
 Both checks read one inertia per degree, that of the signed Lefschetz
 pairing Q_j = (-1)^j (L^(n-2j))^T P_(n-j) (`lefschetz_inertia`), with P_(n-j)
@@ -26,9 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import (BlownUp, GradedRing, Projective, GEN_H,
-                         gen_e, normalize_divisor)
-from .geometry import ambient_geometry, point_count
+from .cohomology import BlownUp, GradedRing, Projective, GEN_H, blowup
+from .geometry import point_count
 
 
 class LefschetzError(ValueError):
@@ -66,16 +68,12 @@ def _memoized(fn):
 
 
 def make_context(ring, divisor):
-    """Context with the cup-action matrices of a degree-1 class D.
-
-    `divisor` is either an N^1 coordinate vector or a generator->coefficient
-    dict (normalized through the hyperplane relation first).  The operator
-    L_j: N^j -> N^(j+1) is `ring.cup_matrix(1, D, j)`.
+    """Context with the cup-action matrices of a degree-1 class D, given by
+    its N^1 coordinates `divisor`.  The operator L_j: N^j -> N^(j+1) is
+    `ring.cup_matrix(1, D, j)`.
     """
     if ring.n == 0:
         return LefschetzContext(ring, [], [])
-    if isinstance(divisor, dict):
-        divisor = ring.divisor_vector(divisor)
     if len(divisor) != len(ring.basis[1]):
         raise LefschetzError("operator class is not a degree-1 class")
     divisor = [Fraction(x) for x in divisor]
@@ -212,45 +210,23 @@ class InvariantDivisorForm:
     alpha: Fraction
     levels: tuple
 
-    def as_divisor(self, spec):
-        coeffs = {GEN_H: Fraction(self.alpha)}
-        geom = ambient_geometry(spec.n, spec.field)
-        for d, a in enumerate(self.levels):
-            if not a:
-                continue
-            for V in geom.subvarieties(d):
-                k = gen_e(V)
-                coeffs[k] = coeffs.get(k, Fraction(0)) + a
-        return normalize_divisor(spec, coeffs)
-
-
-def invariant_form(spec, divisor):
-    """Recognize a class constant on each dimension level, or fail.
-
-    Accepts a normalized generator dict and returns the (alpha, a_0..a_(n-1))
-    form with a_(n-1) = 0.
-    """
-    if not isinstance(spec, BlownUp):
-        raise LefschetzError("invariant forms live on blow-up rings")
-    coeffs = normalize_divisor(spec, divisor)
-    geom = ambient_geometry(spec.n, spec.field)
-    alpha = Fraction(coeffs.get(GEN_H, 0))
-    levels = []
-    for d in range(spec.n - 1):
-        vals = {Fraction(coeffs.get(gen_e(V), 0)) for V in geom.subvarieties(d)}
-        if len(vals) != 1:
-            raise LefschetzError("class is not PGL-invariant: level %d varies" % d)
-        levels.append(vals.pop())
-    levels.append(Fraction(0))
-    extra = set(coeffs) - {GEN_H} - {gen_e(V) for d in range(spec.n - 1)
-                                     for V in geom.subvarieties(d)}
-    if extra:
-        raise LefschetzError("unknown generators %r" % (extra,))
-    return InvariantDivisorForm(spec.n, spec.field.q, alpha, tuple(levels))
+    def vector(self, ring):
+        """The class in N^1 coordinates of the ring of B^n over F_q (P^1 when
+        n = 1): alpha on h and levels[d] on each e_V with dim V = d.  The
+        normal form leaves no hyperplane class to rewrite."""
+        if ring.spec != blowup(self.n, self.q):
+            raise LefschetzError("a class of B^%d/F_%d is not a class of this "
+                                 "ring" % (self.n, self.q))
+        # the N^1 basis is h and the e_V with dim V <= n-2, each once
+        return [self.alpha if g == GEN_H else self.levels[g[1]]
+                for (g,) in ring.basis[1]]
 
 
 def normalize_invariant(n, q, alpha, levels):
     """Fold a possibly nonzero top level into alpha and the lower levels."""
+    if n < 1:
+        raise LefschetzError("B^%d has no degree-1 class; an invariant class "
+                             "needs n >= 1" % n)
     levels = [Fraction(a) for a in levels]
     if len(levels) != n:
         raise LefschetzError("expected %d level coefficients" % n)
@@ -323,26 +299,19 @@ def omega_form(n, q):
     return normalize_invariant(n, q, -(n + 1), [n - d for d in range(n)])
 
 
-def omega_class(spec, q=None):
-    """omega as a normalized generator dict on B^n (n >= 1).
-
-    For n <= 1 the blow-up is projective space itself and omega degenerates
-    to (q-1) h; q must then be passed explicitly.  P^n with n >= 2 is no B^n,
-    and has no omega.
-    """
-    if isinstance(spec, Projective):
-        if spec.n == 0:
-            return {}
-        if spec.n > 1:
-            raise LefschetzError("omega is defined on B^n; P^%d is not a "
-                                 "blow-up B^%d" % (spec.n, spec.n))
-        if q is None:
-            raise LefschetzError("omega on P^1 = B^1 needs q")
-        return {GEN_H: Fraction(q - 1)}
-    form = omega_form(spec.n, spec.field.q)
-    return form.as_divisor(spec)
-
-
 def omega_vector(ring, q=None):
-    """omega in N^1 coordinates of a blow-up or projective ring."""
-    return ring.divisor_vector(omega_class(ring.spec, q))
+    """omega = `omega_form(n, q)` in N^1 coordinates of the ring of B^n.
+
+    On a blow-up q comes from the spec.  For n <= 1 the blow-up is projective
+    space itself, where omega is (q-1) h, and q must be passed.  P^n with
+    n >= 2 is no B^n and has no omega.
+    """
+    spec = ring.spec
+    if isinstance(spec, BlownUp):
+        q = spec.field.q
+    elif not isinstance(spec, Projective) or spec.n >= 2:
+        raise LefschetzError("omega is defined on B^n; this ring of dimension "
+                             "%d is not a blow-up B^%d" % (ring.n, ring.n))
+    elif q is None:
+        raise LefschetzError("omega on P^%d = B^%d needs q" % (spec.n, spec.n))
+    return omega_form(ring.n, q).vector(ring)

@@ -321,16 +321,15 @@ def _variety_from_json(node):
         return build_ring(cohomology.blowup(_json_int(node, "n"),
                                             _json_int(node, "q")))
     if kind == "product":
-        factors = []
-        for f in node["factors"]:
-            if f["kind"] == "projective":
-                factors.append(cohomology.proj(_json_int(f, "n")))
-            elif f["kind"] == "blowup":
-                factors.append(cohomology.blowup(_json_int(f, "n"),
-                                                 _json_int(f, "q")))
-            else:
-                raise ComplexValidationError("nested product factors unsupported")
-        return build_ring(cohomology.product(*factors))
+        factors = node["factors"]
+        if not isinstance(factors, list):
+            raise ComplexValidationError("'factors' must be a JSON array, "
+                                         "got %r" % (factors,))
+        if any(isinstance(f, dict) and f.get("kind") in ("product", "surface")
+               for f in factors):
+            raise ComplexValidationError("nested product factors unsupported")
+        return build_ring(cohomology.product(
+            *(_variety_from_json(f).spec for f in factors)))
     if kind == "surface":
         labels = node["labels"]
         if not (isinstance(labels, list)

@@ -58,6 +58,11 @@ The scan route to the pivot order of the symmetric sweep (see
 (nonzeros, index) with a nonzero diagonal, where `linalg._pivot_signs` pops
 it from a heap of the rows it has changed.
 
+The generator-dict route to N^1 coordinates (see `divisor_vector`): h and
+e_V coefficients with every hyperplane class rewritten as h minus the e_W it
+contains, where `lefschetz.InvariantDivisorForm.vector` reads an invariant
+class off its levels.
+
 `comparable`, containment either way, is the relation of the blow-up
 centers that the package encodes in the comparable masks of its geometry.
 """
@@ -69,7 +74,7 @@ from unittest import mock
 
 from purity import linalg, weightss
 from purity.cohomology import (Product, build_ring, intersection_number,
-                               monomial)
+                               monomial, normalize_divisor)
 from purity.geometry import contains
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, lefschetz_pairing_gram,
@@ -497,6 +502,18 @@ def pair(ring, j, vj, vk):
                 zip(vj, linalg.matvec(ring.pairing[j], vk))), Fraction(0))
 
 
+# -- N^1 coordinates of a generator dict -------------------------------------------
+
+def divisor_vector(ring, coeffs):
+    """N^1 coordinates of a generator->coefficient dict on P^n or a blow-up,
+    normalized through the hyperplane relation first (see
+    `cohomology.normalize_divisor`)."""
+    v = ring.zero(1)
+    for g, c in normalize_divisor(ring.spec, coeffs).items():
+        v[ring.index[1][(g,)]] += c
+    return v
+
+
 # -- Lefschetz checks along a segment --------------------------------------------
 
 def hodge_sweep(ring, l0, l1, steps):
@@ -507,10 +524,6 @@ def hodge_sweep(ring, l0, l1, steps):
     """
     if steps < 2:
         raise LefschetzError("steps must be >= 2")
-    if isinstance(l0, dict):
-        l0 = ring.divisor_vector(l0)
-    if isinstance(l1, dict):
-        l1 = ring.divisor_vector(l1)
     rows = []
     for i in range(steps + 1):
         t = Fraction(i, steps)

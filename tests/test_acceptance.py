@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracle import product_lefschetz_vector, subspaces_by_dim
+from oracle import divisor_vector, product_lefschetz_vector, subspaces_by_dim
 
 from purity import linalg
 from purity.cli import main as cli_main
@@ -186,12 +186,12 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
     P = geom.subvarieties(0)[0]
     # e_P is not positive; the combined verification fails (Hodge positivity:
     # its square -1 still gives an isomorphism H^0 -> H^4)
-    ctx = make_context(ring, ring.divisor_vector({gen_e(P): Fraction(1)}))
+    ctx = make_context(ring, divisor_vector(ring, {gen_e(P): Fraction(1)}))
     assert check_hard_lefschetz(ctx)[0]
     assert not check_hodge_standard(ctx)[0]
     # a non-positive class that kills hard Lefschetz outright: (h - e_P)^2 = 0
-    ctx2 = make_context(ring, ring.divisor_vector(
-        {GEN_H: Fraction(1), gen_e(P): Fraction(-1)}))
+    ctx2 = make_context(ring, divisor_vector(
+        ring, {GEN_H: Fraction(1), gen_e(P): Fraction(-1)}))
     assert not check_hard_lefschetz(ctx2)[0]
     # corrupted restriction matrix: rejected at load, CLI exit code 2
     cx, _ = drinfeld_local(2, 2)

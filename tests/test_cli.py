@@ -73,6 +73,23 @@ def test_hodge_curve(capsys):
     assert "verdict: PASS" in out
 
 
+@pytest.mark.parametrize("n,q,numeric", [(1, 3, "-2,1"), (2, 3, "-3,2,1"),
+                                         (3, 2, "-4,3,2,1")])
+def test_omega_and_its_numeric_form_give_one_report(capsys, n, q, numeric):
+    # omega is -(n+1) h + sum (n-d) D_d at every n >= 1, through the same
+    # positivity gate and the same coordinates as any numeric class
+    reports = []
+    for divisor in ("omega", numeric):
+        code, out, _ = run(capsys, "--json", "hodge", "--n", str(n),
+                           "--q", str(q), "--divisor=" + divisor)
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("divisor") == divisor
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["positive"] is True
+
+
 def test_hodge_refuses_non_positive(capsys):
     code, out, _ = run(capsys, "hodge", "--n", "2", "--q", "2",
                        "--divisor", "1,-1")
@@ -413,12 +430,40 @@ def test_json_complex_field_size_has_no_upper_bound(tmp_path, capsys, q):
      "surface 'labels' must be a JSON array of strings"),
     ({"kind": "surface", "labels": [1], "intersection": [[1]]},
      "surface 'labels' must be a JSON array of strings"),
+    ({"kind": "product", "factors": 5}, "'factors' must be a JSON array"),
+    ({"kind": "product", "factors": {"a": 1}},
+     "'factors' must be a JSON array"),
+    ({"kind": "product", "factors": ["x"]},
+     "variety spec must be an object with 'kind'"),
+    ({"kind": "product", "factors": [{"n": 1}]},
+     "variety spec must be an object with 'kind'"),
+    ({"kind": "product", "factors": [{"kind": "product", "factors": []}]},
+     "nested product factors unsupported"),
+    ({"kind": "product", "factors": [
+        {"kind": "surface", "labels": ["a"], "intersection": [[1]]}]},
+     "nested product factors unsupported"),
 ])
 def test_json_variety_is_checked(tmp_path, capsys, variety, msg):
     code, out, err = run(capsys, "--timeout", "30", "wss", "--input",
                          _one_line_complex(tmp_path, variety=variety))
     assert (code, out) == (2, "")
     assert msg in err
+
+
+def test_json_product_of_no_factors_is_a_point(tmp_path, capsys):
+    reports = []
+    for variety in ({"kind": "product", "factors": []},
+                    {"kind": "projective", "n": 0}):
+        path = tmp_path / "pt.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "q": 2, "name": "pt", "strata": [
+                {"id": "c0", "subset": [0], "parents": {},
+                 "variety": variety}]}))
+        code, out, _ = run(capsys, "--json", "wss", "--input", str(path),
+                           "--zeta")
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
 
 
 @settings(max_examples=200, deadline=2000)
@@ -827,6 +872,9 @@ GOLDEN = [
                   "--zeta"), 0,
                  "e455cc2145cecc7ca8242f9c19594707c11703ef31e93c7453e0369469fcdfd7",
                  id="wss-drinfeld-local:2,3"),
+    pytest.param(("hodge", "--n", "1", "--q", "3", "--divisor", "omega"), 0,
+                 "ee19ddab7b3a63b108e4494e1d720f2591b411c1b4423dbdf4358f95cb0041e6",
+                 id="hodge-b1f3-omega"),
     pytest.param(("hodge", "--n", "2", "--q", "3", "--divisor", "omega"), 0,
                  "7afcd3c0cfc1bf486de63f99f31267195df049a58525714818b05b9dce2e5126",
                  id="hodge-b2f3-omega"),
@@ -956,8 +1004,10 @@ def test_products_report_is_streamed_in_small_memory(monkeypatch):
 # -- loading only what a command runs ------------------------------------------
 
 # `purity.__all__` before its names were resolved on first access, less
-# `primitive_gram` and `hodge_sweep`, which moved into the tests' oracle, and
-# less `build_e1` and `quotient_geometry`, which no command ran
+# `primitive_gram` and `hodge_sweep`, which moved into the tests' oracle, less
+# `build_e1` and `quotient_geometry`, which no command ran, and less
+# `invariant_form` and `omega_class`, the generator-dict route of invariant
+# classes that `InvariantDivisorForm.vector` replaced
 PUBLIC_NAMES = [
     "BlownUp", "FieldSpec", "LinearSubvariety", "Product", "Projective",
     "SemistableComplex", "Stratum", "betti_numbers", "blowup", "build_ring",
@@ -965,9 +1015,9 @@ PUBLIC_NAMES = [
     "cohomology", "complex_to_json", "contains", "enumerate_subspaces",
     "euler_check", "explicit_surface_ring", "field_spec", "fields", "fixtures",
     "gaussian_binomial", "geometry", "hyperplane_relation",
-    "inertia_invariants", "intersection_number", "invariant_form",
-    "is_positive", "l_factor", "lefschetz", "linalg", "load_complex",
-    "make_context", "make_fixture", "mu_from_e2", "omega_class", "omega_form",
+    "inertia_invariants", "intersection_number", "is_positive", "l_factor",
+    "lefschetz", "linalg", "load_complex", "make_context", "make_fixture",
+    "mu_from_e2", "omega_form",
     "point_count", "primitive_decomposition", "product", "proj",
     "restrict_to_divisor", "theorem_shape", "verify_rz_lemmas", "weight_table",
     "weightss", "zeta", "zeta_function", "zeta_matches_weight_table"]
@@ -981,7 +1031,8 @@ def test_package_exports_are_pinned():
     assert sorted(k for k in names if k != "__builtins__") == PUBLIC_NAMES
     assert names["make_context"] is purity.lefschetz.make_context
     assert names["zeta"] is purity.zeta
-    for gone in ("primitive_gram", "hodge_sweep"):
+    for gone in ("primitive_gram", "hodge_sweep", "invariant_form",
+                 "omega_class"):
         with pytest.raises(AttributeError):
             getattr(purity, gone)
 

@@ -18,7 +18,7 @@ from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
 from purity.fields import field_spec
 from purity.geometry import LinearSubvariety, ambient_geometry
 from purity.weightss import explicit_surface_ring
-from oracle import (comparable, cup_matrix, merge, multiply,
+from oracle import (comparable, cup_matrix, divisor_vector, merge, multiply,
                     product_pairing, tensor_coords, top_number)
 
 
@@ -485,7 +485,7 @@ def test_restriction_examples_on_surface():
     assert all(x == 0 for x in col)
     # a line through P restricts to the second-factor point class
     line = next(l for l in g.subvarieties(1) if g.contains(l, P))
-    vec = ring.divisor_vector(hyperplane_relation(ring.spec, line))
+    vec = divisor_vector(ring, hyperplane_relation(ring.spec, line))
     out = linalg.matvec(mats[1], vec)
     assert any(x != 0 for x in out)
     # an incomparable center restricts to zero

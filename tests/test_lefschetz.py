@@ -4,20 +4,20 @@ from fractions import Fraction
 import pytest
 
 from purity import linalg
-from purity.cohomology import (GEN_H, CohomologyError, blowup, build_ring,
-                               gen_e, proj, product)
+from purity.cohomology import (GEN_H, CohomologyError, Projective, blowup,
+                               build_ring, gen_e, hyperplane_relation,
+                               normalize_divisor, proj, product)
 from purity.fields import field_spec
 from purity.geometry import ambient_geometry, point_count
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
-                              check_hodge_standard,
-                              invariant_form, is_positive, lefschetz_pairing_gram,
-                              lefschetz_power, make_context, margins,
-                              normalize_invariant, omega_class,
+                              check_hodge_standard, is_positive,
+                              lefschetz_pairing_gram, lefschetz_power,
+                              make_context, margins, normalize_invariant,
                               omega_form, omega_vector, primitive_decomposition)
 from purity.fixtures import two_planes
-from oracle import (hard_lefschetz_ranks, hodge_by_primitive_grams,
-                    hodge_sweep, multiply, pair, primitive_gram,
-                    product_lefschetz_vector)
+from oracle import (divisor_vector, hard_lefschetz_ranks,
+                    hodge_by_primitive_grams, hodge_sweep, multiply, pair,
+                    primitive_gram, product_lefschetz_vector)
 
 
 def b2_ring(q=2):
@@ -31,7 +31,7 @@ def omega_ctx(n, q):
 
 def test_projective_space_lefschetz():
     ring = build_ring(proj(3))
-    ctx = make_context(ring, ring.divisor_vector({GEN_H: Fraction(1)}))
+    ctx = make_context(ring, divisor_vector(ring, {GEN_H: Fraction(1)}))
     ok, report = check_hard_lefschetz(ctx)
     assert ok and all(r["rank"] == 1 for r in report)
     dec = primitive_decomposition(ctx)
@@ -51,9 +51,9 @@ def test_generator_dict_needs_a_ring_with_generators(ring, kind):
     # only P^n and blow-ups name their N^1 generators; any other ring refuses
     # a generator dict by name instead of failing inside the normalization
     with pytest.raises(CohomologyError, match="not a %s ring" % kind):
-        make_context(ring(), {("s", "h"): Fraction(1)})
+        normalize_divisor(ring().spec, {("s", "h"): Fraction(1)})
     with pytest.raises(CohomologyError, match="not a %s ring" % kind):
-        make_context(ring(), {GEN_H: Fraction(1)})
+        normalize_divisor(ring().spec, {GEN_H: Fraction(1)})
 
 
 def test_b2_context_shapes():
@@ -107,7 +107,7 @@ def test_primitive_dims_do_not_depend_on_the_class():
     # two different positive invariant classes
     v1 = omega_vector(ring)
     form = normalize_invariant(2, 2, 9, [-1, 0])
-    v2 = ring.divisor_vector(form.as_divisor(ring.spec))
+    v2 = form.vector(ring)
     dims = []
     for v in (v1, v2):
         dec = primitive_decomposition(make_context(ring, v))
@@ -115,37 +115,81 @@ def test_primitive_dims_do_not_depend_on_the_class():
     assert dims[0] == dims[1] == [1, 7]
 
 
-def test_invariant_form_roundtrip_and_omega():
-    form = omega_form(2, 2)
-    assert (form.alpha, form.levels[0]) == (4, -1)
-    ring = b2_ring()
-    cls = form.as_divisor(ring.spec)
-    back = invariant_form(ring.spec, cls)
-    assert back == form
-    # h itself
-    triv = invariant_form(ring.spec, {GEN_H: Fraction(1)})
-    assert triv.alpha == 1 and all(a == 0 for a in triv.levels)
-
-
-def test_invariant_form_rejects_non_invariant():
-    ring = b2_ring()
-    geom = ambient_geometry(2, field_spec(2))
-    P = geom.subvarieties(0)[0]
-    with pytest.raises(LefschetzError):
-        invariant_form(ring.spec, {gen_e(P): Fraction(1)})
-
-
 def test_omega_on_p1_needs_q():
+    ring = build_ring(proj(1))
     with pytest.raises(LefschetzError, match="needs q"):
-        omega_class(proj(1))
-    assert omega_class(proj(1), 3) == {GEN_H: Fraction(2)}
-    assert omega_class(proj(0)) == {}
+        omega_vector(ring)
+    assert omega_vector(ring, 3) == [Fraction(2)]
 
 
 def test_omega_is_refused_on_projective_space_of_dimension_two_or_more():
     for n in (2, 3):
         with pytest.raises(LefschetzError, match="not a blow-up"):
-            omega_class(proj(n), 2)
+            omega_vector(build_ring(proj(n)), 2)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: normalize_divisor(proj(0), {GEN_H: Fraction(1)}), CohomologyError),
+    (lambda: normalize_invariant(0, 2, 1, []), LefschetzError),
+    (lambda: omega_form(0, 3), LefschetzError),
+    (lambda: omega_vector(build_ring(proj(0)), 3), LefschetzError)],
+    ids=["normalize_divisor", "normalize_invariant", "omega_form",
+         "omega_vector"])
+def test_a_point_has_no_degree_one_class(call, error):
+    # N^1 of P^0 = B^0 is zero: a degree-1 class there is refused by name,
+    # not left to index a degree the ring does not have
+    with pytest.raises(error, match="no degree-1 class"):
+        call()
+
+
+def _hyperplane_sum(spec, geom):
+    """The sum of the classes of all hyperplanes as a generator dict: strict
+    transforms on a blow-up, h each on P^1."""
+    total = {}
+    for H in geom.subvarieties(spec.n - 1):
+        cls = ({GEN_H: Fraction(1)} if isinstance(spec, Projective)
+               else hyperplane_relation(spec, H))
+        for g, c in cls.items():
+            total[g] = total.get(g, 0) + c
+    return total
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2),
+                                 (3, 3), (3, 4), (4, 2), (1, 3)])
+def test_vector_matches_the_generator_dict_route(n, q):
+    ring = build_ring(blowup(n, q))
+    geom = ambient_geometry(n, field_spec(q))
+    rng = random.Random(10 * n + q)
+    raw = [(-(n + 1), [n - d for d in range(n)])]            # omega
+    for _ in range(5):
+        levels = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(n - 1)]
+        top = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                       rng.randint(1, 4))
+        raw.append((Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
+                    levels + [top]))
+    hyperplanes = _hyperplane_sum(ring.spec, geom)
+    for alpha, levels in raw:
+        assert levels[-1] != 0
+        coeffs = {GEN_H: Fraction(alpha)}
+        for d in range(n - 1):
+            for V in geom.subvarieties(d):
+                coeffs[gen_e(V)] = Fraction(levels[d])
+        for g, c in hyperplanes.items():
+            coeffs[g] = coeffs.get(g, 0) + levels[-1] * c
+        form = normalize_invariant(n, q, alpha, levels)
+        assert form.vector(ring) == divisor_vector(ring, coeffs), form
+    assert omega_form(n, q).vector(ring) == omega_vector(ring, q)
+
+
+def test_vector_refuses_the_ring_of_another_variety():
+    with pytest.raises(LefschetzError, match="not a class of this ring"):
+        omega_form(3, 2).vector(build_ring(blowup(3, 3)))
+    p2 = build_ring(proj(2))
+    for form in (omega_form(2, 2), omega_form(2, 3), omega_form(1, 2),
+                 normalize_invariant(2, 2, 1, [0, 0])):
+        with pytest.raises(LefschetzError, match="not a class of this ring"):
+            form.vector(p2)
 
 
 def test_positivity_criterion():
@@ -153,6 +197,7 @@ def test_positivity_criterion():
     assert not is_positive(normalize_invariant(2, 2, 0, [1, 0]))
     assert not is_positive(normalize_invariant(2, 2, 1, [-1, 0]))  # -1+3/7 < 0
     form = omega_form(2, 2)
+    assert (form.alpha, form.levels) == (4, (-1, 0))
     assert margins(form) == [0, Fraction(4, 7), Fraction(5, 7), 0]
     margin = form.levels[0] + form.alpha * Fraction(3, 7)
     assert margin == Fraction(5, 7)
@@ -169,7 +214,7 @@ def _form_from_margins(n, q, c):
 
 def _passes_hl_and_hr(n, q, form):
     ring = build_ring(blowup(n, q))
-    ctx = make_context(ring, ring.divisor_vector(form.as_divisor(ring.spec)))
+    ctx = make_context(ring, form.vector(ring))
     return check_hard_lefschetz(ctx)[0] and check_hodge_standard(ctx)[0]
 
 
@@ -225,28 +270,27 @@ def test_folding_the_top_level_preserves_the_class():
     ring = b2_ring()
     form = normalize_invariant(2, 2, 1, [0, 1])
     assert form.levels[1] == 0
-    direct = ring.divisor_vector(form.as_divisor(ring.spec))
-    from purity.cohomology import hyperplane_relation
+    direct = form.vector(ring)
     total = {GEN_H: Fraction(1)}
     geomv = ambient_geometry(2, field_spec(2))
     for line in geomv.subvarieties(1):
         for k, c in hyperplane_relation(ring.spec, line).items():
             total[k] = total.get(k, 0) + c
-    assert ring.divisor_vector(total) == direct
+    assert divisor_vector(ring, total) == direct
 
 
 def test_negative_controls():
     ring = b2_ring()
     geom = ambient_geometry(2, field_spec(2))
     P = geom.subvarieties(0)[0]
-    ep = ring.divisor_vector({gen_e(P): Fraction(1)})
+    ep = divisor_vector(ring, {gen_e(P): Fraction(1)})
     ctx = make_context(ring, ep)
     # e_P squares to -1, an isomorphism H^0 -> H^4: hard Lefschetz holds,
     # and the failure shows up in Hodge positivity
     assert check_hard_lefschetz(ctx)[0]
     assert not check_hodge_standard(ctx)[0]
     # h - e_P squares to zero: hard Lefschetz fails outright
-    hmep = ring.divisor_vector({GEN_H: Fraction(1), gen_e(P): Fraction(-1)})
+    hmep = divisor_vector(ring, {GEN_H: Fraction(1), gen_e(P): Fraction(-1)})
     assert not check_hard_lefschetz(make_context(ring, hmep))[0]
     with pytest.raises(LefschetzError):
         primitive_decomposition(make_context(ring, hmep))
@@ -263,8 +307,8 @@ def test_sweep_blowdown_family():
     ring = b2_ring()
     geom = ambient_geometry(2, field_spec(2))
     P = geom.subvarieties(0)[0]
-    l0 = ring.divisor_vector({GEN_H: Fraction(4)})
-    l1 = ring.divisor_vector({GEN_H: Fraction(4), gen_e(P): Fraction(-1)})
+    l0 = divisor_vector(ring, {GEN_H: Fraction(4)})
+    l1 = divisor_vector(ring, {GEN_H: Fraction(4), gen_e(P): Fraction(-1)})
     rows = hodge_sweep(ring, l0, l1, 8)
     assert len(rows) == 9
     assert all(r["hard_lefschetz"] and r["hodge_standard"] for r in rows)
@@ -274,8 +318,8 @@ def test_sweep_to_exceptional_degenerates_in_the_middle():
     ring = b2_ring()
     geom = ambient_geometry(2, field_spec(2))
     P = geom.subvarieties(0)[0]
-    rows = hodge_sweep(ring, ring.divisor_vector({GEN_H: Fraction(1)}),
-                       ring.divisor_vector({gen_e(P): Fraction(1)}), 4)
+    rows = hodge_sweep(ring, divisor_vector(ring, {GEN_H: Fraction(1)}),
+                       divisor_vector(ring, {gen_e(P): Fraction(1)}), 4)
     by_t = {r["t"]: r for r in rows}
     assert by_t[Fraction(1, 2)]["hard_lefschetz"] is False
     assert by_t[Fraction(1)]["hodge_standard"] is False
@@ -378,8 +422,8 @@ def test_one_product_operators_match_multiply(n, q):
     ring = build_ring(blowup(n, q))
     P = ambient_geometry(n, field_spec(q)).subvarieties(0)[0]
     classes = [omega_vector(ring),
-               ring.divisor_vector({GEN_H: Fraction(1)}),
-               ring.divisor_vector({gen_e(P): Fraction(1)}),
+               divisor_vector(ring, {GEN_H: Fraction(1)}),
+               divisor_vector(ring, {gen_e(P): Fraction(1)}),
                _random_class(ring, 10 * n + q)]
     for divisor in classes:
         assert make_context(ring, divisor).operators == \
@@ -411,10 +455,10 @@ def _hl_classes(n, q):
     classes += [[4 * w + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                  for w in omega] for _ in range(4)]
     P = ambient_geometry(n, field_spec(q)).subvarieties(0)[0]
-    classes.append(ring.divisor_vector({gen_e(P): Fraction(1)}))
+    classes.append(divisor_vector(ring, {gen_e(P): Fraction(1)}))
     if (n, q) == (3, 2):   # positive margins, not concave: `hodge` refuses it
         form = normalize_invariant(3, 2, 3, [1, 1, 0])
-        classes.append(ring.divisor_vector(form.as_divisor(ring.spec)))
+        classes.append(form.vector(ring))
     contexts = [make_context(ring, v) for v in classes]
     return [ctx for ctx in contexts if check_hard_lefschetz(ctx)[0]]
 
@@ -440,7 +484,8 @@ def test_hodge_riemann_from_signatures_matches_primitive_grams(n, q):
 
 
 def _h_ctx(n, q):
-    return make_context(build_ring(blowup(n, q)), {GEN_H: Fraction(1)})
+    ring = build_ring(blowup(n, q))
+    return make_context(ring, divisor_vector(ring, {GEN_H: Fraction(1)}))
 
 
 def _surface_ctx():

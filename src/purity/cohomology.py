@@ -239,9 +239,15 @@ def normalize_divisor(spec, coeffs):
 
 
 def hyperplane_relation(spec, V):
-    """Class of the strict transform D_V of a hyperplane V, normalized."""
+    """Class of the strict transform D_V of a hyperplane V, normalized; on
+    P^n it is h."""
+    if V.ambient_n != spec.n:
+        raise CohomologyError("hyperplane_relation needs V in P^%d, not in "
+                              "P^%d" % (spec.n, V.ambient_n))
     if V.dim != spec.n - 1:
         raise CohomologyError("hyperplane_relation needs dim V = n-1")
+    if isinstance(spec, Projective):
+        return {GEN_H: Fraction(1)}
     return normalize_divisor(spec, {gen_e(V): Fraction(1)})
 
 
@@ -267,9 +273,6 @@ def _divisor_class_on_factor(factor_spec, image):
         return out
     if image.dim != m - 1:
         raise CohomologyError("image is not a divisor in its factor")
-    if isinstance(factor_spec, Projective):
-        out[GEN_H] = Fraction(1)
-        return out
     return hyperplane_relation(factor_spec, image)
 
 

@@ -232,9 +232,6 @@ class Fq:
     def mul(self, a, b):
         return self.mul_table[a][b]
 
-    def neg(self, a):
-        return self.neg_table[a]
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.q)

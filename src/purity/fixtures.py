@@ -14,10 +14,12 @@ All fixtures are generated in process so they always match the live schema:
 * drinfeld_local(d=2, q): the one-vertex-per-type quotient shape of the
   Drinfeld special fiber: three components isomorphic to B^2, glued along all
   their exceptional-type divisors, with triple points indexed by a flag
-  matching over a cyclic (Singer) labelling, in closed form from the
-  translate of the Singer difference set fixed by the multiplier q (the
-  least such offset).  Its E1 total is 9 + 3m(q+6), m = q^2+q+1, so q >= 9
-  is refused over the size budget before anything is built.
+  matching over a cyclic (Singer) labelling.  The labelling is the trace
+  sequence s_i = Tr(x^i) of a Singer cycle; D = {i : s_i = 0} is a perfect
+  difference set, fixed by the multiplier q with no offset because the trace
+  is Frobenius-invariant, and the matching is a closed form in D.  Its E1
+  total is 9 + 3m(q+6), m = q^2+q+1, so q >= 9 is refused over the size
+  budget before anything is built.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from . import linalg
 from .cohomology import (SIZE_BUDGET, blowup, build_ring, check_size_budget,
                          proj, restrict_to_divisor)
 from .fields import field_spec, get_field
-from .geometry import ambient_geometry, contains, make_subvariety
-from .lefschetz import omega_vector
+from .geometry import make_subvariety
+from .lefschetz import omega_form
 from .weightss import SemistableComplex, Stratum, explicit_surface_ring
 
 
@@ -148,66 +150,43 @@ def triangle_of_planes(q=2):
 
 # -- the Drinfeld vertex-star quotient -------------------------------------------
 
-def _singer_labelling(n, field):
-    """Cyclic labelling of the points and lines of P^n(F_q) by a Singer cycle.
+def _singer_labelling(field):
+    """(points, D): the points of P^2(F_q) labelled by the trace sequence of
+    a Singer cycle, and the labels on the line x_0 = 0.
 
-    Returns (points, lines) as label-indexed lists of subvarieties, where the
-    collineation induced by a primitive companion matrix shifts both lists by
-    one.  Only used for n = 2.
+    For each cubic X^3 - c2 X^2 - c1 X - c0 with c0 != 0 run
+    s_(i+3) = c0 s_i + c1 s_(i+1) + c2 s_(i+2) from the power sums
+    s_0, s_1, s_2 = 3, c2, c2^2 + 2 c1 (Newton's identities), so that
+    s_i = Tr(x^i) for a root x.  The first cubic whose states
+    [s_i : s_(i+1) : s_(i+2)], i < m = q^2+q+1, are m distinct points is a
+    Singer cycle (Singer 1938): p_i is state i, and the companion matrix
+    shifts the labels by one.  D = {i : s_i = 0} is well defined mod m,
+    since s_(i+m) = x^m s_i with x^m in F_q^*; it is a perfect difference
+    set, and qD = D because Tr(y^q) = Tr(y).
     """
     fq = get_field(field)
-    q = field.q
-    size = (q ** (n + 1) - 1) // (q - 1)
-
-    def act_on(sub, c):
-        rows = [[_dot(fq, row, crow) for crow in c] for row in sub.basis]
-        return make_subvariety(sub.ambient_n, rows, field)
-
-    # search for a companion matrix of projective order q^2+q+1
-    target = None
-    for coeffs in itertools.product(fq.elements(), repeat=n + 1):
-        if coeffs[0] == 0:
+    m = field.q ** 2 + field.q + 1
+    for c0, c1, c2 in itertools.product(fq.elements(), repeat=3):
+        if c0 == 0:
             continue
-        comp = [[0] * (n + 1) for _ in range(n + 1)]
-        for i in range(1, n + 1):
-            comp[i][i - 1] = 1
-        for i in range(n + 1):
-            comp[i][n] = fq.neg(coeffs[i])
-        cmat = tuple(tuple(row) for row in comp)
-        # projective order: orbit length of a point
-        start = make_subvariety(n, [[1] + [0] * n], field)
-        cur = start
-        order = 0
-        for _ in range(size + 1):
-            cur = act_on(cur, cmat)
-            order += 1
-            if cur == start:
-                break
-        if order == size:
-            target = cmat
+        s = [fq.add(1, fq.add(1, 1)), c2,
+             fq.add(fq.mul(c2, c2), fq.add(c1, c1))]
+        for i in range(m - 1):
+            s.append(fq.add(fq.add(fq.mul(c0, s[i]), fq.mul(c1, s[i + 1])),
+                            fq.mul(c2, s[i + 2])))
+        states = {_projective_point(fq, s[i:i + 3]) for i in range(m)}
+        if len(states) == m:
             break
-    if target is None:
-        raise FixtureError("no Singer cycle found for q=%d" % q)
-    geom = ambient_geometry(n, field)
-    start_pt = make_subvariety(n, [[1] + [0] * n], field)
-    start_line = geom.subvarieties(n - 1)[0]
-    points, lines = [], []
-    cur_p, cur_l = start_pt, start_line
-    for _ in range(size):
-        points.append(cur_p)
-        lines.append(cur_l)
-        cur_p = act_on(cur_p, target)
-        cur_l = act_on(cur_l, target)
-    if len(set(points)) != size or len(set(lines)) != size:
-        raise FixtureError("Singer orbit degenerate")
-    return points, lines
+    else:
+        raise FixtureError("no Singer cycle found for q=%d" % field.q)
+    points = [make_subvariety(2, [s[i:i + 3]], field) for i in range(m)]
+    return points, [i for i in range(m) if s[i] == 0]
 
 
-def _dot(fq, u, v):
-    s = 0
-    for x, y in zip(u, v):
-        s = fq.add(s, fq.mul(x, y))
-    return s
+def _projective_point(fq, v):
+    """v scaled so that its first nonzero entry is 1 (zero stays zero)."""
+    lead = fq.inv(next((x for x in v if x), 1))
+    return tuple(fq.mul(lead, x) for x in v)
 
 
 def _swap_matrices(ring_src, ring_dst):
@@ -223,25 +202,19 @@ def _swap_matrices(ring_src, ring_dst):
     return out
 
 
-def _triangle_matching(points, lines, q):
-    """(c, T): the flag matching of the Singer labelling, in closed form.
+def _triangle_matching(D, q):
+    """The flag matching of the Singer labelling, in closed form.
 
-    The labelling makes p_b lie on l_(a+c) iff b - a is in D = D0 + c, where
-    D0 = {b : p_b on l_0} is a perfect difference set mod m = q^2+q+1.  The
-    offset c is the least one whose translate is fixed by the multiplier q,
-    q*D = D (Hall 1947), so with d in D also qd and q^2 d = -(1+q)d are in D,
-    and the triples T = {(i, i+d, i+(1+q)d) mod m : i in Z/m, d in D} use
-    every incident pair (i, j), (j, k), (k, i) exactly once: the
-    difference-set form of a triangle presentation (Cartwright, Mantero,
-    Steger and Zappa 1993).
+    With l_a the line through the p_(a+d), d in D, p_b lies on l_a iff
+    b - a is in D.  Since qD = D, with d in D also qd and q^2 d = -(1+q)d are
+    in D mod m = q^2+q+1, so the triples
+    T = {(i, i+d, i+(1+q)d) mod m : i in Z/m, d in D} use every incident pair
+    (i, j), (j, k), (k, i) exactly once: the difference-set form of a
+    triangle presentation (Cartwright, Mantero, Steger and Zappa 1993).
     """
-    size = len(points)
-    d0 = [b for b in range(size) if contains(lines[0], points[b])]
-    offset = next(c for c in range(size)
-                  if {q * (x + c) % size for x in d0}
-                  == {(x + c) % size for x in d0})
-    return offset, [(i, (i + x) % size, (i + (1 + q) * x) % size)
-                    for i in range(size) for x in (y + offset for y in d0)]
+    m = q * q + q + 1
+    return [(i, (i + d) % m, (i + (1 + q) * d) % m)
+            for i in range(m) for d in D]
 
 
 def drinfeld_local(d=2, q=2):
@@ -256,20 +229,20 @@ def drinfeld_local(d=2, q=2):
     check_size_budget(9 + 3 * size * (q + 6), "E1 total dimension")
     spec = blowup(2, field)
     ring = build_ring(spec)
-    points, lines = _singer_labelling(2, field)
-    offset, matching = _triangle_matching(points, lines, q)
-
-    def line_for(label):
-        return lines[(label + offset) % size]
+    points, D = _singer_labelling(field)
+    # l_a is the line through p_(a+d) for the first two d in D
+    lines = [make_subvariety(2, [points[(a + d) % size].basis[0]
+                                 for d in D[:2]], field)
+             for a in range(size)]
 
     # restriction data, computed once per center
     point_side = {i: restrict_to_divisor(ring, points[i]) for i in range(size)}
-    line_side = {i: restrict_to_divisor(ring, line_for(i)) for i in range(size)}
+    line_side = {i: restrict_to_divisor(ring, lines[i]) for i in range(size)}
     target_pt = point_side[0][0]     # Product(B^0, B^1)
     target_ln = line_side[0][0]      # Product(B^1, B^0)
     swap = _swap_matrices(target_ln, target_pt)
 
-    omega = omega_vector(ring)
+    omega = omega_form(2, q).vector(ring)
     strata = []
     l_system = {}
     pairs = [(0, 1), (1, 2), (2, 0)]
@@ -294,7 +267,7 @@ def drinfeld_local(d=2, q=2):
         strata.append(Stratum(sid, frozenset([c]), ring, {}))
         l_system[sid] = omega
     pt_ring = build_ring(proj(0))
-    for (i, j, k) in sorted(matching):
+    for (i, j, k) in sorted(_triangle_matching(D, q)):
         sid = "t%02d_%02d_%02d" % (i, j, k)
         parents = {
             2: (pair_stratum[(0, 1, i)], [_ONE]),

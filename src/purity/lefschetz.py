@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import BlownUp, GradedRing, Projective, GEN_H, blowup
+from .cohomology import GradedRing, GEN_H, blowup
 from .geometry import point_count
 
 
@@ -297,21 +297,3 @@ def is_positive(form: InvariantDivisorForm):
 def omega_form(n, q):
     """The canonical ample invariant class: -(n+1) h + sum (n-d) D_d."""
     return normalize_invariant(n, q, -(n + 1), [n - d for d in range(n)])
-
-
-def omega_vector(ring, q=None):
-    """omega = `omega_form(n, q)` in N^1 coordinates of the ring of B^n.
-
-    On a blow-up q comes from the spec.  For n <= 1 the blow-up is projective
-    space itself, where omega is (q-1) h, and q must be passed.  P^n with
-    n >= 2 is no B^n and has no omega.
-    """
-    spec = ring.spec
-    if isinstance(spec, BlownUp):
-        q = spec.field.q
-    elif not isinstance(spec, Projective) or spec.n >= 2:
-        raise LefschetzError("omega is defined on B^n; this ring of dimension "
-                             "%d is not a blow-up B^%d" % (ring.n, ring.n))
-    elif q is None:
-        raise LefschetzError("omega on P^%d = B^%d needs q" % (spec.n, spec.n))
-    return omega_form(ring.n, q).vector(ring)

@@ -25,8 +25,7 @@ from purity.fixtures import drinfeld_local, tate_cycle, two_planes
 from purity.geometry import ambient_geometry, enumerate_subspaces, \
     gaussian_binomial
 from purity.lefschetz import (check_hard_lefschetz, check_hodge_standard,
-                              is_positive, make_context, omega_form,
-                              omega_vector)
+                              is_positive, make_context, omega_form)
 from purity.weightss import (ComplexValidationError, check_purity,
                              complex_to_json, euler_check, load_complex,
                              verify_rz_lemmas, weight_table)
@@ -84,7 +83,7 @@ def test_criterion_3_hodge_standard_desk_scale():
     inertia_checked = False
     for (n, q) in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]:
         ring = build_ring(blowup(n, q))
-        ctx = make_context(ring, omega_vector(ring, q))
+        ctx = make_context(ring, omega_form(n, q).vector(ring))
         hl, _ = check_hard_lefschetz(ctx)
         assert hl, (n, q)
         hodge, rep = check_hodge_standard(ctx)
@@ -122,7 +121,7 @@ def test_criterion_5_kunneth():
     for factors in [(r1, r1), (r1, b2)]:
         ring = build_ring(product(*(r.spec for r in factors)))
         vec = product_lefschetz_vector(
-            ring, [omega_vector(r, 2) for r in factors])
+            ring, [omega_form(r.n, 2).vector(r) for r in factors])
         ctx = make_context(ring, vec)
         assert check_hard_lefschetz(ctx)[0]
         assert check_hodge_standard(ctx)[0]

@@ -75,6 +75,21 @@ def test_hyperplane_relation_sum_over_all_lines():
         assert total[gen_e(p)] == -3
 
 
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+def test_hyperplane_relation_on_projective_space(n, q):
+    # every hyperplane of P^n has the class h
+    for H in geom(n, field_spec(q)).subvarieties(n - 1):
+        assert hyperplane_relation(proj(n), H) == {GEN_H: 1}
+
+
+@pytest.mark.parametrize("spec", [proj(2), blowup(2, 2)], ids=["P^2", "B^2"])
+def test_hyperplane_relation_refuses_a_foreign_subvariety(spec):
+    with pytest.raises(CohomologyError, match="needs dim V = n-1"):
+        hyperplane_relation(spec, geom(2).subvarieties(0)[0])
+    with pytest.raises(CohomologyError, match=r"needs V in P\^2, not in P\^3"):
+        hyperplane_relation(spec, geom(3).subvarieties(1)[0])
+
+
 def test_normalize_rejects_foreign_generators():
     spec = blowup(2, 2)
     with pytest.raises(CohomologyError):

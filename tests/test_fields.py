@@ -14,7 +14,7 @@ def test_field_axioms_exhaustive(q):
     for a in els:
         assert fq.add(a, 0) == a
         assert fq.mul(a, 1) == a
-        assert fq.add(a, fq.neg(a)) == 0
+        assert fq.add(a, fq.sub(0, a)) == 0
         if a:
             assert fq.mul(a, fq.inv(a)) == 1
     for a in els:

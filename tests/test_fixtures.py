@@ -1,39 +1,58 @@
-"""The Drinfeld fixture's flag matching, checked from its definition: an exact
-cover of the incident pairs on each side of the triangle, with no ring
-built."""
+"""The Drinfeld fixture's Singer labelling and flag matching, checked from
+their definitions with no ring built: the trace sequence labels every point
+of P^2 once, its zero set D is a multiplier-fixed perfect difference set that
+gives the incidences, and the matching covers the incident pairs on each side
+of the triangle exactly once."""
 
 import pytest
 
 from purity.fields import field_spec
 from purity.fixtures import _singer_labelling, _triangle_matching
-from purity.geometry import contains
+from purity.geometry import contains, enumerate_subspaces, make_subvariety
+
+QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
-def test_the_flag_matching_is_an_exact_cover(q):
-    points, lines = _singer_labelling(2, field_spec(q))
+@pytest.mark.parametrize("q", QS)
+def test_the_labelling_is_every_point_once(q):
+    field = field_spec(q)
+    points, _ = _singer_labelling(field)
+    assert len(points) == q * q + q + 1
+    assert set(points) == set(enumerate_subspaces(2, field, 0))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_the_trace_zero_set_is_a_multiplier_fixed_difference_set(q):
+    _, D = _singer_labelling(field_spec(q))
     m = q * q + q + 1
-    assert len(points) == len(lines) == m
-    d0 = {b for b in range(m) if contains(lines[0], points[b])}
     # a perfect difference set: every nonzero residue is one difference
-    diffs = sorted((a - b) % m for a in d0 for b in d0 if a != b)
-    assert len(d0) == q + 1 and diffs == list(range(1, m))
+    diffs = sorted((a - b) % m for a in D for b in D if a != b)
+    assert len(D) == q + 1 and diffs == list(range(1, m))
+    assert {q * d % m for d in D} == set(D)
 
-    offset, matching = _triangle_matching(points, lines, q)
 
-    def translate(c):
-        return {(x + c) % m for x in d0}
+@pytest.mark.parametrize("q", [q for q in QS if q <= 8])
+def test_the_lines_are_the_translates_of_D(q):
+    # l_a, the line through p_(a+d) for the first two d in D, holds p_b iff
+    # b - a is in D; l_0 is the line x_0 = 0
+    field = field_spec(q)
+    points, D = _singer_labelling(field)
+    m = len(points)
+    assert {b for b in range(m) if points[b].basis[0][0] == 0} == set(D)
+    for a in range(m):
+        line = make_subvariety(2, [points[(a + d) % m].basis[0]
+                                   for d in D[:2]], field)
+        assert {b for b in range(m) if contains(line, points[b])} \
+            == {(a + d) % m for d in D}
 
-    fixed = [c for c in range(m) if {q * x % m for x in translate(c)}
-             == translate(c)]
-    # D + t is fixed as well iff (q - 1)t = 0 mod m: gcd(q - 1, m) in all
-    assert offset == fixed[0] and len(fixed) == (3 if m % 3 == 0 else 1)
 
-    # (a, b) is incident when p_b lies on l_(a + offset), i.e. b - a in D
-    incident = {(a, (a + x) % m) for a in range(m) for x in translate(offset)}
-    if q <= 8:
-        assert incident == {(a, b) for a in range(m) for b in range(m)
-                            if contains(lines[(a + offset) % m], points[b])}
+@pytest.mark.parametrize("q", QS)
+def test_the_flag_matching_is_an_exact_cover(q):
+    _, D = _singer_labelling(field_spec(q))
+    m = q * q + q + 1
+    matching = _triangle_matching(D, q)
+    # (a, b) is incident when p_b lies on l_a, i.e. b - a in D
+    incident = {(a, (a + d) % m) for a in range(m) for d in D}
     assert len(matching) == len(incident) == m * (q + 1)
     for side in ([(i, j) for i, j, _ in matching],
                  [(j, k) for _, j, k in matching],

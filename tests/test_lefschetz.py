@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 
 from purity import linalg
-from purity.cohomology import (GEN_H, CohomologyError, Projective, blowup,
-                               build_ring, gen_e, hyperplane_relation,
-                               normalize_divisor, proj, product)
+from purity.cohomology import (GEN_H, CohomologyError, blowup, build_ring,
+                               gen_e, hyperplane_relation, normalize_divisor,
+                               proj, product)
 from purity.fields import field_spec
 from purity.geometry import ambient_geometry, point_count
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, is_positive,
                               lefschetz_pairing_gram, lefschetz_power,
                               make_context, margins, normalize_invariant,
-                              omega_form, omega_vector, primitive_decomposition)
+                              omega_form, primitive_decomposition)
 from purity.fixtures import two_planes
 from oracle import (divisor_vector, hard_lefschetz_ranks,
                     hodge_by_primitive_grams, hodge_sweep, multiply, pair,
@@ -26,7 +26,7 @@ def b2_ring(q=2):
 
 def omega_ctx(n, q):
     ring = build_ring(blowup(n, q))
-    return make_context(ring, omega_vector(ring, q))
+    return make_context(ring, omega_form(n, q).vector(ring))
 
 
 def test_projective_space_lefschetz():
@@ -58,7 +58,7 @@ def test_generator_dict_needs_a_ring_with_generators(ring, kind):
 
 def test_b2_context_shapes():
     ring = b2_ring()
-    ctx = make_context(ring, omega_vector(ring))
+    ctx = make_context(ring, omega_form(2, 2).vector(ring))
     assert ctx.operators[0].shape == (8, 1)
     assert ctx.operators[1].shape == (1, 8)
 
@@ -105,7 +105,7 @@ def test_primitive_dims_do_not_depend_on_the_class():
     geom = ambient_geometry(2, field_spec(2))
     pts = geom.subvarieties(0)
     # two different positive invariant classes
-    v1 = omega_vector(ring)
+    v1 = omega_form(2, 2).vector(ring)
     form = normalize_invariant(2, 2, 9, [-1, 0])
     v2 = form.vector(ring)
     dims = []
@@ -115,26 +115,11 @@ def test_primitive_dims_do_not_depend_on_the_class():
     assert dims[0] == dims[1] == [1, 7]
 
 
-def test_omega_on_p1_needs_q():
-    ring = build_ring(proj(1))
-    with pytest.raises(LefschetzError, match="needs q"):
-        omega_vector(ring)
-    assert omega_vector(ring, 3) == [Fraction(2)]
-
-
-def test_omega_is_refused_on_projective_space_of_dimension_two_or_more():
-    for n in (2, 3):
-        with pytest.raises(LefschetzError, match="not a blow-up"):
-            omega_vector(build_ring(proj(n)), 2)
-
-
 @pytest.mark.parametrize("call,error", [
     (lambda: normalize_divisor(proj(0), {GEN_H: Fraction(1)}), CohomologyError),
     (lambda: normalize_invariant(0, 2, 1, []), LefschetzError),
-    (lambda: omega_form(0, 3), LefschetzError),
-    (lambda: omega_vector(build_ring(proj(0)), 3), LefschetzError)],
-    ids=["normalize_divisor", "normalize_invariant", "omega_form",
-         "omega_vector"])
+    (lambda: omega_form(0, 3), LefschetzError)],
+    ids=["normalize_divisor", "normalize_invariant", "omega_form"])
 def test_a_point_has_no_degree_one_class(call, error):
     # N^1 of P^0 = B^0 is zero: a degree-1 class there is refused by name,
     # not left to index a degree the ring does not have
@@ -147,9 +132,7 @@ def _hyperplane_sum(spec, geom):
     transforms on a blow-up, h each on P^1."""
     total = {}
     for H in geom.subvarieties(spec.n - 1):
-        cls = ({GEN_H: Fraction(1)} if isinstance(spec, Projective)
-               else hyperplane_relation(spec, H))
-        for g, c in cls.items():
+        for g, c in hyperplane_relation(spec, H).items():
             total[g] = total.get(g, 0) + c
     return total
 
@@ -179,7 +162,6 @@ def test_vector_matches_the_generator_dict_route(n, q):
             coeffs[g] = coeffs.get(g, 0) + levels[-1] * c
         form = normalize_invariant(n, q, alpha, levels)
         assert form.vector(ring) == divisor_vector(ring, coeffs), form
-    assert omega_form(n, q).vector(ring) == omega_vector(ring, q)
 
 
 def test_vector_refuses_the_ring_of_another_variety():
@@ -298,7 +280,7 @@ def test_negative_controls():
 
 def test_sweep_constant_omega():
     ring = b2_ring()
-    v = omega_vector(ring)
+    v = omega_form(2, 2).vector(ring)
     rows = hodge_sweep(ring, v, v, 2)
     assert all(r["hard_lefschetz"] and r["hodge_standard"] for r in rows)
 
@@ -334,7 +316,7 @@ def test_product_contexts():
     assert check_hodge_standard(ctx)[0]
     b2 = build_ring(blowup(2, 2))
     r12 = build_ring(product(proj(1), blowup(2, 2)))
-    l12 = product_lefschetz_vector(r12, [[Fraction(1)], omega_vector(b2)])
+    l12 = product_lefschetz_vector(r12, [[Fraction(1)], omega_form(2, 2).vector(b2)])
     ctx12 = make_context(r12, l12)
     assert check_hard_lefschetz(ctx12)[0]
     assert check_hodge_standard(ctx12)[0]
@@ -344,7 +326,7 @@ def test_operator_is_self_adjoint_for_the_pairing():
     # <L a, b> = <a, L b> between complementary degrees
     import random
     ring = build_ring(blowup(3, 2))
-    ctx = make_context(ring, omega_vector(ring))
+    ctx = make_context(ring, omega_form(3, 2).vector(ring))
     rng = random.Random(9)
     for _ in range(10):
         a = [Fraction(rng.randint(-2, 2)) for _ in ring.basis[1]]
@@ -421,7 +403,7 @@ def _random_class(ring, seed):
 def test_one_product_operators_match_multiply(n, q):
     ring = build_ring(blowup(n, q))
     P = ambient_geometry(n, field_spec(q)).subvarieties(0)[0]
-    classes = [omega_vector(ring),
+    classes = [omega_form(n, q).vector(ring),
                divisor_vector(ring, {GEN_H: Fraction(1)}),
                divisor_vector(ring, {gen_e(P): Fraction(1)}),
                _random_class(ring, 10 * n + q)]
@@ -435,8 +417,8 @@ def test_one_product_operators_match_multiply_on_a_product():
     ring = build_ring(product(blowup(1, 2), blowup(2, 2)))
     b1 = build_ring(blowup(1, 2))
     b2 = build_ring(blowup(2, 2))
-    classes = [product_lefschetz_vector(ring, [omega_vector(b1, 2),
-                                               omega_vector(b2)]),
+    classes = [product_lefschetz_vector(ring, [omega_form(1, 2).vector(b1),
+                                               omega_form(2, 2).vector(b2)]),
                _random_class(ring, 14)]
     for divisor in classes:
         assert make_context(ring, divisor).operators == \
@@ -448,7 +430,7 @@ def _hl_classes(n, q):
     random classes (almost all fail Hodge-Riemann), seeded perturbations of
     4 omega (some pass, some fail on B^3/F_2) and known failures."""
     ring = build_ring(blowup(n, q))
-    omega = omega_vector(ring, q)
+    omega = omega_form(n, q).vector(ring)
     rng = random.Random(7 * n + q)
     classes = [omega]
     classes += [_random_class(ring, rng.randrange(10 ** 6)) for _ in range(3)]
@@ -496,7 +478,7 @@ def _surface_ctx():
 def _product_ctx():
     ring = build_ring(product(proj(1), blowup(2, 2)))
     return make_context(ring, product_lefschetz_vector(
-        ring, [[Fraction(1)], omega_vector(b2_ring())]))
+        ring, [[Fraction(1)], omega_form(2, 2).vector(b2_ring())]))
 
 
 @pytest.mark.parametrize("make,deficit", [

@@ -9,7 +9,7 @@ from purity import linalg
 from purity.cohomology import blowup, build_ring
 from purity.lefschetz import (check_hard_lefschetz, check_hodge_standard,
                               lefschetz_pairing_gram, lefschetz_power,
-                              make_context, omega_vector)
+                              make_context, omega_form)
 from purity.linalg import (LinAlgError, Matrix, identity, inverse,
                            is_positive_definite, kernel_basis, mat, matmul,
                            rank, symmetric_signature)
@@ -581,7 +581,7 @@ def test_pivot_order_matches_the_scan_route(m):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_omega_gram_pivot_order_matches_the_scan_route(q):
     ring = build_ring(blowup(3, q))
-    ctx = make_context(ring, omega_vector(ring, q))
+    ctx = make_context(ring, omega_form(3, q).vector(ring))
     for j in (0, 1):
         g = lefschetz_pairing_gram(ctx, j)
         assert list(linalg._pivot_signs(g)) == pivot_signs_by_scans(g)
@@ -592,7 +592,7 @@ def test_omega_gram_inertia_survives_symmetric_permutations(q):
     # Q_0 and Q_1 of omega on B^3/F_q in seeded orders P G P^T; by
     # Hodge-Riemann Q_0 is positive and Q_1 has one negative direction, L P_0
     ring = build_ring(blowup(3, q))
-    ctx = make_context(ring, omega_vector(ring, q))
+    ctx = make_context(ring, omega_form(3, q).vector(ring))
     rng = random.Random(q)
     for j, inertia in ((0, (1, 0, 0)), (1, (len(ring.basis[1]) - 1, 1, 0))):
         g = lefschetz_pairing_gram(ctx, j)
@@ -712,7 +712,7 @@ def test_hodge_check_sweeps_each_lefschetz_gram_once(monkeypatch):
     # hard Lefschetz and Hodge-Riemann read one inertia per degree; no power
     # L^(n-2j) is eliminated for its rank
     ring = build_ring(blowup(3, 2))
-    ctx = make_context(ring, omega_vector(ring))
+    ctx = make_context(ring, omega_form(3, 2).vector(ring))
     calls = _count_eliminations(monkeypatch)
     sweeps = []
     real_pivot_signs = linalg._pivot_signs

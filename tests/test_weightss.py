@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purity import linalg, weightss, zeta
+from purity.cli import main
 from purity.cohomology import (ResourceGuardError, blowup, build_ring, proj,
                                restrict_to_divisor)
 from purity.fields import field_spec
@@ -146,8 +147,7 @@ def test_lemma_suite_names_cover_the_statements(drinfeld22):
             "ker_tau_cap_im_rho", "ker_rho_cap_im_tau"} <= names
 
 
-def test_json_roundtrip(quadric):
-    cx, _ = quadric
+def _check_roundtrip(capsys, tmp_path, cx, fixture):
     blob = json.dumps(complex_to_json(cx), sort_keys=True)
     cx2 = load_complex(json.loads(blob))
     assert sorted(cx2.strata) == sorted(cx.strata)
@@ -155,6 +155,25 @@ def test_json_roundtrip(quadric):
     # determinism: serializing again gives the same bytes
     blob2 = json.dumps(complex_to_json(cx2), sort_keys=True)
     assert blob == blob2
+    # the dump, read back by the CLI, gives the fixture's report
+    path = tmp_path / "cx.json"
+    path.write_text(blob)
+    reports = []
+    for source in (["--input", str(path)], ["--fixture", fixture]):
+        assert main(["--json", "wss", *source, "--zeta"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_json_roundtrip(capsys, tmp_path, quadric):
+    _check_roundtrip(capsys, tmp_path, quadric[0], "two-planes:2")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_drinfeld_json_roundtrip(capsys, tmp_path, q):
+    # the stratum labels come from the Singer trace sequence
+    _check_roundtrip(capsys, tmp_path, drinfeld_local(2, q)[0],
+                     "drinfeld-local:2,%d" % q)
 
 
 def test_corrupted_restriction_is_rejected():

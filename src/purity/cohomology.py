@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -89,28 +88,71 @@ def check_size_budget(total, what):
 
 # -- variety specifications -------------------------------------------------
 
-@dataclass(frozen=True)
+# Each spec is equal to a spec of its own class with the same fields, and
+# hashed by them: specs key `build_ring`, `_gen_table` and the flag-type memo.
+
 class Projective:
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
 
 
-@dataclass(frozen=True)
 class BlownUp:
-    n: int
-    field: FieldSpec
+    __slots__ = ("n", "field")
+
+    def __init__(self, n, field):
+        self.n, self.field = n, field
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.field) == (other.n, other.field)
+
+    def __hash__(self):
+        return hash((self.n, self.field))
 
 
-@dataclass(frozen=True)
 class Product:
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = factors
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
 
-@dataclass(frozen=True)
 class SurfaceSpec:
     """A smooth projective surface given by the labels of an N^1 basis and
     its intersection matrix (see `weightss.explicit_surface_ring`)."""
-    labels: tuple
-    intersection: linalg.Matrix
+
+    __slots__ = ("labels", "intersection")
+
+    def __init__(self, labels, intersection):
+        self.labels, self.intersection = labels, intersection
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.labels, self.intersection)
+                == (other.labels, other.intersection))
+
+    def __hash__(self):
+        return hash((self.labels, self.intersection))
 
 
 def proj(n):
@@ -639,13 +681,32 @@ class GradedRing:
                     spec, monomial(a + b + d))
             return value
 
-        terms = [(a, centers, code, c)
-                 for a, (centers, _, code), c in terms if c]
+        # the terms by the lowest bit of their centers: a term can meet a
+        # mask only if that bit is in it, and center-free terms (bit 0) meet
+        # every mask
+        groups = {}
+        for a, (centers, _, code), c in terms:
+            if c:
+                groups.setdefault(centers & -centers, []).append(
+                    (a, centers, code, c))
+        free = groups.pop(0, [])
+        group_bits = sum(groups)    # distinct single bits: their union
+
+        def candidates(mask):
+            """The terms whose centers may lie in mask.  A mask of -1 (no
+            center) has endless bits, so it is cut to group_bits first."""
+            found = list(free)
+            mask &= group_bits
+            while mask:
+                bit = mask & -mask
+                found += groups[bit]
+                mask ^= bit
+            return found
 
         def meets(comparable):
             """Some term times a monomial with this mask is a chain."""
             return any(not a_centers & ~comparable
-                       for _, a_centers, _, _ in terms)
+                       for _, a_centers, _, _ in candidates(comparable))
 
         width = len(self.basis[k])
         cols = [(col, b, centers, comparable, code) for col, (b, (
@@ -662,10 +723,12 @@ class GradedRing:
             for col, b, centers, comparable, code in cols:
                 if centers & d_outside:
                     continue        # b.d is not a chain
-                outside = ~(comparable & d_comparable)
+                allowed = comparable & d_comparable
+                outside = ~allowed
                 code += d_code
                 row[col] = sum(c * top(a, b, d, code + a_code)
-                               for a, a_centers, a_code, c in terms
+                               for a, a_centers, a_code, c in
+                               candidates(allowed)
                                if not a_centers & outside)
         if isinstance(spec, SurfaceSpec):   # Fraction entries of its form
             return linalg.mat(rows)

@@ -7,7 +7,6 @@ For prime q the encoding is plain residues mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Monic irreducible modulus for the non-prime field sizes we support,
@@ -125,32 +124,50 @@ def _is_irreducible(modulus, p):
     return True
 
 
-@dataclass(frozen=True, order=True)
 class FieldSpec:
-    """Description of F_q: characteristic p, degree e, and modulus (empty for e=1)."""
+    """Description of F_q: characteristic p, degree e, and modulus (empty for
+    e=1).  Equal, hashed and ordered as the tuple (p, e, modulus)."""
 
-    p: int
-    e: int
-    modulus: tuple = ()
+    __slots__ = ("p", "e", "modulus")
+
+    def __init__(self, p, e, modulus=()):
+        if not is_prime(p):
+            raise FieldError("characteristic %r is not prime" % (p,))
+        if e < 1:
+            raise FieldError("extension degree must be >= 1")
+        if e == 1:
+            if modulus != ():
+                raise FieldError("prime field takes no modulus")
+        else:
+            if len(modulus) != e + 1:
+                raise FieldError("modulus must have degree %d" % e)
+            if not _is_irreducible(modulus, p):
+                raise FieldError("modulus %r is not irreducible over F_%d"
+                                 % (modulus, p))
+        self.p, self.e, self.modulus = p, e, modulus
 
     @property
     def q(self):
         return self.p ** self.e
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise FieldError("characteristic %r is not prime" % (self.p,))
-        if self.e < 1:
-            raise FieldError("extension degree must be >= 1")
-        if self.e == 1:
-            if self.modulus not in ((), None):
-                raise FieldError("prime field takes no modulus")
-        else:
-            if len(self.modulus) != self.e + 1:
-                raise FieldError("modulus must have degree %d" % self.e)
-            if not _is_irreducible(self.modulus, self.p):
-                raise FieldError("modulus %r is not irreducible over F_%d"
-                                 % (self.modulus, self.p))
+    def _key(self):
+        return self.p, self.e, self.modulus
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "FieldSpec(p=%r, e=%r, modulus=%r)" % self._key()
 
 
 def field_spec(q):

@@ -24,7 +24,6 @@ All fixtures are generated in process so they always match the live schema:
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from fractions import Fraction
 
@@ -292,10 +291,13 @@ def make_fixture(name, *args):
     if name not in FIXTURES:
         raise FixtureError("unknown fixture %r (have: %s)"
                            % (name, ", ".join(sorted(FIXTURES))))
-    signature = inspect.signature(FIXTURES[name])
-    try:
-        signature.bind(*args)
-    except TypeError:
-        raise FixtureError("fixture %r takes arguments %s, got %d"
-                           % (name, signature, len(args))) from None
-    return FIXTURES[name](*args)
+    fn = FIXTURES[name]
+    code, defaults = fn.__code__, fn.__defaults__ or ()
+    params = code.co_varnames[:code.co_argcount]
+    required = len(params) - len(defaults)
+    if not required <= len(args) <= len(params):
+        shown = params[:required] + tuple(
+            "%s=%r" % kv for kv in zip(params[required:], defaults))
+        raise FixtureError("fixture %r takes arguments (%s), got %d"
+                           % (name, ", ".join(shown), len(args)))
+    return fn(*args)

@@ -25,11 +25,10 @@ Ann. Math. 2018, section 7; the argument is in `check_hodge_standard`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import GradedRing, GEN_H, blowup
+from .cohomology import GEN_H, blowup
 from .geometry import point_count
 
 
@@ -37,19 +36,20 @@ class LefschetzError(ValueError):
     pass
 
 
-@dataclass
 class LefschetzContext:
     """The cup-action matrices of one degree-1 class on one ring.
 
-    Powers, the hard Lefschetz report, the primitive decomposition, the
-    pairing Grams and their inertias are computed once per context and
-    returned shared: callers must not mutate them.
+    `divisor` is the class in N^1 coordinates, `operators[j]` the Matrix
+    N^j -> N^(j+1).  Powers, the hard Lefschetz report, the primitive
+    decomposition, the pairing Grams and their inertias are computed once per
+    context into `memo` and returned shared: callers must not mutate them.
     """
-    ring: GradedRing
-    divisor: list                  # N^1 coordinates of the operator class
-    operators: list = field(default_factory=list)  # Matrix N^j -> N^(j+1)
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
+
+    __slots__ = ("ring", "divisor", "operators", "memo")
+
+    def __init__(self, ring, divisor, operators):
+        self.ring, self.divisor, self.operators = ring, divisor, operators
+        self.memo = {}
 
     @property
     def n(self):
@@ -114,9 +114,18 @@ def check_hard_lefschetz(ctx):
     return ok, report
 
 
-@dataclass
 class PrimitiveDecomposition:
-    primitive: dict      # j -> Matrix whose columns span P_j inside N^j
+    """`primitive[j]`: a Matrix whose columns span P_j inside N^j."""
+
+    __slots__ = ("primitive",)
+
+    def __init__(self, primitive):
+        self.primitive = primitive
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.primitive == other.primitive
 
 
 @_memoized
@@ -198,17 +207,29 @@ def check_hodge_standard(ctx):
 
 # -- invariant divisors --------------------------------------------------------
 
-@dataclass(frozen=True)
 class InvariantDivisorForm:
-    """alpha * h + sum a_d * (level sum of the D_V in dimension d).
+    """alpha * h + sum a_d * (level sum of the D_V in dimension d) on B^n
+    over F_q; `levels` is the tuple of the a_d.
 
     Normal form: the top level (d = n-1) is folded into alpha and the lower
     levels through the hyperplane relation, so levels[n-1] == 0.
     """
-    n: int
-    q: int
-    alpha: Fraction
-    levels: tuple
+
+    __slots__ = ("n", "q", "alpha", "levels")
+
+    def __init__(self, n, q, alpha, levels):
+        self.n, self.q, self.alpha, self.levels = n, q, alpha, levels
+
+    def _key(self):
+        return self.n, self.q, self.alpha, self.levels
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def vector(self, ring):
         """The class in N^1 coordinates of the ring of B^n over F_q (P^1 when

@@ -32,7 +32,6 @@ Sylvester's law of inertia the pivot order is free.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, count
@@ -417,11 +416,24 @@ def inverse(a):
     return solve(a, identity(a.nrows))
 
 
-@dataclass(frozen=True)
 class SignatureReport:
-    n_plus: int
-    n_minus: int
-    n_zero: int
+    """The inertia (n_plus, n_minus, n_zero) of a symmetric matrix."""
+
+    __slots__ = ("n_plus", "n_minus", "n_zero")
+
+    def __init__(self, n_plus, n_minus, n_zero):
+        self.n_plus, self.n_minus, self.n_zero = n_plus, n_minus, n_zero
+
+    def _key(self):
+        return self.n_plus, self.n_minus, self.n_zero
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def signature(self):

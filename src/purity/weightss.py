@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -57,12 +56,15 @@ def _subset_name(subset):
     return "{%s}" % ",".join(str(i) for i in sorted(subset))
 
 
-@dataclass
 class Stratum:
-    id: str
-    subset: frozenset
-    ring: GradedRing
-    parents: dict          # removed index m -> (parent_id, [Matrix per degree])
+    """A stratum `id` of the special fiber, the intersection of the
+    components in `subset`, with cohomology `ring`; `parents` maps a removed
+    index m to (parent_id, [restriction Matrix per degree])."""
+
+    __slots__ = ("id", "subset", "ring", "parents")
+
+    def __init__(self, id, subset, ring, parents):
+        self.id, self.subset, self.ring, self.parents = id, subset, ring, parents
 
     @property
     def level(self):

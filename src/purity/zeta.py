@@ -9,8 +9,6 @@ the zeta function is the alternating product over degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .weightss import inertia_invariants, check_purity
 
 
@@ -18,11 +16,23 @@ class ZetaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class FactoredRationalT:
-    """Product of (1 - q^a T)^multiplicity in canonical sorted, reduced form."""
-    q: int
-    factors: tuple      # sorted tuple of (a, multiplicity), multiplicity != 0
+    """Product of (1 - q^a T)^multiplicity in canonical sorted, reduced form:
+    `factors` is the sorted tuple of (a, multiplicity), multiplicity != 0, so
+    equal products compare and hash equal."""
+
+    __slots__ = ("q", "factors")
+
+    def __init__(self, q, factors):
+        self.q, self.factors = q, factors
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.q, self.factors) == (other.q, other.factors)
+
+    def __hash__(self):
+        return hash((self.q, self.factors))
 
     @staticmethod
     def from_dict(q, d):

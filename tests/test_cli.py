@@ -212,11 +212,21 @@ def test_empty_fixture_name_is_an_unknown_fixture(capsys):
     assert "unknown fixture ''" in err
 
 
-@pytest.mark.parametrize("spec", ["tate-cycle:3", "tate-cycle:3,2,1"])
+# the arity message names the parameters, defaults included
+_ARITY_ERRORS = {
+    "tate-cycle:3": "'tate-cycle' takes arguments (m, q), got 1",
+    "tate-cycle:3,2,1": "'tate-cycle' takes arguments (m, q), got 3",
+    "two-planes:1,2,3": "'two-planes' takes arguments (n=2, q=2), got 3",
+    "drinfeld-local:2,3,4":
+        "'drinfeld-local' takes arguments (d=2, q=2), got 3",
+}
+
+
+@pytest.mark.parametrize("spec", list(_ARITY_ERRORS))
 def test_fixture_arity_is_invalid_input(capsys, spec):
     code, _, err = run(capsys, "wss", "--fixture", spec)
     assert code == 2
-    assert "'tate-cycle' takes arguments (m, q)" in err
+    assert _ARITY_ERRORS[spec] in err
 
 
 def test_fixture_without_arguments_runs_its_defaults(capsys):
@@ -1038,16 +1048,22 @@ def test_package_exports_are_pinned():
 
 
 _LOADED = """
-import contextlib, io, json, sys
+import sys
+bare = set(sys.modules)   # what `python -c pass` has loaded
+import contextlib, io, json
 from purity import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("purity."))]))
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 """
+
+# the standard library's introspection stack: `dataclasses` and `inspect`
+# pull in the rest, and loading it costs every call milliseconds
+_INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def _modules_loaded_by(*argv):
+    """The modules a CLI call loads over a bare interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
@@ -1062,8 +1078,11 @@ def _modules_loaded_by(*argv):
      {"lefschetz", "weightss", "fixtures", "zeta"}),
     (("hodge", "--n", "2", "--q", "2", "--divisor", "omega"),
      {"weightss", "fixtures", "zeta"}),
+    (("wss", "--fixture", "drinfeld-local:2,2", "--check-lemmas", "--zeta"),
+     set()),
 ])
 def test_a_command_loads_only_the_layers_it_runs(argv, absent):
     loaded = _modules_loaded_by(*argv)
     assert "purity.cohomology" in loaded
+    assert not loaded & _INTROSPECTION
     assert not loaded & {"purity." + m for m in absent}

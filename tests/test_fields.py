@@ -85,6 +85,15 @@ def test_modulus_validation():
         FieldSpec(4, 1, ())   # characteristic must be prime
 
 
+# a prime field has one spec, FieldSpec(p, 1, ()): a None modulus would give
+# an unequal spec of the same field, and with it a second ring cache key
+@pytest.mark.parametrize("modulus", [None, [], (1,), (0, 1)])
+def test_a_prime_field_takes_only_the_empty_modulus(modulus):
+    with pytest.raises(FieldError, match="prime field takes no modulus"):
+        FieldSpec(2, 1, modulus)
+    assert FieldSpec(2, 1, ()) == FieldSpec(2, 1) == field_spec(2)
+
+
 def test_frobenius_is_additive():
     fq = get_field(field_spec(8))
     for a in fq.elements():

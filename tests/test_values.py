@@ -1,0 +1,91 @@
+"""Value semantics of the engine's record classes: equal fields give equal,
+equally hashed objects of one class; sorting follows the field tuples; and the
+reprs that error messages print are pinned."""
+
+import random
+
+import pytest
+
+from purity import linalg
+from purity.cohomology import BlownUp, Product, Projective, SurfaceSpec
+from purity.fields import FieldSpec, field_spec
+from purity.geometry import (GeometryError, ambient_geometry,
+                             enumerate_subspaces, make_subvariety)
+from purity.lefschetz import PrimitiveDecomposition, omega_form
+from purity.linalg import SignatureReport
+from purity.zeta import FactoredRationalT
+
+# each call builds a new object from new, equal fields
+VALUES = {
+    "FieldSpec": lambda: FieldSpec(2, 2, (1, 1, 1)),
+    "LinearSubvariety": lambda: make_subvariety(2, [[1, 1, 0]], field_spec(3)),
+    "Projective": lambda: Projective(2),
+    "BlownUp": lambda: BlownUp(3, field_spec(2)),
+    "Product": lambda: Product((Projective(1), BlownUp(2, field_spec(2)))),
+    "SurfaceSpec": lambda: SurfaceSpec(("a", "b"),
+                                       linalg.mat([[1, 0], [0, -1]])),
+    "SignatureReport": lambda: SignatureReport(3, 1, 0),
+    "InvariantDivisorForm": lambda: omega_form(3, 2),
+    "FactoredRationalT": lambda: FactoredRationalT(2, ((0, 1), (1, -1))),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_equal_fields_give_equal_values_with_equal_hashes(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_values_of_different_classes_are_never_equal(name):
+    value = VALUES[name]()
+    for other, make in VALUES.items():
+        if other != name:
+            assert value != make() and make() != value
+    # not even a subclass with the same fields
+    cls = type(value)
+    twin = object.__new__(type("Twin", (cls,), {"__slots__": ()}))
+    for slot in cls.__slots__:
+        setattr(twin, slot, getattr(value, slot))
+    assert value != twin and twin != value
+
+
+def test_a_primitive_decomposition_compares_by_its_columns():
+    a = PrimitiveDecomposition({0: linalg.identity(1)})
+    assert a == PrimitiveDecomposition({0: linalg.identity(1)})
+    assert a != PrimitiveDecomposition({0: linalg.zeros(1, 0)})
+    assert a != {0: linalg.identity(1)}
+
+
+def test_sorting_follows_the_field_tuples():
+    rng = random.Random(31)
+    fields = [field_spec(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)]
+    rng.shuffle(fields)
+    assert sorted(fields) == sorted(fields,
+                                    key=lambda f: (f.p, f.e, f.modulus))
+    # points and lines of P^2 over F_2 and F_3: equal bases tie on the field
+    subs = [V for q in (2, 3) for d in (0, 1)
+            for V in enumerate_subspaces(2, q, d)]
+    rng.shuffle(subs)
+    assert sorted(subs) == sorted(subs, key=lambda V: (
+        V.ambient_n, V.dim, V.basis,
+        (V.field.p, V.field.e, V.field.modulus)))
+
+
+def test_reprs_are_pinned():
+    assert repr(field_spec(4)) == "FieldSpec(p=2, e=2, modulus=(1, 1, 1))"
+    point = make_subvariety(2, [[1, 1, 0]], field_spec(3))
+    assert repr(point) == (
+        "LinearSubvariety(ambient_n=2, dim=0, basis=((1, 1, 0),), "
+        "field=FieldSpec(p=3, e=1, modulus=()))")
+    plane = make_subvariety(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            field_spec(2))
+    with pytest.raises(GeometryError) as err:
+        ambient_geometry(2, field_spec(2)).contains(plane, plane)
+    assert str(err.value) == (
+        "LinearSubvariety(ambient_n=2, dim=2, basis=((1, 0, 0), (0, 1, 0), "
+        "(0, 0, 1)), field=FieldSpec(p=2, e=1, modulus=())) is not a proper "
+        "subvariety of P^2")

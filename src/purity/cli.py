@@ -124,7 +124,11 @@ def _parse_divisor(spec_str, n, q):
 
 
 def cmd_ring(args):
-    ring = cohomology.build_ring(cohomology.blowup(args.n, args.q))
+    spec = cohomology.blowup(args.n, args.q)
+    k = args.degree
+    if k is not None and not 0 <= k <= args.n:
+        raise ValueError("degree out of range 0..%d" % args.n)
+    ring = cohomology.build_ring(spec)
     betti = cohomology.betti_numbers(ring.spec)
     dims = ring.dims()
     lines = ["ring: blow-up of P^%d along all F_%d-rational linear centers"
@@ -135,10 +139,7 @@ def cmd_ring(args):
                "betti": betti, "basis_sizes": dims}
     if args.json:
         payload["ring"] = ring.to_json(include_products=args.products)
-    if args.degree is not None:
-        k = args.degree
-        if not (0 <= k <= ring.n):
-            raise ValueError("degree out of range 0..%d" % ring.n)
+    if k is not None:
         pairing = cohomology.PairingRows(ring.pairing[k])
         payload["pairing_degree"] = k
         payload["pairing"] = pairing

@@ -58,6 +58,7 @@ from . import linalg
 from .fields import FieldSpec, field_spec
 from .geometry import (LinearSubvariety, ambient_geometry, gaussian_binomial,
                        quotient_image, sub_image)
+from .record import Record
 
 
 class CohomologyError(ValueError):
@@ -88,71 +89,23 @@ def check_size_budget(total, what):
 
 # -- variety specifications -------------------------------------------------
 
-# Each spec is equal to a spec of its own class with the same fields, and
-# hashed by them: specs key `build_ring`, `_gen_table` and the flag-type memo.
-
-class Projective:
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        self.n = n
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n,))
+class Projective(Record):
+    __slots__ = _fields = ("n",)
 
 
-class BlownUp:
-    __slots__ = ("n", "field")
-
-    def __init__(self, n, field):
-        self.n, self.field = n, field
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.n, self.field) == (other.n, other.field)
-
-    def __hash__(self):
-        return hash((self.n, self.field))
+class BlownUp(Record):
+    __slots__ = _fields = ("n", "field")
 
 
-class Product:
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = factors
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.factors,))
+class Product(Record):
+    __slots__ = _fields = ("factors",)
 
 
-class SurfaceSpec:
+class SurfaceSpec(Record):
     """A smooth projective surface given by the labels of an N^1 basis and
     its intersection matrix (see `weightss.explicit_surface_ring`)."""
 
-    __slots__ = ("labels", "intersection")
-
-    def __init__(self, labels, intersection):
-        self.labels, self.intersection = labels, intersection
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.labels, self.intersection)
-                == (other.labels, other.intersection))
-
-    def __hash__(self):
-        return hash((self.labels, self.intersection))
+    __slots__ = _fields = ("labels", "intersection")
 
 
 def proj(n):

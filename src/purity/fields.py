@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .record import Record
+
 # Monic irreducible modulus for the non-prime field sizes we support,
 # as coefficient tuples (c0, c1, ..., 1), constant term first.
 IRREDUCIBLE_MODULI = {
@@ -124,11 +126,11 @@ def _is_irreducible(modulus, p):
     return True
 
 
-class FieldSpec:
+class FieldSpec(Record):
     """Description of F_q: characteristic p, degree e, and modulus (empty for
-    e=1).  Equal, hashed and ordered as the tuple (p, e, modulus)."""
+    e=1), a tuple of ints (c0, c1, ..., 1) as in IRREDUCIBLE_MODULI."""
 
-    __slots__ = ("p", "e", "modulus")
+    __slots__ = _fields = ("p", "e", "modulus")
 
     def __init__(self, p, e, modulus=()):
         if not is_prime(p):
@@ -139,6 +141,10 @@ class FieldSpec:
             if modulus != ():
                 raise FieldError("prime field takes no modulus")
         else:
+            if type(modulus) is not tuple or any(type(c) is not int
+                                                 for c in modulus):
+                raise FieldError("modulus must be a tuple of ints, got %r"
+                                 % (modulus,))
             if len(modulus) != e + 1:
                 raise FieldError("modulus must have degree %d" % e)
             if not _is_irreducible(modulus, p):
@@ -149,25 +155,6 @@ class FieldSpec:
     @property
     def q(self):
         return self.p ** self.e
-
-    def _key(self):
-        return self.p, self.e, self.modulus
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "FieldSpec(p=%r, e=%r, modulus=%r)" % self._key()
 
 
 def field_spec(q):

@@ -12,6 +12,7 @@ import itertools
 from functools import lru_cache
 
 from .fields import FieldSpec, field_spec, get_field
+from .record import Record
 
 MAX_AMBIENT = 6
 
@@ -50,43 +51,27 @@ def rref(rows, fq):
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
-class LinearSubvariety:
+class LinearSubvariety(Record):
     """Canonical form of an F_q-rational linear subvariety of P^ambient_n.
 
     dim is the projective dimension, one less than the number of basis rows;
-    enumeration produces dims 0..ambient_n.  Equal and ordered as the tuple
-    (ambient_n, dim, basis, field); the hash of that tuple is taken once, as
-    subvarieties key the numbering and the caches of `AmbientGeometry`.
+    enumeration produces dims 0..ambient_n.  The hash of the field tuple is
+    taken once, as subvarieties key the numbering and the caches of
+    `AmbientGeometry`.
     """
 
-    __slots__ = ("ambient_n", "dim", "basis", "field", "_hash")
+    _fields = ("ambient_n", "dim", "basis", "field")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, ambient_n, dim, basis, field):
         if dim != len(basis) - 1:
             raise GeometryError("dimension does not match basis row count")
         self.ambient_n, self.dim, self.basis, self.field = (
             ambient_n, dim, basis, field)
-        self._hash = hash(self._key())
-
-    def _key(self):
-        return self.ambient_n, self.dim, self.basis, self.field
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() < other._key()
+        self._hash = hash(self._values())
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return ("LinearSubvariety(ambient_n=%r, dim=%r, basis=%r, field=%r)"
-                % self._key())
 
     @property
     def pivots(self):

@@ -30,6 +30,7 @@ from fractions import Fraction
 from . import linalg
 from .cohomology import GEN_H, blowup
 from .geometry import point_count
+from .record import Record
 
 
 class LefschetzError(ValueError):
@@ -114,18 +115,11 @@ def check_hard_lefschetz(ctx):
     return ok, report
 
 
-class PrimitiveDecomposition:
+class PrimitiveDecomposition(Record):
     """`primitive[j]`: a Matrix whose columns span P_j inside N^j."""
 
-    __slots__ = ("primitive",)
-
-    def __init__(self, primitive):
-        self.primitive = primitive
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.primitive == other.primitive
+    __slots__ = _fields = ("primitive",)
+    __hash__ = None     # `primitive` is a dict
 
 
 @_memoized
@@ -207,7 +201,7 @@ def check_hodge_standard(ctx):
 
 # -- invariant divisors --------------------------------------------------------
 
-class InvariantDivisorForm:
+class InvariantDivisorForm(Record):
     """alpha * h + sum a_d * (level sum of the D_V in dimension d) on B^n
     over F_q; `levels` is the tuple of the a_d.
 
@@ -215,21 +209,7 @@ class InvariantDivisorForm:
     levels through the hyperplane relation, so levels[n-1] == 0.
     """
 
-    __slots__ = ("n", "q", "alpha", "levels")
-
-    def __init__(self, n, q, alpha, levels):
-        self.n, self.q, self.alpha, self.levels = n, q, alpha, levels
-
-    def _key(self):
-        return self.n, self.q, self.alpha, self.levels
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __slots__ = _fields = ("n", "q", "alpha", "levels")
 
     def vector(self, ring):
         """The class in N^1 coordinates of the ring of B^n over F_q (P^1 when
@@ -275,9 +255,10 @@ def margins(form: InvariantDivisorForm):
 
 
 def is_positive(form: InvariantDivisorForm):
-    """Ampleness criterion: the margins are strictly concave,
-    2 c_k > c_(k-1) + c_(k+1) for k = 1..n.  A class it accepts satisfies
-    hard Lefschetz and the Hodge-Riemann relations.
+    """Ampleness criterion: the margins pass every wall inequality,
+    (q+1) c_k > c_(k+1) + q c_(k-1) for k = 1..n (they are strictly
+    q-concave).  A class it accepts satisfies hard Lefschetz and the
+    Hodge-Riemann relations.
 
     B^n is the wonderful model of the arrangement of all F_q-rational
     hyperplanes of P^n with the maximal building set, so N^*(B^n) is the
@@ -292,27 +273,37 @@ def is_positive(form: InvariantDivisorForm):
     sum_F c(F) x_F with c(F) = c_(rk F), the margins above; on invariant
     classes these coordinates are unique.
 
-    Adiprasito-Huh-Katz (Ann. Math. 2018, section 4 and Thm 8.8): sum c(F) x_F
-    lies in the ample cone K_M of the Bergman fan when c, extended by
-    c(empty) = c(E) = 0, is strictly submodular, that is, satisfies the flip
-    inequalities c(F) + c(F') > c(F meet F') + c(F join F') for incomparable
-    F, F'; every class of K_M satisfies hard Lefschetz and the Hodge-Riemann
-    relations on A(M).  The lattice of subspaces is modular, so incomparable
-    F, F' of ranks r <= r' have meet and join of ranks r - s and r' + s for
-    one s >= 1.  If k -> c_k is strictly concave, its increments fall, and
-    c_r - c_(r-s) (s increments below r) exceeds c_(r'+s) - c_r' (s
-    increments from r' >= r): each flip inequality holds, so the class is
-    in K_M.  Conversely each k = 1..n has a diamond (q + 1 >= 3 flats of
-    rank k between a flat of rank k - 1 and one of rank k + 1 containing it)
-    whose flip inequality is 2 c_k > c_(k-1) + c_(k+1), and averaging a
-    strictly submodular c over PGL_(n+1)(F_q) keeps it strictly submodular,
-    so the invariant classes of K_M are exactly the concave ones.
-    Concavity with c_0 = c_(n+1) = 0 forces every c_k > 0, but positive
-    margins alone are not enough: alpha,a_0,a_1 = 3,1,1 on B^3/F_2 has
-    margins 0, 1/5, 8/5, 12/5, 0 and fails Hodge-Riemann in degree 0.
+    Adiprasito-Huh-Katz (Ann. Math. 2018, section 4 and Thm 8.8): every
+    class of the ample cone K_M satisfies hard Lefschetz and the
+    Hodge-Riemann relations on A(M), and a class is in K_M when the
+    piecewise-linear function on the Bergman fan of M with value c(F) on
+    the ray e_F = sum_(i in F) e_i of each flat (c = 0 on e_empty and on
+    e_E, which is 0 modulo the lineality space) is strictly convex.  A
+    wall of the fan is a flag of flats missing one rank k = 1..n, between a
+    flat G of rank k - 1 and a flat G' of rank k + 1.  It is completed by
+    the q + 1 flats F_0..F_q of rank k between G and G' (the points of the
+    projective line G'/G over F_q), and each atom of G' outside G lies in
+    exactly one of them, so their rays satisfy the balancing relation
+
+        sum_i e_(F_i) = e_(G') + q e_G.
+
+    Strict convexity across the wall is sum_i c(F_i) > c(G') + q c(G),
+    which for an invariant class, c(F) = c_(rk F), is the wall inequality
+    of k.  Its left side less its right is the degree of the class on the
+    curve cut out by the x_F of the wall's flag (on B^2: -a_0 on e_P for a
+    point P, alpha + (q+1) a_0 on the strict transform of a line), so an
+    ample class passes every wall; the gate takes the walls as the whole
+    criterion, and every class it accepts in the tests passes hard
+    Lefschetz and Hodge-Riemann.  Concavity, 2 c_k > c_(k-1) + c_(k+1), is
+    a different test: alpha,a_0,a_1 = 73/2,-11,-2 on B^3/F_3 is concave, has
+    wall 3 = -3/2 and fails Hodge-Riemann; 15,-5,-1/2 on B^3/F_2 is not
+    concave, has walls 1/2, 7/2, 1 and passes both.  Positive margins are
+    not enough either: 3,1,1 on B^3/F_2 has margins 0, 1/5, 8/5, 12/5, 0,
+    wall 1 = -1, and fails Hodge-Riemann in degree 0.
     """
-    c = margins(form)
-    return all(2 * c[k] > c[k - 1] + c[k + 1] for k in range(1, form.n + 1))
+    c, q = margins(form), form.q
+    return all((q + 1) * c[k] > c[k + 1] + q * c[k - 1]
+               for k in range(1, form.n + 1))
 
 
 def omega_form(n, q):

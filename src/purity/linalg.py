@@ -37,6 +37,8 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, compress, count
 from math import gcd, lcm
 
+from .record import Record
+
 
 _ZERO = Fraction(0)
 
@@ -416,24 +418,10 @@ def inverse(a):
     return solve(a, identity(a.nrows))
 
 
-class SignatureReport:
+class SignatureReport(Record):
     """The inertia (n_plus, n_minus, n_zero) of a symmetric matrix."""
 
-    __slots__ = ("n_plus", "n_minus", "n_zero")
-
-    def __init__(self, n_plus, n_minus, n_zero):
-        self.n_plus, self.n_minus, self.n_zero = n_plus, n_minus, n_zero
-
-    def _key(self):
-        return self.n_plus, self.n_minus, self.n_zero
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __slots__ = _fields = ("n_plus", "n_minus", "n_zero")
 
     @property
     def signature(self):

@@ -9,6 +9,7 @@ the zeta function is the alternating product over degrees.
 
 from __future__ import annotations
 
+from .record import Record
 from .weightss import inertia_invariants, check_purity
 
 
@@ -16,23 +17,12 @@ class ZetaError(ValueError):
     pass
 
 
-class FactoredRationalT:
+class FactoredRationalT(Record):
     """Product of (1 - q^a T)^multiplicity in canonical sorted, reduced form:
     `factors` is the sorted tuple of (a, multiplicity), multiplicity != 0, so
     equal products compare and hash equal."""
 
-    __slots__ = ("q", "factors")
-
-    def __init__(self, q, factors):
-        self.q, self.factors = q, factors
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.q, self.factors) == (other.q, other.factors)
-
-    def __hash__(self):
-        return hash((self.q, self.factors))
+    __slots__ = _fields = ("q", "factors")
 
     @staticmethod
     def from_dict(q, d):

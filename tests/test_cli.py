@@ -59,6 +59,19 @@ def test_ring_guard(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("degree", ["-1", "5", "9"])
+def test_ring_degree_out_of_range_is_refused_before_the_ring_is_built(
+        monkeypatch, capsys, degree):
+    from purity import cohomology
+
+    def unreachable(spec):
+        raise AssertionError("build_ring ran")
+    monkeypatch.setattr(cohomology, "build_ring", unreachable)
+    code, out, err = run(capsys, "ring", "--n", "4", "--q", "2",
+                         "--degree", degree)
+    assert (code, out, err) == (2, "", "error: degree out of range 0..4\n")
+
+
 def test_hodge_pass(capsys):
     code, out, _ = run(capsys, "hodge", "--n", "2", "--q", "2",
                        "--divisor", "omega")
@@ -104,6 +117,23 @@ def test_hodge_refuses_positive_margins_that_are_not_concave(capsys):
                        "--divisor", "3,1,1")
     data = json.loads(out)
     assert (code, data["positive"], data["verdict"]) == (1, False, "refused")
+
+
+# the gate is the wall inequalities (q+1) c_k > c_(k+1) + q c_(k-1), not
+# concavity: the first two are concave and fail wall 3 (and Hodge-Riemann),
+# the third is not concave and passes every wall, HL and HR
+@pytest.mark.parametrize("n,q,divisor,code,verdict", [
+    ("3", "3", "73/2,-11,-2", 1, "refused"),
+    ("3", "2", "555/8,-225/8,-23/4", 1, "refused"),
+    ("3", "2", "15,-5,-1/2", 0, "pass"),
+])
+def test_hodge_gates_on_the_wall_inequalities(capsys, n, q, divisor, code,
+                                              verdict):
+    got, out, _ = run(capsys, "--json", "hodge", "--n", n, "--q", q,
+                      "--divisor", divisor)
+    data = json.loads(out)
+    assert (got, data["positive"], data["verdict"]) == (code, code == 0,
+                                                        verdict)
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "x", "2147483648"])

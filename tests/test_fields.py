@@ -85,6 +85,15 @@ def test_modulus_validation():
         FieldSpec(4, 1, ())   # characteristic must be prime
 
 
+@pytest.mark.parametrize("modulus", [[1, 1, 1], None, (1.0, 1, 1),
+                                     (1, True, 1)])
+def test_an_extension_modulus_is_a_tuple_of_ints(modulus):
+    # a list modulus would construct, and then fail hashed by a ring cache
+    with pytest.raises(FieldError, match="modulus must be a tuple of ints"):
+        FieldSpec(2, 2, modulus)
+    assert FieldSpec(2, 2, (1, 1, 1)) == field_spec(4)
+
+
 # a prime field has one spec, FieldSpec(p, 1, ()): a None modulus would give
 # an unequal spec of the same field, and with it a second ring cache key
 @pytest.mark.parametrize("modulus", [None, [], (1,), (0, 1)])

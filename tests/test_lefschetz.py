@@ -185,6 +185,26 @@ def test_positivity_criterion():
     assert margin == Fraction(5, 7)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_the_walls_of_b2_are_degrees_on_the_flag_curves(q):
+    # wall 1: the exceptional curve e_P of a point; wall 2: the strict
+    # transform of a line, D_l = h - sum_(P on l) e_P
+    ring = b2_ring(q)
+    geom = ambient_geometry(2, field_spec(q))
+    point, line = geom.subvarieties(0)[0], geom.subvarieties(1)[0]
+    curves = [divisor_vector(ring, {gen_e(point): Fraction(1)}),
+              divisor_vector(ring, hyperplane_relation(ring.spec, line))]
+    rng = random.Random(q)
+    for _ in range(5):
+        form = normalize_invariant(2, q, rng.randint(-9, 9),
+                                   [Fraction(rng.randint(-9, 9), 4), 0])
+        c = margins(form)
+        walls = [(q + 1) * c[k] - c[k + 1] - q * c[k - 1] for k in (1, 2)]
+        L = form.vector(ring)
+        assert walls == [pair(ring, 1, L, curve) for curve in curves]
+        assert is_positive(form) == all(w > 0 for w in walls)
+
+
 def _form_from_margins(n, q, c):
     """The invariant class with margins c_1..c_n (the inverse of `margins`)."""
     pn = point_count(n, q)
@@ -217,24 +237,36 @@ def test_positive_margins_that_are_not_concave_are_refused(n, q, c):
     assert not _passes_hl_and_hr(n, q, form)
 
 
-def _concave_margins(rng, n):
-    """Random strictly concave c_1..c_n with c_0 = c_(n+1) = 0: strictly
-    falling increments, shifted to sum to 0."""
-    steps = [Fraction(0)]
+def _q_concave_margins(rng, n, q):
+    """Random strictly q-concave c_1..c_n with c_0 = c_(n+1) = 0: each
+    increment d_(k+1) = c_(k+1) - c_k is q d_k less a random s_k > 0, so
+    d_k = q^(k-1) d_1 - t_k with t_1 = 0 and t_(k+1) = q t_k + s_k, and d_1
+    makes the n + 1 increments sum to 0."""
+    t = [Fraction(0)]
     for _ in range(n):
-        steps.append(steps[-1] - Fraction(rng.randint(1, 6), rng.randint(1, 4)))
-    mean = sum(steps) / len(steps)
+        t.append(q * t[-1] + Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+    d1 = sum(t) / sum(q ** k for k in range(n + 1))
     c, total = [], Fraction(0)
-    for step in steps[:-1]:
-        total += step - mean
+    for k in range(n):
+        total += q ** k * d1 - t[k]
         c.append(total)
     return c
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+# concave classes that fail a wall inequality, and Hodge-Riemann with it:
+# (alpha, a_0, a_1) and the failing wall
+CONCAVE_BUT_NOT_AMPLE = {
+    (3, 2): ((Fraction(555, 8), Fraction(-225, 8), Fraction(-23, 4)),
+             Fraction(-7, 2)),
+    (3, 3): ((Fraction(73, 2), Fraction(-11), Fraction(-2)),
+             Fraction(-3, 2)),
+}
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_every_accepted_class_passes_hl_and_hr(n, q):
     rng = random.Random(100 * n + q)
-    forms = [_form_from_margins(n, q, _concave_margins(rng, n))
+    forms = [_form_from_margins(n, q, _q_concave_margins(rng, n, q))
              for _ in range(6)]
     assert all(is_positive(f) for f in forms)
     forms += [normalize_invariant(n, q, rng.randint(-4, 20),
@@ -245,6 +277,14 @@ def test_every_accepted_class_passes_hl_and_hr(n, q):
     assert len(accepted) >= 6
     for form in accepted:
         assert _passes_hl_and_hr(n, q, form), form
+    if (n, q) in CONCAVE_BUT_NOT_AMPLE:
+        (alpha, *levels), wall = CONCAVE_BUT_NOT_AMPLE[n, q]
+        form = normalize_invariant(n, q, alpha, levels + [0])
+        c = margins(form)
+        assert all(2 * c[k] > c[k - 1] + c[k + 1] for k in range(1, n + 1))
+        assert (q + 1) * c[n] - c[n + 1] - q * c[n - 1] == wall < 0
+        assert not is_positive(form)
+        assert not _passes_hl_and_hr(n, q, form)
 
 
 def test_folding_the_top_level_preserves_the_class():

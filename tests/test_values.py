@@ -1,6 +1,7 @@
-"""Value semantics of the engine's record classes: equal fields give equal,
-equally hashed objects of one class; sorting follows the field tuples; and the
-reprs that error messages print are pinned."""
+"""Value semantics of the engine's record classes (`purity.record.Record`):
+equal fields give equal objects of one class, hashed as their field tuple;
+sorting follows the field tuples and never mixes classes; and the reprs that
+error messages print are pinned."""
 
 import random
 
@@ -36,6 +37,7 @@ def test_equal_fields_give_equal_values_with_equal_hashes(name):
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
+    assert hash(a) == hash(tuple(getattr(a, f) for f in type(a)._fields))
     assert len({a, b}) == 1
 
 
@@ -45,12 +47,17 @@ def test_values_of_different_classes_are_never_equal(name):
     for other, make in VALUES.items():
         if other != name:
             assert value != make() and make() != value
+            with pytest.raises(TypeError):
+                value < make()
     # not even a subclass with the same fields
     cls = type(value)
     twin = object.__new__(type("Twin", (cls,), {"__slots__": ()}))
     for slot in cls.__slots__:
         setattr(twin, slot, getattr(value, slot))
     assert value != twin and twin != value
+    for a, b in ((value, twin), (twin, value)):
+        with pytest.raises(TypeError):
+            a < b
 
 
 def test_a_primitive_decomposition_compares_by_its_columns():
@@ -58,6 +65,8 @@ def test_a_primitive_decomposition_compares_by_its_columns():
     assert a == PrimitiveDecomposition({0: linalg.identity(1)})
     assert a != PrimitiveDecomposition({0: linalg.zeros(1, 0)})
     assert a != {0: linalg.identity(1)}
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
 
 
 def test_sorting_follows_the_field_tuples():
@@ -76,6 +85,8 @@ def test_sorting_follows_the_field_tuples():
 
 
 def test_reprs_are_pinned():
+    assert repr(SignatureReport(3, 1, 0)) == (
+        "SignatureReport(n_plus=3, n_minus=1, n_zero=0)")
     assert repr(field_spec(4)) == "FieldSpec(p=2, e=2, modulus=(1, 1, 1))"
     point = make_subvariety(2, [[1, 1, 0]], field_spec(3))
     assert repr(point) == (

@@ -222,7 +222,7 @@ def cmd_wss(args):
             "lemma suite needs built-in fixtures (they carry the "
             "polarization data)")
     if args.fixture is not None:
-        cx, l_system = _fixture_from_arg(args.fixture)
+        cx = _fixture_from_arg(args.fixture)
     else:
         cx = weightss.load_complex(args.input)
     lines = ["complex: %s (%d strata, dimension %d, q=%d)"
@@ -251,7 +251,7 @@ def cmd_wss(args):
     payload["purity"] = purity_payload
     all_ok = all_ok and purity_all
     if args.check_lemmas:
-        lem_ok, rows = weightss.verify_rz_lemmas(cx, l_system)
+        lem_ok, rows = weightss.verify_rz_lemmas(cx)
         failed = [r["lemma"] for r in rows if not r["ok"]]
         lines.append("positivity lemma suite: %s (%d checks%s)"
                      % ("PASS" if lem_ok else "FAIL", len(rows),

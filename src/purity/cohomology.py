@@ -52,7 +52,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from types import MappingProxyType
 
 from . import linalg
 from .fields import FieldSpec, field_spec
@@ -194,56 +193,20 @@ def generators(spec):
     return gens
 
 
-def normalize_divisor(spec, coeffs):
-    """Unique h / e_V representation; eliminates dim n-1 exceptional keys.
-
-    A key of dimension n-1 denotes the strict transform of a hyperplane H and
-    is rewritten as h - sum of e_W over proper subvarieties W of H.  Only
-    P^n and blow-ups have named generators; any other ring is refused.
-    """
-    if not isinstance(spec, (Projective, BlownUp)):
-        raise CohomologyError("a generator dict needs a P^n or blow-up "
-                              "ring, not a %s ring" % type(spec).__name__)
-    if isinstance(spec, Projective):
-        out = {}
-        for g, c in coeffs.items():
-            if g != GEN_H:
-                raise CohomologyError("projective space has only the class h")
-            out[GEN_H] = out.get(GEN_H, Fraction(0)) + Fraction(c)
-        out = {g: c for g, c in out.items() if c}
-        if out and spec.n == 0:
-            raise CohomologyError("P^0 has no degree-1 class")
-        return out
-    geom = ambient_geometry(spec.n, spec.field)
-    out = {}
-    for g, c in coeffs.items():
-        c = Fraction(c)
-        if not c:
-            continue
-        if g == GEN_H or g[1] <= spec.n - 2:
-            out[g] = out.get(g, Fraction(0)) + c
-            continue
-        if g[1] != spec.n - 1:
-            raise CohomologyError("generator %r does not live on B^%d" % (g, spec.n))
-        H = gen_subvariety(spec, g)
-        out[GEN_H] = out.get(GEN_H, Fraction(0)) + c
-        for W in geom.strict_subs(H):
-            k = gen_e(W)
-            out[k] = out.get(k, Fraction(0)) - c
-    return {g: c for g, c in out.items() if c}
-
-
 def hyperplane_relation(spec, V):
-    """Class of the strict transform D_V of a hyperplane V, normalized; on
-    P^n it is h."""
+    """Class of the strict transform D_V of a hyperplane V: h minus the e_W
+    of the centers W strictly inside V; on P^n it is h."""
     if V.ambient_n != spec.n:
         raise CohomologyError("hyperplane_relation needs V in P^%d, not in "
                               "P^%d" % (spec.n, V.ambient_n))
     if V.dim != spec.n - 1:
         raise CohomologyError("hyperplane_relation needs dim V = n-1")
-    if isinstance(spec, Projective):
-        return {GEN_H: Fraction(1)}
-    return normalize_divisor(spec, {gen_e(V): Fraction(1)})
+    out = {GEN_H: Fraction(1)}
+    if isinstance(spec, BlownUp):
+        geom = ambient_geometry(spec.n, spec.field)
+        for W in geom.strict_subs(gen_subvariety(spec, gen_e(V))):
+            out[gen_e(W)] = Fraction(-1)
+    return out
 
 
 # -- restriction of generators to an exceptional divisor ----------------------
@@ -275,29 +238,25 @@ def _divisor_class_on_factor(factor_spec, image):
 def restrict_generator(spec, V, g):
     """Restriction of a degree-1 generator of B^n to D_V = B^d x B^(n-d-1).
 
-    Returns a read-only mapping {(side, generator): coefficient} with side 0
-    the B^d factor and side 1 the B^(n-d-1) factor.  Incomparable exceptional
-    generators restrict to zero (their centers are disjoint from V).  The
-    result is memoized per (spec, V, g).
+    Returns a tuple of ((side, generator), coefficient) items, nonzero
+    coefficients only, with side 0 the B^d factor and side 1 the B^(n-d-1)
+    factor.  Incomparable exceptional generators restrict to zero (their
+    centers are disjoint from V).  The result is memoized per (spec, V, g).
     """
-    return MappingProxyType(_restrict_generator(spec, V, g))
-
-
-def _restrict_generator(spec, V, g):
     if g == GEN_H:
-        return {(0, GEN_H): Fraction(1)} if V.dim >= 1 else {}
+        return (((0, GEN_H), Fraction(1)),) if V.dim >= 1 else ()
     W = gen_subvariety(spec, g)
     if W != V:
-        return _restrict_subvariety_divisor(spec, V, W)
+        return tuple(_restrict_subvariety_divisor(spec, V, W).items())
     # rewrite D_V through the least hyperplane H containing V,
     # D_V = h - H~ - (the D_U of the other U < H), and restrict term by term
     geom = ambient_geometry(spec.n, spec.field)
     H = geom.least_hyperplane_containing(V)
-    out = _restrict_generator(spec, V, GEN_H)
+    out = dict(restrict_generator(spec, V, GEN_H))
     for U in [H] + [U for U in geom.strict_subs(H) if U != V]:
         for key, c in _restrict_subvariety_divisor(spec, V, U).items():
             out[key] = out.get(key, Fraction(0)) - c
-    return {k: c for k, c in out.items() if c}
+    return tuple((k, c) for k, c in out.items() if c)
 
 
 def _restrict_subvariety_divisor(spec, V, W):
@@ -324,7 +283,7 @@ def _restricted_product(spec, V, gens):
     for g in gens:
         new_terms = {}
         for (m0, m1), c in terms.items():
-            for (side, gg), cc in restrict_generator(spec, V, g).items():
+            for (side, gg), cc in restrict_generator(spec, V, g):
                 k = (monomial(m0 + (gg,)), m1) if side == 0 \
                     else (m0, monomial(m1 + (gg,)))
                 new_terms[k] = new_terms.get(k, Fraction(0)) + c * cc
@@ -367,13 +326,6 @@ def _support_keys(spec, mono):
     return centers, comparable, code
 
 
-def _support_is_chain(spec, mono):
-    """True iff the centers of the exceptional factors are pairwise comparable,
-    that is, each lies in the comparable mask of all of them."""
-    centers, comparable, _ = _support_keys(spec, mono)
-    return not centers & ~comparable
-
-
 def intersection_number(spec, mono, chooser=None):
     """Top intersection number of a monomial of degree dim(spec).
 
@@ -409,7 +361,9 @@ def intersection_number(spec, mono, chooser=None):
         a, b = (spec.labels.index(g[1]) for g in mono)
         return spec.intersection.entry(a, b)
 
-    if not _support_is_chain(spec, mono):
+    # the centers form a chain iff each lies in the comparable mask of all
+    centers, comparable, _ = _support_keys(spec, mono)
+    if centers & ~comparable:
         return 0
     if chooser is not None:
         return _eval_blowup(spec, mono, chooser)

@@ -1,6 +1,8 @@
 """Built-in semistable complexes.
 
-All fixtures are generated in process so they always match the live schema:
+All fixtures are generated in process so they always match the live schema.
+Each stratum carries its polarization, the restriction of one ample class of
+the fiber, which `SemistableComplex` validation checks against every parent:
 
 * tate_cycle(m, q): a cycle of m projective lines (the m-gon degeneration of
   an elliptic curve); m = 2 gives two components meeting in two points.
@@ -25,7 +27,6 @@ All fixtures are generated in process so they always match the live schema:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import linalg
 from .cohomology import (SIZE_BUDGET, blowup, build_ring, check_size_budget,
@@ -57,23 +58,16 @@ def tate_cycle(m, q):
                            % (MAX_TATE_COMPONENTS, m))
     p1 = build_ring(proj(1))
     pt = build_ring(proj(0))
-    strata = []
-    l_system = {}
-    for i in range(m):
-        sid = "c%d" % i
-        strata.append(Stratum(sid, frozenset([i]), p1, {}))
-        l_system[sid] = [Fraction(1)]
+    strata = [Stratum("c%d" % i, frozenset([i]), p1, {}, [1])
+              for i in range(m)]
     for i in range(m):
         a, b = i, (i + 1) % m
         if m == 2 and i == 1:
             a, b = 0, 1   # second node between the same two components
-        sid = "node%d" % i
-        strata.append(Stratum(sid, frozenset([a, b]), pt,
+        strata.append(Stratum("node%d" % i, frozenset([a, b]), pt,
                               {a: ("c%d" % b, [_ONE]),
-                               b: ("c%d" % a, [_ONE])}))
-        l_system[sid] = []
-    cx = SemistableComplex(strata, q, name="tate-cycle(%d,%d)" % (m, q))
-    return cx, l_system
+                               b: ("c%d" % a, [_ONE])}, []))
+    return SemistableComplex(strata, q, name="tate-cycle(%d,%d)" % (m, q))
 
 
 def two_planes(n=2, q=2):
@@ -86,19 +80,13 @@ def two_planes(n=2, q=2):
         linalg.mat([[1, 0, 0], [0, -1, 0], [0, 0, -1]]))
     line = build_ring(proj(1))
     strata = [
-        Stratum("X0", frozenset([0]), plane, {}),
-        Stratum("X1", frozenset([1]), blown, {}),
+        Stratum("X0", frozenset([0]), plane, {}, [1]),            # h
+        Stratum("X1", frozenset([1]), blown, {}, [3, -1, -1]),    # 3h - e1 - e2
         Stratum("L", frozenset([0, 1]), line,
                 {0: ("X1", [_ONE, linalg.mat([[1, 1, 1]])]),
-                 1: ("X0", [_ONE, linalg.mat([[1]])])}),
+                 1: ("X0", [_ONE, linalg.mat([[1]])])}, [1]),
     ]
-    l_system = {
-        "X0": [Fraction(1)],                            # h
-        "X1": [Fraction(3), Fraction(-1), Fraction(-1)],  # 3h - e1 - e2
-        "L": [Fraction(1)],
-    }
-    cx = SemistableComplex(strata, q, name="two-planes(%d)" % n)
-    return cx, l_system
+    return SemistableComplex(strata, q, name="two-planes(%d)" % n)
 
 
 def triangle_of_planes(q=2):
@@ -119,32 +107,24 @@ def triangle_of_planes(q=2):
              for _ in range(3)]
     line = build_ring(proj(1))
     pt = build_ring(proj(0))
-    strata = []
-    l_system = {}
-    for i in range(3):
-        sid = "X%d" % i
-        strata.append(Stratum(sid, frozenset([i]), comps[i], {}))
-        # 3h - a1 - a2 - b1 is ample (del Pezzo style) and restricts to
-        # degree 1 on the a-curve and degree 2 on the b-curve; to share one
-        # polarization use 4h - a1 - a2 - 2 b1: a-curve 4-1-1 = 2, b-curve
-        # 4-2 = 2.
-        l_system[sid] = [Fraction(4), Fraction(-1), Fraction(-1), Fraction(-2)]
+    # 3h - a1 - a2 - b1 is ample (del Pezzo style) and restricts to degree 1
+    # on the a-curve and degree 2 on the b-curve; to share one polarization
+    # use 4h - a1 - a2 - 2 b1: a-curve 4-1-1 = 2, b-curve 4-2 = 2.
+    strata = [Stratum("X%d" % i, frozenset([i]), comps[i], {}, [4, -1, -1, -2])
+              for i in range(3)]
     restrict_a = [_ONE, linalg.mat([[1, 1, 1, 0]])]
     restrict_b = [_ONE, linalg.mat([[1, 0, 0, 1]])]
     for i in range(3):
         j = (i + 1) % 3
-        sid = "C%d%d" % tuple(sorted((i, j)))
-        strata.append(Stratum(sid, frozenset([i, j]), line,
+        strata.append(Stratum("C%d%d" % tuple(sorted((i, j))),
+                              frozenset([i, j]), line,
                               {i: ("X%d" % j, restrict_b),
-                               j: ("X%d" % i, restrict_a)}))
-        l_system[sid] = [Fraction(2)]
+                               j: ("X%d" % i, restrict_a)}, [2]))
     strata.append(Stratum("T", frozenset([0, 1, 2]), pt,
                           {0: ("C12", [_ONE]),
                            1: ("C02", [_ONE]),
-                           2: ("C01", [_ONE])}))
-    l_system["T"] = []
-    cx = SemistableComplex(strata, q, name="triangle-of-planes")
-    return cx, l_system
+                           2: ("C01", [_ONE])}, []))
+    return SemistableComplex(strata, q, name="triangle-of-planes")
 
 
 # -- the Drinfeld vertex-star quotient -------------------------------------------
@@ -243,7 +223,6 @@ def drinfeld_local(d=2, q=2):
 
     omega = omega_form(2, q).vector(ring)
     strata = []
-    l_system = {}
     pairs = [(0, 1), (1, 2), (2, 0)]
     pair_stratum = {}
     for (a, b) in pairs:
@@ -255,16 +234,11 @@ def drinfeld_local(d=2, q=2):
             mats_line = [linalg.matmul(swap[j], raw_line[j]) for j in range(2)]
             # parent under removing a is the b-component and vice versa
             parents = {a: ("X%d" % b, mats_line), b: ("X%d" % a, mats_point)}
-            strata.append(Stratum(sid, frozenset([a, b]), target_pt, parents))
-            l_here = linalg.matvec(mats_point[1], omega)
-            l_other = linalg.matvec(mats_line[1], omega)
-            if l_here != l_other:
-                raise FixtureError("polarization mismatch on %s" % sid)
-            l_system[sid] = l_here
-    for c in range(3):
-        sid = "X%d" % c
-        strata.append(Stratum(sid, frozenset([c]), ring, {}))
-        l_system[sid] = omega
+            # validation checks it against the other parent's restriction
+            strata.append(Stratum(sid, frozenset([a, b]), target_pt, parents,
+                                  linalg.matvec(mats_point[1], omega)))
+    strata += [Stratum("X%d" % c, frozenset([c]), ring, {}, omega)
+               for c in range(3)]
     pt_ring = build_ring(proj(0))
     for (i, j, k) in sorted(_triangle_matching(D, q)):
         sid = "t%02d_%02d_%02d" % (i, j, k)
@@ -273,10 +247,8 @@ def drinfeld_local(d=2, q=2):
             0: (pair_stratum[(1, 2, j)], [_ONE]),
             1: (pair_stratum[(2, 0, k)], [_ONE]),
         }
-        strata.append(Stratum(sid, frozenset([0, 1, 2]), pt_ring, parents))
-        l_system[sid] = []
-    cx = SemistableComplex(strata, q, name="drinfeld-local(%d,%d)" % (d, q))
-    return cx, l_system
+        strata.append(Stratum(sid, frozenset([0, 1, 2]), pt_ring, parents, []))
+    return SemistableComplex(strata, q, name="drinfeld-local(%d,%d)" % (d, q))
 
 
 FIXTURES = {

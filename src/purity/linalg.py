@@ -20,8 +20,8 @@ rows of `Fraction`, for output and tests; the algorithms work on the integer
 rows.  Everything is exact; no floating point is used anywhere.  `rank` and
 `rref` share one sparse fraction-free forward elimination (`_forward`) on
 rows held as {column: value}, which visits only nonzero entries and divides
-each kept row by its content once: `rank` counts the kept rows
-(`_row_rank`), and `rref` finishes them by back substitution (`_echelon`).
+each kept row by its content once: `rank` counts the kept rows, and `rref`
+finishes them by back substitution (`_echelon`).
 Inertia and definiteness are one sweep (`_pivot_signs`) over the same sparse
 rows with the same `_clear` step: a least-degree nonzero diagonal pivot, or a
 2 x 2 hyperbolic block where the diagonal is zero.  Rows are only ever scaled
@@ -259,9 +259,9 @@ def assemble(nrows, ncols, blocks):
 
 def rank(m):
     """Exact rank, computed once per matrix: read from the RREF when `rref`
-    has run on m, else found by `_row_rank` and kept on m."""
+    has run on m, else counted as the rows `_forward` keeps and kept on m."""
     if m._rank is None:
-        m._rank = _row_rank(m.rows)
+        m._rank = len(_forward(m.rows))
     return m._rank
 
 
@@ -321,11 +321,6 @@ def _clear(work, c, nz):
         else:
             del work[j]
     return work
-
-
-def _row_rank(rows):
-    """Rank of integer rows: the number of rows `_forward` keeps."""
-    return len(_forward(rows))
 
 
 def rref(m):

@@ -28,6 +28,17 @@ reads the same rho and tau.  Every block matrix is written by
 `linalg.assemble`.  Matrices are `linalg.Matrix` throughout, with exact
 shapes: a map from or to a zero space is a k x 0 or 0 x k matrix, never a
 special case.
+
+A stratum carries its polarization, a Lefschetz class in N^1 coordinates,
+or None.  The positivity argument needs one polarization of the whole fiber,
+an ample class whose restrictions polarize every stratum (M. Saito, Modules
+de Hodge polarisables, Publ. RIMS 24, 1988, 4.2), so validation refuses, by
+stratum name, a class of the wrong length and a class that is not the
+restriction of a polarized parent's class.  The lemma suite reads the
+block-diagonal L^k and Lefschetz Grams of the level layout from one
+Lefschetz context per distinct (ring, class) pair.  The JSON schema has no
+polarization yet, so a complex from `load_complex` carries none and the lemma
+suite does not run on it.
 """
 
 from __future__ import annotations
@@ -59,12 +70,16 @@ def _subset_name(subset):
 class Stratum:
     """A stratum `id` of the special fiber, the intersection of the
     components in `subset`, with cohomology `ring`; `parents` maps a removed
-    index m to (parent_id, [restriction Matrix per degree])."""
+    index m to (parent_id, [restriction Matrix per degree]).  `polarization`
+    is the stratum's Lefschetz class in N^1 coordinates, kept as a tuple of
+    `Fraction`, or None for a stratum that carries none."""
 
-    __slots__ = ("id", "subset", "ring", "parents")
+    __slots__ = ("id", "subset", "ring", "parents", "polarization")
 
-    def __init__(self, id, subset, ring, parents):
+    def __init__(self, id, subset, ring, parents, polarization=None):
         self.id, self.subset, self.ring, self.parents = id, subset, ring, parents
+        self.polarization = None if polarization is None \
+            else tuple(map(Fraction, polarization))
 
     @property
     def level(self):
@@ -179,6 +194,55 @@ class SemistableComplex:
             self._gysin_cache[key] = out
         return self._gysin_cache[key]
 
+    # -- the polarization and the lemma suite's level maps ------------------------
+    #
+    # Computed once per argument tuple and returned shared, as
+    # `LefschetzContext` results are: callers must not mutate them, and the
+    # lemma suite's repeated rank and subspace questions on one map reuse its
+    # echelon memo.
+
+    def context(self, sid):
+        """The Lefschetz context of the polarization of stratum sid, one per
+        distinct (ring, class) pair."""
+        s = self.strata[sid]
+        if s.polarization is None:
+            raise ValueError("stratum %s carries no polarization" % sid)
+        return self._context(s.ring, s.polarization)
+
+    @_memoized
+    def _context(self, ring, cls):
+        return make_context(ring, cls)
+
+    @_memoized
+    def rho_tau(self, t, i):
+        """rho(t, i) tau(t+1, i-2): H^(i-2)(X^(t+1)) -> H^i(X^(t+1))."""
+        return linalg.matmul(self.rho(t, i), self.tau(t + 1, i - 2))
+
+    @_memoized
+    def tau_rho(self, t, i):
+        """tau(t+1, i) rho(t, i): H^i(X^(t)) -> H^(i+2)(X^(t))."""
+        return linalg.matmul(self.tau(t + 1, i), self.rho(t, i))
+
+    @_memoized
+    def lef_power(self, t, i, power):
+        """Block-diagonal L^power: H^i(X^(t)) -> H^(i+2 power)(X^(t))."""
+        j = i // 2
+        return self.level_map(t, i, t, i + 2 * power, [
+            (sid, sid, lefschetz_power(self.context(sid), j, power), 1)
+            for sid in self.levels.get(t, [])
+            if j + power <= self.strata[sid].ring.n])
+
+    @_memoized
+    def gram(self, t, i):
+        """Sum of Lefschetz pairings <a, b> = sigma(L^(dim - i) a cup b)."""
+        j = i // 2
+        # lefschetz_pairing_gram carries the sign (-1)^j; undo it
+        return self.level_map(t, i, t, i, [
+            (sid, sid, lefschetz_pairing_gram(self.context(sid), j),
+             -1 if j % 2 else 1)
+            for sid in self.levels.get(t, [])
+            if 2 * j <= self.strata[sid].ring.n])
+
     # -- validation -------------------------------------------------------------
 
     def _validate(self):
@@ -188,6 +252,11 @@ class SemistableComplex:
                 raise ComplexValidationError(
                     "stratum %s %s has dimension %d, expected %d"
                     % (s.id, _subset_name(s.subset), s.ring.n, expected_dim))
+            size = len(s.ring.basis[1]) if s.ring.n else 0
+            if s.polarization is not None and len(s.polarization) != size:
+                raise ComplexValidationError(
+                    "stratum %s: polarization has length %d, dim N^1 is %d"
+                    % (s.id, len(s.polarization), size))
             if s.level == 1:
                 if s.parents:
                     raise ComplexValidationError("component %s has parents" % s.id)
@@ -219,6 +288,20 @@ class SemistableComplex:
                                                 len(parent.ring.basis[j])))
         self._check_unit_and_rings()
         self._check_squares()
+        self._check_polarizations()
+
+    def _check_polarizations(self):
+        """A polarized stratum of positive dimension carries the restriction
+        of each polarized parent's class."""
+        for s in self.strata.values():
+            if s.polarization is None or not s.ring.n:
+                continue
+            for pid, mats in s.parents.values():
+                cls = self.strata[pid].polarization
+                if cls is not None and \
+                        tuple(linalg.matvec(mats[1], cls)) != s.polarization:
+                    raise ComplexValidationError(
+                        "polarization mismatch on %s" % s.id)
 
     def _check_unit_and_rings(self):
         for s in self.strata.values():
@@ -710,69 +793,13 @@ def euler_check(cx):
 
 # -- the level-map lemma suite -----------------------------------------------------
 
-class LevelMaps:
-    """The Lefschetz side of the lemma suite on the level layout of the
-    complex: one context per distinct (ring, class) pair, the block-diagonal
-    `lef_power` and `gram`, and the composites `rho_tau` and `tau_rho` of the
-    complex's level maps.
-
-    These are computed once per argument tuple and returned shared, as
-    `LefschetzContext` results are: callers must not mutate them, and the
-    lemma suite's repeated rank and subspace questions on one map reuse its
-    echelon memo."""
-
-    def __init__(self, cx, l_system):
-        self.cx = cx
-        self.memo = {}
-        self.ctx = {}
-        contexts = {}
-        for t in cx.levels:
-            for sid in cx.levels[t]:
-                if sid not in l_system:
-                    raise ValueError("no Lefschetz class supplied for stratum %s"
-                                     % sid)
-                ring, cls = cx.strata[sid].ring, l_system[sid]
-                key = (id(ring), tuple(map(Fraction, cls)) if ring.n else ())
-                if key not in contexts:
-                    contexts[key] = make_context(ring, cls)
-                self.ctx[sid] = contexts[key]
-
-    @_memoized
-    def rho_tau(self, t, i):
-        """rho(t, i) tau(t+1, i-2): H^(i-2)(X^(t+1)) -> H^i(X^(t+1))."""
-        return linalg.matmul(self.cx.rho(t, i), self.cx.tau(t + 1, i - 2))
-
-    @_memoized
-    def tau_rho(self, t, i):
-        """tau(t+1, i) rho(t, i): H^i(X^(t)) -> H^(i+2)(X^(t))."""
-        return linalg.matmul(self.cx.tau(t + 1, i), self.cx.rho(t, i))
-
-    @_memoized
-    def lef_power(self, t, i, power):
-        """Block-diagonal L^power: H^i(X^(t)) -> H^(i+2 power)(X^(t))."""
-        j = i // 2
-        return self.cx.level_map(t, i, t, i + 2 * power, [
-            (sid, sid, lefschetz_power(self.ctx[sid], j, power), 1)
-            for sid in self.cx.levels.get(t, [])
-            if j + power <= self.cx.strata[sid].ring.n])
-
-    @_memoized
-    def gram(self, t, i):
-        """Sum of Lefschetz pairings <a, b> = sigma(L^(dim - i) a cup b)."""
-        j = i // 2
-        # lefschetz_pairing_gram carries the sign (-1)^j; undo it
-        return self.cx.level_map(t, i, t, i, [
-            (sid, sid, lefschetz_pairing_gram(self.ctx[sid], j),
-             -1 if j % 2 else 1)
-            for sid in self.cx.levels.get(t, [])
-            if 2 * j <= self.cx.strata[sid].ring.n])
-
-
-def verify_rz_lemmas(cx, l_system):
+def verify_rz_lemmas(cx):
     """Run the positivity lemma suite; returns (verdict, report rows).
 
-    l_system maps stratum id -> Lefschetz class in N^1 coordinates, as every
-    fixture gives it.  Hard Lefschetz must hold on every stratum for its class.
+    Every stratum must carry its polarization (`Stratum.polarization`), which
+    validation has checked against the restrictions; the built-in fixtures
+    carry one, a complex read from JSON none yet.  Hard Lefschetz must hold
+    on every stratum for its class.
 
     The kernel-image rows ask for ranks of composites, never for a basis of
     an intersection.  With rho = rho(t, i), tau = tau(t+1, i) and
@@ -787,7 +814,6 @@ def verify_rz_lemmas(cx, l_system):
     Im tau = Im0 tau + tau Im0 rho reuses the rank of [Im0 tau | tau Im0 rho]
     taken for the isomorphism row, with one containment test (`_tau_splits`).
     """
-    lm = LevelMaps(cx, l_system)
     report = []
     ok_all = True
 
@@ -796,8 +822,8 @@ def verify_rz_lemmas(cx, l_system):
         ok_all = ok_all and ok
         report.append({"lemma": name, "ok": ok, "detail": detail})
 
-    for sid, ctx in sorted(lm.ctx.items()):
-        hl, _ = check_hard_lefschetz(ctx)
+    for sid in sorted(cx.strata):
+        hl, _ = check_hard_lefschetz(cx.context(sid))
         if not hl:
             raise ValueError("hard Lefschetz fails on stratum %s; lemma suite "
                              "undefined" % sid)
@@ -824,12 +850,12 @@ def verify_rz_lemmas(cx, l_system):
                 # tau rho + rho tau = 0 between interior levels
                 add("anticommute[t=%d,i=%d]" % (t, i),
                     linalg.is_zero_matrix(linalg.add(
-                        lm.tau_rho(t, i), lm.rho_tau(t - 1, i + 2))))
+                        cx.tau_rho(t, i), cx.rho_tau(t - 1, i + 2))))
             # rho tau rho = 0 including the boundary level
             if dims_ok((t + 1, i), (t, i + 2), (t + 1, i + 2)):
                 add("rho_tau_rho_zero[t=%d,i=%d]" % (t, i),
                     linalg.is_zero_matrix(
-                        linalg.matmul(cx.rho(t, i + 2), lm.tau_rho(t, i))))
+                        linalg.matmul(cx.rho(t, i + 2), cx.tau_rho(t, i))))
 
     for t in sorted(cx.levels):
         if t + 1 not in cx.levels:
@@ -839,8 +865,8 @@ def verify_rz_lemmas(cx, l_system):
         degrees = range(0, 2 * dim_hi + 1, 2)
         im_rho = {i: linalg.column_space(cx.rho(t, i)) for i in degrees}
         im_tau = {i: linalg.column_space(cx.tau(t + 1, i)) for i in degrees}
-        im0_rho = _im0(lm, im_rho, t + 1, 0)
-        im0_tau = _im0(lm, im_tau, t, 2)
+        im0_rho = _im0(cx, im_rho, t + 1, 0)
+        im0_tau = _im0(cx, im_tau, t, 2)
 
         def im1_rho_dim(i):
             if i not in im_rho:
@@ -853,7 +879,7 @@ def verify_rz_lemmas(cx, l_system):
             # Im0 space in the dual degree
             p0 = dim_hi - i
             if p0 >= 0:
-                img = linalg.matmul(lm.lef_power(t + 1, i, p0), im0_rho[i])
+                img = linalg.matmul(cx.lef_power(t + 1, i, p0), im0_rho[i])
                 add("hard_lefschetz_im0_rho[t=%d,i=%d]" % (t, i),
                     linalg.rank(img) == d_im0_rho
                     and linalg.subspace_equal(img, im0_rho[2 * dim_hi - i]))
@@ -866,7 +892,7 @@ def verify_rz_lemmas(cx, l_system):
                 if i_tgt > 2 * dim_hi:
                     add("hard_lefschetz_im1_rho[t=%d,i=%d]" % (t, i), src_q == 0)
                 elif src_q or tgt_q:
-                    img = linalg.matmul(lm.lef_power(t + 1, i, p1), im_rho[i])
+                    img = linalg.matmul(cx.lef_power(t + 1, i, p1), im_rho[i])
                     inside = linalg.subspace_leq(img, im_rho[i_tgt])
                     quot_rank = linalg.rank(linalg.stack_columns(
                         im0_rho[i_tgt], img)) - im0_rho[i_tgt].ncols
@@ -880,12 +906,12 @@ def verify_rz_lemmas(cx, l_system):
                 d_im0_rho == d_im1_tau and im1_rho_dim(i + 2) == d_im0_tau)
             # nondegeneracy of the Lefschetz pairing on Im0 (middle range)
             if d_im0_rho and i <= dim_hi:
-                g_hi = lm.gram(t + 1, i)
+                g_hi = cx.gram(t + 1, i)
                 sub = linalg.matmul(linalg.transpose(im0_rho[i]),
                                     linalg.matmul(g_hi, im0_rho[i]))
                 add("nondegenerate_im0_rho[t=%d,i=%d]" % (t, i),
                     linalg.rank(sub) == d_im0_rho)
-            g_lo = lm.gram(t, i + 2) if i + 2 <= dim_lo else None
+            g_lo = cx.gram(t, i + 2) if i + 2 <= dim_lo else None
             if d_im0_tau and g_lo is not None:
                 sub = linalg.matmul(linalg.transpose(im0_tau[i]),
                                     linalg.matmul(g_lo, im0_tau[i]))
@@ -905,7 +931,7 @@ def verify_rz_lemmas(cx, l_system):
                                   linalg.matmul(g_lo, img)))
                 add("orthogonal_splitting_tau[t=%d,i=%d]" % (t, i),
                     split_ok and cross_ok)
-            tau_ok, rho_ok = _ker_cap_im(lm, t, i)
+            tau_ok, rho_ok = _ker_cap_im(cx, t, i)
             add("ker_tau_cap_im_rho[t=%d,i=%d]" % (t, i), tau_ok)
             add("ker_rho_cap_im_tau[t=%d,i=%d]" % (t, i), rho_ok)
 
@@ -920,20 +946,19 @@ def _tau_splits(im_tau, im0_tau, img, sum_rank):
     return sum_rank == im_tau.ncols and linalg.subspace_leq(im0_tau, im_tau)
 
 
-def _ker_cap_im(lm, t, i):
+def _ker_cap_im(cx, t, i):
     """Whether Ker tau(t+1, i) n Im rho(t, i) = Im(rho(t, i) tau(t+1, i-2))
     and Ker rho(t, i+2) n Im tau(t+1, i) = Im(tau(t+1, i) rho(t, i)), by the
     rank identities of `verify_rz_lemmas`."""
     rank, zero, matmul = linalg.rank, linalg.is_zero_matrix, linalg.matmul
-    cx = lm.cx
     rho, tau = cx.rho(t, i), cx.tau(t + 1, i)
-    rt, tr = lm.rho_tau(t, i), lm.tau_rho(t, i)
+    rt, tr = cx.rho_tau(t, i), cx.tau_rho(t, i)
     return (zero(matmul(tau, rt)) and rank(rt) == rank(rho) - rank(tr),
             zero(matmul(cx.rho(t, i + 2), tr))
-            and rank(tr) == rank(tau) - rank(lm.rho_tau(t, i + 2)))
+            and rank(tr) == rank(tau) - rank(cx.rho_tau(t, i + 2)))
 
 
-def _im0(lm, images, t, shift):
+def _im0(cx, images, t, shift):
     """Im0 per degree i: images[i] cut with the primitive part P_j of
     H^(2j)(X^(t)), 2j = i + shift, then closed under L from the lower degrees.
 
@@ -941,17 +966,17 @@ def _im0(lm, images, t, shift):
     dimension of the level-t strata (P_j = 0 for 2j > d), so the cut is
     A . Ker(L^(d-2j+1) A), a basis of col(A) n P_j.
     """
-    d = lm.cx.n - t + 1
+    d = cx.n - t + 1
     im0 = {}
     for i, a in images.items():
         j = (i + shift) // 2
         im0[i] = linalg.zeros(a.nrows, 0) if 2 * j > d else linalg.matmul(
             a, linalg.kernel_basis(linalg.matmul(
-                lm.lef_power(t, i + shift, d - 2 * j + 1), a)))
+                cx.lef_power(t, i + shift, d - 2 * j + 1), a)))
     for i in images:
         for jj in range(1, i // 2 + 1):
             im0[i] = linalg.subspace_sum(
-                im0[i], linalg.matmul(lm.lef_power(t, i + shift - 2 * jj, jj),
+                im0[i], linalg.matmul(cx.lef_power(t, i + shift - 2 * jj, jj),
                                       im0[i - 2 * jj]))
     return im0
 

@@ -58,10 +58,12 @@ The scan route to the pivot order of the symmetric sweep (see
 (nonzeros, index) with a nonzero diagonal, where `linalg._pivot_signs` pops
 it from a heap of the rows it has changed.
 
-The generator-dict route to N^1 coordinates (see `divisor_vector`): h and
-e_V coefficients with every hyperplane class rewritten as h minus the e_W it
-contains, where `lefschetz.InvariantDivisorForm.vector` reads an invariant
-class off its levels.
+The generator-dict route to N^1 coordinates (see `divisor_vector` and
+`normalize_divisor`): h and e_V coefficients with every hyperplane class
+rewritten as h minus the e_W it contains, where
+`lefschetz.InvariantDivisorForm.vector` reads an invariant class off its
+levels and `cohomology.hyperplane_relation` builds one hyperplane class from
+the strict subspaces.
 
 `comparable`, containment either way, is the relation of the blow-up
 centers that the package encodes in the comparable masks of its geometry.
@@ -73,9 +75,10 @@ from functools import lru_cache
 from unittest import mock
 
 from purity import linalg, weightss
-from purity.cohomology import (Product, build_ring, intersection_number,
-                               monomial, normalize_divisor)
-from purity.geometry import contains
+from purity.cohomology import (GEN_H, BlownUp, CohomologyError, Product,
+                               Projective, build_ring, gen_e, gen_subvariety,
+                               intersection_number, monomial)
+from purity.geometry import ambient_geometry, contains
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, lefschetz_pairing_gram,
                               lefschetz_power, make_context,
@@ -504,10 +507,49 @@ def pair(ring, j, vj, vk):
 
 # -- N^1 coordinates of a generator dict -------------------------------------------
 
+def normalize_divisor(spec, coeffs):
+    """Unique h / e_V representation; eliminates dim n-1 exceptional keys.
+
+    A key of dimension n-1 denotes the strict transform of a hyperplane H and
+    is rewritten as h - sum of e_W over proper subvarieties W of H.  Only
+    P^n and blow-ups have named generators; any other ring is refused.
+    """
+    if not isinstance(spec, (Projective, BlownUp)):
+        raise CohomologyError("a generator dict needs a P^n or blow-up "
+                              "ring, not a %s ring" % type(spec).__name__)
+    if isinstance(spec, Projective):
+        out = {}
+        for g, c in coeffs.items():
+            if g != GEN_H:
+                raise CohomologyError("projective space has only the class h")
+            out[GEN_H] = out.get(GEN_H, Fraction(0)) + Fraction(c)
+        out = {g: c for g, c in out.items() if c}
+        if out and spec.n == 0:
+            raise CohomologyError("P^0 has no degree-1 class")
+        return out
+    geom = ambient_geometry(spec.n, spec.field)
+    out = {}
+    for g, c in coeffs.items():
+        c = Fraction(c)
+        if not c:
+            continue
+        if g == GEN_H or g[1] <= spec.n - 2:
+            out[g] = out.get(g, Fraction(0)) + c
+            continue
+        if g[1] != spec.n - 1:
+            raise CohomologyError("generator %r does not live on B^%d" % (g, spec.n))
+        H = gen_subvariety(spec, g)
+        out[GEN_H] = out.get(GEN_H, Fraction(0)) + c
+        for W in geom.strict_subs(H):
+            k = gen_e(W)
+            out[k] = out.get(k, Fraction(0)) - c
+    return {g: c for g, c in out.items() if c}
+
+
 def divisor_vector(ring, coeffs):
     """N^1 coordinates of a generator->coefficient dict on P^n or a blow-up,
     normalized through the hyperplane relation first (see
-    `cohomology.normalize_divisor`)."""
+    `normalize_divisor`)."""
     v = ring.zero(1)
     for g, c in normalize_divisor(ring.spec, coeffs).items():
         v[ring.index[1][(g,)]] += c
@@ -540,11 +582,10 @@ def hodge_sweep(ring, l0, l1, steps):
 
 # -- the lemma suite by subspace bases -----------------------------------------
 
-def ker_cap_im_by_intersection(lm, t, i):
+def ker_cap_im_by_intersection(cx, t, i):
     """Ker tau(t+1, i) n Im rho(t, i) == Im(rho(t, i) tau(t+1, i-2)) and
     Ker rho(t, i+2) n Im tau(t+1, i) == Im(tau(t+1, i) rho(t, i)), each side
     a subspace basis."""
-    cx = lm.cx
     rho, tau = cx.rho(t, i), cx.tau(t + 1, i)
     lhs = linalg.subspace_intersection(linalg.kernel_basis(tau),
                                        linalg.column_space(rho))
@@ -555,30 +596,30 @@ def ker_cap_im_by_intersection(lm, t, i):
     return linalg.subspace_equal(lhs, rhs), linalg.subspace_equal(lhs2, rhs2)
 
 
-def level_primitive(lm, t, i):
+def level_primitive(cx, t, i):
     """Columns spanning the primitive part of H^i(X^(t)): the primitive
     kernels of the level-t strata, block by block."""
     j = i // 2
-    rows, nrows = lm.cx.level_layout(t, i)
+    rows, nrows = cx.level_layout(t, i)
     blocks, width = [], 0
-    for sid in lm.cx.levels.get(t, []):
-        if 2 * j <= lm.cx.strata[sid].ring.n:
-            block = primitive_decomposition(lm.ctx[sid]).primitive[j]
+    for sid in cx.levels.get(t, []):
+        if 2 * j <= cx.strata[sid].ring.n:
+            block = primitive_decomposition(cx.context(sid)).primitive[j]
             blocks.append((rows[sid], width, block, 1))
             width += block.ncols
     return linalg.assemble(nrows, width, blocks)
 
 
-def im0_by_intersection(lm, images, t, shift):
+def im0_by_intersection(cx, images, t, shift):
     """Im0 per degree i: images[i] intersected with `level_primitive`, then
     closed under L from the lower degrees."""
     im0 = {i: linalg.subspace_intersection(images[i],
-                                           level_primitive(lm, t, i + shift))
+                                           level_primitive(cx, t, i + shift))
            for i in images}
     for i in images:
         for jj in range(1, i // 2 + 1):
             im0[i] = linalg.subspace_sum(
-                im0[i], linalg.matmul(lm.lef_power(t, i + shift - 2 * jj, jj),
+                im0[i], linalg.matmul(cx.lef_power(t, i + shift - 2 * jj, jj),
                                       im0[i - 2 * jj]))
     return im0
 
@@ -590,7 +631,7 @@ def tau_splits_by_subspaces(im_tau, im0_tau, img, sum_rank):
         and sum_rank == im_tau.ncols
 
 
-def verify_rz_lemmas_by_subspaces(cx, l_system):
+def verify_rz_lemmas_by_subspaces(cx):
     """`weightss.verify_rz_lemmas` with the ker-cap-im rows, Im0 and the
     splitting of Im tau taken by the subspace route; every other row is
     computed as in the package."""
@@ -599,7 +640,7 @@ def verify_rz_lemmas_by_subspaces(cx, l_system):
             mock.patch.object(weightss, "_im0", im0_by_intersection), \
             mock.patch.object(weightss, "_tau_splits",
                               tau_splits_by_subspaces):
-        return weightss.verify_rz_lemmas(cx, l_system)
+        return weightss.verify_rz_lemmas(cx)
 
 
 # -- the inertia invariants by ranks -------------------------------------------

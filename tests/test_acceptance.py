@@ -145,7 +145,7 @@ def _fixtures():
 
 
 def test_criterion_6_spectral_sequence():
-    for name, (cx, _) in _fixtures().items():
+    for name, cx in _fixtures().items():
         t0 = time.time()
         weight_table(cx)      # d1^2 = 0, N d1 = d1 N, E1 N^r isomorphisms
         ok_euler, _ = euler_check(cx)
@@ -160,8 +160,8 @@ def test_criterion_6_spectral_sequence():
 
 
 def test_criterion_7_lemma_suite():
-    for name, (cx, l_system) in _fixtures().items():
-        ok, rows = verify_rz_lemmas(cx, l_system)
+    for name, cx in _fixtures().items():
+        ok, rows = verify_rz_lemmas(cx)
         assert ok, (name, [r["lemma"] for r in rows if not r["ok"]])
     report(7, "positivity lemma suite exact on all four fixtures")
 
@@ -169,11 +169,11 @@ def test_criterion_7_lemma_suite():
 def test_criterion_8_zeta_reproduction():
     for m in (2, 3, 5):
         for q in (2, 3):
-            cx, _ = tate_cycle(m, q)
+            cx = tate_cycle(m, q)
             assert mu_from_e2(cx, 1) == 1
             z = zeta_function(cx)
             assert dict(z.factors) == {1: -1}, (m, q)   # = 1 / (1 - qT)
-    for name, (cx, _) in _fixtures().items():
+    for name, cx in _fixtures().items():
         assert zeta_matches_weight_table(cx), name
     report(8, "zeta = 1/(1-qT) for Tate cycles; factored form matches the "
               "weight table bijectively on every purity-passing fixture")
@@ -193,7 +193,7 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
         ring, {GEN_H: Fraction(1), gen_e(P): Fraction(-1)}))
     assert not check_hard_lefschetz(ctx2)[0]
     # corrupted restriction matrix: rejected at load, CLI exit code 2
-    cx, _ = drinfeld_local(2, 2)
+    cx = drinfeld_local(2, 2)
     data = complex_to_json(cx)
     for node in data["strata"]:
         if len(node["subset"]) == 3:

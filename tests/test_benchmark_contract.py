@@ -47,7 +47,7 @@ def test_every_traced_target_resolves(module, owner, attr):
 # sets up in its constructor is read there on every traced call
 _INSTANCES = {
     "cohomology.coords_memo": lambda: build_ring(proj(1)),
-    "weightss.gysin_cache": lambda: make_fixture("tate-cycle", 3, 2)[0],
+    "weightss.gysin_cache": lambda: make_fixture("tate-cycle", 3, 2),
 }
 
 

@@ -169,7 +169,7 @@ def test_wss_drinfeld(capsys):
 
 
 def test_wss_rejects_corrupted_input(tmp_path, capsys):
-    cx, _ = drinfeld_local(2, 2)
+    cx = drinfeld_local(2, 2)
     data = complex_to_json(cx)
     for node in data["strata"]:
         if len(node["subset"]) == 3:
@@ -187,7 +187,7 @@ def test_wss_input_with_nonzero_d1_squared_is_invalid_input(tmp_path, capsys):
     # the degree-1 restriction of one plane to the double curve, off by one:
     # the record loads, and the weight table refuses it with a
     # SpectralSequenceError
-    cx, _ = make_fixture("two-planes", 2)
+    cx = make_fixture("two-planes", 2)
     data = complex_to_json(cx)
     entry = data["strata"][0]["parents"]["0"]["restriction"][1][0]
     entry[0] = str(int(entry[0]) + 1)
@@ -201,7 +201,7 @@ def test_wss_input_with_nonzero_d1_squared_is_invalid_input(tmp_path, capsys):
 def test_wss_input_with_check_lemmas_is_refused_up_front(tmp_path):
     # only built-in fixtures carry a Lefschetz class per stratum
     path = tmp_path / "cx.json"
-    path.write_text(json.dumps(complex_to_json(drinfeld_local(2, 2)[0])))
+    path.write_text(json.dumps(complex_to_json(drinfeld_local(2, 2))))
     code, out, err = _cli_process("wss", "--input", str(path),
                                   "--check-lemmas")
     assert (code, out) == (2, "")
@@ -694,7 +694,7 @@ _FUZZ_BASES = [("tate-cycle", 3, 2), ("two-planes", 2),
 
 @functools.lru_cache(maxsize=None)
 def _fixture_text(fixture):
-    return json.dumps(complex_to_json(make_fixture(*fixture)[0]))
+    return json.dumps(complex_to_json(make_fixture(*fixture)))
 
 
 def _two_strata(data, draw):
@@ -850,7 +850,7 @@ def _nested(depth):
 def _tate_cycle_with_nested_intersection():
     """The tate-cycle:3,2 complex with its first component replaced by a
     surface whose intersection form is nested 50000 deep."""
-    data = complex_to_json(make_fixture("tate-cycle", 3, 2)[0])
+    data = complex_to_json(make_fixture("tate-cycle", 3, 2))
     data["strata"][0]["variety"] = {"kind": "surface", "labels": ["a"],
                                     "intersection": "@"}
     return json.dumps(data).replace('"@"', _nested(50000))
@@ -868,7 +868,7 @@ def test_deeply_nested_json_is_invalid_input(tmp_path, text):
 
 
 def test_json_zero_denominator_entry_is_invalid_input(tmp_path, capsys):
-    cx, _ = drinfeld_local(2, 2)
+    cx = drinfeld_local(2, 2)
     data = complex_to_json(cx)
     node = next(n for n in data["strata"] if n["parents"])
     node["parents"][sorted(node["parents"])[0]]["restriction"][0][0][0] = "1/0"

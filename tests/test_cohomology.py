@@ -8,18 +8,17 @@ import pytest
 
 from purity import cohomology, linalg
 from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
-                               _support_is_chain, betti_numbers, blowup,
-                               build_ring, chain_basis, check_resource_guard,
-                               flag_type, gen_e,
+                               betti_numbers, blowup, build_ring, chain_basis,
+                               check_resource_guard, flag_type, gen_e,
                                generators, hyperplane_relation,
-                               intersection_number, monomial,
-                               normalize_divisor, proj, product,
+                               intersection_number, monomial, proj, product,
                                restrict_to_divisor)
 from purity.fields import field_spec
 from purity.geometry import LinearSubvariety, ambient_geometry
 from purity.weightss import explicit_surface_ring
 from oracle import (comparable, cup_matrix, divisor_vector, merge, multiply,
-                    product_pairing, tensor_coords, top_number)
+                    normalize_divisor, product_pairing, tensor_coords,
+                    top_number)
 
 
 F2 = field_spec(2)
@@ -28,6 +27,13 @@ F3 = field_spec(3)
 
 def geom(n, field=F2):
     return ambient_geometry(n, field)
+
+
+def _support_is_chain(spec, mono):
+    """The mask test of `intersection_number`: each center of mono lies in
+    the comparable mask of all of them."""
+    centers, comparable, _ = cohomology._support_keys(spec, mono)
+    return not centers & ~comparable
 
 
 def _pairwise_comparable(spec, mono):

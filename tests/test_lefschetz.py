@@ -5,8 +5,7 @@ import pytest
 
 from purity import linalg
 from purity.cohomology import (GEN_H, CohomologyError, blowup, build_ring,
-                               gen_e, hyperplane_relation, normalize_divisor,
-                               proj, product)
+                               gen_e, hyperplane_relation, proj, product)
 from purity.fields import field_spec
 from purity.geometry import ambient_geometry, point_count
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
@@ -16,8 +15,9 @@ from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               omega_form, primitive_decomposition)
 from purity.fixtures import two_planes
 from oracle import (divisor_vector, hard_lefschetz_ranks,
-                    hodge_by_primitive_grams, hodge_sweep, multiply, pair,
-                    primitive_gram, product_lefschetz_vector)
+                    hodge_by_primitive_grams, hodge_sweep, merge, multiply,
+                    normalize_divisor, pair, primitive_gram,
+                    product_lefschetz_vector, top_number)
 
 
 def b2_ring(q=2):
@@ -44,7 +44,7 @@ def test_projective_space_lefschetz():
 
 
 @pytest.mark.parametrize("ring,kind", [
-    (lambda: two_planes()[0].strata["X1"].ring, "SurfaceSpec"),
+    (lambda: two_planes().strata["X1"].ring, "SurfaceSpec"),
     (lambda: build_ring(product(blowup(1, 2), blowup(2, 2))), "Product")],
     ids=["surface", "product"])
 def test_generator_dict_needs_a_ring_with_generators(ring, kind):
@@ -185,24 +185,60 @@ def test_positivity_criterion():
     assert margin == Fraction(5, 7)
 
 
+def _check_walls_on_flag_curves(n, q):
+    """For each wall k of B^n/F_q, the degree of omega and of five random
+    invariant classes on the curve cut out by the D_V of a full flag with no
+    member of rank k (dimension n-k) is the wall number
+    (q+1) c_k - c_(k+1) - q c_(k-1), read as top numbers of monomials with
+    every D_V a generator dict of the oracle.  On B^2 wall 1 is the degree
+    on e_P, wall 2 that on the strict transform of a line."""
+    ring = build_ring(blowup(n, q))
+    geom = ambient_geometry(n, field_spec(q))
+    flag = [geom.subvarieties(0)[0]]
+    for d in range(1, n):
+        flag.append(next(W for W in geom.subvarieties(d)
+                         if geom.contains(W, flag[-1])))
+    # degree[k][i]: the degree of the i-th N^1 basis class on the k-th curve
+    degree = {}
+    for k in range(1, n + 1):
+        curve = {(): Fraction(1)}
+        for V in flag:
+            if V.dim == n - k:
+                continue
+            D = normalize_divisor(ring.spec, {gen_e(V): Fraction(1)})
+            terms = {}
+            for m, c in curve.items():
+                for g, x in D.items():
+                    key = merge(ring, m, (g,))
+                    terms[key] = terms.get(key, 0) + c * x
+            curve = terms
+        degree[k] = [sum(c * top_number(ring, merge(ring, b, m))
+                         for m, c in curve.items())
+                     for b in ring.basis[1]]
+    rng = random.Random(q)
+    forms = [omega_form(n, q)] + [
+        normalize_invariant(n, q, rng.randint(-9, 9),
+                            [Fraction(rng.randint(-9, 9), 4)
+                             for _ in range(n - 1)] + [0])
+        for _ in range(5)]
+    for form in forms:
+        c = margins(form)
+        walls = [(q + 1) * c[k] - c[k + 1] - q * c[k - 1]
+                 for k in range(1, n + 1)]
+        L = form.vector(ring)
+        assert walls == [sum(x * y for x, y in zip(L, degree[k]))
+                         for k in range(1, n + 1)], form
+        assert is_positive(form) == all(w > 0 for w in walls)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_the_walls_of_b2_are_degrees_on_the_flag_curves(q):
-    # wall 1: the exceptional curve e_P of a point; wall 2: the strict
-    # transform of a line, D_l = h - sum_(P on l) e_P
-    ring = b2_ring(q)
-    geom = ambient_geometry(2, field_spec(q))
-    point, line = geom.subvarieties(0)[0], geom.subvarieties(1)[0]
-    curves = [divisor_vector(ring, {gen_e(point): Fraction(1)}),
-              divisor_vector(ring, hyperplane_relation(ring.spec, line))]
-    rng = random.Random(q)
-    for _ in range(5):
-        form = normalize_invariant(2, q, rng.randint(-9, 9),
-                                   [Fraction(rng.randint(-9, 9), 4), 0])
-        c = margins(form)
-        walls = [(q + 1) * c[k] - c[k + 1] - q * c[k - 1] for k in (1, 2)]
-        L = form.vector(ring)
-        assert walls == [pair(ring, 1, L, curve) for curve in curves]
-        assert is_positive(form) == all(w > 0 for w in walls)
+    _check_walls_on_flag_curves(2, q)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2)])
+def test_the_walls_are_degrees_on_the_flag_curves(n, q):
+    _check_walls_on_flag_curves(n, q)
 
 
 def _form_from_margins(n, q, c):
@@ -511,8 +547,8 @@ def _h_ctx(n, q):
 
 
 def _surface_ctx():
-    cx, l_system = two_planes()
-    return make_context(cx.strata["X1"].ring, l_system["X1"])   # 3h - e1 - e2
+    x1 = two_planes().strata["X1"]
+    return make_context(x1.ring, x1.polarization)   # 3h - e1 - e2
 
 
 def _product_ctx():

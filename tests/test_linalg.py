@@ -660,21 +660,16 @@ def test_matvec_matches_fraction_product(pair):
 # -- the echelon memo ---------------------------------------------------------
 
 def _count_eliminations(monkeypatch):
-    """Record every elimination behind `rref` (the matrix) and `rank` (its
-    rows)."""
+    """Record every elimination behind `rref` and `rank` by its rows: each
+    runs `_forward` once."""
     calls = []
-    real_echelon, real_row_rank = linalg._echelon, linalg._row_rank
+    real_forward = linalg._forward
 
-    def echelon(m):
-        calls.append(m)
-        return real_echelon(m)
-
-    def row_rank(rows):
+    def forward(rows):
         calls.append(rows)
-        return real_row_rank(rows)
+        return real_forward(rows)
 
-    monkeypatch.setattr(linalg, "_echelon", echelon)
-    monkeypatch.setattr(linalg, "_row_rank", row_rank)
+    monkeypatch.setattr(linalg, "_forward", forward)
     return calls
 
 
@@ -743,7 +738,7 @@ def test_memo_answers_as_a_fresh_elimination(m):
     assert linalg.rref(red) == (red, pivots)
     # the ranks marked on kernel_basis and column_space results are true
     for got in (kernel_basis(a), linalg.column_space(a)):
-        assert rank(got) == linalg._row_rank(got.rows) == got.ncols
+        assert rank(got) == len(linalg._forward(got.rows)) == got.ncols
 
 
 @st.composite

@@ -14,7 +14,7 @@ from purity.fields import field_spec
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
                              triangle_of_planes, two_planes)
 from purity.geometry import ambient_geometry
-from purity.weightss import (ComplexValidationError, LevelMaps,
+from purity.weightss import (ComplexValidationError,
                              SemistableComplex, Stratum, _chain,
                              _homology, check_purity,
                              complex_to_json, euler_check,
@@ -42,7 +42,7 @@ def drinfeld22():
 @pytest.fixture(scope="module")
 def oracle_complexes(tate32, quadric, drinfeld22):
     """tate-cycle:3,2, two-planes:2, triangle-of-planes:2, drinfeld-local:2,2"""
-    return [tate32[0], quadric[0], triangle_of_planes(2)[0], drinfeld22[0]]
+    return [tate32, quadric, triangle_of_planes(2), drinfeld22]
 
 
 def column(cx, w, page=1):
@@ -55,13 +55,13 @@ def column(cx, w, page=1):
 
 
 def test_tate_cycle_e1_shape(tate32):
-    cx, _ = tate32
+    cx = tate32
     assert column(cx, 1) == {(-1, 2): 3, (1, 0): 3}
     assert column(cx, 0) == {(0, 0): 3}
 
 
 def test_tate_cycle_e2_and_purity(tate32):
-    cx, _ = tate32
+    cx = tate32
     assert column(cx, 1, page=2) == {(-1, 2): 1, (1, 0): 1}
     for w in range(3):
         ok, report = check_purity(cx, w)
@@ -73,14 +73,14 @@ def test_tate_cycle_e2_and_purity(tate32):
 
 
 def test_tate_cycle_inertia(tate32):
-    cx, _ = tate32
+    cx = tate32
     assert inertia_invariants(cx, 1) == {0: 1}
     assert inertia_invariants(cx, 0) == {0: 1}
     assert inertia_invariants(cx, 2) == {2: 1}
 
 
 def test_two_planes_matches_quadric(quadric):
-    cx, _ = quadric
+    cx = quadric
     totals = [sum(column(cx, w, page=2).values()) for w in range(5)]
     assert totals == [1, 0, 2, 0, 1]
     assert all(check_purity(cx, w)[0] for w in range(5))
@@ -89,16 +89,16 @@ def test_two_planes_matches_quadric(quadric):
 
 
 def test_triangle_matches_cubic_surface():
-    cx, ls = triangle_of_planes(2)
+    cx = triangle_of_planes(2)
     totals = [sum(column(cx, w, page=2).values()) for w in range(5)]
     assert totals == [1, 0, 7, 0, 1]
     assert all(check_purity(cx, w)[0] for w in range(5))
-    ok, _ = verify_rz_lemmas(cx, ls)
+    ok, _ = verify_rz_lemmas(cx)
     assert ok
 
 
 def test_drinfeld_local_purity_and_middle(drinfeld22):
-    cx, _ = drinfeld22
+    cx = drinfeld22
     assert all(check_purity(cx, w)[0] for w in range(5))
     dims = column(cx, 2, page=2)
     # middle degree: a two-dimensional weight-0 block moved by N^2
@@ -107,12 +107,12 @@ def test_drinfeld_local_purity_and_middle(drinfeld22):
 
 
 def test_drinfeld_q3_builds_and_passes():
-    cx, _ = drinfeld_local(2, 3)
+    cx = drinfeld_local(2, 3)
     assert all(check_purity(cx, w)[0] for w in range(5))
 
 
 def test_gysin_adjoint_relation(quadric):
-    cx, _ = quadric
+    cx = quadric
     # <gysin(b), x>_parent = <b, restriction(x)>_child, degree by degree
     stratum = cx.strata["L"]
     rng = random.Random(1)
@@ -131,14 +131,13 @@ def test_gysin_adjoint_relation(quadric):
 
 
 def test_lemma_suite_passes_on_fixtures(tate32, quadric, drinfeld22):
-    for cx, ls in (tate32, quadric, drinfeld22):
-        ok, rows = verify_rz_lemmas(cx, ls)
+    for cx in (tate32, quadric, drinfeld22):
+        ok, rows = verify_rz_lemmas(cx)
         assert ok, [r["lemma"] for r in rows if not r["ok"]]
 
 
 def test_lemma_suite_names_cover_the_statements(drinfeld22):
-    cx, ls = drinfeld22
-    _, rows = verify_rz_lemmas(cx, ls)
+    _, rows = verify_rz_lemmas(drinfeld22)
     names = {r["lemma"].split("[")[0] for r in rows}
     assert {"rho_rho_zero", "tau_tau_zero", "anticommute", "rho_tau_rho_zero",
             "hard_lefschetz_im0_rho", "hard_lefschetz_im1_rho", "duality_dims",
@@ -166,18 +165,18 @@ def _check_roundtrip(capsys, tmp_path, cx, fixture):
 
 
 def test_json_roundtrip(capsys, tmp_path, quadric):
-    _check_roundtrip(capsys, tmp_path, quadric[0], "two-planes:2")
+    _check_roundtrip(capsys, tmp_path, quadric, "two-planes:2")
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_drinfeld_json_roundtrip(capsys, tmp_path, q):
     # the stratum labels come from the Singer trace sequence
-    _check_roundtrip(capsys, tmp_path, drinfeld_local(2, q)[0],
+    _check_roundtrip(capsys, tmp_path, drinfeld_local(2, q),
                      "drinfeld-local:2,%d" % q)
 
 
 def test_corrupted_restriction_is_rejected():
-    cx, _ = drinfeld_local(2, 2)
+    cx = drinfeld_local(2, 2)
     data = complex_to_json(cx)
     bad = copy.deepcopy(data)
     for node in bad["strata"]:
@@ -230,7 +229,7 @@ def test_schema_validation_errors():
     with pytest.raises(ComplexValidationError):
         load_complex({"schema_version": 1, "q": 2, "strata": []})
     # wrong stratum dimension is caught
-    cx, _ = tate_cycle(3, 2)
+    cx = tate_cycle(3, 2)
     data = complex_to_json(cx)
     bad = copy.deepcopy(data)
     for node in bad["strata"]:
@@ -255,14 +254,14 @@ def test_explicit_surface_ring_sanity():
 
 
 def test_fixture_registry():
-    cx, _ = make_fixture("tate-cycle", 4, 2)
+    cx = make_fixture("tate-cycle", 4, 2)
     assert len(cx.strata) == 8
     with pytest.raises(Exception):
         make_fixture("unknown-fixture")
 
 
 def test_spectral_table_views(tate32):
-    cx, _ = tate32
+    cx = tate32
     assert sorted(j for _, j in column(cx, 1, page=2)) == [0, 2]
     assert column(cx, 7) == column(cx, 7, page=2) == {}
 
@@ -273,7 +272,7 @@ def test_spectral_table_views(tate32):
     (("drinfeld-local", 2, 4), 639), (("drinfeld-local", 2, 2), 177),
     (("drinfeld-local", 2, 5), 1032)])
 def test_the_size_budget_reads_the_total_e1_dimension(fixture, total):
-    cx, _ = make_fixture(*fixture)
+    cx = make_fixture(*fixture)
     table = weight_table(cx)
     assert sum(table.e1_dim(i, j) for i, j in table.entries) == total == \
         sum(s.level * sum(s.ring.dims()) for s in cx.strata.values())
@@ -299,7 +298,7 @@ def test_a_complex_over_the_size_budget_is_refused_before_validation(
 
 
 def test_monodromy_squares_to_zero_on_e1(tate32):
-    cx, _ = tate32
+    cx = tate32
     table = weight_table(cx)
     for (i, j) in table.entries:
         n1 = table.n_map(i, j)
@@ -311,16 +310,15 @@ def test_monodromy_squares_to_zero_on_e1(tate32):
 def test_assembled_maps_are_exact(drinfeld22):
     # signs enter as integers: a float sign such as (-1) ** -1 would leak into
     # the integer rows of every block it multiplies
-    cx, ls = drinfeld22
+    cx = drinfeld22
     table = weight_table(cx)
     mats = []
     for (i, j) in table.entries:
         mats += [table.d1(i, j), table.n_map(i, j)]
-    lm = LevelMaps(cx, ls)
     for t in sorted(cx.levels):
         for i in range(0, 2 * cx.n + 1, 2):
-            mats += [cx.rho(t, i), lm.gram(t, i), level_primitive(lm, t, i)]
-            mats += [lm.lef_power(t, i, p) for p in range(cx.n + 1)]
+            mats += [cx.rho(t, i), cx.gram(t, i), level_primitive(cx, t, i)]
+            mats += [cx.lef_power(t, i, p) for p in range(cx.n + 1)]
             if t >= 2:
                 mats.append(cx.tau(t, i))
     assert all(type(m) is linalg.Matrix for m in mats)
@@ -329,7 +327,7 @@ def test_assembled_maps_are_exact(drinfeld22):
 
 def test_induced_n_is_computed_once(monkeypatch):
     # a fresh complex: the module fixtures share their weight table
-    cx, _ = tate_cycle(3, 2)
+    cx = tate_cycle(3, 2)
     calls = []
     real_matmul = linalg.matmul
 
@@ -346,8 +344,8 @@ def test_induced_n_is_computed_once(monkeypatch):
 
 
 def test_inertia_invariants_match_the_rank_route(oracle_complexes):
-    larger = [tate_cycle(4, 3)[0], two_planes(2, 3)[0],
-              triangle_of_planes(3)[0], drinfeld_local(2, 3)[0]]
+    larger = [tate_cycle(4, 3), two_planes(2, 3), triangle_of_planes(3),
+              drinfeld_local(2, 3)]
     for cx in oracle_complexes + larger:
         for w in range(2 * cx.n + 1):
             if check_purity(cx, w)[0]:
@@ -357,10 +355,10 @@ def test_inertia_invariants_match_the_rank_route(oracle_complexes):
 
 def test_zeta_after_purity_makes_no_elimination(monkeypatch):
     # a fresh complex: purity ranks its N^r here, before the patch
-    cx, _ = drinfeld_local(2, 3)
+    cx = drinfeld_local(2, 3)
     assert all(check_purity(cx, w)[0] for w in range(2 * cx.n + 1))
     calls = []
-    for name in ("_row_rank", "_echelon", "matmul"):
+    for name in ("_forward", "_echelon", "matmul"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
@@ -372,11 +370,11 @@ def test_zeta_after_purity_makes_no_elimination(monkeypatch):
 
 def test_induced_n_makes_no_elimination(monkeypatch):
     # a fresh complex: its E2 slots are computed here, before the patch
-    cx, _ = drinfeld_local(2, 3)
+    cx = drinfeld_local(2, 3)
     table = weight_table(cx)
     table.e2()
     calls = []
-    for name in ("_echelon", "_row_rank", "solve"):
+    for name in ("_echelon", "_forward", "solve"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
@@ -387,12 +385,12 @@ def test_induced_n_makes_no_elimination(monkeypatch):
 
 def test_check_purity_is_computed_once(monkeypatch):
     # a fresh complex whose N^2 on E2 is nonzero (w = 2, r = 2)
-    cx, _ = drinfeld_local(2, 2)
+    cx = drinfeld_local(2, 2)
     first = check_purity(cx, 2)
     assert first[1][1] == {"r": 2, "dim_source": 2, "dim_target": 2,
                            "rank": 2, "ok": True}
     calls = []
-    for name in ("matmul", "_echelon", "_row_rank"):
+    for name in ("matmul", "_echelon", "_forward"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
@@ -404,7 +402,7 @@ def test_check_purity_is_computed_once(monkeypatch):
 
 def _fresh_rank(m):
     """The rank of m by an elimination of its own, whatever m's memo holds."""
-    return linalg._row_rank(m.rows)
+    return len(linalg._forward(m.rows))
 
 
 def _greedy_quotient_columns(cycles, boundaries):
@@ -508,7 +506,7 @@ def test_induced_n_matches_the_full_coordinate_solve(oracle_complexes):
 
 
 def test_e2_eliminates_each_differential_once(monkeypatch):
-    cx, _ = drinfeld_local(2, 2)     # fresh: no memo from other tests
+    cx = drinfeld_local(2, 2)     # fresh: no memo from other tests
     table = weight_table(cx)
     eliminated = []
     real = linalg._echelon
@@ -550,9 +548,9 @@ _REWRITTEN = ("ker_tau_cap_im_rho", "ker_rho_cap_im_tau",
 
 
 def test_lemma_rows_match_the_subspace_route(tate32, quadric, drinfeld22):
-    for cx, ls in (tate32, quadric, triangle_of_planes(2), drinfeld22):
-        ok, rows = verify_rz_lemmas(cx, ls)
-        want_ok, want = verify_rz_lemmas_by_subspaces(cx, ls)
+    for cx in (tate32, quadric, triangle_of_planes(2), drinfeld22):
+        ok, rows = verify_rz_lemmas(cx)
+        want_ok, want = verify_rz_lemmas_by_subspaces(cx)
         assert ok and want_ok
         assert _verdicts(rows) == _verdicts(want)
 
@@ -569,10 +567,10 @@ def _perturb_rho(cx, t, i, row, col):
                                          (2, 0, 5, 1)])
 def test_perturbed_rho_fails_the_same_rows_on_both_routes(t, i, row, col):
     # a fresh complex: the perturbed map stays on it
-    cx, ls = drinfeld_local(2, 2)
+    cx = drinfeld_local(2, 2)
     _perturb_rho(cx, t, i, row, col)
-    ok, rows = verify_rz_lemmas(cx, ls)
-    want_ok, want = verify_rz_lemmas_by_subspaces(cx, ls)
+    ok, rows = verify_rz_lemmas(cx)
+    want_ok, want = verify_rz_lemmas_by_subspaces(cx)
     assert not ok and not want_ok
     assert _verdicts(rows) == _verdicts(want)
     assert any(not r["ok"] and r["lemma"].startswith(_REWRITTEN) for r in rows)
@@ -581,7 +579,7 @@ def test_perturbed_rho_fails_the_same_rows_on_both_routes(t, i, row, col):
 
 
 def test_lemma_suite_takes_no_subspace_intersection(monkeypatch):
-    cx, ls = drinfeld_local(2, 2)
+    cx = drinfeld_local(2, 2)
     calls = []
     real = linalg.subspace_intersection
 
@@ -590,7 +588,7 @@ def test_lemma_suite_takes_no_subspace_intersection(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(linalg, "subspace_intersection", counted)
-    ok, _ = verify_rz_lemmas(cx, ls)
+    ok, _ = verify_rz_lemmas(cx)
     assert ok and calls == []
 
 
@@ -652,11 +650,11 @@ def test_level_maps_carry_the_cech_signs(oracle_complexes):
 
 
 def test_lemma_suite_reads_the_level_maps_of_d1():
-    cx, ls = drinfeld_local(2, 2)     # fresh: no memo from other tests
+    cx = drinfeld_local(2, 2)     # fresh: no memo from other tests
     weight_table(cx)
     built = {key: m for key, m in cx.memo.items() if key[0] in ("rho", "tau")}
     assert built
-    ok, _ = verify_rz_lemmas(cx, ls)
+    ok, _ = verify_rz_lemmas(cx)
     assert ok
     assert all(cx.memo[key] is m for key, m in built.items())
     # the suite adds only the tau out of degree -2 (the rho tau' of its
@@ -667,19 +665,62 @@ def test_lemma_suite_reads_the_level_maps_of_d1():
 
 
 def test_one_lefschetz_context_per_ring_and_class(monkeypatch):
-    cx, ls = drinfeld_local(2, 3)
+    cx = drinfeld_local(2, 3)
     rings = []
     real = weightss.make_context
     monkeypatch.setattr(weightss, "make_context",
                         lambda ring, cls: rings.append(ring) or real(ring, cls))
-    ok, _ = verify_rz_lemmas(cx, ls)
+    ok, _ = verify_rz_lemmas(cx)
     assert ok
     assert len(cx.strata) == 94 and len(rings) == 3   # 3 distinct pairs
 
 
+def _repolarized(cx, **classes):
+    """cx rebuilt with the polarizations of the named strata replaced."""
+    return SemistableComplex(
+        [Stratum(s.id, s.subset, s.ring, s.parents,
+                 classes.get(s.id, s.polarization))
+         for s in cx.strata.values()], cx.q, cx.name)
+
+
 def test_hard_lefschetz_failure_names_the_stratum():
     # c0 and c1 share their ring; only c1's class fails hard Lefschetz
-    cx, ls = tate_cycle(3, 2)
+    cx = _repolarized(tate_cycle(3, 2), c1=[0])
     with pytest.raises(ValueError,
                        match="hard Lefschetz fails on stratum c1;"):
-        verify_rz_lemmas(cx, dict(ls, c1=[Fraction(0)]))
+        verify_rz_lemmas(cx)
+
+
+def test_every_fixture_stratum_carries_its_polarization(oracle_complexes):
+    for cx in oracle_complexes:
+        assert all(type(s.polarization) is tuple
+                   and all(type(x) is Fraction for x in s.polarization)
+                   for s in cx.strata.values()), cx.name
+    assert two_planes(2, 2).strata["X1"].polarization == (3, -1, -1)
+
+
+def test_a_class_that_is_no_restriction_is_refused_by_name():
+    # h restricts to [1] on the line L; [5] passed the lemma suite when the
+    # classes were not checked against the restrictions
+    with pytest.raises(ComplexValidationError,
+                       match="^polarization mismatch on L$"):
+        _repolarized(two_planes(2, 2), L=[5])
+    # a parent without a class constrains nothing
+    cx = _repolarized(two_planes(2, 2), X0=None, X1=None, L=[5])
+    assert cx.strata["L"].polarization == (5,)
+
+
+@pytest.mark.parametrize("sid,cls,size", [("c1", [1, 2], 1),
+                                          ("node0", [1], 0)])
+def test_a_class_of_the_wrong_length_is_refused_by_name(sid, cls, size):
+    with pytest.raises(ComplexValidationError,
+                       match=r"^stratum %s: polarization has length %d, "
+                             r"dim N\^1 is %d$" % (sid, len(cls), size)):
+        _repolarized(tate_cycle(3, 2), **{sid: cls})
+
+
+def test_the_lemma_suite_needs_a_polarization_on_every_stratum():
+    cx = load_complex(complex_to_json(tate_cycle(3, 2)))
+    assert all(s.polarization is None for s in cx.strata.values())
+    with pytest.raises(ValueError, match="stratum c0 carries no polarization"):
+        verify_rz_lemmas(cx)

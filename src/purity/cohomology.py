@@ -15,7 +15,8 @@ The ring is computed from two ingredients:
 * the product structure D_V = B^d x B^{n-d-1}, under which a generator
   restricts to a first-factor class (for subvarieties of V), a second-factor
   class through the quotient geometry (for subvarieties containing V), or
-  zero (incomparable centers are disjoint).
+  zero (incomparable centers are disjoint).  P^0 is the unit of products,
+  so the D_V of a point or a hyperplane is B^(n-1) itself.
 
 Top intersection numbers follow by structural recursion on dimension.  The
 basis is the Feichtner-Yuzvinsky chain basis (Invent. Math. 2004), which the
@@ -29,8 +30,8 @@ A top monomial h^a prod e_(V_i)^(b_i) vanishes unless its centers form a
 chain V_1 < ... < V_k (incomparable centers are disjoint).  PGL_(n+1)(F_q)
 fixes h, permutes the e_V and acts transitively on the flags of one
 signature, so on a chain the number depends only on the flag type
-(a, (dim V_i, b_i)).  It is computed by descent once per type and kept in one
-integer table.
+(a, (dim V_i, b_i)).  It is computed by descent, in integers, once per type
+and kept in one integer table keyed by the type's count code.
 
 Every matrix of top intersection numbers is one routine, `GradedRing.block`:
 E[d][b] = sum c int a.b.d for a class sum c.a, each number read by the count
@@ -124,15 +125,15 @@ def blowup(n, q):
 
 
 def product(*specs):
-    flat = []
-    for s in specs:
-        if isinstance(s, Product):
-            flat.extend(s.factors)
-        else:
-            flat.append(s)
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
+    """The product of the given specs.  Nested products are flattened and
+    P^0, the unit, is dropped: one factor left is that factor, and none is
+    P^0."""
+    flat = [f for s in specs
+            for f in (s.factors if isinstance(s, Product) else (s,))
+            if f != Projective(0)]
+    if len(flat) > 1:
+        return Product(tuple(flat))
+    return flat[0] if flat else Projective(0)
 
 
 def dimension(spec):
@@ -196,16 +197,19 @@ def generators(spec):
 def hyperplane_relation(spec, V):
     """Class of the strict transform D_V of a hyperplane V: h minus the e_W
     of the centers W strictly inside V; on P^n it is h."""
+    if not isinstance(spec, (Projective, BlownUp)):
+        raise CohomologyError("hyperplane_relation needs a P^n or blow-up "
+                              "spec, not a %s" % type(spec).__name__)
     if V.ambient_n != spec.n:
         raise CohomologyError("hyperplane_relation needs V in P^%d, not in "
                               "P^%d" % (spec.n, V.ambient_n))
     if V.dim != spec.n - 1:
         raise CohomologyError("hyperplane_relation needs dim V = n-1")
-    out = {GEN_H: Fraction(1)}
+    out = {GEN_H: 1}
     if isinstance(spec, BlownUp):
         geom = ambient_geometry(spec.n, spec.field)
         for W in geom.strict_subs(gen_subvariety(spec, gen_e(V))):
-            out[gen_e(W)] = Fraction(-1)
+            out[gen_e(W)] = -1
     return out
 
 
@@ -217,34 +221,18 @@ def factor_specs(spec, V):
     return blowup(d, spec.field), blowup(spec.n - d - 1, spec.field)
 
 
-def _divisor_class_on_factor(factor_spec, image):
-    """Class of the divisor attached to `image` inside the factor variety.
-
-    `image` has codimension >= 1 in the factor's projective space; dimension
-    exactly one less gives a strict-transform hyperplane class, anything
-    smaller is an exceptional generator.
-    """
-    m = dimension(factor_spec)
-    out = {}
-    if image.dim <= m - 2:
-        out[gen_e(image)] = Fraction(1)
-        return out
-    if image.dim != m - 1:
-        raise CohomologyError("image is not a divisor in its factor")
-    return hyperplane_relation(factor_spec, image)
-
-
 @lru_cache(maxsize=None)
 def restrict_generator(spec, V, g):
     """Restriction of a degree-1 generator of B^n to D_V = B^d x B^(n-d-1).
 
-    Returns a tuple of ((side, generator), coefficient) items, nonzero
-    coefficients only, with side 0 the B^d factor and side 1 the B^(n-d-1)
-    factor.  Incomparable exceptional generators restrict to zero (their
-    centers are disjoint from V).  The result is memoized per (spec, V, g).
+    Returns a tuple of ((side, generator), integer coefficient) items,
+    nonzero coefficients only, with side 0 the B^d factor and side 1 the
+    B^(n-d-1) factor.  Incomparable exceptional generators restrict to zero
+    (their centers are disjoint from V).  The result is memoized per
+    (spec, V, g).
     """
     if g == GEN_H:
-        return (((0, GEN_H), Fraction(1)),) if V.dim >= 1 else ()
+        return (((0, GEN_H), 1),) if V.dim >= 1 else ()
     W = gen_subvariety(spec, g)
     if W != V:
         return tuple(_restrict_subvariety_divisor(spec, V, W).items())
@@ -255,38 +243,43 @@ def restrict_generator(spec, V, g):
     out = dict(restrict_generator(spec, V, GEN_H))
     for U in [H] + [U for U in geom.strict_subs(H) if U != V]:
         for key, c in _restrict_subvariety_divisor(spec, V, U).items():
-            out[key] = out.get(key, Fraction(0)) - c
+            out[key] = out.get(key, 0) - c
     return tuple((k, c) for k, c in out.items() if c)
 
 
 def _restrict_subvariety_divisor(spec, V, W):
-    """Restriction of the divisor D_W (W != V, any dim 0..n-1) to D_V."""
+    """Restriction of the divisor D_W (W != V, any dim 0..n-1) to D_V, as
+    {(side, generator): coefficient}.  A W inside V meets the first factor
+    and a W containing V the second, in the class of its image there: a
+    hyperplane class, or an exceptional generator when the image has
+    codimension 2 or more (the image of a proper W is never the whole
+    factor).  An incomparable W restricts to zero."""
     geom = ambient_geometry(spec.n, spec.field)
-    f1, f2 = factor_specs(spec, V)
-    out = {}
-    if geom.contains(V, W):        # W strictly inside V: first factor
-        image = sub_image(V, W)
-        for gg, cc in _divisor_class_on_factor(f1, image).items():
-            out[(0, gg)] = out.get((0, gg), Fraction(0)) + cc
-    elif geom.contains(W, V):      # W strictly contains V: second factor
-        image = quotient_image(V, W)
-        for gg, cc in _divisor_class_on_factor(f2, image).items():
-            out[(1, gg)] = out.get((1, gg), Fraction(0)) + cc
-    return {k: c for k, c in out.items() if c}
+    if geom.contains(V, W):
+        side, image = 0, sub_image(V, W)
+    elif geom.contains(W, V):
+        side, image = 1, quotient_image(V, W)
+    else:
+        return {}
+    factor = factor_specs(spec, V)[side]
+    if image.dim < factor.n - 1:
+        return {(side, gen_e(image)): 1}
+    return {(side, g): c
+            for g, c in hyperplane_relation(factor, image).items()}
 
 
 def _restricted_product(spec, V, gens):
     """The product of the degree-1 generators `gens` restricted to D_V, as
-    {(first-factor monomial, second-factor monomial): coefficient}, nonzero
-    coefficients only (empty when the product restricts to zero)."""
-    terms = {((), ()): Fraction(1)}
+    {(first-factor monomial, second-factor monomial): integer coefficient},
+    nonzero coefficients only (empty when the product restricts to zero)."""
+    terms = {((), ()): 1}
     for g in gens:
         new_terms = {}
         for (m0, m1), c in terms.items():
             for (side, gg), cc in restrict_generator(spec, V, g):
                 k = (monomial(m0 + (gg,)), m1) if side == 0 \
                     else (m0, monomial(m1 + (gg,)))
-                new_terms[k] = new_terms.get(k, Fraction(0)) + c * cc
+                new_terms[k] = new_terms.get(k, 0) + c * cc
         terms = {k: c for k, c in new_terms.items() if c}
         if not terms:
             break
@@ -295,22 +288,18 @@ def _restricted_product(spec, V, gens):
 
 # -- intersection numbers -----------------------------------------------------
 
-# Top intersection numbers of blow-ups by flag type: (spec, flag type) -> int.
+# Top intersection numbers of blow-ups by flag type:
+# (spec, count code of `_support_keys`) -> int.
 _EVAL_MEMO = {}
-
-
-def flag_type(mono):
-    """The flag type of a blow-up monomial: its sorted tuple of center
-    dimensions, with h as -1.  Distinct centers of a chain have distinct
-    dimensions, so on a chain this is the signature (a, (dim V_i, b_i))."""
-    return tuple(sorted(-1 if g == GEN_H else g[1] for g in mono))
 
 
 def _support_keys(spec, mono):
     """(centers, comparable, count code) of a blow-up monomial: the bitmask of
     its centers, the AND of their comparable masks (-1 with no center), and
-    its flag type as a count vector, one base-(n+1) digit per dimension -1..n-2.
-    Two monomials multiply to a chain iff one's centers lie in the other's
+    its flag type as a count vector, one base-(n+1) digit per dimension -1..n-2
+    (h counted as -1).  Distinct centers of a chain have distinct dimensions,
+    so on a chain the code is the signature (a, (dim V_i, b_i)).  Two
+    monomials multiply to a chain iff one's centers lie in the other's
     comparable mask, and the count code of the product is the sum of theirs."""
     table = _gen_table(spec)
     base = spec.n + 1
@@ -331,10 +320,11 @@ def intersection_number(spec, mono, chooser=None):
 
     On an explicit surface it is the entry of the given intersection form.
     On a blow-up a monomial whose centers do not form a chain gives 0.  A
-    chain monomial is read from the table of its flag type, filled by descent
-    the first time the type is met.  `chooser` overrides the default
-    lexicographically-least choice of an exceptional factor for descent and
-    bypasses the table; the value is independent of the choice.
+    chain monomial is read from the table by the count code of its flag
+    type, filled by descent the first time the type is met.  `chooser`
+    overrides the default lexicographically-least choice of an exceptional
+    factor for descent and bypasses the table; the value is independent of
+    the choice.
     """
     if isinstance(spec, Product):
         if len(mono) != len(spec.factors):
@@ -362,28 +352,22 @@ def intersection_number(spec, mono, chooser=None):
         return spec.intersection.entry(a, b)
 
     # the centers form a chain iff each lies in the comparable mask of all
-    centers, comparable, _ = _support_keys(spec, mono)
+    centers, comparable, code = _support_keys(spec, mono)
     if centers & ~comparable:
         return 0
     if chooser is not None:
         return _eval_blowup(spec, mono, chooser)
-    key = (spec, flag_type(mono))
-    val = _EVAL_MEMO.get(key)
+    val = _EVAL_MEMO.get((spec, code))
     if val is None:
-        val = _eval_blowup(spec, mono, None)
-        if val.denominator != 1:
-            raise CohomologyError(
-                "flag type %r on B^%d/F_%d: top intersection number %s is not "
-                "an integer" % (key[1], spec.n, spec.field.q, val))
-        val = _EVAL_MEMO[key] = int(val)
+        val = _EVAL_MEMO[spec, code] = _eval_blowup(spec, mono, None)
     return val
 
 
 def _eval_blowup(spec, mono, chooser):
     """Descent through D_V for the first (or the chosen) center V of a chain
-    monomial."""
+    monomial, in integers."""
     if all(g == GEN_H for g in mono):
-        return Fraction(1)
+        return 1
     exc = sorted(set(g for g in mono if g != GEN_H), key=gen_key)
     g0 = exc[0] if chooser is None else chooser(exc)
     V = gen_subvariety(spec, g0)
@@ -391,7 +375,7 @@ def _eval_blowup(spec, mono, chooser):
     rest.remove(g0)
     f1, f2 = factor_specs(spec, V)
     d = V.dim
-    total = Fraction(0)
+    total = 0
     for (m0, m1), c in _restricted_product(spec, V, rest).items():
         if len(m0) != d or len(m1) != spec.n - d - 1:
             continue
@@ -411,6 +395,8 @@ def betti_numbers(spec):
     """
     if isinstance(spec, Projective):
         return [1] * (spec.n + 1)
+    if isinstance(spec, SurfaceSpec):
+        return [1, len(spec.labels), 1]
     if isinstance(spec, Product):
         out = [1]
         for f in spec.factors:
@@ -751,6 +737,8 @@ def build_ring(spec):
         ring = _build_projective(spec)
     elif isinstance(spec, BlownUp):
         ring = _build_blowup(spec)
+    elif isinstance(spec, SurfaceSpec):
+        ring = _build_surface(spec)
     else:
         ring = _build_product(spec)
     _RING_CACHE[spec] = ring
@@ -776,6 +764,16 @@ def _build_blowup(spec):
                                   "%d x %d basis monomials" % (
                                       j, r, len(basis[j]), len(basis[n - j])))
     return ring
+
+
+def _build_surface(spec):
+    """N^0, the label generators, and the top monomial named by the first
+    nonzero entry of the form (see `weightss.explicit_surface_ring`)."""
+    gens = [("s", lbl) for lbl in spec.labels]
+    i, j = next((i, j) for i, row in enumerate(spec.intersection.rows)
+                for j, x in enumerate(row) if x)
+    return GradedRing(spec, [[()], [(g,) for g in gens],
+                             [tuple(sorted((gens[i], gens[j])))]])
 
 
 def _build_product(spec):
@@ -807,7 +805,9 @@ def restrict_to_divisor(ring, V):
     """Restriction maps from the ring of B^n onto D_V = B^d x B^(n-d-1).
 
     Returns (target_ring, matrices) with one matrix per degree j, sending
-    source basis coordinates to target basis coordinates.  Each map is a ring
+    source basis coordinates to target basis coordinates.  The target is the
+    ring of `product(B^d, B^(n-d-1))`, so at a point or a hyperplane, where
+    one factor is P^0, it is the ring of B^(n-1) itself.  Each map is a ring
     homomorphism; this is exercised by the tests rather than assumed.
     """
     spec = ring.spec
@@ -817,6 +817,7 @@ def restrict_to_divisor(ring, V):
         raise CohomologyError("%r is not a center of B^%d" % (V, spec.n))
     f1, f2 = factor_specs(spec, V)
     target = build_ring(product(f1, f2))
+    split = isinstance(target.spec, Product)
     matrices = []
     for j in range(ring.n + 1):
         rows = len(target.basis[j]) if j <= target.n else 0
@@ -825,11 +826,11 @@ def restrict_to_divisor(ring, V):
             col = [Fraction(0)] * rows
             for (m0, m1), c in _restricted_product(spec, V, mono).items():
                 # N^n restricts to zero, and so does a class above the
-                # dimension of its factor
+                # dimension of its factor (on P^0 every nonempty monomial)
                 if j > target.n or len(m0) > dimension(f1) \
                         or len(m1) > dimension(f2):
                     continue
-                vec = target.monomial_coords((m0, m1))
+                vec = target.monomial_coords((m0, m1) if split else m0 + m1)
                 for i, x in enumerate(vec):
                     if x:
                         col[i] += c * x

@@ -16,12 +16,14 @@ the fiber, which `SemistableComplex` validation checks against every parent:
 * drinfeld_local(d=2, q): the one-vertex-per-type quotient shape of the
   Drinfeld special fiber: three components isomorphic to B^2, glued along all
   their exceptional-type divisors, with triple points indexed by a flag
-  matching over a cyclic (Singer) labelling.  The labelling is the trace
-  sequence s_i = Tr(x^i) of a Singer cycle; D = {i : s_i = 0} is a perfect
-  difference set, fixed by the multiplier q with no offset because the trace
-  is Frobenius-invariant, and the matching is a closed form in D.  Its E1
-  total is 9 + 3m(q+6), m = q^2+q+1, so q >= 9 is refused over the size
-  budget before anything is built.
+  matching over a cyclic (Singer) labelling.  Each double stratum is the D_V
+  of a point in one component and of a line in the other, plain P^1 both
+  ways.  The labelling is the trace sequence s_i = Tr(x^i) of a Singer
+  cycle; D = {i : s_i = 0} is a perfect difference set, fixed by the
+  multiplier q with no offset because the trace is Frobenius-invariant, and
+  the matching is a closed form in D.  Its E1 total is 9 + 3m(q+6),
+  m = q^2+q+1, so q >= 9 is refused over the size budget before anything
+  is built.
 """
 
 from __future__ import annotations
@@ -168,19 +170,6 @@ def _projective_point(fq, v):
     return tuple(fq.mul(lead, x) for x in v)
 
 
-def _swap_matrices(ring_src, ring_dst):
-    """Coordinate change from a two-factor product ring onto the ring of the
-    swapped product, degree by degree."""
-    out = []
-    for j in range(ring_src.n + 1):
-        cols = len(ring_src.basis[j])
-        m = [[0] * cols for _ in ring_dst.basis[j]]
-        for c, (m1, m2) in enumerate(ring_src.basis[j]):
-            m[ring_dst.index[j][(m2, m1)]][c] = 1
-        out.append(linalg.Matrix(m, 1, cols))
-    return out
-
-
 def _triangle_matching(D, q):
     """The flag matching of the Singer labelling, in closed form.
 
@@ -214,12 +203,11 @@ def drinfeld_local(d=2, q=2):
                                  for d in D[:2]], field)
              for a in range(size)]
 
-    # restriction data, computed once per center
-    point_side = {i: restrict_to_divisor(ring, points[i]) for i in range(size)}
-    line_side = {i: restrict_to_divisor(ring, lines[i]) for i in range(size)}
-    target_pt = point_side[0][0]     # Product(B^0, B^1)
-    target_ln = line_side[0][0]      # Product(B^1, B^0)
-    swap = _swap_matrices(target_ln, target_pt)
+    # restriction data, computed once per center; the D_V of a point and of
+    # a line are both P^1 (P^0 x P^1 and P^1 x P^0), one ring
+    point_side = [restrict_to_divisor(ring, p)[1][:2] for p in points]
+    line_side = [restrict_to_divisor(ring, l)[1][:2] for l in lines]
+    p1 = build_ring(proj(1))
 
     omega = omega_form(2, q).vector(ring)
     strata = []
@@ -229,14 +217,12 @@ def drinfeld_local(d=2, q=2):
         for i in range(size):
             sid = "s%d%d_%02d" % (a, b, i)
             pair_stratum[(a, b, i)] = sid
-            mats_point = point_side[i][1][:2]
-            raw_line = line_side[i][1][:2]
-            mats_line = [linalg.matmul(swap[j], raw_line[j]) for j in range(2)]
             # parent under removing a is the b-component and vice versa
-            parents = {a: ("X%d" % b, mats_line), b: ("X%d" % a, mats_point)}
+            parents = {a: ("X%d" % b, line_side[i]),
+                       b: ("X%d" % a, point_side[i])}
             # validation checks it against the other parent's restriction
-            strata.append(Stratum(sid, frozenset([a, b]), target_pt, parents,
-                                  linalg.matvec(mats_point[1], omega)))
+            strata.append(Stratum(sid, frozenset([a, b]), p1, parents,
+                                  linalg.matvec(point_side[i][1], omega)))
     strata += [Stratum("X%d" % c, frozenset([c]), ring, {}, omega)
                for c in range(3)]
     pt_ring = build_ring(proj(0))

@@ -48,8 +48,8 @@ import json
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import (GradedRing, ResourceGuardError, SurfaceSpec,
-                         build_ring, check_size_budget)
+from .cohomology import (ResourceGuardError, SurfaceSpec, build_ring,
+                         check_size_budget)
 from .fields import FieldError, _prime_power
 from .lefschetz import (_memoized, check_hard_lefschetz,
                         lefschetz_pairing_gram, lefschetz_power, make_context)
@@ -427,7 +427,8 @@ def _variety_from_json(node):
 
 def explicit_surface_ring(labels, intersection):
     """Ring of a smooth projective surface given by the labels (distinct
-    strings) of an N^1 basis and its intersection matrix (a `linalg.Matrix`)."""
+    strings) of an N^1 basis and its intersection matrix (a `linalg.Matrix`),
+    checked here and then built, once per (labels, form), by `build_ring`."""
     r = len(labels)
     if r == 0:
         raise ComplexValidationError("a surface needs at least one label")
@@ -440,14 +441,7 @@ def explicit_surface_ring(labels, intersection):
                                      "symmetric")
     if linalg.rank(intersection) != r:
         raise ComplexValidationError("surface intersection form is degenerate")
-    gens = [("s", lbl) for lbl in labels]
-    # the first nonzero entry names the top monomial
-    pivot = next((i, j) for i in range(r) for j in range(r)
-                 if intersection.rows[i][j])
-
-    basis = [[()], [(g,) for g in gens],
-             [tuple(sorted((gens[pivot[0]], gens[pivot[1]])))]]
-    return GradedRing(SurfaceSpec(tuple(labels), intersection), basis)
+    return build_ring(SurfaceSpec(tuple(labels), intersection))
 
 
 def load_complex(data):

@@ -9,11 +9,12 @@ import pytest
 from purity import cohomology, linalg
 from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
                                betti_numbers, blowup, build_ring, chain_basis,
-                               check_resource_guard, flag_type, gen_e,
-                               generators, hyperplane_relation,
+                               check_resource_guard, gen_e, generators,
+                               hyperplane_relation,
                                intersection_number, monomial, proj, product,
                                restrict_to_divisor)
 from purity.fields import field_spec
+from purity.fixtures import two_planes
 from purity.geometry import LinearSubvariety, ambient_geometry
 from purity.weightss import explicit_surface_ring
 from oracle import (comparable, cup_matrix, divisor_vector, merge, multiply,
@@ -94,6 +95,17 @@ def test_hyperplane_relation_refuses_a_foreign_subvariety(spec):
         hyperplane_relation(spec, geom(2).subvarieties(0)[0])
     with pytest.raises(CohomologyError, match=r"needs V in P\^2, not in P\^3"):
         hyperplane_relation(spec, geom(3).subvarieties(1)[0])
+
+
+@pytest.mark.parametrize("spec,kind", [
+    (lambda: two_planes().strata["X1"].ring.spec, "SurfaceSpec"),
+    (lambda: product(proj(1), blowup(2, 2)), "Product")],
+    ids=["surface", "product"])
+def test_hyperplane_relation_refuses_a_spec_without_named_hyperplanes(
+        spec, kind):
+    with pytest.raises(CohomologyError, match=r"needs a P\^n or blow-up "
+                                              "spec, not a %s$" % kind):
+        hyperplane_relation(spec(), geom(2).subvarieties(1)[0])
 
 
 def test_normalize_rejects_foreign_generators():
@@ -195,9 +207,10 @@ def test_type_table_matches_chooser_descent(monkeypatch, n, q, types):
     for m, value in zip(chains, descents):
         assert intersection_number(spec, m) == value
     assert all(type(v) is int for v in table.values())
-    by_spec = [t for s, t in table if s == spec]
+    by_spec = [code for s, code in table if s == spec]
     assert len(by_spec) == types
-    assert {flag_type(m) for m in chains} == set(by_spec)
+    assert {cohomology._support_keys(spec, m)[2] for m in chains} == \
+        set(by_spec)
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
@@ -214,15 +227,6 @@ def test_non_chain_monomials_vanish_without_a_table_entry(monkeypatch, n, q):
     monkeypatch.setattr(cohomology, "_EVAL_MEMO", table)
     assert all(intersection_number(spec, m) == 0 for m in sample)
     assert table == {}
-
-
-def test_non_integral_type_value_is_refused(monkeypatch):
-    monkeypatch.setattr(cohomology, "_EVAL_MEMO", {})
-    monkeypatch.setattr(cohomology, "_eval_blowup",
-                        lambda spec, mono, chooser: Fraction(1, 2))
-    with pytest.raises(CohomologyError, match="not an integer"):
-        intersection_number(blowup(2, 2), (GEN_H, GEN_H))
-    assert cohomology._EVAL_MEMO == {}
 
 
 # -- Betti numbers and ring construction ------------------------------------------
@@ -256,15 +260,28 @@ def test_ring_b3_poincare_and_betti():
         assert linalg.rank(ring.pairing[j]) == ring.dims()[j]
 
 
+def test_p0_is_the_unit_of_products():
+    b2 = blowup(2, 2)
+    assert product(proj(0), b2) == b2 == product(b2, proj(0))
+    assert product(proj(0), proj(0)) == product() == proj(0)
+    # nested products flatten, and their P^0 factors drop at every depth
+    nested = product(proj(1), product(proj(0), b2), proj(0))
+    assert nested == product(proj(1), b2)
+    assert nested.factors == (proj(1), b2)
+    assert product(product(proj(1), proj(0)), product(proj(1), b2)).factors \
+        == (proj(1), proj(1), b2)
+    assert build_ring(product(proj(0), b2)) is build_ring(b2)
+
+
 def test_product_middle_pairing_hyperbolic():
     ring = build_ring(product(proj(1), proj(1)))
     assert ring.pairing[1] == linalg.mat([[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("factors", [
-    [(0, 3), (3, 3)], [(1, 3), (2, 3)], [(2, 2), (2, 2)],
+    [(1, 2), (2, 2)], [(1, 3), (2, 3)], [(2, 2), (2, 2)],
     [(1, 2), (1, 2), (2, 2)]],
-    ids=["b0-x-b3f3", "b1-x-b2f3", "b2-x-b2f2", "b1-x-b1-x-b2f2"])
+    ids=["b1-x-b2f2", "b1-x-b2f3", "b2-x-b2f2", "b1-x-b1-x-b2f2"])
 def test_product_pairing_equals_the_factor_entries(factors):
     # the ring reads intersection_number of the merged monomials; the oracle
     # multiplies the factor pairing entries
@@ -363,9 +380,10 @@ def test_monomial_coords_solve_against_all_top_numbers(n, q):
 
 
 @pytest.mark.parametrize("spec", [
-    product(blowup(1, 2), blowup(2, 2)), product(blowup(0, 2), blowup(3, 2)),
+    product(blowup(1, 2), blowup(2, 2)),
+    product(blowup(1, 2), blowup(1, 2), blowup(2, 2)),
     product(blowup(2, 3), blowup(1, 3)), product(proj(1), blowup(2, 2))],
-    ids=["B^1xB^2/F_2", "B^0xB^3/F_2", "B^2xB^1/F_3", "P^1xB^2/F_2"])
+    ids=["B^1xB^2/F_2", "B^1xB^1xB^2/F_2", "B^2xB^1/F_3", "P^1xB^2/F_2"])
 def test_product_monomial_coords_solve_against_all_top_numbers(spec):
     # a product monomial's one-column block is solved as on any ring; the
     # oracles solve against every top number and tensor the factor
@@ -529,6 +547,40 @@ def test_restriction_is_ring_homomorphism():
                 lhs = linalg.matvec(mats[2], multiply(ring, 1, va, 1, vb))
                 rhs = multiply(target, 1, ra, 1, linalg.matvec(mats[1], vb))
                 assert lhs == rhs
+
+
+def _is_ring_homomorphism(ring, target, mats):
+    """mats[0] sends 1 to 1, and for every basis class a of N^1 and every k,
+    mats[k+1] (a.x) = mats[1](a) . mats[k](x); N^1 generates the ring."""
+    if mats[0] != linalg.identity(1):
+        return False
+    for a in range(len(ring.basis[1])):
+        va = ring.zero(1)
+        va[a] = Fraction(1)
+        ra = linalg.matvec(mats[1], va)
+        for k in range(ring.n):
+            if linalg.matmul(mats[k + 1], ring.cup_matrix(1, va, k)) != \
+                    linalg.matmul(target.cup_matrix(1, ra, k), mats[k]):
+                return False
+    return True
+
+
+def test_restriction_at_a_point_targets_the_ring_of_b_n_minus_1():
+    # D_P = P^0 x B^2 is B^2 itself
+    ring = build_ring(blowup(3, 2))
+    target, mats = restrict_to_divisor(ring, geom(3).subvarieties(0)[0])
+    assert target is build_ring(blowup(2, 2))
+    assert [m.shape for m in mats] == [(1, 1), (8, 51), (1, 51), (0, 1)]
+    assert _is_ring_homomorphism(ring, target, mats)
+
+
+def test_restriction_at_a_line_of_b2_targets_the_ring_of_p1():
+    # D_L = P^1 x P^0 is P^1 itself
+    ring = build_ring(blowup(2, 2))
+    target, mats = restrict_to_divisor(ring, geom(2).subvarieties(1)[0])
+    assert target is build_ring(proj(1))
+    assert [m.shape for m in mats] == [(1, 1), (1, 8), (0, 1)]
+    assert _is_ring_homomorphism(ring, target, mats)
 
 
 def test_restriction_kernel_is_zero_below_top():

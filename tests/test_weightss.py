@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from purity import linalg, weightss, zeta
 from purity.cli import main
-from purity.cohomology import (ResourceGuardError, blowup, build_ring, proj,
-                               restrict_to_divisor)
+from purity.cohomology import (ResourceGuardError, betti_numbers, blowup,
+                               build_ring, proj, restrict_to_divisor)
 from purity.fields import field_spec
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
                              triangle_of_planes, two_planes)
@@ -251,6 +251,18 @@ def test_explicit_surface_ring_sanity():
     assert pair(ring, 2, prod, [Fraction(1)]) == 1
     with pytest.raises(ComplexValidationError):
         explicit_surface_ring(["a"], linalg.mat([[0]]))
+
+
+def test_equal_surface_forms_give_one_ring():
+    # build_ring keeps one ring per (labels, form), so one Lefschetz context
+    # serves every stratum on it
+    ring = explicit_surface_ring(["h", "e"], linalg.mat([[1, 0], [0, -1]]))
+    assert explicit_surface_ring(
+        ["h", "e"], linalg.mat([[1, 0], [0, -1]])) is ring
+    assert build_ring(ring.spec) is ring
+    assert explicit_surface_ring(
+        ["h", "f"], linalg.mat([[1, 0], [0, -1]])) is not ring
+    assert betti_numbers(ring.spec) == ring.dims() == [1, 2, 1]
 
 
 def test_fixture_registry():
@@ -673,6 +685,38 @@ def test_one_lefschetz_context_per_ring_and_class(monkeypatch):
     ok, _ = verify_rz_lemmas(cx)
     assert ok
     assert len(cx.strata) == 94 and len(rings) == 3   # 3 distinct pairs
+
+
+def test_triangle_of_planes_makes_one_context_per_ring_and_class(
+        monkeypatch):
+    # its three components share one surface ring and one class
+    cx = triangle_of_planes(2)
+    rings = []
+    real = weightss.make_context
+    monkeypatch.setattr(weightss, "make_context",
+                        lambda ring, cls: rings.append(ring) or real(ring, cls))
+    ok, _ = verify_rz_lemmas(cx)
+    assert ok
+    assert len({id(cx.strata["X%d" % i].ring) for i in range(3)}) == 1
+    assert len(rings) == 3   # the surface, the double curves, the point
+
+
+def test_the_drinfeld_double_strata_share_one_p1_ring():
+    # the D_V of a point (P^0 x P^1) and of a line (P^1 x P^0) are one ring,
+    # so both parents restrict into it with no change of coordinates
+    cx = drinfeld_local(2, 3)
+    p1 = build_ring(proj(1))
+    doubles = [s for s in cx.strata.values() if len(s.subset) == 2]
+    assert len(doubles) == 39
+    for s in doubles:
+        assert s.ring is p1
+        for _, mats in s.parents.values():
+            assert [m.shape for m in mats] == [(1, 1), (1, 14)], s.id
+    component = cx.strata["X0"].ring
+    point, line = (ambient_geometry(2, field_spec(3)).subvarieties(d)[0]
+                   for d in (0, 1))
+    assert restrict_to_divisor(component, point)[0] is p1
+    assert restrict_to_divisor(component, line)[0] is p1
 
 
 def _repolarized(cx, **classes):

@@ -18,6 +18,11 @@ The ring is computed from two ingredients:
   zero (incomparable centers are disjoint).  P^0 is the unit of products,
   so the D_V of a point or a hyperplane is B^(n-1) itself.
 
+A generator is an int: GEN_H (-1) is h, and e_V is the number of V in
+`geometry.ambient_geometry(n, field)`, which orders the flats by (dim,
+echelon basis).  A monomial is a sorted tuple of generators, so h comes
+first and the centers follow in that order; bit g of a center mask is e_g.
+
 Top intersection numbers follow by structural recursion on dimension.  The
 basis is the Feichtner-Yuzvinsky chain basis (Invent. Math. 2004), which the
 blow-up Betti recursion (Keel 1992) counts: h^a e_(V_1)^(b_1) ... e_(V_k)^(b_k)
@@ -146,52 +151,24 @@ def dimension(spec):
 
 # -- generators and monomials ------------------------------------------------
 
-GEN_H = ("h",)
+GEN_H = -1
 
 
 def gen_e(V: LinearSubvariety):
-    return ("e", V.dim, V.basis)
-
-
-def gen_key(g):
-    if g == GEN_H:
-        return (0, 0, ())
-    if g[0] == "e":
-        return (1, g[1], g[2])
-    return (2, g[1], ())   # explicit ring generators, ordered by label
-
-
-@lru_cache(maxsize=None)
-def _gen_table(spec):
-    """Generator key -> (subvariety, bit, comparable mask) for every proper
-    subvariety of P^n, built once per blow-up.  The subvariety is the canonical
-    object of `ambient_geometry`; bit and mask follow its numbering."""
-    geom = ambient_geometry(spec.n, spec.field)
-    return {gen_e(V): (V, 1 << geom.bit(V), geom.comparable_mask(V))
-            for V in geom.all_proper()}
-
-
-def gen_subvariety(spec, g):
-    try:
-        return _gen_table(spec)[g][0]
-    except KeyError:
-        raise CohomologyError("generator %r does not live on B^%d"
-                              % (g, spec.n)) from None
+    """The generator e_V: V's number in `ambient_geometry`."""
+    return ambient_geometry(V.ambient_n, V.field).bits[V]
 
 
 def monomial(gens):
-    return tuple(sorted(gens, key=gen_key))
+    return tuple(sorted(gens))
 
 
 def generators(spec):
-    """Degree-1 generator keys, h first, exceptionals by (dim, echelon basis)."""
+    """Degree-1 generators, h first, then the centers in number order."""
     if isinstance(spec, Projective):
         return [GEN_H] if spec.n >= 1 else []
     geom = ambient_geometry(spec.n, spec.field)
-    gens = [GEN_H]
-    for d in range(spec.n - 1):
-        gens.extend(gen_e(V) for V in geom.subvarieties(d))
-    return gens
+    return [GEN_H] + list(range(len(geom.proper) - len(geom.by_dim[-1])))
 
 
 def hyperplane_relation(spec, V):
@@ -208,7 +185,7 @@ def hyperplane_relation(spec, V):
     out = {GEN_H: 1}
     if isinstance(spec, BlownUp):
         geom = ambient_geometry(spec.n, spec.field)
-        for W in geom.strict_subs(gen_subvariety(spec, gen_e(V))):
+        for W in geom.strict_subs(V):
             out[gen_e(W)] = -1
     return out
 
@@ -233,12 +210,12 @@ def restrict_generator(spec, V, g):
     """
     if g == GEN_H:
         return (((0, GEN_H), 1),) if V.dim >= 1 else ()
-    W = gen_subvariety(spec, g)
+    geom = ambient_geometry(spec.n, spec.field)
+    W = geom.proper[g]
     if W != V:
         return tuple(_restrict_subvariety_divisor(spec, V, W).items())
     # rewrite D_V through the least hyperplane H containing V,
     # D_V = h - H~ - (the D_U of the other U < H), and restrict term by term
-    geom = ambient_geometry(spec.n, spec.field)
     H = geom.least_hyperplane_containing(V)
     out = dict(restrict_generator(spec, V, GEN_H))
     for U in [H] + [U for U in geom.strict_subs(H) if U != V]:
@@ -301,17 +278,16 @@ def _support_keys(spec, mono):
     so on a chain the code is the signature (a, (dim V_i, b_i)).  Two
     monomials multiply to a chain iff one's centers lie in the other's
     comparable mask, and the count code of the product is the sum of theirs."""
-    table = _gen_table(spec)
+    geom = ambient_geometry(spec.n, spec.field)
     base = spec.n + 1
     centers, comparable, code = 0, -1, 0
     for g in mono:
         if g == GEN_H:
             code += 1
         else:
-            _, bit, mask = table[g]
-            centers |= bit
-            comparable &= mask
-            code += base ** (g[1] + 1)
+            centers |= 1 << g
+            comparable &= geom.comparable[g]
+            code += base ** (geom.proper[g].dim + 1)
     return centers, comparable, code
 
 
@@ -366,11 +342,11 @@ def intersection_number(spec, mono, chooser=None):
 def _eval_blowup(spec, mono, chooser):
     """Descent through D_V for the first (or the chosen) center V of a chain
     monomial, in integers."""
-    if all(g == GEN_H for g in mono):
+    exc = sorted(set(mono) - {GEN_H})
+    if not exc:
         return 1
-    exc = sorted(set(g for g in mono if g != GEN_H), key=gen_key)
     g0 = exc[0] if chooser is None else chooser(exc)
-    V = gen_subvariety(spec, g0)
+    V = ambient_geometry(spec.n, spec.field).proper[g0]
     rest = list(mono)
     rest.remove(g0)
     f1, f2 = factor_specs(spec, V)
@@ -660,7 +636,7 @@ class GradedRing:
         out = {
             "dimension": self.n,
             "dims": self.dims(),
-            "basis": [[[_gen_json(g) for g in m] for m in bs]
+            "basis": [[[_gen_json(self.spec, g) for g in m] for m in bs]
                       for bs in self.basis],
             "pairing": {str(j): PairingRows(self.pairing[j])
                         for j in range(self.n + 1)},
@@ -672,10 +648,12 @@ class GradedRing:
         return out
 
 
-def _gen_json(g):
+def _gen_json(spec, g):
+    """A generator as report data: "h", or e_V as {"e": {"dim", "basis"}}."""
     if g == GEN_H:
         return "h"
-    return {"e": {"dim": g[1], "basis": [list(r) for r in g[2]]}}
+    V = ambient_geometry(spec.n, spec.field).proper[g]
+    return {"e": {"dim": V.dim, "basis": [list(r) for r in V.basis]}}
 
 
 # -- ring construction ----------------------------------------------------------
@@ -685,17 +663,16 @@ _RING_CACHE = {}
 
 def chain_basis(spec, degree):
     """The chain basis of N^degree (see the module docstring) in the order of
-    sorted generator indices.  Counting h as a center of dimension -1 makes
-    its bound a <= d_1 the bound b_i <= d_(i+1) - d_i - 1 of the others.  Each
-    step repeats the last generator or takes a larger center containing it; a
+    sorted generators.  Counting h as a center of dimension -1 makes its bound
+    a <= d_1 the bound b_i <= d_(i+1) - d_i - 1 of the others.  Each step
+    repeats the last generator or takes a larger center containing it; a
     branch stops once the degree left exceeds the room n - d - 1 - b of its
     last exponent, as a further center leaves less."""
     n = spec.n
-    gens = generators(spec)
-    table = _gen_table(spec)
-    # first generator index of each center dimension 0..n-1
-    first = [next((i for i, g in enumerate(gens) if g != GEN_H and g[1] >= d),
-                  len(gens)) for d in range(n)]
+    geom = ambient_geometry(n, spec.field)
+    centers = generators(spec)[1:]
+    # the first number of each dimension 0..n-1 (no center has dim n-1)
+    first = list(itertools.accumulate(map(len, geom.by_dim[:-1]), initial=0))
     out = []
 
     def extend(prefix, last, dim, exp, remaining, allowed):
@@ -704,18 +681,17 @@ def chain_basis(spec, degree):
             return
         if remaining > n - dim - 1 - exp:
             return
-        prefix.append(gens[last])   # one more copy of the last generator
+        prefix.append(last)   # one more copy of the last generator
         extend(prefix, last, dim, exp + 1, remaining - 1, allowed)
         prefix.pop()
-        for i in range(first[dim + exp + 1], len(gens)):
-            _, bit, comparable = table[gens[i]]
-            if allowed & bit:
-                prefix.append(gens[i])
-                extend(prefix, i, gens[i][1], 1, remaining - 1,
-                       allowed & comparable)
+        for g in centers[first[dim + exp + 1]:]:
+            if allowed >> g & 1:
+                prefix.append(g)
+                extend(prefix, g, geom.proper[g].dim, 1, remaining - 1,
+                       allowed & geom.comparable[g])
                 prefix.pop()
 
-    extend([], 0, -1, 0, degree, -1)
+    extend([], GEN_H, -1, 0, degree, -1)
     return out
 
 

@@ -56,8 +56,8 @@ class LinearSubvariety(Record):
 
     dim is the projective dimension, one less than the number of basis rows;
     enumeration produces dims 0..ambient_n.  The hash of the field tuple is
-    taken once, as subvarieties key the numbering and the caches of
-    `AmbientGeometry`.
+    taken once, as subvarieties key `AmbientGeometry.bits`, the numbering
+    that names the blow-up generators.
     """
 
     _fields = ("ambient_n", "dim", "basis", "field")
@@ -199,112 +199,78 @@ def sub_image(V, W):
 
 
 class AmbientGeometry:
-    """Cached incidence structure of all F_q-rational linear subvarieties of P^n.
+    """Incidence structure of all F_q-rational linear subvarieties of P^n.
 
-    The proper subvarieties are numbered once, on first use, in the order of
-    `all_proper`; bit i of an int mask stands for subvariety i.  Each
-    subvariety keeps the mask of the proper subvarieties it contains and the
-    mask of those containing it (itself included in both), so containment is
-    one shift and AND.
+    The proper subvarieties are numbered once, at construction, by
+    (dimension, echelon basis): `proper` lists them in that order, `bits`
+    maps each to its number and `by_dim[d]` lists those of dimension d.  The
+    number of a subvariety V is the generator e_V of the blow-ups of P^n
+    (see `cohomology`), and bit i of an int mask stands for subvariety i.
+    `below[i]` is the mask of the proper subvarieties that subvariety i
+    contains, `above[i]` that of those containing it and `comparable[i]`
+    their union (i itself is in all three), so containment is one shift and
+    AND.
+
+    A subvariety is the span of its F_q-points, so V lies in W exactly when
+    every point of V is a point of W.  The points of V (basis in reduced
+    echelon form) are the combinations whose first nonzero coefficient is 1;
+    those combinations are already in canonical form.
     """
 
     def __init__(self, n, field):
         self.n = n
         self.field = field
-        self.q = field.q
-        self._by_dim = {}
-        self._proper = None    # bit index -> proper subvariety
-        self._bits = None      # proper subvariety -> bit index
-        self._below = None     # bit index -> mask of the subvarieties it contains
-        self._above = None     # bit index -> mask of the subvarieties containing it
-        self._subs = {}
-
-    def subvarieties(self, d):
-        if d not in self._by_dim:
-            self._by_dim[d] = enumerate_subspaces(self.n, self.field, d)
-        return self._by_dim[d]
-
-    def all_proper(self):
-        """All subvarieties of dimension 0..n-1 in canonical order."""
-        out = []
-        for d in range(self.n):
-            out.extend(self.subvarieties(d))
-        return out
-
-    def _numbering(self):
-        """Number the proper subvarieties and fill both incidence masks.
-
-        A subvariety is the span of its F_q-points, so V lies in W exactly
-        when every point of V is a point of W.  The points of V (basis in
-        reduced echelon form) are the combinations whose first nonzero
-        coefficient is 1; those combinations are already in canonical form.
-        """
-        if self._bits is None:
-            proper = self.all_proper()
-            fq = get_field(self.field)
-            point_bit = {P.basis: 1 << i for i, P in enumerate(self.subvarieties(0))}
-            through = [0] * len(point_bit)   # point index -> mask of subvarieties on it
-            points_of = []
-            for i, V in enumerate(proper):
-                mask = 0
-                for lead, row in enumerate(V.basis):
-                    rest = V.basis[lead + 1:]
-                    for coeffs in itertools.product(fq.elements(), repeat=len(rest)):
-                        vec = row
-                        for c, other in zip(coeffs, rest):
-                            if c:
-                                vec = tuple(fq.add(x, fq.mul(c, y))
-                                            for x, y in zip(vec, other))
-                        mask |= point_bit[(vec,)]
-                points_of.append(mask)
-                for p in _bit_indices(mask):
-                    through[p] |= 1 << i
-            above = []
-            for mask in points_of:
-                sup = -1
-                for p in _bit_indices(mask):
-                    sup &= through[p]
-                above.append(sup)
-            below = [0] * len(proper)
-            for i, sup in enumerate(above):
-                for j in _bit_indices(sup):
-                    below[j] |= 1 << i
-            self._proper, self._below, self._above = proper, below, above
-            self._bits = {V: i for i, V in enumerate(proper)}
-        return self._bits
-
-    def bit(self, V):
-        """Index of a proper subvariety in the canonical numbering."""
-        return self._numbering()[V]
-
-    def comparable_mask(self, V):
-        """Mask of the proper subvarieties comparable with V (V included)."""
-        i = self.bit(V)
-        return self._below[i] | self._above[i]
-
-    def _members(self, mask):
-        return tuple(self._proper[i] for i in _bit_indices(mask))
+        self.by_dim = [enumerate_subspaces(n, field, d) for d in range(n)]
+        self.proper = [V for subs in self.by_dim for V in subs]
+        self.bits = {V: i for i, V in enumerate(self.proper)}
+        fq = get_field(field)
+        point_bit = {P.basis: 1 << i for i, P in enumerate(self.proper)
+                     if P.dim == 0}
+        through = [0] * len(point_bit)   # point index -> mask of subvarieties on it
+        points_of = []
+        for i, V in enumerate(self.proper):
+            mask = 0
+            for lead, row in enumerate(V.basis):
+                rest = V.basis[lead + 1:]
+                for coeffs in itertools.product(fq.elements(), repeat=len(rest)):
+                    vec = row
+                    for c, other in zip(coeffs, rest):
+                        if c:
+                            vec = tuple(fq.add(x, fq.mul(c, y))
+                                        for x, y in zip(vec, other))
+                    mask |= point_bit[(vec,)]
+            points_of.append(mask)
+            for p in _bit_indices(mask):
+                through[p] |= 1 << i
+        self.above = []
+        for mask in points_of:
+            sup = -1
+            for p in _bit_indices(mask):
+                sup &= through[p]
+            self.above.append(sup)
+        self.below = [0] * len(self.proper)
+        for i, sup in enumerate(self.above):
+            for j in _bit_indices(sup):
+                self.below[j] |= 1 << i
+        self.comparable = [b | a for b, a in zip(self.below, self.above)]
 
     def contains(self, V, W):
         """True iff W is contained in V, read from the incidence masks."""
-        bits = self._numbering()
         for U in (V, W):
-            if U not in bits:
+            if U not in self.bits:
                 raise GeometryError("%r is not a proper subvariety of P^%d"
                                     % (U, self.n))
-        return bool(self._below[bits[V]] >> bits[W] & 1)
+        return bool(self.below[self.bits[V]] >> self.bits[W] & 1)
 
     def strict_subs(self, V):
         """All proper nonempty subvarieties strictly contained in V."""
-        if V not in self._subs:
-            i = self.bit(V)
-            self._subs[V] = self._members(self._below[i] & ~(1 << i))
-        return self._subs[V]
+        i = self.bits[V]
+        return tuple(self.proper[j]
+                     for j in _bit_indices(self.below[i] & ~(1 << i)))
 
     def least_hyperplane_containing(self, V):
-        hyperplanes = self.subvarieties(self.n - 1)
-        first = len(self._numbering()) - len(hyperplanes)
-        mask = self._above[self.bit(V)] >> first
+        hyperplanes = self.by_dim[self.n - 1]
+        mask = self.above[self.bits[V]] >> len(self.proper) - len(hyperplanes)
         if not mask:
             raise GeometryError("no hyperplane contains %r" % (V,))
         return hyperplanes[(mask & -mask).bit_length() - 1]

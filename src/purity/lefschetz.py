@@ -28,8 +28,9 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import GEN_H, blowup
-from .geometry import point_count
+from .cohomology import blowup
+from .fields import field_spec
+from .geometry import ambient_geometry, point_count
 from .record import Record
 
 
@@ -218,9 +219,10 @@ class InvariantDivisorForm(Record):
         if ring.spec != blowup(self.n, self.q):
             raise LefschetzError("a class of B^%d/F_%d is not a class of this "
                                  "ring" % (self.n, self.q))
-        # the N^1 basis is h and the e_V with dim V <= n-2, each once
-        return [self.alpha if g == GEN_H else self.levels[g[1]]
-                for (g,) in ring.basis[1]]
+        # the N^1 basis is h, then the e_V with dim V <= n-2, each once
+        proper = ambient_geometry(self.n, field_spec(self.q)).proper
+        return [self.alpha] + [self.levels[proper[g].dim]
+                               for (g,) in ring.basis[1][1:]]
 
 
 def normalize_invariant(n, q, alpha, levels):

@@ -6,9 +6,9 @@ class with equal fields (not to a subclass, as a dataclass compared
 `__class__`), hashed as the tuple of its fields and ordered by that tuple,
 and shown as `Name(field=value, ...)`.  The variety specs are records, so
 each spec is equal to a spec of its own class with the same fields and
-hashed by them: specs key `build_ring`, `_gen_table` and the flag-type
-memo.  Field specs and subvarieties are sorted, and their reprs appear in
-error messages.
+hashed by them: specs key `build_ring`, the `restrict_generator` memo and
+the flag-type memo.  Field specs and subvarieties are sorted, and their
+reprs appear in error messages.
 """
 
 

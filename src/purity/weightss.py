@@ -113,12 +113,12 @@ class SemistableComplex:
             self.levels.setdefault(s.level, []).append(s.id)
         for t in self.levels:
             self.levels[t].sort()
-        self.children = {}
-        for s in strata:
-            for m, (pid, _) in s.parents.items():
-                self.children.setdefault(pid, []).append((s.id, m))
-        for pid in self.children:
-            self.children[pid].sort()
+        # edges[t]: (child id, m, parent id) of each parent link of a
+        # level-t stratum, the blocks of rho(t - 1, .) and tau(t, .)
+        self.edges = {t: [(sid, m, self.strata[sid].parents[m][0])
+                          for sid in ids
+                          for m in sorted(self.strata[sid].parents)]
+                      for t, ids in self.levels.items()}
         self._gysin_cache = {}
         self.memo = {}
         self._validate()
@@ -151,27 +151,22 @@ class SemistableComplex:
     def rho(self, t, i):
         """H^i(X^(t)) -> H^i(X^(t+1)): the restrictions, with Cech signs."""
         j = i // 2
-        blocks = []
-        for sid in self.levels.get(t, []):
-            for cid, m in self.children.get(sid, []):
-                child = self.strata[cid]
-                if 0 <= j <= child.ring.n:
-                    blocks.append((sid, cid, child.parents[m][1][j],
-                                   _cech_sign(m, child.subset)))
-        return self.level_map(t, i, t + 1, i, blocks)
+        return self.level_map(t, i, t + 1, i, [
+            (pid, cid, self.strata[cid].parents[m][1][j],
+             _cech_sign(m, self.strata[cid].subset))
+            for cid, m, pid in self.edges.get(t + 1, [])
+            if 0 <= j <= self.strata[cid].ring.n])
 
     @_memoized
     def tau(self, t, i):
         """H^i(X^(t)) -> H^(i+2)(X^(t-1)): the Gysin maps, with Cech signs
         (t >= 2); the zero map for i < 0."""
         j = i // 2
-        blocks = []
-        for sid in self.levels.get(t, []):
-            s = self.strata[sid]
-            if 0 <= j <= s.ring.n:
-                blocks += [(sid, s.parents[m][0], self.gysin(sid, m)[j],
-                            _cech_sign(m, s.subset)) for m in sorted(s.parents)]
-        return self.level_map(t, i, t - 1, i + 2, blocks)
+        return self.level_map(t, i, t - 1, i + 2, [
+            (cid, pid, self.gysin(cid, m)[j],
+             _cech_sign(m, self.strata[cid].subset))
+            for cid, m, pid in self.edges.get(t, [])
+            if 0 <= j <= self.strata[cid].ring.n])
 
     def gysin(self, child_id, m):
         """Pairing adjoint of the restriction from parent to child, per degree.

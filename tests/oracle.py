@@ -76,7 +76,7 @@ from unittest import mock
 
 from purity import linalg, weightss
 from purity.cohomology import (GEN_H, BlownUp, CohomologyError, Product,
-                               Projective, build_ring, gen_e, gen_subvariety,
+                               Projective, build_ring, gen_e,
                                intersection_number, monomial)
 from purity.geometry import ambient_geometry, contains
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
@@ -533,12 +533,12 @@ def normalize_divisor(spec, coeffs):
         c = Fraction(c)
         if not c:
             continue
-        if g == GEN_H or g[1] <= spec.n - 2:
+        if type(g) is not int or not GEN_H <= g < len(geom.proper):
+            raise CohomologyError("generator %r does not live on B^%d" % (g, spec.n))
+        if g == GEN_H or geom.proper[g].dim <= spec.n - 2:
             out[g] = out.get(g, Fraction(0)) + c
             continue
-        if g[1] != spec.n - 1:
-            raise CohomologyError("generator %r does not live on B^%d" % (g, spec.n))
-        H = gen_subvariety(spec, g)
+        H = geom.proper[g]
         out[GEN_H] = out.get(GEN_H, Fraction(0)) + c
         for W in geom.strict_subs(H):
             k = gen_e(W)

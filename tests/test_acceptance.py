@@ -182,7 +182,7 @@ def test_criterion_8_zeta_reproduction():
 def test_criterion_9_negative_controls(tmp_path, capsys):
     ring = build_ring(blowup(2, 2))
     geom = ambient_geometry(2, field_spec(2))
-    P = geom.subvarieties(0)[0]
+    P = geom.by_dim[0][0]
     # e_P is not positive; the combined verification fails (Hodge positivity:
     # its square -1 still gives an isomorphism H^0 -> H^4)
     ctx = make_context(ring, divisor_vector(ring, {gen_e(P): Fraction(1)}))

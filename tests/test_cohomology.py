@@ -15,7 +15,7 @@ from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
                                restrict_to_divisor)
 from purity.fields import field_spec
 from purity.fixtures import two_planes
-from purity.geometry import LinearSubvariety, ambient_geometry
+from purity.geometry import ambient_geometry
 from purity.weightss import explicit_surface_ring
 from oracle import (comparable, cup_matrix, divisor_vector, merge, multiply,
                     normalize_divisor, product_pairing, tensor_coords,
@@ -38,10 +38,10 @@ def _support_is_chain(spec, mono):
 
 
 def _pairwise_comparable(spec, mono):
-    """The centers of mono's exceptional factors, rebuilt from their keys, are
-    pairwise comparable under F_q containment."""
-    centers = [LinearSubvariety(spec.n, g[1], g[2], spec.field)
-               for g in mono if g != GEN_H]
+    """The centers of mono's exceptional factors, read from the geometry by
+    their numbers, are pairwise comparable under F_q containment."""
+    proper = geom(spec.n, spec.field).proper
+    centers = [proper[g] for g in mono if g != GEN_H]
     return all(comparable(a, b)
                for a, b in itertools.combinations(centers, 2))
 
@@ -59,9 +59,9 @@ def _chain_candidates(spec, degree):
 def test_hyperplane_relation_on_surface():
     spec = blowup(2, 2)
     g = geom(2)
-    line = g.subvarieties(1)[0]
+    line = g.by_dim[1][0]
     cls = hyperplane_relation(spec, line)
-    pts_on = [p for p in g.subvarieties(0) if g.contains(line, p)]
+    pts_on = [p for p in g.by_dim[0] if g.contains(line, p)]
     assert cls[GEN_H] == 1
     assert len(pts_on) == 3
     for p in pts_on:
@@ -74,27 +74,27 @@ def test_hyperplane_relation_sum_over_all_lines():
     spec = blowup(2, 2)
     g = geom(2)
     total = {}
-    for line in g.subvarieties(1):
+    for line in g.by_dim[1]:
         for k, c in hyperplane_relation(spec, line).items():
             total[k] = total.get(k, 0) + c
     assert total[GEN_H] == 7
-    for p in g.subvarieties(0):
+    for p in g.by_dim[0]:
         assert total[gen_e(p)] == -3
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
 def test_hyperplane_relation_on_projective_space(n, q):
     # every hyperplane of P^n has the class h
-    for H in geom(n, field_spec(q)).subvarieties(n - 1):
+    for H in geom(n, field_spec(q)).by_dim[n - 1]:
         assert hyperplane_relation(proj(n), H) == {GEN_H: 1}
 
 
 @pytest.mark.parametrize("spec", [proj(2), blowup(2, 2)], ids=["P^2", "B^2"])
 def test_hyperplane_relation_refuses_a_foreign_subvariety(spec):
     with pytest.raises(CohomologyError, match="needs dim V = n-1"):
-        hyperplane_relation(spec, geom(2).subvarieties(0)[0])
+        hyperplane_relation(spec, geom(2).by_dim[0][0])
     with pytest.raises(CohomologyError, match=r"needs V in P\^2, not in P\^3"):
-        hyperplane_relation(spec, geom(3).subvarieties(1)[0])
+        hyperplane_relation(spec, geom(3).by_dim[1][0])
 
 
 @pytest.mark.parametrize("spec,kind", [
@@ -105,20 +105,45 @@ def test_hyperplane_relation_refuses_a_spec_without_named_hyperplanes(
         spec, kind):
     with pytest.raises(CohomologyError, match=r"needs a P\^n or blow-up "
                                               "spec, not a %s$" % kind):
-        hyperplane_relation(spec(), geom(2).subvarieties(1)[0])
+        hyperplane_relation(spec(), geom(2).by_dim[1][0])
 
 
 def test_normalize_rejects_foreign_generators():
+    # a generator of B^2/F_2 is GEN_H or one of the 14 flat numbers 0..13
     spec = blowup(2, 2)
-    with pytest.raises(CohomologyError):
-        normalize_divisor(spec, {("e", 5, ()): Fraction(1)})
+    for g in (len(geom(2).proper), -2, "h"):
+        with pytest.raises(CohomologyError, match=r"does not live on B\^2"):
+            normalize_divisor(spec, {g: Fraction(1)})
+
+
+# -- generators are the flat numbers of the geometry ---------------------------
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                 (4, 2)])
+def test_generators_are_the_flat_numbers(n, q):
+    # h, then the centers (the flats of dim <= n-2) by their numbers
+    g = geom(n, field_spec(q))
+    centers = sum(len(subs) for subs in g.by_dim[:-1])
+    assert generators(blowup(n, q)) == [GEN_H] + list(range(centers))
+    assert [gen_e(V) for V in g.proper] == [g.bits[V] for V in g.proper] \
+        == list(range(len(g.proper)))
+
+
+def test_sorted_generators_are_h_then_dim_and_echelon_basis():
+    gens = generators(blowup(3, 2))
+    shuffled = list(gens)
+    random.Random(5).shuffle(shuffled)
+    assert sorted(shuffled) == gens and gens[0] == GEN_H
+    proper = geom(3).proper
+    keys = [(proper[g].dim, proper[g].basis) for g in gens[1:]]
+    assert keys == sorted(keys)
 
 
 # -- intersection numbers ------------------------------------------------------
 
 def test_intersection_examples_surface():
     spec = blowup(2, 2)
-    pts = geom(2).subvarieties(0)
+    pts = geom(2).by_dim[0]
     h = GEN_H
     assert intersection_number(spec, monomial([h, h])) == 1
     assert intersection_number(spec, monomial([gen_e(pts[0])] * 2)) == -1
@@ -131,8 +156,8 @@ def test_intersection_examples_threefold():
     # is a plane with O(-1), the one over a line is P1 x P1 with O(-2,-1)
     spec = blowup(3, 2)
     g = geom(3)
-    P = g.subvarieties(0)[0]
-    L = next(l for l in g.subvarieties(1) if g.contains(l, P))
+    P = g.by_dim[0][0]
+    L = next(l for l in g.by_dim[1] if g.contains(l, P))
     e_p, e_l, h = gen_e(P), gen_e(L), GEN_H
     assert intersection_number(spec, monomial([h] * 3)) == 1
     assert intersection_number(spec, monomial([e_p] * 3)) == 1
@@ -141,7 +166,7 @@ def test_intersection_examples_threefold():
     assert intersection_number(spec, monomial([e_p, e_l, e_l])) == -1
     assert intersection_number(spec, monomial([e_p, e_l, h])) == 0
     assert intersection_number(spec, monomial([e_p, e_p, h])) == 0
-    M = next(l for l in g.subvarieties(1) if not comparable(l, L))
+    M = next(l for l in g.by_dim[1] if not comparable(l, L))
     assert intersection_number(spec, monomial([e_l, gen_e(M), h])) == 0
 
 
@@ -182,7 +207,7 @@ def test_projective_linear_equivariance():
         return s
 
     rng = random.Random(5)
-    pts = g.subvarieties(0)
+    pts = g.by_dim[0]
     for _ in range(20):
         chosen = [rng.choice(pts) for _ in range(2)]
         before = intersection_number(
@@ -336,9 +361,9 @@ def test_cup_matrix_matches_the_monomial_route(name):
 @pytest.mark.parametrize("spec", [
     proj(3), blowup(2, 2), blowup(2, 3), blowup(2, 4), blowup(3, 2),
     blowup(3, 3), product(blowup(1, 2), blowup(2, 2)),
-    product(blowup(0, 3), blowup(3, 3))],
+    product(blowup(1, 3), blowup(2, 3))],
     ids=["P^3", "B^2/F_2", "B^2/F_3", "B^2/F_4", "B^3/F_2", "B^3/F_3",
-         "B^1xB^2/F_2", "B^0xB^3/F_3"])
+         "B^1xB^2/F_2", "B^1xB^2/F_3"])
 def test_pairing_equals_the_all_pairs_top_numbers(spec):
     # the ring reads the unit's block behind the chain masks by count code;
     # the oracle merges every pair of basis monomials
@@ -356,9 +381,8 @@ def test_monomial_coords_solve_against_all_top_numbers(n, q):
     # The sample is h and the first three centers of each dimension, so it
     # holds chains, non-chains and powers of one center.
     ring = build_ring(blowup(n, q))
-    gens = generators(ring.spec)
-    sample = [GEN_H] + [g for d in range(n - 1)
-                        for g in [x for x in gens[1:] if x[1] == d][:3]]
+    sample = [GEN_H] + [gen_e(V) for d in range(n - 1)
+                        for V in geom(n, field_spec(q)).by_dim[d][:3]]
     seen = collections.Counter()
     for j in range(n + 1):
         for mono in itertools.combinations_with_replacement(sample, j):
@@ -516,19 +540,19 @@ def test_resource_guard_sums_the_betti_numbers_of_a_product():
 def test_restriction_examples_on_surface():
     ring = build_ring(blowup(2, 2))
     g = geom(2)
-    P = g.subvarieties(0)[0]
+    P = g.by_dim[0][0]
     target, mats = restrict_to_divisor(ring, P)
     # h restricts to zero (the first factor is a point)
     h_idx = ring.index[1][(GEN_H,)]
     col = [mats[1][r][h_idx] for r in range(len(mats[1]))]
     assert all(x == 0 for x in col)
     # a line through P restricts to the second-factor point class
-    line = next(l for l in g.subvarieties(1) if g.contains(l, P))
+    line = next(l for l in g.by_dim[1] if g.contains(l, P))
     vec = divisor_vector(ring, hyperplane_relation(ring.spec, line))
     out = linalg.matvec(mats[1], vec)
     assert any(x != 0 for x in out)
     # an incomparable center restricts to zero
-    far = next(p for p in g.subvarieties(0) if p != P)
+    far = next(p for p in g.by_dim[0] if p != P)
     col2 = [mats[1][r][ring.index[1][(gen_e(far),)]] for r in range(len(mats[1]))]
     assert all(x == 0 for x in col2)
 
@@ -536,7 +560,7 @@ def test_restriction_examples_on_surface():
 def test_restriction_is_ring_homomorphism():
     ring = build_ring(blowup(2, 2))
     g = geom(2)
-    for V in [g.subvarieties(0)[0], g.subvarieties(1)[0]]:
+    for V in [g.by_dim[0][0], g.by_dim[1][0]]:
         target, mats = restrict_to_divisor(ring, V)
         nb = len(ring.basis[1])
         for a in range(nb):
@@ -568,7 +592,7 @@ def _is_ring_homomorphism(ring, target, mats):
 def test_restriction_at_a_point_targets_the_ring_of_b_n_minus_1():
     # D_P = P^0 x B^2 is B^2 itself
     ring = build_ring(blowup(3, 2))
-    target, mats = restrict_to_divisor(ring, geom(3).subvarieties(0)[0])
+    target, mats = restrict_to_divisor(ring, geom(3).by_dim[0][0])
     assert target is build_ring(blowup(2, 2))
     assert [m.shape for m in mats] == [(1, 1), (8, 51), (1, 51), (0, 1)]
     assert _is_ring_homomorphism(ring, target, mats)
@@ -577,7 +601,7 @@ def test_restriction_at_a_point_targets_the_ring_of_b_n_minus_1():
 def test_restriction_at_a_line_of_b2_targets_the_ring_of_p1():
     # D_L = P^1 x P^0 is P^1 itself
     ring = build_ring(blowup(2, 2))
-    target, mats = restrict_to_divisor(ring, geom(2).subvarieties(1)[0])
+    target, mats = restrict_to_divisor(ring, geom(2).by_dim[1][0])
     assert target is build_ring(proj(1))
     assert [m.shape for m in mats] == [(1, 1), (1, 8), (0, 1)]
     assert _is_ring_homomorphism(ring, target, mats)
@@ -590,7 +614,7 @@ def test_restriction_kernel_is_zero_below_top():
         g = ambient_geometry(n, field_spec(q))
         rows = []
         for d in range(n):
-            for V in g.subvarieties(d):
+            for V in g.by_dim[d]:
                 _, mats = restrict_to_divisor(ring, V)
                 rows.extend(mats[1])
         assert linalg.kernel_basis(linalg.mat(rows)).ncols == 0
@@ -664,8 +688,10 @@ def test_basis_pick_matches_fraction_greedy(n, q):
 def _exponent_bounds_hold(spec, mono):
     """The Feichtner-Yuzvinsky bounds on a chain monomial h^a prod e_(V_i)^(b_i):
     b_i <= d_(i+1) - d_i - 1 with d_0 = -1 for h (b_0 = a) and d_(k+1) = n."""
-    centers = sorted({g for g in mono if g != GEN_H}, key=lambda g: g[1])
-    dims = [-1] + [g[1] for g in centers] + [spec.n]
+    proper = geom(spec.n, spec.field).proper
+    centers = sorted({g for g in mono if g != GEN_H},
+                     key=lambda g: proper[g].dim)
+    dims = [-1] + [proper[g].dim for g in centers] + [spec.n]
     exponents = [mono.count(GEN_H)] + [mono.count(g) for g in centers]
     return all(b <= dims[i + 1] - dims[i] - 1 for i, b in enumerate(exponents))
 

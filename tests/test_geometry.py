@@ -24,7 +24,7 @@ def whole_space(ambient_n, field):
 def quotient_map(V):
     """{W: its quotient image} over the proper W strictly containing V."""
     geom = ambient_geometry(V.ambient_n, V.field)
-    return {W: quotient_image(V, W) for W in geom.all_proper()
+    return {W: quotient_image(V, W) for W in geom.proper
             if W != V and contains(W, V)}
 
 
@@ -86,13 +86,11 @@ def test_enumeration_rejects_bad_input():
 def test_contains_is_partial_order():
     field = field_spec(2)
     geom = ambient_geometry(2, field)
-    all_subs = geom.all_proper() + [geom.subvarieties(2)[0]] \
-        if False else geom.all_proper()
-    for v in all_subs:
+    for v in geom.proper:
         assert contains(v, v)
     rng = random.Random(7)
     for _ in range(200):
-        a, b, c = (rng.choice(all_subs) for _ in range(3))
+        a, b, c = (rng.choice(geom.proper) for _ in range(3))
         if contains(a, b) and contains(b, a):
             assert a == b
         if contains(a, b) and contains(b, c):
@@ -102,17 +100,17 @@ def test_contains_is_partial_order():
 def test_containment_by_construction():
     field = field_spec(3)
     geom = ambient_geometry(2, field)
-    line = geom.subvarieties(1)[0]
-    pts_on = [p for p in geom.subvarieties(0) if contains(line, p)]
+    line = geom.by_dim[1][0]
+    pts_on = [p for p in geom.by_dim[0] if contains(line, p)]
     assert len(pts_on) == 4
-    others = [p for p in geom.subvarieties(0) if p not in pts_on]
+    others = [p for p in geom.by_dim[0] if p not in pts_on]
     assert all(not contains(line, p) for p in others)
 
 
 def test_quotient_geometry_examples():
     field = field_spec(2)
     geom = ambient_geometry(2, field)
-    P = geom.subvarieties(0)[0]
+    P = geom.by_dim[0][0]
     qmap = quotient_map(P)
     lines_through = [w for w in qmap if w.dim == 1]
     assert len(lines_through) == 3
@@ -121,7 +119,7 @@ def test_quotient_geometry_examples():
     assert all(v.ambient_n == 1 and v.dim == 0 for v in images)
     # top element maps to the whole target
     geom3 = ambient_geometry(3, field)
-    L = geom3.subvarieties(1)[0]
+    L = geom3.by_dim[1][0]
     top = whole_space(3, field)
     img = quotient_image(L, top)
     assert img.dim == 1 and img.ambient_n == 1
@@ -130,7 +128,7 @@ def test_quotient_geometry_examples():
 def test_quotient_preserves_containment():
     field = field_spec(2)
     geom = ambient_geometry(3, field)
-    P = geom.subvarieties(0)[0]
+    P = geom.by_dim[0][0]
     qmap = quotient_map(P)
     planes = [w for w in qmap if w.dim == 2]
     assert len(planes) == 7
@@ -143,8 +141,8 @@ def test_quotient_preserves_containment():
 def test_sub_image_preserves_containment():
     field = field_spec(2)
     geom = ambient_geometry(3, field)
-    plane = geom.subvarieties(2)[0]
-    inside = [w for w in geom.all_proper()
+    plane = geom.by_dim[2][0]
+    inside = [w for w in geom.proper
               if w.dim < 2 and contains(plane, w)]
     images = {w: sub_image(plane, w) for w in inside}
     for w1 in inside:
@@ -165,21 +163,28 @@ def test_canonical_form_under_coordinate_permutation():
     assert permuted == set(subs)
 
 
-@pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 3), (3, 2), (3, 3)])
 def test_incidence_masks_match_fq_containment(n, q):
-    geom = AmbientGeometry(n, field_spec(q))   # fresh: numbered on first use
-    proper = geom.all_proper()
+    geom = AmbientGeometry(n, field_spec(q))   # fresh: numbered at construction
+    proper = geom.proper
+    assert geom.by_dim == [enumerate_subspaces(n, field_spec(q), d)
+                           for d in range(n)]
+    assert proper == [V for subs in geom.by_dim for V in subs]
+    assert geom.bits == {V: i for i, V in enumerate(proper)}
     for V in proper:
         assert [geom.contains(V, W) for W in proper] == \
             [contains(V, W) for W in proper]
+        assert [geom.comparable[geom.bits[V]] >> i & 1 for i in
+                range(len(proper))] == [
+            contains(V, W) or contains(W, V) for W in proper]
         assert geom.strict_subs(V) == tuple(
             W for W in proper if W.dim < V.dim and contains(V, W))
         assert geom.least_hyperplane_containing(V) == next(
-            H for H in geom.subvarieties(n - 1) if contains(H, V))
+            H for H in geom.by_dim[n - 1] if contains(H, V))
 
 
 def test_incidence_rejects_subvarieties_outside_the_numbering():
     geom = ambient_geometry(2, field_spec(2))
-    P = geom.subvarieties(0)[0]
+    P = geom.by_dim[0][0]
     with pytest.raises(GeometryError, match="not a proper subvariety"):
         geom.contains(whole_space(2, field_spec(2)), P)

@@ -103,7 +103,7 @@ def test_omega_passes_lefschetz_and_hodge(n, q):
 def test_primitive_dims_do_not_depend_on_the_class():
     ring = b2_ring()
     geom = ambient_geometry(2, field_spec(2))
-    pts = geom.subvarieties(0)
+    pts = geom.by_dim[0]
     # two different positive invariant classes
     v1 = omega_form(2, 2).vector(ring)
     form = normalize_invariant(2, 2, 9, [-1, 0])
@@ -131,7 +131,7 @@ def _hyperplane_sum(spec, geom):
     """The sum of the classes of all hyperplanes as a generator dict: strict
     transforms on a blow-up, h each on P^1."""
     total = {}
-    for H in geom.subvarieties(spec.n - 1):
+    for H in geom.by_dim[spec.n - 1]:
         for g, c in hyperplane_relation(spec, H).items():
             total[g] = total.get(g, 0) + c
     return total
@@ -156,7 +156,7 @@ def test_vector_matches_the_generator_dict_route(n, q):
         assert levels[-1] != 0
         coeffs = {GEN_H: Fraction(alpha)}
         for d in range(n - 1):
-            for V in geom.subvarieties(d):
+            for V in geom.by_dim[d]:
                 coeffs[gen_e(V)] = Fraction(levels[d])
         for g, c in hyperplanes.items():
             coeffs[g] = coeffs.get(g, 0) + levels[-1] * c
@@ -194,9 +194,9 @@ def _check_walls_on_flag_curves(n, q):
     on e_P, wall 2 that on the strict transform of a line."""
     ring = build_ring(blowup(n, q))
     geom = ambient_geometry(n, field_spec(q))
-    flag = [geom.subvarieties(0)[0]]
+    flag = [geom.by_dim[0][0]]
     for d in range(1, n):
-        flag.append(next(W for W in geom.subvarieties(d)
+        flag.append(next(W for W in geom.by_dim[d]
                          if geom.contains(W, flag[-1])))
     # degree[k][i]: the degree of the i-th N^1 basis class on the k-th curve
     degree = {}
@@ -331,7 +331,7 @@ def test_folding_the_top_level_preserves_the_class():
     direct = form.vector(ring)
     total = {GEN_H: Fraction(1)}
     geomv = ambient_geometry(2, field_spec(2))
-    for line in geomv.subvarieties(1):
+    for line in geomv.by_dim[1]:
         for k, c in hyperplane_relation(ring.spec, line).items():
             total[k] = total.get(k, 0) + c
     assert divisor_vector(ring, total) == direct
@@ -340,7 +340,7 @@ def test_folding_the_top_level_preserves_the_class():
 def test_negative_controls():
     ring = b2_ring()
     geom = ambient_geometry(2, field_spec(2))
-    P = geom.subvarieties(0)[0]
+    P = geom.by_dim[0][0]
     ep = divisor_vector(ring, {gen_e(P): Fraction(1)})
     ctx = make_context(ring, ep)
     # e_P squares to -1, an isomorphism H^0 -> H^4: hard Lefschetz holds,
@@ -364,7 +364,7 @@ def test_sweep_constant_omega():
 def test_sweep_blowdown_family():
     ring = b2_ring()
     geom = ambient_geometry(2, field_spec(2))
-    P = geom.subvarieties(0)[0]
+    P = geom.by_dim[0][0]
     l0 = divisor_vector(ring, {GEN_H: Fraction(4)})
     l1 = divisor_vector(ring, {GEN_H: Fraction(4), gen_e(P): Fraction(-1)})
     rows = hodge_sweep(ring, l0, l1, 8)
@@ -375,7 +375,7 @@ def test_sweep_blowdown_family():
 def test_sweep_to_exceptional_degenerates_in_the_middle():
     ring = b2_ring()
     geom = ambient_geometry(2, field_spec(2))
-    P = geom.subvarieties(0)[0]
+    P = geom.by_dim[0][0]
     rows = hodge_sweep(ring, divisor_vector(ring, {GEN_H: Fraction(1)}),
                        divisor_vector(ring, {gen_e(P): Fraction(1)}), 4)
     by_t = {r["t"]: r for r in rows}
@@ -478,7 +478,7 @@ def _random_class(ring, seed):
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_one_product_operators_match_multiply(n, q):
     ring = build_ring(blowup(n, q))
-    P = ambient_geometry(n, field_spec(q)).subvarieties(0)[0]
+    P = ambient_geometry(n, field_spec(q)).by_dim[0][0]
     classes = [omega_form(n, q).vector(ring),
                divisor_vector(ring, {GEN_H: Fraction(1)}),
                divisor_vector(ring, {gen_e(P): Fraction(1)}),
@@ -512,7 +512,7 @@ def _hl_classes(n, q):
     classes += [_random_class(ring, rng.randrange(10 ** 6)) for _ in range(3)]
     classes += [[4 * w + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                  for w in omega] for _ in range(4)]
-    P = ambient_geometry(n, field_spec(q)).subvarieties(0)[0]
+    P = ambient_geometry(n, field_spec(q)).by_dim[0][0]
     classes.append(divisor_vector(ring, {gen_e(P): Fraction(1)}))
     if (n, q) == (3, 2):   # positive margins, not concave: `hodge` refuses it
         form = normalize_invariant(3, 2, 3, [1, 1, 0])

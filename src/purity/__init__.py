@@ -8,7 +8,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "fields": "FieldSpec field_spec",
+    "fields": "",
     "geometry": "LinearSubvariety enumerate_subspaces contains point_count "
                 "gaussian_binomial",
     "linalg": "",

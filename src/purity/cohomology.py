@@ -19,7 +19,7 @@ The ring is computed from two ingredients:
   so the D_V of a point or a hyperplane is B^(n-1) itself.
 
 A generator is an int: GEN_H (-1) is h, and e_V is the number of V in
-`geometry.ambient_geometry(n, field)`, which orders the flats by (dim,
+`geometry.ambient_geometry(n, q)`, which orders the flats by (dim,
 echelon basis).  A monomial is a sorted tuple of generators, so h comes
 first and the centers follow in that order; bit g of a center mask is e_g.
 
@@ -60,7 +60,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .fields import FieldSpec, field_spec
+from .fields import get_field
 from .geometry import (LinearSubvariety, ambient_geometry, gaussian_binomial,
                        quotient_image, sub_image)
 from .record import Record
@@ -99,7 +99,7 @@ class Projective(Record):
 
 
 class BlownUp(Record):
-    __slots__ = _fields = ("n", "field")
+    __slots__ = _fields = ("n", "q")
 
 
 class Product(Record):
@@ -123,10 +123,10 @@ def blowup(n, q):
     """B^n over F_q.  For n <= 1 no centers exist and B^n = P^n."""
     if n < 0:
         raise CohomologyError("B^n needs n >= 0, got n=%d" % n)
-    field = q if isinstance(q, FieldSpec) else field_spec(q)
+    get_field(q)   # refuses a q that is no field size, for every n
     if n <= 1:
         return Projective(n)
-    return BlownUp(n, field)
+    return BlownUp(n, q)
 
 
 def product(*specs):
@@ -156,7 +156,7 @@ GEN_H = -1
 
 def gen_e(V: LinearSubvariety):
     """The generator e_V: V's number in `ambient_geometry`."""
-    return ambient_geometry(V.ambient_n, V.field).bits[V]
+    return ambient_geometry(V.ambient_n, V.q).bits[V]
 
 
 def monomial(gens):
@@ -167,7 +167,7 @@ def generators(spec):
     """Degree-1 generators, h first, then the centers in number order."""
     if isinstance(spec, Projective):
         return [GEN_H] if spec.n >= 1 else []
-    geom = ambient_geometry(spec.n, spec.field)
+    geom = ambient_geometry(spec.n, spec.q)
     return [GEN_H] + list(range(len(geom.proper) - len(geom.by_dim[-1])))
 
 
@@ -184,7 +184,10 @@ def hyperplane_relation(spec, V):
         raise CohomologyError("hyperplane_relation needs dim V = n-1")
     out = {GEN_H: 1}
     if isinstance(spec, BlownUp):
-        geom = ambient_geometry(spec.n, spec.field)
+        if V.q != spec.q:
+            raise CohomologyError("hyperplane_relation needs V over F_%d, not "
+                                  "over F_%d" % (spec.q, V.q))
+        geom = ambient_geometry(spec.n, spec.q)
         for W in geom.strict_subs(V):
             out[gen_e(W)] = -1
     return out
@@ -195,7 +198,7 @@ def hyperplane_relation(spec, V):
 def factor_specs(spec, V):
     """The two factors of D_V = B^d x B^(n-d-1)."""
     d = V.dim
-    return blowup(d, spec.field), blowup(spec.n - d - 1, spec.field)
+    return blowup(d, spec.q), blowup(spec.n - d - 1, spec.q)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +213,7 @@ def restrict_generator(spec, V, g):
     """
     if g == GEN_H:
         return (((0, GEN_H), 1),) if V.dim >= 1 else ()
-    geom = ambient_geometry(spec.n, spec.field)
+    geom = ambient_geometry(spec.n, spec.q)
     W = geom.proper[g]
     if W != V:
         return tuple(_restrict_subvariety_divisor(spec, V, W).items())
@@ -231,7 +234,7 @@ def _restrict_subvariety_divisor(spec, V, W):
     hyperplane class, or an exceptional generator when the image has
     codimension 2 or more (the image of a proper W is never the whole
     factor).  An incomparable W restricts to zero."""
-    geom = ambient_geometry(spec.n, spec.field)
+    geom = ambient_geometry(spec.n, spec.q)
     if geom.contains(V, W):
         side, image = 0, sub_image(V, W)
     elif geom.contains(W, V):
@@ -278,7 +281,7 @@ def _support_keys(spec, mono):
     so on a chain the code is the signature (a, (dim V_i, b_i)).  Two
     monomials multiply to a chain iff one's centers lie in the other's
     comparable mask, and the count code of the product is the sum of theirs."""
-    geom = ambient_geometry(spec.n, spec.field)
+    geom = ambient_geometry(spec.n, spec.q)
     base = spec.n + 1
     centers, comparable, code = 0, -1, 0
     for g in mono:
@@ -346,7 +349,7 @@ def _eval_blowup(spec, mono, chooser):
     if not exc:
         return 1
     g0 = exc[0] if chooser is None else chooser(exc)
-    V = ambient_geometry(spec.n, spec.field).proper[g0]
+    V = ambient_geometry(spec.n, spec.q).proper[g0]
     rest = list(mono)
     rest.remove(g0)
     f1, f2 = factor_specs(spec, V)
@@ -383,12 +386,12 @@ def betti_numbers(spec):
                     new[i + j] += x * y
             out = new
         return out
-    n, q = spec.n, spec.field.q
+    n, q = spec.n, spec.q
     b = [1] * (n + 1)
     for k in range(n - 1):
         codim = n - k
         centers = gaussian_binomial(n + 1, k + 1, q)
-        cb = betti_numbers(blowup(k, spec.field))
+        cb = betti_numbers(blowup(k, q))
         nb = list(b)
         for j in range(n + 1):
             for m in range(codim - 1):
@@ -652,7 +655,7 @@ def _gen_json(spec, g):
     """A generator as report data: "h", or e_V as {"e": {"dim", "basis"}}."""
     if g == GEN_H:
         return "h"
-    V = ambient_geometry(spec.n, spec.field).proper[g]
+    V = ambient_geometry(spec.n, spec.q).proper[g]
     return {"e": {"dim": V.dim, "basis": [list(r) for r in V.basis]}}
 
 
@@ -669,7 +672,7 @@ def chain_basis(spec, degree):
     branch stops once the degree left exceeds the room n - d - 1 - b of its
     last exponent, as a further center leaves less."""
     n = spec.n
-    geom = ambient_geometry(n, spec.field)
+    geom = ambient_geometry(n, spec.q)
     centers = generators(spec)[1:]
     # the first number of each dimension 0..n-1 (no center has dim n-1)
     first = list(itertools.accumulate(map(len, geom.by_dim[:-1]), initial=0))
@@ -731,7 +734,7 @@ def _build_blowup(spec):
     sizes, betti = [len(bs) for bs in basis], betti_numbers(spec)
     if sizes != betti:
         raise CohomologyError("chain basis sizes %s are not the Betti numbers "
-                              "%s of B^%d/F_%d" % (sizes, betti, n, spec.field.q))
+                              "%s of B^%d/F_%d" % (sizes, betti, n, spec.q))
     ring = GradedRing(spec, basis)
     for j in range(n // 2 + 1):
         r = linalg.rank(ring.pairing[j])
@@ -789,7 +792,7 @@ def restrict_to_divisor(ring, V):
     spec = ring.spec
     if not isinstance(spec, BlownUp):
         raise CohomologyError("restriction is defined on blow-up rings")
-    if V.ambient_n != spec.n or V.field != spec.field or not (0 <= V.dim <= spec.n - 1):
+    if V.ambient_n != spec.n or V.q != spec.q or not (0 <= V.dim <= spec.n - 1):
         raise CohomologyError("%r is not a center of B^%d" % (V, spec.n))
     f1, f2 = factor_specs(spec, V)
     target = build_ring(product(f1, f2))

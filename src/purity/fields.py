@@ -1,15 +1,15 @@
 """Arithmetic in small finite fields F_q, q = p^e <= 16.
 
-Elements are encoded as integers 0..q-1, read as base-p digit vectors
-(little-endian) of polynomials over F_p modulo a fixed irreducible modulus.
-For prime q the encoding is plain residues mod p.
+A field is named by its size q: F_q is unique up to isomorphism, and
+`get_field(q)` builds its tables over the one built-in modulus of each
+non-prime q (IRREDUCIBLE_MODULI).  Elements are encoded as integers 0..q-1,
+read as base-p digit vectors (little-endian) of polynomials over F_p modulo
+that modulus.  For prime q the encoding is plain residues mod p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .record import Record
 
 # Monic irreducible modulus for the non-prime field sizes we support,
 # as coefficient tuples (c0, c1, ..., 1), constant term first.
@@ -106,77 +106,15 @@ def _poly_mod(num, den, p):
     return num
 
 
-def _is_irreducible(modulus, p):
-    """Trial division by all lower-degree monic polynomials; fine for e <= 4."""
-    e = len(modulus) - 1
-    if e < 1 or modulus[-1] % p != 1:
-        return False
-    if e == 1:
-        return True
-    for deg in range(1, e // 2 + 1):
-        for code in range(p ** deg):
-            div = []
-            m = code
-            for _ in range(deg):
-                div.append(m % p)
-                m //= p
-            div.append(1)
-            if not _poly_mod(modulus, div, p):
-                return False
-    return True
-
-
-class FieldSpec(Record):
-    """Description of F_q: characteristic p, degree e, and modulus (empty for
-    e=1), a tuple of ints (c0, c1, ..., 1) as in IRREDUCIBLE_MODULI."""
-
-    __slots__ = _fields = ("p", "e", "modulus")
-
-    def __init__(self, p, e, modulus=()):
-        if not is_prime(p):
-            raise FieldError("characteristic %r is not prime" % (p,))
-        if e < 1:
-            raise FieldError("extension degree must be >= 1")
-        if e == 1:
-            if modulus != ():
-                raise FieldError("prime field takes no modulus")
-        else:
-            if type(modulus) is not tuple or any(type(c) is not int
-                                                 for c in modulus):
-                raise FieldError("modulus must be a tuple of ints, got %r"
-                                 % (modulus,))
-            if len(modulus) != e + 1:
-                raise FieldError("modulus must have degree %d" % e)
-            if not _is_irreducible(modulus, p):
-                raise FieldError("modulus %r is not irreducible over F_%d"
-                                 % (modulus, p))
-        self.p, self.e, self.modulus = p, e, modulus
-
-    @property
-    def q(self):
-        return self.p ** self.e
-
-
-def field_spec(q):
-    """FieldSpec for F_q using the built-in modulus table."""
-    p, e = _prime_power(q)
-    if q > MAX_Q:
-        raise FieldError("field size %d exceeds supported bound %d" % (q, MAX_Q))
-    if e == 1:
-        return FieldSpec(p, 1, ())
-    if q not in IRREDUCIBLE_MODULI:
-        raise FieldError("no built-in modulus for q=%d" % q)
-    return FieldSpec(p, e, IRREDUCIBLE_MODULI[q])
-
-
 class Fq:
-    """Table-driven arithmetic for one FieldSpec. Elements are ints 0..q-1."""
+    """Table-driven arithmetic in F_q. Elements are ints 0..q-1."""
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.e = spec.e
-        self.q = spec.q
+    def __init__(self, q):
+        self.p, self.e = _prime_power(q)
+        if q > MAX_Q:
+            raise FieldError("field size %d exceeds supported bound %d"
+                             % (q, MAX_Q))
+        self.q = q
         self._build_tables()
 
     def _digits(self, a):
@@ -207,7 +145,7 @@ class Fq:
                         for j, y in enumerate(db):
                             prod[i + j] = (prod[i + j] + x * y) % p
                 if e > 1:
-                    prod = _poly_mod(prod, list(self.spec.modulus), p)
+                    prod = _poly_mod(prod, IRREDUCIBLE_MODULI[q], p)
                 else:
                     prod = [prod[0] % p]
                 prod += [0] * (e - len(prod))
@@ -245,6 +183,9 @@ class Fq:
         return range(self.q)
 
 
-@lru_cache(maxsize=None)
-def get_field(spec: FieldSpec) -> Fq:
-    return Fq(spec)
+# typed, so that a float equal to a cached size is not answered from the
+# int's entry (Fq itself fails on a float)
+@lru_cache(maxsize=None, typed=True)
+def get_field(q) -> Fq:
+    """F_q, for a prime power q <= MAX_Q; refuses any other q."""
+    return Fq(q)

@@ -33,7 +33,7 @@ import itertools
 from . import linalg
 from .cohomology import (SIZE_BUDGET, blowup, build_ring, check_size_budget,
                          proj, restrict_to_divisor)
-from .fields import field_spec, get_field
+from .fields import get_field
 from .geometry import make_subvariety
 from .lefschetz import omega_form
 from .weightss import SemistableComplex, Stratum, explicit_surface_ring
@@ -131,7 +131,7 @@ def triangle_of_planes(q=2):
 
 # -- the Drinfeld vertex-star quotient -------------------------------------------
 
-def _singer_labelling(field):
+def _singer_labelling(q):
     """(points, D): the points of P^2(F_q) labelled by the trace sequence of
     a Singer cycle, and the labels on the line x_0 = 0.
 
@@ -145,8 +145,8 @@ def _singer_labelling(field):
     since s_(i+m) = x^m s_i with x^m in F_q^*; it is a perfect difference
     set, and qD = D because Tr(y^q) = Tr(y).
     """
-    fq = get_field(field)
-    m = field.q ** 2 + field.q + 1
+    fq = get_field(q)
+    m = q * q + q + 1
     for c0, c1, c2 in itertools.product(fq.elements(), repeat=3):
         if c0 == 0:
             continue
@@ -159,8 +159,8 @@ def _singer_labelling(field):
         if len(states) == m:
             break
     else:
-        raise FixtureError("no Singer cycle found for q=%d" % field.q)
-    points = [make_subvariety(2, [s[i:i + 3]], field) for i in range(m)]
+        raise FixtureError("no Singer cycle found for q=%d" % q)
+    points = [make_subvariety(2, [s[i:i + 3]], q) for i in range(m)]
     return points, [i for i in range(m) if s[i] == 0]
 
 
@@ -192,15 +192,14 @@ def drinfeld_local(d=2, q=2):
     budget is refused before anything is built."""
     if d != 2:
         raise FixtureError("drinfeld-local is implemented for d=2")
-    field = field_spec(q)
+    spec = blowup(2, q)
     size = q * q + q + 1
     check_size_budget(9 + 3 * size * (q + 6), "E1 total dimension")
-    spec = blowup(2, field)
     ring = build_ring(spec)
-    points, D = _singer_labelling(field)
+    points, D = _singer_labelling(q)
     # l_a is the line through p_(a+d) for the first two d in D
     lines = [make_subvariety(2, [points[(a + d) % size].basis[0]
-                                 for d in D[:2]], field)
+                                 for d in D[:2]], q)
              for a in range(size)]
 
     # restriction data, computed once per center; the D_V of a point and of

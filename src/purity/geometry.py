@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .fields import FieldSpec, field_spec, get_field
+from .fields import get_field
 from .record import Record
 
 MAX_AMBIENT = 6
@@ -55,19 +55,18 @@ class LinearSubvariety(Record):
     """Canonical form of an F_q-rational linear subvariety of P^ambient_n.
 
     dim is the projective dimension, one less than the number of basis rows;
-    enumeration produces dims 0..ambient_n.  The hash of the field tuple is
-    taken once, as subvarieties key `AmbientGeometry.bits`, the numbering
-    that names the blow-up generators.
+    enumeration produces dims 0..ambient_n, and q is the size of the field.
+    The hash is taken once, as subvarieties key `AmbientGeometry.bits`, the
+    numbering that names the blow-up generators.
     """
 
-    _fields = ("ambient_n", "dim", "basis", "field")
+    _fields = ("ambient_n", "dim", "basis", "q")
     __slots__ = _fields + ("_hash",)
 
-    def __init__(self, ambient_n, dim, basis, field):
+    def __init__(self, ambient_n, dim, basis, q):
         if dim != len(basis) - 1:
             raise GeometryError("dimension does not match basis row count")
-        self.ambient_n, self.dim, self.basis, self.field = (
-            ambient_n, dim, basis, field)
+        self.ambient_n, self.dim, self.basis, self.q = ambient_n, dim, basis, q
         self._hash = hash(self._values())
 
     def __hash__(self):
@@ -84,10 +83,9 @@ class LinearSubvariety(Record):
         return tuple(piv)
 
 
-def make_subvariety(ambient_n, rows, field):
-    fq = get_field(field)
-    reduced, _ = rref(rows, fq)
-    return LinearSubvariety(ambient_n, len(reduced) - 1, reduced, field)
+def make_subvariety(ambient_n, rows, q):
+    reduced, _ = rref(rows, get_field(q))
+    return LinearSubvariety(ambient_n, len(reduced) - 1, reduced, q)
 
 
 def _reduce_vector(vec, V, fq):
@@ -102,11 +100,11 @@ def _reduce_vector(vec, V, fq):
 
 def contains(V, W):
     """True iff W is contained in V (as subvarieties: row space inclusion)."""
-    if V.ambient_n != W.ambient_n or V.field != W.field:
+    if V.ambient_n != W.ambient_n or V.q != W.q:
         raise GeometryError("ambient space mismatch")
     if W.dim > V.dim:
         return False
-    fq = get_field(V.field)
+    fq = get_field(V.q)
     for row in W.basis:
         if any(_reduce_vector(row, V, fq)):
             return False
@@ -135,20 +133,18 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def enumerate_subspaces(n, field, d):
+def enumerate_subspaces(n, q, d):
     """All d-dimensional F_q-rational linear subvarieties of P^n.
 
     Deterministic output, sorted lexicographically on echelon matrices; the
     count is the Gaussian binomial [n+1 choose d+1]_q.
     """
-    if not isinstance(field, FieldSpec):
-        field = field_spec(field)
+    fq = get_field(q)
     if n < 0 or n > MAX_AMBIENT:
         raise GeometryError("ambient dimension %r out of supported range 0..%d"
                             % (n, MAX_AMBIENT))
     if d < 0 or d > n:
         raise GeometryError("subvariety dimension %r out of range 0..%d" % (d, n))
-    fq = get_field(field)
     k = d + 1
     ncols = n + 1
     out = []
@@ -164,9 +160,9 @@ def enumerate_subspaces(n, field, d):
                 rows[i][pivots[i]] = 1
             for (i, c), v in zip(free_pos, vals):
                 rows[i][c] = v
-            out.append(LinearSubvariety(n, d, tuple(tuple(r) for r in rows), field))
+            out.append(LinearSubvariety(n, d, tuple(tuple(r) for r in rows), q))
     out.sort(key=lambda V: V.basis)
-    assert len(out) == gaussian_binomial(n + 1, k, field.q)
+    assert len(out) == gaussian_binomial(n + 1, k, q)
     return out
 
 
@@ -177,7 +173,7 @@ def quotient_image(V, W):
     Containment-preserving in both directions; dim of the image is
     dim W - dim V - 1.
     """
-    fq = get_field(V.field)
+    fq = get_field(V.q)
     piv = set(V.pivots)
     keep = [c for c in range(V.ambient_n + 1) if c not in piv]
     rows = []
@@ -186,7 +182,7 @@ def quotient_image(V, W):
         vec = [red[c] for c in keep]
         if any(vec):
             rows.append(vec)
-    return make_subvariety(V.ambient_n - V.dim - 1, rows, V.field)
+    return make_subvariety(V.ambient_n - V.dim - 1, rows, V.q)
 
 
 def sub_image(V, W):
@@ -195,7 +191,7 @@ def sub_image(V, W):
     rows = []
     for row in W.basis:
         rows.append([row[c] for c in V.pivots])
-    return make_subvariety(V.dim, rows, V.field)
+    return make_subvariety(V.dim, rows, V.q)
 
 
 class AmbientGeometry:
@@ -217,13 +213,12 @@ class AmbientGeometry:
     those combinations are already in canonical form.
     """
 
-    def __init__(self, n, field):
+    def __init__(self, n, q):
         self.n = n
-        self.field = field
-        self.by_dim = [enumerate_subspaces(n, field, d) for d in range(n)]
+        self.by_dim = [enumerate_subspaces(n, q, d) for d in range(n)]
         self.proper = [V for subs in self.by_dim for V in subs]
         self.bits = {V: i for i, V in enumerate(self.proper)}
-        fq = get_field(field)
+        fq = get_field(q)
         point_bit = {P.basis: 1 << i for i, P in enumerate(self.proper)
                      if P.dim == 0}
         through = [0] * len(point_bit)   # point index -> mask of subvarieties on it
@@ -287,5 +282,5 @@ def _bit_indices(mask):
 
 
 @lru_cache(maxsize=None)
-def ambient_geometry(n, field):
-    return AmbientGeometry(n, field)
+def ambient_geometry(n, q):
+    return AmbientGeometry(n, q)

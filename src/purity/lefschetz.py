@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from . import linalg
 from .cohomology import blowup
-from .fields import field_spec
 from .geometry import ambient_geometry, point_count
 from .record import Record
 
@@ -220,7 +219,7 @@ class InvariantDivisorForm(Record):
             raise LefschetzError("a class of B^%d/F_%d is not a class of this "
                                  "ring" % (self.n, self.q))
         # the N^1 basis is h, then the e_V with dim V <= n-2, each once
-        proper = ambient_geometry(self.n, field_spec(self.q)).proper
+        proper = ambient_geometry(self.n, self.q).proper
         return [self.alpha] + [self.levels[proper[g].dim]
                                for (g,) in ring.basis[1][1:]]
 
@@ -259,8 +258,12 @@ def margins(form: InvariantDivisorForm):
 def is_positive(form: InvariantDivisorForm):
     """Ampleness criterion: the margins pass every wall inequality,
     (q+1) c_k > c_(k+1) + q c_(k-1) for k = 1..n (they are strictly
-    q-concave).  A class it accepts satisfies hard Lefschetz and the
-    Hodge-Riemann relations.
+    q-concave).  A refusal is sound: a failed wall is a curve on which the
+    class has non-positive degree, so the class is not ample.  Acceptance
+    rests on strict convexity at every wall implying ampleness
+    (Adiprasito-Huh-Katz, Ann. Math. 2018, section 4), which is not proved
+    here; `hodge` still checks hard Lefschetz and Hodge-Riemann on every
+    class it accepts, so no verdict rests on that step.
 
     B^n is the wonderful model of the arrangement of all F_q-rational
     hyperplanes of P^n with the maximal building set, so N^*(B^n) is the
@@ -294,9 +297,11 @@ def is_positive(form: InvariantDivisorForm):
     of k.  Its left side less its right is the degree of the class on the
     curve cut out by the x_F of the wall's flag (on B^2: -a_0 on e_P for a
     point P, alpha + (q+1) a_0 on the strict transform of a line), so an
-    ample class passes every wall; the gate takes the walls as the whole
-    criterion, and every class it accepts in the tests passes hard
-    Lefschetz and Hodge-Riemann.  Concavity, 2 c_k > c_(k-1) + c_(k+1), is
+    ample class passes every wall.  The gate takes the walls as the whole
+    criterion; that strict convexity across each wall makes the function
+    strictly convex on the whole fan is the step taken from AHK, and every
+    class it accepts in the tests passes hard Lefschetz and Hodge-Riemann.
+    Concavity, 2 c_k > c_(k-1) + c_(k+1), is
     a different test: alpha,a_0,a_1 = 73/2,-11,-2 on B^3/F_3 is concave, has
     wall 3 = -3/2 and fails Hodge-Riemann; 15,-5,-1/2 on B^3/F_2 is not
     concave, has walls 1/2, 7/2, 1 and passes both.  Positive margins are

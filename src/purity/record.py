@@ -3,12 +3,11 @@
 A record names its fields once, `__slots__ = _fields = (...)`, and is
 built from them positionally.  It is equal only to a record of its own
 class with equal fields (not to a subclass, as a dataclass compared
-`__class__`), hashed as the tuple of its fields and ordered by that tuple,
-and shown as `Name(field=value, ...)`.  The variety specs are records, so
-each spec is equal to a spec of its own class with the same fields and
-hashed by them: specs key `build_ring`, the `restrict_generator` memo and
-the flag-type memo.  Field specs and subvarieties are sorted, and their
-reprs appear in error messages.
+`__class__`), hashed as the tuple of its fields and shown as
+`Name(field=value, ...)`; records have no order.  The variety specs are
+records, so each spec is equal to a spec of its own class with the same
+fields and hashed by them: specs key `build_ring`, the `restrict_generator`
+memo and the flag-type memo.  Subvariety reprs appear in error messages.
 """
 
 
@@ -30,11 +29,6 @@ class Record:
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
-
-    def __lt__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() < other._values()
 
     def __hash__(self):
         return hash(self._values())

@@ -530,7 +530,7 @@ def complex_to_json(cx):
         if isinstance(spec, cohomology.Projective):
             return {"kind": "projective", "n": spec.n}
         if isinstance(spec, cohomology.BlownUp):
-            return {"kind": "blowup", "n": spec.n, "q": spec.field.q}
+            return {"kind": "blowup", "n": spec.n, "q": spec.q}
         return {"kind": "product",
                 "factors": [variety_json(f) for f in spec.factors]}
 

@@ -527,7 +527,7 @@ def normalize_divisor(spec, coeffs):
         if out and spec.n == 0:
             raise CohomologyError("P^0 has no degree-1 class")
         return out
-    geom = ambient_geometry(spec.n, spec.field)
+    geom = ambient_geometry(spec.n, spec.q)
     out = {}
     for g, c in coeffs.items():
         c = Fraction(c)

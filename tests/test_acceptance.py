@@ -20,7 +20,6 @@ from purity import linalg
 from purity.cli import main as cli_main
 from purity.cohomology import (GEN_H, betti_numbers, blowup, build_ring,
                                gen_e, intersection_number, monomial, product)
-from purity.fields import field_spec
 from purity.fixtures import drinfeld_local, tate_cycle, two_planes
 from purity.geometry import ambient_geometry, enumerate_subspaces, \
     gaussian_binomial
@@ -42,11 +41,10 @@ def report(num, label, elapsed=None):
 def test_criterion_1_enumeration():
     t0 = time.time()
     for q in (2, 3, 4):
-        field = field_spec(q)
         for n in range(1, 5):
             oracle_levels = subspaces_by_dim(q, n + 1)
             for d in range(0, n + 1):
-                subs = enumerate_subspaces(n, field, d)
+                subs = enumerate_subspaces(n, q, d)
                 assert len(subs) == gaussian_binomial(n + 1, d + 1, q)
                 assert {packed_points(V) for V in subs} == set(oracle_levels[d + 1])
     elapsed = time.time() - t0
@@ -181,7 +179,7 @@ def test_criterion_8_zeta_reproduction():
 
 def test_criterion_9_negative_controls(tmp_path, capsys):
     ring = build_ring(blowup(2, 2))
-    geom = ambient_geometry(2, field_spec(2))
+    geom = ambient_geometry(2, 2)
     P = geom.by_dim[0][0]
     # e_P is not positive; the combined verification fails (Hodge positivity:
     # its square -1 still gives an isomorphism H^0 -> H^4)

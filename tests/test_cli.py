@@ -1047,13 +1047,14 @@ def test_products_report_is_streamed_in_small_memory(monkeypatch):
 # `primitive_gram` and `hodge_sweep`, which moved into the tests' oracle, less
 # `build_e1` and `quotient_geometry`, which no command ran, and less
 # `invariant_form` and `omega_class`, the generator-dict route of invariant
-# classes that `InvariantDivisorForm.vector` replaced
+# classes that `InvariantDivisorForm.vector` replaced, and less `FieldSpec`
+# and `field_spec`: a field is named by its size q
 PUBLIC_NAMES = [
-    "BlownUp", "FieldSpec", "LinearSubvariety", "Product", "Projective",
+    "BlownUp", "LinearSubvariety", "Product", "Projective",
     "SemistableComplex", "Stratum", "betti_numbers", "blowup", "build_ring",
     "check_hard_lefschetz", "check_hodge_standard", "check_purity",
     "cohomology", "complex_to_json", "contains", "enumerate_subspaces",
-    "euler_check", "explicit_surface_ring", "field_spec", "fields", "fixtures",
+    "euler_check", "explicit_surface_ring", "fields", "fixtures",
     "gaussian_binomial", "geometry", "hyperplane_relation",
     "inertia_invariants", "intersection_number", "is_positive", "l_factor",
     "lefschetz", "linalg", "load_complex", "make_context", "make_fixture",

@@ -13,7 +13,6 @@ from purity.cohomology import (GEN_H, CohomologyError, ResourceGuardError,
                                hyperplane_relation,
                                intersection_number, monomial, proj, product,
                                restrict_to_divisor)
-from purity.fields import field_spec
 from purity.fixtures import two_planes
 from purity.geometry import ambient_geometry
 from purity.weightss import explicit_surface_ring
@@ -22,12 +21,8 @@ from oracle import (comparable, cup_matrix, divisor_vector, merge, multiply,
                     top_number)
 
 
-F2 = field_spec(2)
-F3 = field_spec(3)
-
-
-def geom(n, field=F2):
-    return ambient_geometry(n, field)
+def geom(n, q=2):
+    return ambient_geometry(n, q)
 
 
 def _support_is_chain(spec, mono):
@@ -40,7 +35,7 @@ def _support_is_chain(spec, mono):
 def _pairwise_comparable(spec, mono):
     """The centers of mono's exceptional factors, read from the geometry by
     their numbers, are pairwise comparable under F_q containment."""
-    proper = geom(spec.n, spec.field).proper
+    proper = geom(spec.n, spec.q).proper
     centers = [proper[g] for g in mono if g != GEN_H]
     return all(comparable(a, b)
                for a, b in itertools.combinations(centers, 2))
@@ -85,7 +80,7 @@ def test_hyperplane_relation_sum_over_all_lines():
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
 def test_hyperplane_relation_on_projective_space(n, q):
     # every hyperplane of P^n has the class h
-    for H in geom(n, field_spec(q)).by_dim[n - 1]:
+    for H in geom(n, q).by_dim[n - 1]:
         assert hyperplane_relation(proj(n), H) == {GEN_H: 1}
 
 
@@ -95,6 +90,14 @@ def test_hyperplane_relation_refuses_a_foreign_subvariety(spec):
         hyperplane_relation(spec, geom(2).by_dim[0][0])
     with pytest.raises(CohomologyError, match=r"needs V in P\^2, not in P\^3"):
         hyperplane_relation(spec, geom(3).by_dim[1][0])
+
+
+@pytest.mark.parametrize("q,other", [(3, 2), (2, 3)])
+def test_hyperplane_relation_refuses_a_hyperplane_over_another_field(q, other):
+    line = geom(2, other).by_dim[1][0]
+    with pytest.raises(CohomologyError, match=r"needs V over F_%d, not over "
+                                              r"F_%d$" % (q, other)):
+        hyperplane_relation(blowup(2, q), line)
 
 
 @pytest.mark.parametrize("spec,kind", [
@@ -122,7 +125,7 @@ def test_normalize_rejects_foreign_generators():
                                  (4, 2)])
 def test_generators_are_the_flat_numbers(n, q):
     # h, then the centers (the flats of dim <= n-2) by their numbers
-    g = geom(n, field_spec(q))
+    g = geom(n, q)
     centers = sum(len(subs) for subs in g.by_dim[:-1])
     assert generators(blowup(n, q)) == [GEN_H] + list(range(centers))
     assert [gen_e(V) for V in g.proper] == [g.bits[V] for V in g.proper] \
@@ -192,13 +195,13 @@ def test_projective_linear_equivariance():
     from purity.geometry import make_subvariety
     spec = blowup(2, 2)
     g = geom(2)
-    fq = get_field(F2)
+    fq = get_field(2)
     mat = [[1, 1, 0], [0, 1, 0], [1, 0, 1]]   # invertible over F_2
 
     def act(v):
         rows = [[_dot(fq, row, [mat[k][j] for k in range(3)])
                  for j in range(3)] for row in v.basis]
-        return make_subvariety(2, rows, F2)
+        return make_subvariety(2, rows, 2)
 
     def _dot(f, u, w):
         s = 0
@@ -382,7 +385,7 @@ def test_monomial_coords_solve_against_all_top_numbers(n, q):
     # holds chains, non-chains and powers of one center.
     ring = build_ring(blowup(n, q))
     sample = [GEN_H] + [gen_e(V) for d in range(n - 1)
-                        for V in geom(n, field_spec(q)).by_dim[d][:3]]
+                        for V in geom(n, q).by_dim[d][:3]]
     seen = collections.Counter()
     for j in range(n + 1):
         for mono in itertools.combinations_with_replacement(sample, j):
@@ -611,7 +614,7 @@ def test_restriction_kernel_is_zero_below_top():
     # a degree-1 class restricting to zero on every divisor is zero
     for (n, q) in [(2, 2), (3, 2)]:
         ring = build_ring(blowup(n, q))
-        g = ambient_geometry(n, field_spec(q))
+        g = ambient_geometry(n, q)
         rows = []
         for d in range(n):
             for V in g.by_dim[d]:
@@ -688,7 +691,7 @@ def test_basis_pick_matches_fraction_greedy(n, q):
 def _exponent_bounds_hold(spec, mono):
     """The Feichtner-Yuzvinsky bounds on a chain monomial h^a prod e_(V_i)^(b_i):
     b_i <= d_(i+1) - d_i - 1 with d_0 = -1 for h (b_0 = a) and d_(k+1) = n."""
-    proper = geom(spec.n, spec.field).proper
+    proper = geom(spec.n, spec.q).proper
     centers = sorted({g for g in mono if g != GEN_H},
                      key=lambda g: proper[g].dim)
     dims = [-1] + [proper[g].dim for g in centers] + [spec.n]

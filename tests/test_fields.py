@@ -2,13 +2,14 @@ from math import isqrt
 
 import pytest
 
-from purity.fields import (MR_BOUND, FieldError, FieldSpec, _prime_power,
-                           field_spec, get_field, is_prime)
+from purity import fields
+from purity.fields import (IRREDUCIBLE_MODULI, MAX_Q, MR_BOUND, FieldError, Fq,
+                           _prime_power, get_field, is_prime)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_field_axioms_exhaustive(q):
-    fq = get_field(field_spec(q))
+    fq = get_field(q)
     els = list(fq.elements())
     assert len(els) == q
     for a in els:
@@ -27,13 +28,13 @@ def test_field_axioms_exhaustive(q):
 
 
 def test_prime_power_detection():
-    assert field_spec(9).p == 3 and field_spec(9).e == 2
+    assert get_field(9).p == 3 and get_field(9).e == 2
     with pytest.raises(FieldError):
-        field_spec(6)
+        get_field(6)
     with pytest.raises(FieldError):
-        field_spec(1)
+        get_field(1)
     with pytest.raises(FieldError):
-        field_spec(32)   # beyond the supported bound
+        get_field(32)   # beyond the supported bound
 
 
 @pytest.mark.parametrize("q,pe", [(2, (2, 1)), (4, (2, 2)), (9, (3, 2)),
@@ -75,36 +76,33 @@ def test_miller_rabin_matches_trial_division():
         assert not is_prime(m)
 
 
-def test_modulus_validation():
-    # x^2 + 1 is reducible over F_2 ((x+1)^2), so this must be rejected
-    with pytest.raises(FieldError):
-        FieldSpec(2, 2, (1, 0, 1))
-    # and irreducible over F_3
-    FieldSpec(3, 2, (1, 0, 1))
-    with pytest.raises(FieldError):
-        FieldSpec(4, 1, ())   # characteristic must be prime
+def test_every_prime_power_up_to_max_q_has_a_table_modulus():
+    extensions = set()
+    for q in range(2, MAX_Q + 1):
+        try:
+            p, e = _prime_power(q)
+        except FieldError:
+            continue
+        if e > 1:
+            extensions.add(q)
+            modulus = IRREDUCIBLE_MODULI[q]
+            assert len(modulus) == e + 1 and modulus[-1] == 1
+        assert get_field(q).q == q
+    assert set(IRREDUCIBLE_MODULI) == extensions == {4, 8, 9, 16}
 
 
-@pytest.mark.parametrize("modulus", [[1, 1, 1], None, (1.0, 1, 1),
-                                     (1, True, 1)])
-def test_an_extension_modulus_is_a_tuple_of_ints(modulus):
-    # a list modulus would construct, and then fail hashed by a ring cache
-    with pytest.raises(FieldError, match="modulus must be a tuple of ints"):
-        FieldSpec(2, 2, modulus)
-    assert FieldSpec(2, 2, (1, 1, 1)) == field_spec(4)
-
-
-# a prime field has one spec, FieldSpec(p, 1, ()): a None modulus would give
-# an unequal spec of the same field, and with it a second ring cache key
-@pytest.mark.parametrize("modulus", [None, [], (1,), (0, 1)])
-def test_a_prime_field_takes_only_the_empty_modulus(modulus):
-    with pytest.raises(FieldError, match="prime field takes no modulus"):
-        FieldSpec(2, 1, modulus)
-    assert FieldSpec(2, 1, ()) == FieldSpec(2, 1) == field_spec(2)
+# each modulus has a root or a square factor: (x+1)^2, (x+1)(x^2+x+1),
+# (x-1)(x+1) and (x^2+x+1)^2, so the tables have a zero divisor
+@pytest.mark.parametrize("q,modulus", [(4, (1, 0, 1)), (8, (1, 0, 0, 1)),
+                                       (9, (2, 0, 1)), (16, (1, 0, 1, 0, 1))])
+def test_a_reducible_table_modulus_is_refused(monkeypatch, q, modulus):
+    monkeypatch.setitem(fields.IRREDUCIBLE_MODULI, q, modulus)
+    with pytest.raises(FieldError, match="has no inverse"):
+        Fq(q)   # get_field is cached
 
 
 def test_frobenius_is_additive():
-    fq = get_field(field_spec(8))
+    fq = get_field(8)
     for a in fq.elements():
         for b in fq.elements():
             fa = fq.mul(a, a)

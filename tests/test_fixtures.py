@@ -6,7 +6,6 @@ of the triangle exactly once."""
 
 import pytest
 
-from purity.fields import field_spec
 from purity.fixtures import _singer_labelling, _triangle_matching
 from purity.geometry import contains, enumerate_subspaces, make_subvariety
 
@@ -15,15 +14,14 @@ QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 @pytest.mark.parametrize("q", QS)
 def test_the_labelling_is_every_point_once(q):
-    field = field_spec(q)
-    points, _ = _singer_labelling(field)
+    points, _ = _singer_labelling(q)
     assert len(points) == q * q + q + 1
-    assert set(points) == set(enumerate_subspaces(2, field, 0))
+    assert set(points) == set(enumerate_subspaces(2, q, 0))
 
 
 @pytest.mark.parametrize("q", QS)
 def test_the_trace_zero_set_is_a_multiplier_fixed_difference_set(q):
-    _, D = _singer_labelling(field_spec(q))
+    _, D = _singer_labelling(q)
     m = q * q + q + 1
     # a perfect difference set: every nonzero residue is one difference
     diffs = sorted((a - b) % m for a in D for b in D if a != b)
@@ -35,20 +33,19 @@ def test_the_trace_zero_set_is_a_multiplier_fixed_difference_set(q):
 def test_the_lines_are_the_translates_of_D(q):
     # l_a, the line through p_(a+d) for the first two d in D, holds p_b iff
     # b - a is in D; l_0 is the line x_0 = 0
-    field = field_spec(q)
-    points, D = _singer_labelling(field)
+    points, D = _singer_labelling(q)
     m = len(points)
     assert {b for b in range(m) if points[b].basis[0][0] == 0} == set(D)
     for a in range(m):
         line = make_subvariety(2, [points[(a + d) % m].basis[0]
-                                   for d in D[:2]], field)
+                                   for d in D[:2]], q)
         assert {b for b in range(m) if contains(line, points[b])} \
             == {(a + d) % m for d in D}
 
 
 @pytest.mark.parametrize("q", QS)
 def test_the_flag_matching_is_an_exact_cover(q):
-    _, D = _singer_labelling(field_spec(q))
+    _, D = _singer_labelling(q)
     m = q * q + q + 1
     matching = _triangle_matching(D, q)
     # (a, b) is incident when p_b lies on l_a, i.e. b - a in D

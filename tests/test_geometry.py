@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracle import subspaces_by_dim
 
-from purity.fields import field_spec, get_field
+from purity.fields import get_field
 from purity.geometry import (AmbientGeometry, GeometryError,
                              LinearSubvariety, ambient_geometry, contains,
                              enumerate_subspaces, gaussian_binomial,
@@ -15,22 +15,22 @@ from purity.geometry import (AmbientGeometry, GeometryError,
                              sub_image)
 
 
-def whole_space(ambient_n, field):
+def whole_space(ambient_n, q):
     rows = tuple(tuple(1 if j == i else 0 for j in range(ambient_n + 1))
                  for i in range(ambient_n + 1))
-    return LinearSubvariety(ambient_n, ambient_n, rows, field)
+    return LinearSubvariety(ambient_n, ambient_n, rows, q)
 
 
 def quotient_map(V):
     """{W: its quotient image} over the proper W strictly containing V."""
-    geom = ambient_geometry(V.ambient_n, V.field)
+    geom = ambient_geometry(V.ambient_n, V.q)
     return {W: quotient_image(V, W) for W in geom.proper
             if W != V and contains(W, V)}
 
 
 def packed_points(V):
     """All nonzero vectors of the row space, packed base q (oracle format)."""
-    fq = get_field(V.field)
+    fq = get_field(V.q)
     q = fq.q
     vectors = {tuple([0] * (V.ambient_n + 1))}
     for row in V.basis:
@@ -59,10 +59,9 @@ def test_point_count_examples():
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_matches_brute_force(n, q):
-    field = field_spec(q)
     oracle_levels = subspaces_by_dim(q, n + 1)
     for d in range(0, n + 1):
-        subs = enumerate_subspaces(n, field, d)
+        subs = enumerate_subspaces(n, q, d)
         assert len(subs) == gaussian_binomial(n + 1, d + 1, q)
         assert len(set(subs)) == len(subs)
         ours = {packed_points(V) for V in subs}
@@ -71,21 +70,21 @@ def test_enumeration_matches_brute_force(n, q):
 
 
 def test_enumeration_examples():
-    assert len(enumerate_subspaces(1, field_spec(2), 0)) == 3
-    assert len(enumerate_subspaces(2, field_spec(2), 1)) == 7
-    assert len(enumerate_subspaces(3, field_spec(2), 1)) == 35
+    assert len(enumerate_subspaces(1, 2, 0)) == 3
+    assert len(enumerate_subspaces(2, 2, 1)) == 7
+    assert len(enumerate_subspaces(3, 2, 1)) == 35
 
 
 def test_enumeration_rejects_bad_input():
     with pytest.raises(GeometryError):
-        enumerate_subspaces(2, field_spec(2), 3)
+        enumerate_subspaces(2, 2, 3)
     with pytest.raises(GeometryError):
-        enumerate_subspaces(7, field_spec(2), 1)
+        enumerate_subspaces(7, 2, 1)
 
 
 def test_contains_is_partial_order():
-    field = field_spec(2)
-    geom = ambient_geometry(2, field)
+    q = 2
+    geom = ambient_geometry(2, q)
     for v in geom.proper:
         assert contains(v, v)
     rng = random.Random(7)
@@ -98,8 +97,8 @@ def test_contains_is_partial_order():
 
 
 def test_containment_by_construction():
-    field = field_spec(3)
-    geom = ambient_geometry(2, field)
+    q = 3
+    geom = ambient_geometry(2, q)
     line = geom.by_dim[1][0]
     pts_on = [p for p in geom.by_dim[0] if contains(line, p)]
     assert len(pts_on) == 4
@@ -108,8 +107,8 @@ def test_containment_by_construction():
 
 
 def test_quotient_geometry_examples():
-    field = field_spec(2)
-    geom = ambient_geometry(2, field)
+    q = 2
+    geom = ambient_geometry(2, q)
     P = geom.by_dim[0][0]
     qmap = quotient_map(P)
     lines_through = [w for w in qmap if w.dim == 1]
@@ -118,16 +117,16 @@ def test_quotient_geometry_examples():
     assert len(images) == 3
     assert all(v.ambient_n == 1 and v.dim == 0 for v in images)
     # top element maps to the whole target
-    geom3 = ambient_geometry(3, field)
+    geom3 = ambient_geometry(3, q)
     L = geom3.by_dim[1][0]
-    top = whole_space(3, field)
+    top = whole_space(3, q)
     img = quotient_image(L, top)
     assert img.dim == 1 and img.ambient_n == 1
 
 
 def test_quotient_preserves_containment():
-    field = field_spec(2)
-    geom = ambient_geometry(3, field)
+    q = 2
+    geom = ambient_geometry(3, q)
     P = geom.by_dim[0][0]
     qmap = quotient_map(P)
     planes = [w for w in qmap if w.dim == 2]
@@ -139,8 +138,8 @@ def test_quotient_preserves_containment():
 
 
 def test_sub_image_preserves_containment():
-    field = field_spec(2)
-    geom = ambient_geometry(3, field)
+    q = 2
+    geom = ambient_geometry(3, q)
     plane = geom.by_dim[2][0]
     inside = [w for w in geom.proper
               if w.dim < 2 and contains(plane, w)]
@@ -151,23 +150,23 @@ def test_sub_image_preserves_containment():
 
 
 def test_canonical_form_under_coordinate_permutation():
-    field = field_spec(3)
+    q = 3
     rng = random.Random(11)
     perm = list(range(4))
     rng.shuffle(perm)
-    subs = enumerate_subspaces(3, field, 1)
+    subs = enumerate_subspaces(3, q, 1)
     permuted = set()
     for v in subs:
         rows = [tuple(row[perm[j]] for j in range(4)) for row in v.basis]
-        permuted.add(make_subvariety(3, rows, field))
+        permuted.add(make_subvariety(3, rows, q))
     assert permuted == set(subs)
 
 
 @pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 3), (3, 2), (3, 3)])
 def test_incidence_masks_match_fq_containment(n, q):
-    geom = AmbientGeometry(n, field_spec(q))   # fresh: numbered at construction
+    geom = AmbientGeometry(n, q)   # fresh: numbered at construction
     proper = geom.proper
-    assert geom.by_dim == [enumerate_subspaces(n, field_spec(q), d)
+    assert geom.by_dim == [enumerate_subspaces(n, q, d)
                            for d in range(n)]
     assert proper == [V for subs in geom.by_dim for V in subs]
     assert geom.bits == {V: i for i, V in enumerate(proper)}
@@ -184,7 +183,7 @@ def test_incidence_masks_match_fq_containment(n, q):
 
 
 def test_incidence_rejects_subvarieties_outside_the_numbering():
-    geom = ambient_geometry(2, field_spec(2))
+    geom = ambient_geometry(2, 2)
     P = geom.by_dim[0][0]
     with pytest.raises(GeometryError, match="not a proper subvariety"):
-        geom.contains(whole_space(2, field_spec(2)), P)
+        geom.contains(whole_space(2, 2), P)

@@ -6,7 +6,6 @@ import pytest
 from purity import linalg
 from purity.cohomology import (GEN_H, CohomologyError, blowup, build_ring,
                                gen_e, hyperplane_relation, proj, product)
-from purity.fields import field_spec
 from purity.geometry import ambient_geometry, point_count
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, is_positive,
@@ -102,7 +101,7 @@ def test_omega_passes_lefschetz_and_hodge(n, q):
 
 def test_primitive_dims_do_not_depend_on_the_class():
     ring = b2_ring()
-    geom = ambient_geometry(2, field_spec(2))
+    geom = ambient_geometry(2, 2)
     pts = geom.by_dim[0]
     # two different positive invariant classes
     v1 = omega_form(2, 2).vector(ring)
@@ -141,7 +140,7 @@ def _hyperplane_sum(spec, geom):
                                  (3, 3), (3, 4), (4, 2), (1, 3)])
 def test_vector_matches_the_generator_dict_route(n, q):
     ring = build_ring(blowup(n, q))
-    geom = ambient_geometry(n, field_spec(q))
+    geom = ambient_geometry(n, q)
     rng = random.Random(10 * n + q)
     raw = [(-(n + 1), [n - d for d in range(n)])]            # omega
     for _ in range(5):
@@ -193,7 +192,7 @@ def _check_walls_on_flag_curves(n, q):
     every D_V a generator dict of the oracle.  On B^2 wall 1 is the degree
     on e_P, wall 2 that on the strict transform of a line."""
     ring = build_ring(blowup(n, q))
-    geom = ambient_geometry(n, field_spec(q))
+    geom = ambient_geometry(n, q)
     flag = [geom.by_dim[0][0]]
     for d in range(1, n):
         flag.append(next(W for W in geom.by_dim[d]
@@ -330,7 +329,7 @@ def test_folding_the_top_level_preserves_the_class():
     assert form.levels[1] == 0
     direct = form.vector(ring)
     total = {GEN_H: Fraction(1)}
-    geomv = ambient_geometry(2, field_spec(2))
+    geomv = ambient_geometry(2, 2)
     for line in geomv.by_dim[1]:
         for k, c in hyperplane_relation(ring.spec, line).items():
             total[k] = total.get(k, 0) + c
@@ -339,7 +338,7 @@ def test_folding_the_top_level_preserves_the_class():
 
 def test_negative_controls():
     ring = b2_ring()
-    geom = ambient_geometry(2, field_spec(2))
+    geom = ambient_geometry(2, 2)
     P = geom.by_dim[0][0]
     ep = divisor_vector(ring, {gen_e(P): Fraction(1)})
     ctx = make_context(ring, ep)
@@ -363,7 +362,7 @@ def test_sweep_constant_omega():
 
 def test_sweep_blowdown_family():
     ring = b2_ring()
-    geom = ambient_geometry(2, field_spec(2))
+    geom = ambient_geometry(2, 2)
     P = geom.by_dim[0][0]
     l0 = divisor_vector(ring, {GEN_H: Fraction(4)})
     l1 = divisor_vector(ring, {GEN_H: Fraction(4), gen_e(P): Fraction(-1)})
@@ -374,7 +373,7 @@ def test_sweep_blowdown_family():
 
 def test_sweep_to_exceptional_degenerates_in_the_middle():
     ring = b2_ring()
-    geom = ambient_geometry(2, field_spec(2))
+    geom = ambient_geometry(2, 2)
     P = geom.by_dim[0][0]
     rows = hodge_sweep(ring, divisor_vector(ring, {GEN_H: Fraction(1)}),
                        divisor_vector(ring, {gen_e(P): Fraction(1)}), 4)
@@ -478,7 +477,7 @@ def _random_class(ring, seed):
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_one_product_operators_match_multiply(n, q):
     ring = build_ring(blowup(n, q))
-    P = ambient_geometry(n, field_spec(q)).by_dim[0][0]
+    P = ambient_geometry(n, q).by_dim[0][0]
     classes = [omega_form(n, q).vector(ring),
                divisor_vector(ring, {GEN_H: Fraction(1)}),
                divisor_vector(ring, {gen_e(P): Fraction(1)}),
@@ -512,7 +511,7 @@ def _hl_classes(n, q):
     classes += [_random_class(ring, rng.randrange(10 ** 6)) for _ in range(3)]
     classes += [[4 * w + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                  for w in omega] for _ in range(4)]
-    P = ambient_geometry(n, field_spec(q)).by_dim[0][0]
+    P = ambient_geometry(n, q).by_dim[0][0]
     classes.append(divisor_vector(ring, {gen_e(P): Fraction(1)}))
     if (n, q) == (3, 2):   # positive margins, not concave: `hodge` refuses it
         form = normalize_invariant(3, 2, 3, [1, 1, 0])

@@ -1,28 +1,23 @@
 """Value semantics of the engine's record classes (`purity.record.Record`):
 equal fields give equal objects of one class, hashed as their field tuple;
-sorting follows the field tuples and never mixes classes; and the reprs that
-error messages print are pinned."""
-
-import random
+records have no order; and the reprs that error messages print are
+pinned."""
 
 import pytest
 
 from purity import linalg
 from purity.cohomology import BlownUp, Product, Projective, SurfaceSpec
-from purity.fields import FieldSpec, field_spec
-from purity.geometry import (GeometryError, ambient_geometry,
-                             enumerate_subspaces, make_subvariety)
+from purity.geometry import GeometryError, ambient_geometry, make_subvariety
 from purity.lefschetz import PrimitiveDecomposition, omega_form
 from purity.linalg import SignatureReport
 from purity.zeta import FactoredRationalT
 
 # each call builds a new object from new, equal fields
 VALUES = {
-    "FieldSpec": lambda: FieldSpec(2, 2, (1, 1, 1)),
-    "LinearSubvariety": lambda: make_subvariety(2, [[1, 1, 0]], field_spec(3)),
+    "LinearSubvariety": lambda: make_subvariety(2, [[1, 1, 0]], 3),
     "Projective": lambda: Projective(2),
-    "BlownUp": lambda: BlownUp(3, field_spec(2)),
-    "Product": lambda: Product((Projective(1), BlownUp(2, field_spec(2)))),
+    "BlownUp": lambda: BlownUp(3, 2),
+    "Product": lambda: Product((Projective(1), BlownUp(2, 2))),
     "SurfaceSpec": lambda: SurfaceSpec(("a", "b"),
                                        linalg.mat([[1, 0], [0, -1]])),
     "SignatureReport": lambda: SignatureReport(3, 1, 0),
@@ -69,34 +64,16 @@ def test_a_primitive_decomposition_compares_by_its_columns():
         hash(a)
 
 
-def test_sorting_follows_the_field_tuples():
-    rng = random.Random(31)
-    fields = [field_spec(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)]
-    rng.shuffle(fields)
-    assert sorted(fields) == sorted(fields,
-                                    key=lambda f: (f.p, f.e, f.modulus))
-    # points and lines of P^2 over F_2 and F_3: equal bases tie on the field
-    subs = [V for q in (2, 3) for d in (0, 1)
-            for V in enumerate_subspaces(2, q, d)]
-    rng.shuffle(subs)
-    assert sorted(subs) == sorted(subs, key=lambda V: (
-        V.ambient_n, V.dim, V.basis,
-        (V.field.p, V.field.e, V.field.modulus)))
-
-
 def test_reprs_are_pinned():
     assert repr(SignatureReport(3, 1, 0)) == (
         "SignatureReport(n_plus=3, n_minus=1, n_zero=0)")
-    assert repr(field_spec(4)) == "FieldSpec(p=2, e=2, modulus=(1, 1, 1))"
-    point = make_subvariety(2, [[1, 1, 0]], field_spec(3))
+    assert repr(BlownUp(3, 4)) == "BlownUp(n=3, q=4)"
+    point = make_subvariety(2, [[1, 1, 0]], 3)
     assert repr(point) == (
-        "LinearSubvariety(ambient_n=2, dim=0, basis=((1, 1, 0),), "
-        "field=FieldSpec(p=3, e=1, modulus=()))")
-    plane = make_subvariety(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                            field_spec(2))
+        "LinearSubvariety(ambient_n=2, dim=0, basis=((1, 1, 0),), q=3)")
+    plane = make_subvariety(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
     with pytest.raises(GeometryError) as err:
-        ambient_geometry(2, field_spec(2)).contains(plane, plane)
+        ambient_geometry(2, 2).contains(plane, plane)
     assert str(err.value) == (
         "LinearSubvariety(ambient_n=2, dim=2, basis=((1, 0, 0), (0, 1, 0), "
-        "(0, 0, 1)), field=FieldSpec(p=2, e=1, modulus=())) is not a proper "
-        "subvariety of P^2")
+        "(0, 0, 1)), q=2) is not a proper subvariety of P^2")

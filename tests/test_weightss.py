@@ -10,7 +10,6 @@ from purity import linalg, weightss, zeta
 from purity.cli import main
 from purity.cohomology import (ResourceGuardError, betti_numbers, blowup,
                                build_ring, proj, restrict_to_divisor)
-from purity.fields import field_spec
 from purity.fixtures import (drinfeld_local, make_fixture, tate_cycle,
                              triangle_of_planes, two_planes)
 from purity.geometry import ambient_geometry
@@ -211,7 +210,7 @@ def test_multiplicativity_is_checked_on_a_plane_stratum():
 def test_multiplicativity_is_checked_on_a_blown_up_plane():
     # two B^3/F_2 glued along the divisor of a plane
     ring = build_ring(blowup(3, 2))
-    plane = ambient_geometry(3, field_spec(2)).by_dim[2][0]
+    plane = ambient_geometry(3, 2).by_dim[2][0]
     target, mats = restrict_to_divisor(ring, plane)
     _two_glued(ring, target, mats)
     m = mats[2]
@@ -713,7 +712,7 @@ def test_the_drinfeld_double_strata_share_one_p1_ring():
         for _, mats in s.parents.values():
             assert [m.shape for m in mats] == [(1, 1), (1, 14)], s.id
     component = cx.strata["X0"].ring
-    point, line = (ambient_geometry(2, field_spec(3)).by_dim[d][0]
+    point, line = (ambient_geometry(2, 3).by_dim[d][0]
                    for d in (0, 1))
     assert restrict_to_divisor(component, point)[0] is p1
     assert restrict_to_divisor(component, line)[0] is p1

@@ -324,7 +324,8 @@ def build_parser():
     p_hodge.add_argument("--q", type=int, required=True)
     p_hodge.add_argument("--divisor", default="omega",
                          help="'omega' or 'alpha,a0,...' level coefficients, "
-                              "each an integer or p/q")
+                              "each an integer or p/q; give a value with a "
+                              "leading minus as --divisor=-4,3,2,1")
     p_hodge.set_defaults(func=cmd_hodge)
 
     p_wss = sub.add_parser("wss", help="run the weight spectral sequence on a "

@@ -28,8 +28,9 @@ basis is the Feichtner-Yuzvinsky chain basis (Invent. Math. 2004), which the
 blow-up Betti recursion (Keel 1992) counts: h^a e_(V_1)^(b_1) ... e_(V_k)^(b_k)
 over chains V_1 < ... < V_k with 1 <= b_i <= d_(i+1) - d_i - 1
 (d_i = dim V_i, d_(k+1) = n) and a <= d_1 (a <= n with no center).
-Construction fails loudly unless its sizes are the Betti numbers and each
-pairing has full rank, which proves the basis independent.
+Construction fails loudly unless its sizes are the Betti numbers, and
+`GradedRing` refuses a pairing of less than full rank, which proves the basis
+independent.
 
 A top monomial h^a prod e_(V_i)^(b_i) vanishes unless its centers form a
 chain V_1 < ... < V_k (incomparable centers are disjoint).  PGL_(n+1)(F_q)
@@ -156,7 +157,11 @@ GEN_H = -1
 
 def gen_e(V: LinearSubvariety):
     """The generator e_V: V's number in `ambient_geometry`."""
-    return ambient_geometry(V.ambient_n, V.q).bits[V]
+    number = ambient_geometry(V.ambient_n, V.q).bits.get(V)
+    if number is None:
+        raise CohomologyError("%r is not a proper subvariety of P^%d"
+                              % (V, V.ambient_n))
+    return number
 
 
 def monomial(gens):
@@ -187,76 +192,76 @@ def hyperplane_relation(spec, V):
         if V.q != spec.q:
             raise CohomologyError("hyperplane_relation needs V over F_%d, not "
                                   "over F_%d" % (spec.q, V.q))
-        geom = ambient_geometry(spec.n, spec.q)
-        for W in geom.strict_subs(V):
-            out[gen_e(W)] = -1
+        out.update(dict.fromkeys(ambient_geometry(spec.n, spec.q)
+                                 .strict_subs(gen_e(V)), -1))
     return out
 
 
 # -- restriction of generators to an exceptional divisor ----------------------
 
-def factor_specs(spec, V):
-    """The two factors of D_V = B^d x B^(n-d-1)."""
-    d = V.dim
+def factor_specs(spec, d):
+    """The two factors of D_V = B^d x B^(n-d-1), for a center V of dim d."""
     return blowup(d, spec.q), blowup(spec.n - d - 1, spec.q)
 
 
 @lru_cache(maxsize=None)
-def restrict_generator(spec, V, g):
-    """Restriction of a degree-1 generator of B^n to D_V = B^d x B^(n-d-1).
+def restrict_generator(spec, v, g):
+    """Restriction of a degree-1 generator of B^n to D_V = B^d x B^(n-d-1),
+    V the center numbered v.
 
     Returns a tuple of ((side, generator), integer coefficient) items,
     nonzero coefficients only, with side 0 the B^d factor and side 1 the
     B^(n-d-1) factor.  Incomparable exceptional generators restrict to zero
     (their centers are disjoint from V).  The result is memoized per
-    (spec, V, g).
+    (spec, v, g).
     """
-    if g == GEN_H:
-        return (((0, GEN_H), 1),) if V.dim >= 1 else ()
     geom = ambient_geometry(spec.n, spec.q)
-    W = geom.proper[g]
-    if W != V:
-        return tuple(_restrict_subvariety_divisor(spec, V, W).items())
+    if g == GEN_H:
+        return (((0, GEN_H), 1),) if geom.proper[v].dim >= 1 else ()
+    if g != v:
+        return tuple(_restrict_subvariety_divisor(spec, v, g).items())
     # rewrite D_V through the least hyperplane H containing V,
     # D_V = h - H~ - (the D_U of the other U < H), and restrict term by term
-    H = geom.least_hyperplane_containing(V)
-    out = dict(restrict_generator(spec, V, GEN_H))
-    for U in [H] + [U for U in geom.strict_subs(H) if U != V]:
-        for key, c in _restrict_subvariety_divisor(spec, V, U).items():
+    h = geom.least_hyperplane_containing(v)
+    out = dict(restrict_generator(spec, v, GEN_H))
+    for u in [h] + [u for u in geom.strict_subs(h) if u != v]:
+        for key, c in _restrict_subvariety_divisor(spec, v, u).items():
             out[key] = out.get(key, 0) - c
     return tuple((k, c) for k, c in out.items() if c)
 
 
-def _restrict_subvariety_divisor(spec, V, W):
-    """Restriction of the divisor D_W (W != V, any dim 0..n-1) to D_V, as
+def _restrict_subvariety_divisor(spec, v, w):
+    """Restriction of the divisor D_W (w != v, any dim 0..n-1) to D_V, as
     {(side, generator): coefficient}.  A W inside V meets the first factor
     and a W containing V the second, in the class of its image there: a
     hyperplane class, or an exceptional generator when the image has
     codimension 2 or more (the image of a proper W is never the whole
     factor).  An incomparable W restricts to zero."""
     geom = ambient_geometry(spec.n, spec.q)
-    if geom.contains(V, W):
+    V, W = geom.proper[v], geom.proper[w]
+    if geom.below[v] >> w & 1:
         side, image = 0, sub_image(V, W)
-    elif geom.contains(W, V):
+    elif geom.above[v] >> w & 1:
         side, image = 1, quotient_image(V, W)
     else:
         return {}
-    factor = factor_specs(spec, V)[side]
+    factor = factor_specs(spec, V.dim)[side]
     if image.dim < factor.n - 1:
         return {(side, gen_e(image)): 1}
     return {(side, g): c
             for g, c in hyperplane_relation(factor, image).items()}
 
 
-def _restricted_product(spec, V, gens):
-    """The product of the degree-1 generators `gens` restricted to D_V, as
-    {(first-factor monomial, second-factor monomial): integer coefficient},
-    nonzero coefficients only (empty when the product restricts to zero)."""
+def _restricted_product(spec, v, gens):
+    """The product of the degree-1 generators `gens` restricted to D_V, V
+    the center numbered v, as {(first-factor monomial, second-factor
+    monomial): integer coefficient}, nonzero coefficients only (empty when
+    the product restricts to zero)."""
     terms = {((), ()): 1}
     for g in gens:
         new_terms = {}
         for (m0, m1), c in terms.items():
-            for (side, gg), cc in restrict_generator(spec, V, g):
+            for (side, gg), cc in restrict_generator(spec, v, g):
                 k = (monomial(m0 + (gg,)), m1) if side == 0 \
                     else (m0, monomial(m1 + (gg,)))
                 new_terms[k] = new_terms.get(k, 0) + c * cc
@@ -349,13 +354,12 @@ def _eval_blowup(spec, mono, chooser):
     if not exc:
         return 1
     g0 = exc[0] if chooser is None else chooser(exc)
-    V = ambient_geometry(spec.n, spec.q).proper[g0]
     rest = list(mono)
     rest.remove(g0)
-    f1, f2 = factor_specs(spec, V)
-    d = V.dim
+    d = ambient_geometry(spec.n, spec.q).proper[g0].dim
+    f1, f2 = factor_specs(spec, d)
     total = 0
-    for (m0, m1), c in _restricted_product(spec, V, rest).items():
+    for (m0, m1), c in _restricted_product(spec, g0, rest).items():
         if len(m0) != d or len(m1) != spec.n - d - 1:
             continue
         total += c * intersection_number(f1, m0, chooser) \
@@ -449,8 +453,9 @@ class GradedRing:
     basis[j] lists the monomials spanning N^j; pairing[j] is the
     `linalg.Matrix` of top intersection numbers between basis[j] and
     basis[n-j], the `block` of the unit; pairing[n-j] is stored as its
-    transpose.  All pairings are nondegenerate (Poincare duality) by
-    construction.  A non-basis monomial's coordinates solve its one-column
+    transpose.  Construction ranks pairing[j] for j <= n/2 and refuses a
+    degenerate one, so on every ring kind the pairings are nondegenerate
+    (Poincare duality).  A non-basis monomial's coordinates solve its one-column
     block by `dual_solve`, on products as on every other ring, and every
     product of classes is read from one `cup_matrix`.
     """
@@ -467,6 +472,11 @@ class GradedRing:
         unit = list(zip(basis[0], self.basis_keys(0), [1]))
         for j in range(n // 2 + 1):
             p = self.block(0, unit, n - j)
+            r = linalg.rank(p)
+            if not r == len(basis[j]) == len(basis[n - j]):
+                raise CohomologyError(
+                    "degree %d: Poincare pairing of rank %d on %d x %d basis "
+                    "monomials" % (j, r, len(basis[j]), len(basis[n - j])))
             self.pairing[j], self.pairing[n - j] = p, linalg.transpose(p)
 
     def dims(self):
@@ -729,20 +739,12 @@ def _build_projective(spec):
 
 
 def _build_blowup(spec):
-    n = spec.n
-    basis = [chain_basis(spec, j) for j in range(n + 1)]
+    basis = [chain_basis(spec, j) for j in range(spec.n + 1)]
     sizes, betti = [len(bs) for bs in basis], betti_numbers(spec)
     if sizes != betti:
         raise CohomologyError("chain basis sizes %s are not the Betti numbers "
-                              "%s of B^%d/F_%d" % (sizes, betti, n, spec.q))
-    ring = GradedRing(spec, basis)
-    for j in range(n // 2 + 1):
-        r = linalg.rank(ring.pairing[j])
-        if not r == len(basis[j]) == len(basis[n - j]):
-            raise CohomologyError("degree %d: Poincare pairing of rank %d on "
-                                  "%d x %d basis monomials" % (
-                                      j, r, len(basis[j]), len(basis[n - j])))
-    return ring
+                              "%s of B^%d/F_%d" % (sizes, betti, spec.n, spec.q))
+    return GradedRing(spec, basis)
 
 
 def _build_surface(spec):
@@ -756,26 +758,14 @@ def _build_surface(spec):
 
 
 def _build_product(spec):
-    rings = [build_ring(f) for f in spec.factors]
-    n = dimension(spec)
-    basis = []
-    for j in range(n + 1):
-        bs = []
-        for split in _compositions(j, [r.n for r in rings]):
-            for combo in itertools.product(*[r.basis[a] for r, a in zip(rings, split)]):
-                bs.append(tuple(combo))
-        basis.append(bs)
+    """The tensor basis: the tuples of factor basis monomials, bucketed by
+    total degree in the order of (degree, monomial) per factor."""
+    basis = [[] for _ in range(dimension(spec) + 1)]
+    for combo in itertools.product(*[
+            [(j, m) for j, bs in enumerate(build_ring(f).basis) for m in bs]
+            for f in spec.factors]):
+        basis[sum(j for j, _ in combo)].append(tuple(m for _, m in combo))
     return GradedRing(spec, basis)
-
-
-def _compositions(total, caps):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, caps[1:]):
-            yield (first,) + rest
 
 
 # -- restriction to an exceptional divisor ---------------------------------------
@@ -794,7 +784,8 @@ def restrict_to_divisor(ring, V):
         raise CohomologyError("restriction is defined on blow-up rings")
     if V.ambient_n != spec.n or V.q != spec.q or not (0 <= V.dim <= spec.n - 1):
         raise CohomologyError("%r is not a center of B^%d" % (V, spec.n))
-    f1, f2 = factor_specs(spec, V)
+    v = gen_e(V)
+    f1, f2 = factor_specs(spec, V.dim)
     target = build_ring(product(f1, f2))
     split = isinstance(target.spec, Product)
     matrices = []
@@ -803,7 +794,7 @@ def restrict_to_divisor(ring, V):
         cols = []
         for mono in ring.basis[j]:
             col = [Fraction(0)] * rows
-            for (m0, m1), c in _restricted_product(spec, V, mono).items():
+            for (m0, m1), c in _restricted_product(spec, v, mono).items():
                 # N^n restricts to zero, and so does a class above the
                 # dimension of its factor (on P^0 every nonempty monomial)
                 if j > target.n or len(m0) > dimension(f1) \

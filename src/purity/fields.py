@@ -75,6 +75,8 @@ def _prime_power(q):
     q = p^e for exactly one exponent: the one whose integer e-th root is a
     prime raised back to q.
     """
+    if type(q) is not int:
+        raise FieldError("field size must be an int, got %r" % (q,))
     if q < 2:
         raise FieldError("field size must be >= 2, got %r" % (q,))
     if q >= MR_BOUND:
@@ -184,7 +186,7 @@ class Fq:
 
 
 # typed, so that a float equal to a cached size is not answered from the
-# int's entry (Fq itself fails on a float)
+# int's entry (Fq itself refuses a float)
 @lru_cache(maxsize=None, typed=True)
 def get_field(q) -> Fq:
     """F_q, for a prime power q <= MAX_Q; refuses any other q."""

@@ -155,19 +155,12 @@ def _singer_labelling(q):
         for i in range(m - 1):
             s.append(fq.add(fq.add(fq.mul(c0, s[i]), fq.mul(c1, s[i + 1])),
                             fq.mul(c2, s[i + 2])))
-        states = {_projective_point(fq, s[i:i + 3]) for i in range(m)}
-        if len(states) == m:
+        points = [make_subvariety(2, [s[i:i + 3]], q) for i in range(m)]
+        if len(set(points)) == m:
             break
     else:
         raise FixtureError("no Singer cycle found for q=%d" % q)
-    points = [make_subvariety(2, [s[i:i + 3]], q) for i in range(m)]
     return points, [i for i in range(m) if s[i] == 0]
-
-
-def _projective_point(fq, v):
-    """v scaled so that its first nonzero entry is 1 (zero stays zero)."""
-    lead = fq.inv(next((x for x in v if x), 1))
-    return tuple(fq.mul(lead, x) for x in v)
 
 
 def _triangle_matching(D, q):

@@ -205,7 +205,9 @@ class AmbientGeometry:
     `below[i]` is the mask of the proper subvarieties that subvariety i
     contains, `above[i]` that of those containing it and `comparable[i]`
     their union (i itself is in all three), so containment is one shift and
-    AND.
+    AND: flat i contains flat j iff `below[i] >> j & 1`.  The queries take
+    and return numbers, and `bits` is the one way from a subvariety to its
+    number.
 
     A subvariety is the span of its F_q-points, so V lies in W exactly when
     every point of V is a point of W.  The points of V (basis in reduced
@@ -249,26 +251,16 @@ class AmbientGeometry:
                 self.below[j] |= 1 << i
         self.comparable = [b | a for b, a in zip(self.below, self.above)]
 
-    def contains(self, V, W):
-        """True iff W is contained in V, read from the incidence masks."""
-        for U in (V, W):
-            if U not in self.bits:
-                raise GeometryError("%r is not a proper subvariety of P^%d"
-                                    % (U, self.n))
-        return bool(self.below[self.bits[V]] >> self.bits[W] & 1)
+    def strict_subs(self, i):
+        """The numbers of the flats strictly inside flat i."""
+        return _bit_indices(self.below[i] & ~(1 << i))
 
-    def strict_subs(self, V):
-        """All proper nonempty subvarieties strictly contained in V."""
-        i = self.bits[V]
-        return tuple(self.proper[j]
-                     for j in _bit_indices(self.below[i] & ~(1 << i)))
-
-    def least_hyperplane_containing(self, V):
-        hyperplanes = self.by_dim[self.n - 1]
-        mask = self.above[self.bits[V]] >> len(self.proper) - len(hyperplanes)
-        if not mask:
-            raise GeometryError("no hyperplane contains %r" % (V,))
-        return hyperplanes[(mask & -mask).bit_length() - 1]
+    def least_hyperplane_containing(self, i):
+        """The number of the first hyperplane containing flat i; every
+        proper flat lies in one."""
+        first = len(self.proper) - len(self.by_dim[-1])
+        mask = self.above[i] >> first << first
+        return (mask & -mask).bit_length() - 1
 
 
 def _bit_indices(mask):
@@ -281,6 +273,8 @@ def _bit_indices(mask):
     return out
 
 
-@lru_cache(maxsize=None)
+# typed, as `get_field`: a float equal to a cached size is refused, not
+# answered from the int's entry
+@lru_cache(maxsize=None, typed=True)
 def ambient_geometry(n, q):
     return AmbientGeometry(n, q)

@@ -14,9 +14,8 @@ pairing Q_j = (-1)^j (L^(n-2j))^T P_(n-j) (`lefschetz_inertia`), with P_(n-j)
 the Poincare pairing of N^(n-j) with N^j.  Hard Lefschetz reads the rank of
 L^(n-2j) as n_plus + n_minus of it: rank(A^T P) <= rank A for any A, so a
 full rank is never claimed falsely, and equality holds because P is
-nondegenerate (`build_ring`, `explicit_surface_ring` and the validation of a
-`SemistableComplex` each check that it is).  Hodge-Riemann needs no
-primitive Gram: once hard Lefschetz holds, the Lefschetz splitting is
+nondegenerate (`GradedRing` refuses a degenerate one on every ring kind).
+Hodge-Riemann needs no primitive Gram: once hard Lefschetz holds, the Lefschetz splitting is
 orthogonal for the Q_j, so Q_j is positive definite on the primitive part
 P_j iff sig Q_j + sig Q_(j-1) = dim N^j - dim N^(j-1) (Adiprasito-Huh-Katz,
 Ann. Math. 2018, section 7; the argument is in `check_hodge_standard`).

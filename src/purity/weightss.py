@@ -300,11 +300,6 @@ class SemistableComplex:
 
     def _check_unit_and_rings(self):
         for s in self.strata.values():
-            for j in range(s.ring.n + 1):
-                if linalg.rank(s.ring.pairing[j]) != len(s.ring.basis[j]):
-                    raise ComplexValidationError(
-                        "stratum %s: Poincare pairing degenerate in degree %d"
-                        % (s.id, j))
             for m, (pid, mats) in s.parents.items():
                 parent = self.strata[pid]
                 if mats[0] != linalg.identity(1):

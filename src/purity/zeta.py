@@ -29,18 +29,6 @@ class FactoredRationalT(Record):
         items = tuple(sorted((a, m) for a, m in d.items() if m))
         return FactoredRationalT(q, items)
 
-    def __mul__(self, other):
-        if self.q != other.q:
-            raise ZetaError("mixed residue field sizes")
-        d = dict(self.factors)
-        for a, m in other.factors:
-            d[a] = d.get(a, 0) + m
-        return FactoredRationalT.from_dict(self.q, d)
-
-    def power(self, e):
-        return FactoredRationalT.from_dict(
-            self.q, {a: m * e for a, m in self.factors})
-
     def _piece(self, a, m):
         base = "(1 - T)" if a == 0 else "(1 - %dT)" % (self.q ** a)
         return base if m == 1 else "%s^%d" % (base, m)
@@ -60,10 +48,6 @@ class FactoredRationalT(Record):
         return {"factors": [{"a": a, "multiplicity": m} for a, m in self.factors]}
 
 
-def one(q):
-    return FactoredRationalT(q, ())
-
-
 def l_factor(cx, w):
     """L-factor of degree w: product of (1 - q^(j/2) T)^(-dim) over the
     weight-j inertia invariants.  Requires purity in degree w."""
@@ -77,14 +61,16 @@ def l_factor(cx, w):
 
 
 def zeta_function(cx):
-    """Alternating product of the degree-w L-factors, 0 <= w <= 2 dim."""
-    total = one(cx.q)
+    """Alternating product of the degree-w L-factors, 0 <= w <= 2 dim: the
+    sum of their exponents, each times (-1)^w."""
+    total = {}
     for w in range(0, 2 * cx.n + 1):
         ok, _ = check_purity(cx, w)
         if not ok:
             raise ZetaError("purity unverified in degree %d; zeta undefined" % w)
-        total = total * l_factor(cx, w).power((-1) ** w)
-    return total
+        for a, m in l_factor(cx, w).factors:
+            total[a] = total.get(a, 0) + (-1) ** w * m
+    return FactoredRationalT.from_dict(cx.q, total)
 
 
 def mu_from_e2(cx, d):

@@ -76,8 +76,8 @@ from unittest import mock
 
 from purity import linalg, weightss
 from purity.cohomology import (GEN_H, BlownUp, CohomologyError, Product,
-                               Projective, build_ring, gen_e,
-                               intersection_number, monomial)
+                               Projective, build_ring, intersection_number,
+                               monomial)
 from purity.geometry import ambient_geometry, contains
 from purity.lefschetz import (LefschetzError, check_hard_lefschetz,
                               check_hodge_standard, lefschetz_pairing_gram,
@@ -538,10 +538,8 @@ def normalize_divisor(spec, coeffs):
         if g == GEN_H or geom.proper[g].dim <= spec.n - 2:
             out[g] = out.get(g, Fraction(0)) + c
             continue
-        H = geom.proper[g]
         out[GEN_H] = out.get(GEN_H, Fraction(0)) + c
-        for W in geom.strict_subs(H):
-            k = gen_e(W)
+        for k in geom.strict_subs(g):
             out[k] = out.get(k, Fraction(0)) - c
     return {g: c for g, c in out.items() if c}
 

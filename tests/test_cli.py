@@ -103,6 +103,22 @@ def test_omega_and_its_numeric_form_give_one_report(capsys, n, q, numeric):
     assert reports[0]["positive"] is True
 
 
+def test_a_divisor_with_a_leading_minus_needs_the_equals_form(capsys):
+    # argparse reads "--divisor -4,3,2,1" as an option with no value, so the
+    # help and the README give "--divisor=-4,3,2,1", whose report is omega's
+    # (test_omega_and_its_numeric_form_give_one_report)
+    for argv, code in [(["hodge", "--n", "3", "--q", "2", "--divisor",
+                         "-4,3,2,1"], 2), (["hodge", "--help"], 0)]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert "expected one argument" in err
+    assert "--divisor=-4,3,2,1" in " ".join(out.split())
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    assert "purity hodge --n 3 --q 2 --divisor=-4,3,2,1" in readme
+
+
 def test_hodge_refuses_non_positive(capsys):
     code, out, _ = run(capsys, "hodge", "--n", "2", "--q", "2",
                        "--divisor", "1,-1")

@@ -52,6 +52,14 @@ def test_prime_power_rejects(q):
         _prime_power(q)
 
 
+@pytest.mark.parametrize("q", [4.0, 2.0, 3.5, "4", None, True])
+def test_a_field_size_that_is_no_int_is_refused(q):
+    with pytest.raises(FieldError, match="must be an int"):
+        _prime_power(q)
+    with pytest.raises(FieldError, match="must be an int"):
+        get_field(q)
+
+
 def test_prime_power_by_integer_roots():
     assert _prime_power(3 ** 50) == (3, 50)
     assert _prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)

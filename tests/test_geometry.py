@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracle import subspaces_by_dim
 
-from purity.fields import get_field
+from purity.fields import FieldError, get_field
 from purity.geometry import (AmbientGeometry, GeometryError,
                              LinearSubvariety, ambient_geometry, contains,
                              enumerate_subspaces, gaussian_binomial,
@@ -170,20 +170,21 @@ def test_incidence_masks_match_fq_containment(n, q):
                            for d in range(n)]
     assert proper == [V for subs in geom.by_dim for V in subs]
     assert geom.bits == {V: i for i, V in enumerate(proper)}
-    for V in proper:
-        assert [geom.contains(V, W) for W in proper] == \
-            [contains(V, W) for W in proper]
-        assert [geom.comparable[geom.bits[V]] >> i & 1 for i in
-                range(len(proper))] == [
-            contains(V, W) or contains(W, V) for W in proper]
-        assert geom.strict_subs(V) == tuple(
-            W for W in proper if W.dim < V.dim and contains(V, W))
-        assert geom.least_hyperplane_containing(V) == next(
-            H for H in geom.by_dim[n - 1] if contains(H, V))
+    for i, V in enumerate(proper):
+        inside = [j for j, W in enumerate(proper) if contains(V, W)]
+        around = [j for j, W in enumerate(proper) if contains(W, V)]
+        assert geom.below[i] == sum(1 << j for j in inside)
+        assert geom.above[i] == sum(1 << j for j in around)
+        assert geom.comparable[i] == geom.below[i] | geom.above[i]
+        assert geom.strict_subs(i) == [j for j in inside if j != i]
+        assert geom.least_hyperplane_containing(i) == next(
+            j for j in around if proper[j].dim == n - 1)
 
 
-def test_incidence_rejects_subvarieties_outside_the_numbering():
-    geom = ambient_geometry(2, 2)
-    P = geom.by_dim[0][0]
-    with pytest.raises(GeometryError, match="not a proper subvariety"):
-        geom.contains(whole_space(2, 2), P)
+def test_a_float_field_size_is_refused_before_and_after_the_int():
+    # the geometry cache is typed: the int's entry does not answer a float
+    with pytest.raises(FieldError, match="must be an int"):
+        ambient_geometry(2, 4.0)
+    ambient_geometry(2, 4)
+    with pytest.raises(FieldError, match="must be an int"):
+        ambient_geometry(2, 4.0)

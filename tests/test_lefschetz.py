@@ -193,18 +193,18 @@ def _check_walls_on_flag_curves(n, q):
     on e_P, wall 2 that on the strict transform of a line."""
     ring = build_ring(blowup(n, q))
     geom = ambient_geometry(n, q)
-    flag = [geom.by_dim[0][0]]
+    flag = [gen_e(geom.by_dim[0][0])]
     for d in range(1, n):
-        flag.append(next(W for W in geom.by_dim[d]
-                         if geom.contains(W, flag[-1])))
+        flag.append(next(w for w in map(gen_e, geom.by_dim[d])
+                         if geom.above[flag[-1]] >> w & 1))
     # degree[k][i]: the degree of the i-th N^1 basis class on the k-th curve
     degree = {}
     for k in range(1, n + 1):
         curve = {(): Fraction(1)}
-        for V in flag:
-            if V.dim == n - k:
+        for d, v in enumerate(flag):
+            if d == n - k:
                 continue
-            D = normalize_divisor(ring.spec, {gen_e(V): Fraction(1)})
+            D = normalize_divisor(ring.spec, {v: Fraction(1)})
             terms = {}
             for m, c in curve.items():
                 for g, x in D.items():

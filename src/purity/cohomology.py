@@ -758,13 +758,14 @@ def _build_surface(spec):
 
 
 def _build_product(spec):
-    """The tensor basis: the tuples of factor basis monomials, bucketed by
-    total degree in the order of (degree, monomial) per factor."""
+    """The tensor basis: in each total degree, the factor degree tuples in
+    lex order, and within one tuple the factor basis monomials in lex order.
+    Saved complexes store restriction matrices in these coordinates."""
+    rings = [build_ring(f) for f in spec.factors]
     basis = [[] for _ in range(dimension(spec) + 1)]
-    for combo in itertools.product(*[
-            [(j, m) for j, bs in enumerate(build_ring(f).basis) for m in bs]
-            for f in spec.factors]):
-        basis[sum(j for j, _ in combo)].append(tuple(m for _, m in combo))
+    for degs in itertools.product(*[range(r.n + 1) for r in rings]):
+        basis[sum(degs)].extend(itertools.product(
+            *[r.basis[a] for r, a in zip(rings, degs)]))
     return GradedRing(spec, basis)
 
 

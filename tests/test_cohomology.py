@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -300,6 +301,20 @@ def test_p0_is_the_unit_of_products():
     assert product(product(proj(1), proj(0)), product(proj(1), b2)).factors \
         == (proj(1), proj(1), b2)
     assert build_ring(product(proj(0), b2)) is build_ring(b2)
+
+
+def test_product_basis_orders_degree_tuples_then_monomials():
+    # saved complexes store restriction matrices in these coordinates, so the
+    # order is part of the file format: in each total degree the factor degree
+    # tuples come in lex order, and the monomials of one tuple after each other
+    b2, p1 = blowup(2, 2), proj(1)
+    ring = build_ring(product(b2, p1, p1))
+    e, (h,) = build_ring(b2).basis, build_ring(p1).basis[1]
+    assert ring.basis[2] == ([((), h, h)] + [(m, (), h) for m in e[1]]
+                             + [(m, h, ()) for m in e[1]]
+                             + [(m, (), ()) for m in e[2]])
+    assert hashlib.sha256(repr(ring.basis).encode()).hexdigest() == \
+        "62fd3702eb6062e42f5621d16a6b6d59903a357bad92621349909bcdff19d929"
 
 
 def test_product_middle_pairing_hyperbolic():

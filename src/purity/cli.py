@@ -1,13 +1,18 @@
 """Command-line front end.
 
+Each command builds one report, a JSON payload, and says whether every
+requested check passed; `main` alone writes it.  With --json the report is
+streamed to stdout as it is written, and its bytes are those of
+json.dumps(report, indent=2, sort_keys=True); without it, the text report is
+rendered from the same payload by the command's renderer in `_TEXT`, so the
+two cannot disagree.  Reports are deterministic.
+
 Exit codes: 0 = all requested checks pass, 1 = a mathematical check failed,
-2 = invalid input or validation failure.  Reports are deterministic; pass
---json for machine-readable output.  A --json report is streamed to stdout as
-it is written, and its bytes are those of json.dumps(report, indent=2,
-sort_keys=True).  Oversized requests exit 2 up front: a variety of dimension
-above cohomology.MAX_DIMENSION (4), a ring whose Betti numbers sum to more than
-cohomology.SIZE_BUDGET (4000), or a complex whose E1 page has a larger total
-dimension (see README.md for the measured boundary).
+2 = invalid input or validation failure.  Oversized requests exit 2 up
+front: a variety of dimension above cohomology.MAX_DIMENSION (4), a ring whose
+Betti numbers sum to more than cohomology.SIZE_BUDGET (4000), or a complex
+whose E1 page has a larger total dimension (see README.md for the measured
+boundary).
 """
 
 from __future__ import annotations
@@ -89,16 +94,6 @@ def _write_json(obj, write):
     write("".join(pieces))
 
 
-def _emit(args, payload, text_lines):
-    if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        _write_json(payload, sys.stdout.write)
-        sys.stdout.write("\n")
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _parse_divisor(spec_str, n, q):
     """The `lefschetz.InvariantDivisorForm` of 'omega' or of comma-separated
     alpha,a_0..a_(n-1) level coefficients."""
@@ -129,25 +124,25 @@ def cmd_ring(args):
     if k is not None and not 0 <= k <= args.n:
         raise ValueError("degree out of range 0..%d" % args.n)
     ring = cohomology.build_ring(spec)
-    betti = cohomology.betti_numbers(ring.spec)
-    dims = ring.dims()
-    lines = ["ring: blow-up of P^%d along all F_%d-rational linear centers"
-             % (args.n, args.q),
-             "betti: %s" % " ".join(str(b) for b in betti),
-             "basis sizes: %s" % " ".join(str(d) for d in dims)]
     payload = {"command": "ring", "n": args.n, "q": args.q,
-               "betti": betti, "basis_sizes": dims}
-    if args.json:
-        payload["ring"] = ring.to_json(include_products=args.products)
+               "betti": cohomology.betti_numbers(ring.spec),
+               "basis_sizes": ring.dims(),
+               "ring": ring.to_json(include_products=args.products)}
     if k is not None:
-        pairing = cohomology.PairingRows(ring.pairing[k])
         payload["pairing_degree"] = k
-        payload["pairing"] = pairing
-        if not args.json:
-            lines.append("pairing in degree %d:" % k)
-            lines.extend("  [%s]" % " ".join(row) for row in pairing)
-    _emit(args, payload, lines)
-    return EXIT_OK
+        payload["pairing"] = cohomology.PairingRows(ring.pairing[k])
+    return payload, True
+
+
+def _ring_text(p):
+    yield ("ring: blow-up of P^%d along all F_%d-rational linear centers"
+           % (p["n"], p["q"]))
+    yield "betti: %s" % " ".join(map(str, p["betti"]))
+    yield "basis sizes: %s" % " ".join(map(str, p["basis_sizes"]))
+    if "pairing" in p:
+        yield "pairing in degree %d:" % p["pairing_degree"]
+        for row in p["pairing"]:
+            yield "  [%s]" % " ".join(row)
 
 
 def cmd_hodge(args):
@@ -155,52 +150,51 @@ def cmd_hodge(args):
     if args.n < 1:
         raise lefschetz.LefschetzError(
             "hodge needs n >= 1 (a degree-1 class), got n=%d" % args.n)
-    ring = cohomology.build_ring(cohomology.blowup(args.n, args.q))
+    spec = cohomology.blowup(args.n, args.q)
+    cohomology.check_resource_guard(spec)   # before omega_form's n levels
     form = _parse_divisor(args.divisor, args.n, args.q)
-    lines = ["variety: B^%d over F_%d" % (args.n, args.q)]
+    ok = lefschetz.is_positive(form)
     payload = {"command": "hodge", "n": args.n, "q": args.q,
-               "divisor": args.divisor}
-    positive = lefschetz.is_positive(form)
-    payload["positive"] = positive
-    payload["alpha"] = str(form.alpha)
-    payload["levels"] = [str(a) for a in form.levels]
-    lines.append("positivity criterion: %s (alpha=%s, levels=%s)"
-                 % ("positive" if positive else "NOT positive",
-                    form.alpha, ",".join(str(a) for a in form.levels)))
-    if not positive:
-        lines.append("REFUSED: class is not positive; "
-                     "Lefschetz verification needs a positive class")
-        payload["verdict"] = "refused"
-        _emit(args, payload, lines)
-        return EXIT_CHECK_FAILED
-    ctx = lefschetz.make_context(ring, form.vector(ring))
-    hl, hl_report = lefschetz.check_hard_lefschetz(ctx)
-    payload["hard_lefschetz"] = {"ok": hl, "degrees": hl_report}
-    for row in hl_report:
-        lines.append("hard Lefschetz H^%d: rank %d / %d %s"
-                     % (row["degree"], row["rank"], row["expected"],
-                        "ok" if row["ok"] else "FAIL"))
-    if not hl:
-        lines.append("verdict: FAIL (hard Lefschetz)")
-        payload["verdict"] = "fail"
-        _emit(args, payload, lines)
-        return EXIT_CHECK_FAILED
-    hodge, report = lefschetz.check_hodge_standard(ctx)
-    payload["hodge_standard"] = {"ok": hodge, "degrees": report["degrees"]}
-    for row in report["degrees"]:
+               "divisor": args.divisor, "positive": ok,
+               "alpha": str(form.alpha), "verdict": "refused",
+               "levels": [str(a) for a in form.levels]}
+    if ok:
+        ring = cohomology.build_ring(spec)
+        ctx = lefschetz.make_context(ring, form.vector(ring))
+        ok, rows = lefschetz.check_hard_lefschetz(ctx)
+        payload["hard_lefschetz"] = {"ok": ok, "degrees": rows}
+        if ok:
+            ok, rows = lefschetz.check_hodge_standard(ctx)
+            payload["hodge_standard"] = {"ok": ok, "degrees": rows}
+        payload["verdict"] = "pass" if ok else "fail"
+    return payload, ok
+
+
+def _hodge_text(p):
+    yield "variety: B^%d over F_%d" % (p["n"], p["q"])
+    yield ("positivity criterion: %s (alpha=%s, levels=%s)"
+           % ("positive" if p["positive"] else "NOT positive",
+              p["alpha"], ",".join(p["levels"])))
+    if not p["positive"]:
+        yield ("REFUSED: class is not positive; "
+               "Lefschetz verification needs a positive class")
+        return
+    for row in p["hard_lefschetz"]["degrees"]:
+        yield ("hard Lefschetz H^%d: rank %d / %d %s"
+               % (row["degree"], row["rank"], row["expected"],
+                  "ok" if row["ok"] else "FAIL"))
+    if "hodge_standard" not in p:
+        yield "verdict: FAIL (hard Lefschetz)"
+        return
+    for row in p["hodge_standard"]["degrees"]:
         sig = row["inertia"]
-        lines.append(
-            "Hodge positivity H^%d: primitive dim %d, %s; inertia "
-            "(%d,%d,%d), signature %d (expected %d)"
-            % (row["degree"], row["primitive_dim"],
-               "positive definite" if row["positive_definite"] else "NOT definite",
-               sig["n_plus"], sig["n_minus"], sig["n_zero"],
-               row["signature"], row["signature_expected"]))
-    verdict = hl and hodge
-    lines.append("verdict: %s" % ("PASS" if verdict else "FAIL"))
-    payload["verdict"] = "pass" if verdict else "fail"
-    _emit(args, payload, lines)
-    return EXIT_OK if verdict else EXIT_CHECK_FAILED
+        yield ("Hodge positivity H^%d: primitive dim %d, %s; inertia "
+               "(%d,%d,%d), signature %d (expected %d)"
+               % (row["degree"], row["primitive_dim"], "positive definite"
+                  if row["positive_definite"] else "NOT definite",
+                  sig["n_plus"], sig["n_minus"], sig["n_zero"],
+                  row["signature"], row["signature_expected"]))
+    yield "verdict: %s" % p["verdict"].upper()
 
 
 def _fixture_from_arg(text):
@@ -225,58 +219,68 @@ def cmd_wss(args):
         cx = _fixture_from_arg(args.fixture)
     else:
         cx = weightss.load_complex(args.input)
-    lines = ["complex: %s (%d strata, dimension %d, q=%d)"
-             % (cx.name, len(cx.strata), cx.n, cx.q)]
     payload = {"command": "wss", "complex": cx.name, "q": cx.q,
                "dimension": cx.n, "strata": len(cx.strata)}
-    table = weightss.weight_table(cx)   # raises on d1^2 or monodromy failure
-    lines.append("d1 o d1 = 0: ok")
-    lines.append("N o d1 = d1 o N: ok")
-    lines.append("E1 monodromy isomorphisms N^r: ok")
-    euler_ok, euler = weightss.euler_check(cx)
-    lines.append("Euler conservation E1 vs E2: %s (%d = %d)"
-                 % ("ok" if euler_ok else "FAIL", euler["e1"], euler["e2"]))
-    payload["euler"] = euler
-    all_ok = euler_ok
-    purity_all = True
-    purity_payload = {}
+    ok, payload["euler"] = weightss.euler_check(cx)
+    purity = payload["purity"] = {}
     for w in range(0, 2 * cx.n + 1):
-        ok, rows = weightss.check_purity(cx, w)
-        purity_all = purity_all and ok
-        purity_payload[str(w)] = {"ok": ok, "ranks": rows}
-        total = sum(table.e2_dim(i, w - i)
-                    for i in range(-cx.n - 1, cx.n + 2))
-        lines.append("purity w=%d: %s (E2 total dim %d)"
-                     % (w, "PASS" if ok else "FAIL", total))
-    payload["purity"] = purity_payload
-    all_ok = all_ok and purity_all
+        w_ok, rows = weightss.check_purity(cx, w)
+        purity[str(w)] = {"ok": w_ok, "ranks": rows}
+    pure = all(entry["ok"] for entry in purity.values())
+    ok = ok and pure
     if args.check_lemmas:
         lem_ok, rows = weightss.verify_rz_lemmas(cx)
-        failed = [r["lemma"] for r in rows if not r["ok"]]
-        lines.append("positivity lemma suite: %s (%d checks%s)"
-                     % ("PASS" if lem_ok else "FAIL", len(rows),
-                        "" if lem_ok else "; failing: " + ", ".join(failed[:8])))
         payload["lemmas"] = {"ok": lem_ok, "checks": len(rows),
-                             "failed": failed}
-        all_ok = all_ok and lem_ok
+                             "failed": [r["lemma"] for r in rows
+                                        if not r["ok"]]}
+        ok = ok and lem_ok
     if args.zeta:
-        if purity_all:
+        payload["zeta"] = None
+        if pure:
             zf = zeta.zeta_function(cx)
             match = zeta.zeta_matches_weight_table(cx)
-            lines.append("zeta: %s" % zf)
-            lines.append("zeta factors match weight table: %s"
-                         % ("ok" if match else "FAIL"))
-            lines.append("p-adic variant: identical (Frobenius acts by "
-                         "q^(j/2) scalars on all weight-j pieces)")
             payload["zeta"] = {**zf.to_json(), "display": str(zf),
                                "weight_table_match": match,
                                "p_adic_variant": "identical"}
-            all_ok = all_ok and match
-        else:
-            lines.append("zeta: skipped (purity failed)")
-            payload["zeta"] = None
-    _emit(args, payload, lines)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+            ok = ok and match
+    return payload, ok
+
+
+def _wss_text(p):
+    yield ("complex: %s (%d strata, dimension %d, q=%d)"
+           % (p["complex"], p["strata"], p["dimension"], p["q"]))
+    # constant: weight_table raises before any report exists if one fails
+    yield "d1 o d1 = 0: ok"
+    yield "N o d1 = d1 o N: ok"
+    yield "E1 monodromy isomorphisms N^r: ok"
+    e1, e2 = p["euler"]["e1"], p["euler"]["e2"]
+    yield ("E1/E2 Euler characteristics agree (linear-algebra check): "
+           "%s (%d = %d)" % ("ok" if e1 == e2 else "FAIL", e1, e2))
+    for w in range(0, 2 * p["dimension"] + 1):
+        fails = ["N^%d: rank %d, E2 dims %d -> %d"
+                 % (r["r"], r["rank"], r["dim_source"], r["dim_target"])
+                 for r in p["purity"][str(w)]["ranks"] if not r["ok"]]
+        verdict = "FAIL (%s)" % "; ".join(fails) if fails else "PASS"
+        yield "purity w=%d: %s" % (w, verdict)
+    if "lemmas" in p:
+        lemmas = p["lemmas"]
+        yield ("positivity lemma suite: %s (%d checks%s)"
+               % ("PASS" if lemmas["ok"] else "FAIL", lemmas["checks"],
+                  "" if lemmas["ok"]
+                  else "; failing: " + ", ".join(lemmas["failed"][:8])))
+    z = p.get("zeta", {})
+    if z is None:
+        yield "zeta: skipped (purity failed)"
+    elif z:
+        yield "zeta: %s" % z["display"]
+        yield ("zeta factors match weight table: %s"
+               % ("ok" if z["weight_table_match"] else "FAIL"))
+        yield ("p-adic variant: %s (Frobenius acts by q^(j/2) scalars on "
+               "all weight-j pieces)" % z["p_adic_variant"])
+
+
+# command -> the lines of its text report, read from the payload alone
+_TEXT = {"ring": _ring_text, "hodge": _hodge_text, "wss": _wss_text}
 
 
 # `signal.alarm` reads 0 as no alarm, wraps a negative count to about 136
@@ -352,7 +356,15 @@ def main(argv=None):
         old_alarm = signal.signal(signal.SIGALRM, _on_alarm)
         signal.alarm(args.timeout)
     try:
-        return args.func(args)
+        payload, ok = args.func(args)
+        if args.json:
+            _write_json({"schema_version": SCHEMA_VERSION, **payload},
+                        sys.stdout.write)
+            sys.stdout.write("\n")
+        else:
+            for line in _TEXT[args.command](payload):
+                print(line)
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID

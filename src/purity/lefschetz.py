@@ -168,9 +168,10 @@ def check_hodge_standard(ctx):
     and Q_j is positive definite on P_j iff s_j = dim P_j.  This is the
     signature form of Hodge-Riemann (Adiprasito-Huh-Katz, Ann. Math. 2018,
     section 7); the orthogonality being a theorem, the report states it.
+    Returns (verdict, one report row per degree 2j), as
+    `check_hard_lefschetz` does.
     """
-    ok, hl_report = check_hard_lefschetz(ctx)
-    if not ok:
+    if not check_hard_lefschetz(ctx)[0]:
         raise LefschetzError("hard Lefschetz fails; Hodge check undefined")
     dims = ctx.ring.dims()
     verdict = True
@@ -195,7 +196,7 @@ def check_hodge_standard(ctx):
             "ok": pos and sig_ok,
         })
         sig_below, expected_below = sig.signature, expected_sig
-    return verdict, {"hard_lefschetz": hl_report, "degrees": report}
+    return verdict, report
 
 
 # -- invariant divisors --------------------------------------------------------

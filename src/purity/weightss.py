@@ -768,7 +768,11 @@ def inertia_invariants(cx, w):
 
 
 def euler_check(cx):
-    """Alternating sums of the E1 and E2 dimensions, which must agree."""
+    """(agree, {"e1", "e2"}): the alternating sums of the E1 and E2
+    dimensions.  They agree for any maps with d1 o d1 = 0, whatever the
+    geometry, so this is a linear-algebra check: it tests that the E2
+    dimensions `_homology` reads from `kernel_basis`, `column_space` and
+    `rref` agree with one another, not the complex."""
     table = weight_table(cx)
     e1 = sum((-1) ** (i + j) * table.e1_dim(i, j) for (i, j) in table.entries)
     e2 = sum((-1) ** (i + j) * table.e2_dim(i, j) for (i, j) in table.entries)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purity import fixtures
-from purity.cli import _BATCH, _write_json, main
+from purity.cli import _BATCH, _TEXT, _write_json, main
 from purity.cohomology import SIZE_BUDGET, PairingRows, blowup, build_ring
 from purity.fixtures import drinfeld_local, make_fixture
 from purity.linalg import Matrix
@@ -124,6 +124,26 @@ def test_hodge_refuses_non_positive(capsys):
                        "--divisor", "1,-1")
     assert code == 1
     assert "REFUSED" in out and "NOT positive" in out
+
+
+@pytest.mark.parametrize("divisor,code,out,err", [
+    ("abc", 2, "", "error: divisor coefficient 'abc' is not an integer or "
+                   "'p/q'\n"),
+    ("0,0,0,0,0", 1, "variety: B^4 over F_2\n"
+                     "positivity criterion: NOT positive (alpha=0, "
+                     "levels=0,0,0,0)\n"
+                     "REFUSED: class is not positive; Lefschetz verification "
+                     "needs a positive class\n", ""),
+], ids=["malformed", "not-positive"])
+def test_hodge_refuses_a_divisor_before_the_ring_is_built(
+        monkeypatch, capsys, divisor, code, out, err):
+    from purity import cohomology
+
+    def unreachable(spec):
+        raise AssertionError("build_ring ran")
+    monkeypatch.setattr(cohomology, "build_ring", unreachable)
+    assert run(capsys, "hodge", "--n", "4", "--q", "2",
+               "--divisor", divisor) == (code, out, err)
 
 
 def test_hodge_refuses_positive_margins_that_are_not_concave(capsys):
@@ -902,6 +922,100 @@ def test_wss_json_report(capsys):
     data = json.loads(out)
     assert data["purity"]["1"]["ok"] is True
     assert data["zeta"]["factors"] == [{"a": 1, "multiplicity": -1}]
+
+
+# -- one report, two renderings -----------------------------------------------
+
+def _rendered(payload):
+    return "".join(line + "\n" for line in _TEXT[payload["command"]](payload))
+
+
+@pytest.mark.parametrize("argv", [
+    ("ring", "--n", "2", "--q", "2"),
+    ("ring", "--n", "3", "--q", "2", "--degree", "1"),
+    ("hodge", "--n", "2", "--q", "2", "--divisor", "omega"),
+    ("hodge", "--n", "2", "--q", "2", "--divisor", "1,-1"),
+    ("wss", "--fixture", "two-planes:2", "--check-lemmas", "--zeta"),
+    ("wss", "--fixture", "tate-cycle:3,2", "--zeta"),
+], ids=["ring", "ring-degree", "hodge-pass", "hodge-refused",
+        "wss-lemmas-zeta", "wss-zeta"])
+def test_the_text_report_is_rendered_from_the_json_report(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    json_code, json_out, _ = run(capsys, "--json", *argv)
+    assert code == json_code
+    assert out == _rendered(json.loads(json_out))
+
+
+def _report(capsys, *argv):
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_hodge_text_names_a_failing_hard_lefschetz_degree(capsys):
+    report = _report(capsys, "hodge", "--n", "2", "--q", "2")
+    report["hard_lefschetz"]["degrees"][1].update(rank=7, ok=False)
+    report["hard_lefschetz"]["ok"] = False
+    del report["hodge_standard"]
+    report["verdict"] = "fail"
+    lines = _rendered(report).splitlines()
+    assert lines[-2:] == ["hard Lefschetz H^2: rank 7 / 8 FAIL",
+                          "verdict: FAIL (hard Lefschetz)"]
+
+
+def test_hodge_text_names_a_form_that_is_not_definite(capsys):
+    report = _report(capsys, "hodge", "--n", "2", "--q", "2")
+    row = report["hodge_standard"]["degrees"][1]
+    row.update(positive_definite=False, ok=False)
+    report["verdict"] = "fail"
+    lines = _rendered(report).splitlines()
+    assert lines[-2:] == [
+        "Hodge positivity H^2: primitive dim 7, NOT definite; inertia "
+        "(7,1,0), signature 6 (expected 6)", "verdict: FAIL"]
+
+
+def test_wss_text_names_failing_purity_ranks_lemmas_and_skipped_zeta(capsys):
+    report = _report(capsys, "wss", "--fixture", "two-planes:2",
+                     "--check-lemmas", "--zeta")
+    ranks = report["purity"]["2"]["ranks"]
+    ranks[0].update(dim_source=3, dim_target=3, rank=2, ok=False)
+    ranks[2].update(dim_source=1, dim_target=0, rank=0, ok=False)
+    report["purity"]["2"]["ok"] = False
+    report["lemmas"].update(ok=False, failed=["tau_rho_zero[t=1,i=0]"])
+    report["zeta"] = None
+    lines = _rendered(report).splitlines()
+    assert "purity w=2: FAIL (N^1: rank 2, E2 dims 3 -> 3; "\
+           "N^3: rank 0, E2 dims 1 -> 0)" in lines
+    assert "purity w=1: PASS" in lines
+    assert lines[-2:] == ["positivity lemma suite: FAIL (15 checks; failing: "
+                          "tau_rho_zero[t=1,i=0])",
+                          "zeta: skipped (purity failed)"]
+
+
+def test_wss_text_names_a_failing_euler_row_and_zeta_match(capsys):
+    report = _report(capsys, "wss", "--fixture", "tate-cycle:3,2", "--zeta")
+    report["euler"]["e2"] = 1
+    report["zeta"]["weight_table_match"] = False
+    text = _rendered(report)
+    assert "E1/E2 Euler characteristics agree (linear-algebra check): " \
+           "FAIL (0 = 1)\n" in text
+    assert "zeta factors match weight table: FAIL\n" in text
+
+
+def test_timeout_covers_the_products_written_with_the_report():
+    # the B^3/F_3 ring builds in well under a second; its product tables
+    # are computed row by row as the report is written, for far longer
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "purity.cli", "--timeout",
+                           "1", "--json", "ring", "--n", "3", "--q", "3",
+                           "--products"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (
+        2, "error: timeout of 1s exceeded\n")
+    assert time.perf_counter() - start < 30
 
 
 # Exit code and sha256 of the --json report for fixed runs.  Report bytes are

@@ -68,7 +68,7 @@ def test_b2_omega_hodge_and_inertia():
     assert ok
     hodge, report = check_hodge_standard(ctx)
     assert hodge
-    deg2 = report["degrees"][1]
+    deg2 = report[1]
     assert deg2["primitive_dim"] == 7
     assert (deg2["inertia"]["n_plus"], deg2["inertia"]["n_minus"]) == (7, 1)
     assert deg2["signature"] == 6
@@ -416,7 +416,7 @@ def test_b3_omega_full_verification():
     assert check_hard_lefschetz(ctx)[0]
     ok, report = check_hodge_standard(ctx)
     assert ok
-    prim_dims = [row["primitive_dim"] for row in report["degrees"]]
+    prim_dims = [row["primitive_dim"] for row in report]
     assert prim_dims == [1, 50]
 
 
@@ -530,8 +530,8 @@ def test_hodge_riemann_from_signatures_matches_primitive_grams(n, q):
         ok, report = check_hodge_standard(ctx)
         verdicts.append(ok)
         expected = hodge_by_primitive_grams(ctx)
-        assert len(report["degrees"]) == len(expected)
-        for got, want in zip(report["degrees"], expected):
+        assert len(report) == len(expected)
+        for got, want in zip(report, expected):
             assert want["orthogonal_splitting"] and got["orthogonal_splitting"]
             for key in ("degree", "primitive_dim", "positive_definite",
                         "signature"):

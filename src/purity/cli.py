@@ -249,10 +249,8 @@ def cmd_wss(args):
 def _wss_text(p):
     yield ("complex: %s (%d strata, dimension %d, q=%d)"
            % (p["complex"], p["strata"], p["dimension"], p["q"]))
-    # constant: weight_table raises before any report exists if one fails
+    # constant: weight_table raises before any report exists if it fails
     yield "d1 o d1 = 0: ok"
-    yield "N o d1 = d1 o N: ok"
-    yield "E1 monodromy isomorphisms N^r: ok"
     e1, e2 = p["euler"]["e1"], p["euler"]["e2"]
     yield ("E1/E2 Euler characteristics agree (linear-algebra check): "
            "%s (%d = %d)" % ("ok" if e1 == e2 else "FAIL", e1, e2))
@@ -357,13 +355,21 @@ def main(argv=None):
         signal.alarm(args.timeout)
     try:
         payload, ok = args.func(args)
-        if args.json:
-            _write_json({"schema_version": SCHEMA_VERSION, **payload},
-                        sys.stdout.write)
-            sys.stdout.write("\n")
-        else:
-            for line in _TEXT[args.command](payload):
-                print(line)
+        try:
+            if args.json:
+                _write_json({"schema_version": SCHEMA_VERSION, **payload},
+                            sys.stdout.write)
+                sys.stdout.write("\n")
+            else:
+                for line in _TEXT[args.command](payload):
+                    print(line)
+            sys.stdout.flush()   # a closed pipe fails here, not at exit
+        except BrokenPipeError:
+            # the reader stopped early, which does not change the verdict;
+            # with fd 1 on devnull the interpreter's exit flush cannot fail
+            import os
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -64,7 +64,7 @@ from . import linalg
 from .fields import get_field
 from .geometry import (LinearSubvariety, ambient_geometry, gaussian_binomial,
                        quotient_image, sub_image)
-from .record import Record
+from .record import Record, _memoized
 
 
 class CohomologyError(ValueError):
@@ -274,7 +274,8 @@ def _restricted_product(spec, v, gens):
 # -- intersection numbers -----------------------------------------------------
 
 # Top intersection numbers of blow-ups by flag type:
-# (spec, count code of `_support_keys`) -> int.
+# (spec, count code of `_support_keys`) -> int.  A dict of its own, not an
+# `lru_cache`: perfbench/tracer.py reads it by name.
 _EVAL_MEMO = {}
 
 
@@ -465,9 +466,8 @@ class GradedRing:
         self.n = n = len(basis) - 1
         self.basis = basis
         self.index = [{m: i for i, m in enumerate(bs)} for bs in basis]
-        self._coords_memo = {}
-        self._dual_inv = [None] * (n + 1)
-        self._basis_keys = [None] * (n + 1)
+        self._coords_memo = {}   # read by name by perfbench/tracer.py
+        self.memo = {}
         self.pairing = [None] * (n + 1)
         unit = list(zip(basis[0], self.basis_keys(0), [1]))
         for j in range(n // 2 + 1):
@@ -490,9 +490,11 @@ class GradedRing:
         the N^j coordinates of the classes whose pairings with basis[n-j] are
         the columns of e.  pairing[n-j] is the stored transpose of
         pairing[j], and its inverse is computed once per degree."""
-        if self._dual_inv[j] is None:
-            self._dual_inv[j] = linalg.inverse(self.pairing[self.n - j])
-        return linalg.matmul(self._dual_inv[j], e)
+        return linalg.matmul(self._dual_inv(j), e)
+
+    @_memoized
+    def _dual_inv(self, j):
+        return linalg.inverse(self.pairing[self.n - j])
 
     def monomial_coords(self, mono):
         """Coordinates of a monomial of a blow-up, P^n, an explicit surface or
@@ -528,11 +530,10 @@ class GradedRing:
             return _support_keys(self.spec, mono)
         return 0, -1, 0
 
+    @_memoized
     def basis_keys(self, j):
         """`support_keys` of each monomial of basis[j], computed once."""
-        if self._basis_keys[j] is None:
-            self._basis_keys[j] = [self.support_keys(x) for x in self.basis[j]]
-        return self._basis_keys[j]
+        return [self.support_keys(x) for x in self.basis[j]]
 
     def block(self, j, terms, k):
         """The `linalg.Matrix` E[d][b] = sum c int a.b.d over the terms
@@ -671,9 +672,6 @@ def _gen_json(spec, g):
 
 # -- ring construction ----------------------------------------------------------
 
-_RING_CACHE = {}
-
-
 def chain_basis(spec, degree):
     """The chain basis of N^degree (see the module docstring) in the order of
     sorted generators.  Counting h as a center of dimension -1 makes its bound
@@ -717,21 +715,18 @@ def check_resource_guard(spec):
     check_size_budget(sum(betti_numbers(spec)), "Betti total")
 
 
+@lru_cache(maxsize=None)
 def build_ring(spec):
-    """Construct the graded ring of spec; results are cached per spec."""
-    if spec in _RING_CACHE:
-        return _RING_CACHE[spec]
+    """Construct the graded ring of spec; results are cached per spec, and a
+    refused spec raises, so it is never cached."""
     check_resource_guard(spec)
     if isinstance(spec, Projective):
-        ring = _build_projective(spec)
-    elif isinstance(spec, BlownUp):
-        ring = _build_blowup(spec)
-    elif isinstance(spec, SurfaceSpec):
-        ring = _build_surface(spec)
-    else:
-        ring = _build_product(spec)
-    _RING_CACHE[spec] = ring
-    return ring
+        return _build_projective(spec)
+    if isinstance(spec, BlownUp):
+        return _build_blowup(spec)
+    if isinstance(spec, SurfaceSpec):
+        return _build_surface(spec)
+    return _build_product(spec)
 
 
 def _build_projective(spec):

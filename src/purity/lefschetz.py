@@ -23,13 +23,12 @@ Ann. Math. 2018, section 7; the argument is in `check_hodge_standard`).
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from . import linalg
 from .cohomology import blowup
 from .geometry import ambient_geometry, point_count
-from .record import Record
+from .record import Record, _memoized
 
 
 class LefschetzError(ValueError):
@@ -54,17 +53,6 @@ class LefschetzContext:
     @property
     def n(self):
         return self.ring.n
-
-
-def _memoized(fn):
-    """Compute fn(ctx, *args) once per context and argument tuple."""
-    @functools.wraps(fn)
-    def wrapper(ctx, *args):
-        key = (fn.__name__,) + args
-        if key not in ctx.memo:
-            ctx.memo[key] = fn(ctx, *args)
-        return ctx.memo[key]
-    return wrapper
 
 
 def make_context(ring, divisor):

@@ -8,7 +8,24 @@ class with equal fields (not to a subclass, as a dataclass compared
 records, so each spec is equal to a spec of its own class with the same
 fields and hashed by them: specs key `build_ring`, the `restrict_generator`
 memo and the flag-type memo.  Subvariety reprs appear in error messages.
+
+`_memoized` keeps the results of a method, or of a function of one object,
+in that object's `memo` dict, one entry per name and argument tuple: rings,
+complexes, weight tables and Lefschetz contexts memoize through it.
 """
+
+import functools
+
+
+def _memoized(fn):
+    """Compute fn(obj, *args) once per object and argument tuple, in obj.memo."""
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        key = (fn.__name__,) + args
+        if key not in obj.memo:
+            obj.memo[key] = fn(obj, *args)
+        return obj.memo[key]
+    return wrapper
 
 
 class Record:

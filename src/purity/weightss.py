@@ -13,11 +13,13 @@ The first page has entries
                strata, carrying weight tag j,
 
 with the differential assembled from restrictions (Cech signs times
-(-1)^(k-i)) and Gysin maps (Cech signs times (-1)^k).  d1 o d1 = 0 is
-checked, not trusted, and the monodromy map N (reindexing k -> k+1 with the
-sign (-1)^i) is checked to commute with d1 and to give isomorphisms
-E1[-r, w+r] -> E1[r, w-r].  E2 and the induced N rely on these checks, made
-once when the table is built, and repeat neither; once purity holds in a
+(-1)^(k-i)) and Gysin maps (Cech signs times (-1)^k).  d1 o d1 = 0 is the
+anticommutation of the input's restrictions and Gysin maps, so it is checked
+once when the table is built, not trusted.  The monodromy map N reindexes
+k -> k+1 with the sign (-1)^i, the identity on the same H^s(X^(t)), so it
+commutes with d1 and gives isomorphisms E1[-r, w+r] -> E1[r, w-r] by
+construction, whatever the restriction maps (`WeightTable` says why).  E2 and
+the induced N rely on these facts and recheck neither; once purity holds in a
 degree (Deligne, Weil II, 1.6), the E2 dimensions fix the kernel of N there.
 
 The strata of one level t lay out H^i(X^(t)), the sum of their H^i, and
@@ -51,8 +53,9 @@ from . import linalg
 from .cohomology import (ResourceGuardError, SurfaceSpec, build_ring,
                          check_size_budget)
 from .fields import FieldError, _prime_power
-from .lefschetz import (_memoized, check_hard_lefschetz,
-                        lefschetz_pairing_gram, lefschetz_power, make_context)
+from .lefschetz import (check_hard_lefschetz, lefschetz_pairing_gram,
+                        lefschetz_power, make_context)
+from .record import _memoized
 
 
 class ComplexValidationError(ValueError):
@@ -119,7 +122,7 @@ class SemistableComplex:
                           for sid in ids
                           for m in sorted(self.strata[sid].parents)]
                       for t, ids in self.levels.items()}
-        self._gysin_cache = {}
+        self._gysin_cache = {}   # read by name by perfbench/tracer.py
         self.memo = {}
         self._validate()
 
@@ -555,7 +558,16 @@ class WeightTable:
     by (-1)^(k-i) rho(t, s) to part k+1 and by (-1)^k tau(t, s) to part k of
     E1[i+1, j]; N sends it by (-1)^i to part k+1 of E1[i+2, j-2].  Layouts,
     maps and E2 data are computed once per argument tuple and returned
-    shared: callers must not mutate them."""
+    shared: callers must not mutate them.
+
+    N d1 = d1 N holds for any rho and tau, so it is not checked.  From part
+    k, the rho route to part k+2 carries (-1)^(k-i) (-1)^(i+1) one way and
+    (-1)^i (-1)^(k+1-(i+2)) the other, both (-1)^(k+1), and the tau route to
+    part k+1 carries (-1)^(k+i+1) both ways; each side uses the same block
+    and exists for the same k.  N^r sends part k of E1[-r, w+r] to part k+r
+    of E1[r, w-r], the same space, by +-1.  Every target part k' >= r comes
+    from k = k' - r, and a source part with k + r > n + 1 has level above
+    n + 1, where validation leaves no stratum, so N^r is bijective on E1."""
 
     def __init__(self, cx):
         self.cx = cx
@@ -564,7 +576,6 @@ class WeightTable:
         self.entries = [(i, j) for i in range(-(n + 2), n + 3)
                         for j in range(0, 2 * n + 3) if self.e1_dim(i, j)]
         self._check_d1_squared()
-        self._check_monodromy()
 
     # dimensions ------------------------------------------------------------------
 
@@ -616,29 +627,6 @@ class WeightTable:
             (tgt[k + 1][2], col, linalg.identity(self.cx.level_dim(t, s)), sign)
             for k, (t, s, col) in src.items() if k + 1 in tgt])
 
-    def _check_monodromy(self):
-        for (i, j) in self.entries:
-            a = linalg.matmul(self.n_map(i + 1, j), self.d1(i, j))
-            b = linalg.matmul(self.d1(i + 2, j - 2), self.n_map(i, j))
-            if a != b:
-                raise SpectralSequenceError(
-                    "N does not commute with d1 at entry (%d, %d)" % (i, j))
-        # N^r: E1[-r, w+r] -> E1[r, w-r] must be bijective
-        n = self.cx.n
-        for w in range(0, 2 * n + 1):
-            for r in range(1, n + 2):
-                src_dim = self.e1_dim(-r, w + r)
-                tgt_dim = self.e1_dim(r, w - r)
-                if src_dim != tgt_dim:
-                    raise SpectralSequenceError(
-                        "E1 N^%d source/target dims differ at w=%d" % (r, w))
-                if src_dim == 0:
-                    continue
-                m = _chain(self.n_map, -r, w + r, r)
-                if linalg.rank(m) != src_dim:
-                    raise SpectralSequenceError(
-                        "N^%d is not an isomorphism on E1 at w=%d" % (r, w))
-
     # -- E2 --------------------------------------------------------------------------
 
     @_memoized
@@ -660,8 +648,8 @@ class WeightTable:
         """Matrix of N on E2 quotient bases, (i,j) -> (i+2, j-2): the target
         slot's `coords` (see `_homology`) applied to N(quotient).  One matmul,
         no new elimination.  N(quotient) is made of cycles: for a cycle Q,
-        d1 N Q = N d1 Q = 0 by the commutation `_check_monodromy` verified
-        at the entry (i, j)."""
+        d1 N Q = N d1 Q = 0, as N commutes with d1 by construction (see
+        `WeightTable`)."""
         sdim, tdim = self.e2_dim(i, j), self.e2_dim(i + 2, j - 2)
         if sdim == 0 or tdim == 0:
             return linalg.zeros(tdim, sdim)

@@ -50,12 +50,11 @@ class FactoredRationalT(Record):
 
 def l_factor(cx, w):
     """L-factor of degree w: product of (1 - q^(j/2) T)^(-dim) over the
-    weight-j inertia invariants.  Requires purity in degree w."""
+    weight-j inertia invariants.  Requires purity in degree w.  Every j is
+    even: E1[i, j] is made of H^s with s - j even, and odd degrees vanish."""
     inv = inertia_invariants(cx, w)
     out = {}
     for j, dim in inv.items():
-        if j % 2:
-            raise ZetaError("odd weight %d in inertia invariants" % j)
         out[j // 2] = out.get(j // 2, 0) - dim
     return FactoredRationalT.from_dict(cx.q, out)
 

@@ -65,6 +65,11 @@ rewritten as h minus the e_W it contains, where
 levels and `cohomology.hyperplane_relation` builds one hyperplane class from
 the strict subspaces.
 
+The product route to the E1 monodromy (see `e1_monodromy_failures`): the
+products N d1 and d1 N at every entry and the rank of every N^r on E1, where
+`weightss.WeightTable` takes both identities from its layout and checks
+neither.
+
 `comparable`, containment either way, is the relation of the blow-up
 centers that the package encodes in the comparable masks of its geometry.
 """
@@ -658,3 +663,20 @@ def inertia_invariants_by_ranks(cx, w):
         if kdim:
             out[j] = out.get(j, 0) + kdim
     return out
+
+
+# -- the E1 monodromy by products and ranks --------------------------------------
+
+def e1_monodromy_failures(table):
+    """The entries (i, j) where N d1 != d1 N, then the (w, r) where N^r is no
+    isomorphism E1[-r, w+r] -> E1[r, w-r]; both lists are empty when the E1
+    layout gives the identities it should."""
+    matmul = linalg.matmul
+    commute = [(i, j) for (i, j) in table.entries
+               if matmul(table.n_map(i + 1, j), table.d1(i, j))
+               != matmul(table.d1(i + 2, j - 2), table.n_map(i, j))]
+    n = table.cx.n
+    iso = [(w, r) for w in range(0, 2 * n + 1) for r in range(1, n + 2)
+           if not table.e1_dim(r, w - r) == table.e1_dim(-r, w + r)
+           == linalg.rank(weightss._chain(table.n_map, -r, w + r, r))]
+    return commute, iso

@@ -35,3 +35,10 @@ def test_launcher_measures_one_call(tmp_path):
                                                   dict(os.environ))
     assert (code, sha) == (3, hashlib.sha256(b"ab\n").hexdigest())
     assert wall > 0 and cpu > 0 and rss_mb > 1
+
+
+def test_the_import_probe_runs_from_this_checkout():
+    root = TOOL.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    _, _, _, code, sha = ab_cli.measure(ab_cli.PROBE, root, env)
+    assert (code, sha) == (0, hashlib.sha256(b"").hexdigest())

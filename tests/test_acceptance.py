@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracle import divisor_vector, product_lefschetz_vector, subspaces_by_dim
+from oracle import (divisor_vector, e1_monodromy_failures,
+                    product_lefschetz_vector, subspaces_by_dim)
 
 from purity import linalg
 from purity.cli import main as cli_main
@@ -145,7 +146,10 @@ def _fixtures():
 def test_criterion_6_spectral_sequence():
     for name, cx in _fixtures().items():
         t0 = time.time()
-        weight_table(cx)      # d1^2 = 0, N d1 = d1 N, E1 N^r isomorphisms
+        table = weight_table(cx)      # raises unless d1^2 = 0
+        # N d1 = d1 N and the E1 N^r isomorphisms, which the table does not
+        # check: its layout gives them
+        assert e1_monodromy_failures(table) == ([], []), name
         ok_euler, _ = euler_check(cx)
         assert ok_euler, name
         for w in range(0, 2 * cx.n + 1):

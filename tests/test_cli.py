@@ -1018,6 +1018,28 @@ def test_timeout_covers_the_products_written_with_the_report():
     assert time.perf_counter() - start < 30
 
 
+@pytest.mark.parametrize("argv,nbytes,code", [
+    (("--json", "ring", "--n", "3", "--q", "3"), 100, 0),
+    (("ring", "--n", "3", "--q", "3", "--degree", "1"), 100, 0),
+    (("hodge", "--n", "2", "--q", "2", "--divisor", "1,-1"), 0, 1),
+], ids=["json", "text", "refused-small-text-unread"])
+def test_a_reader_that_stops_early_keeps_the_verdict(argv, nbytes, code):
+    # a reader that closes the pipe early is no invalid input: the exit code
+    # is the verdict's, and nothing goes to stderr.  Buffered, a small report
+    # meets the closed pipe only when stdout is flushed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                          / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "purity.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(nbytes)) == nbytes
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (code, b"")
+
+
 # Exit code and sha256 of the --json report for fixed runs.  Report bytes are
 # part of the interface: a change that alters them must say why and update the
 # digest here.
@@ -1136,7 +1158,7 @@ def test_streamed_json_renders_pairing_rows_in_batches():
 def test_json_report_is_streamed_in_small_memory(monkeypatch):
     build_ring(blowup(3, 3))     # cached, so the measured run only reports it
 
-    class Sink:
+    class Sink(io.TextIOBase):
         def write(self, text):
             return len(text)
 
@@ -1155,7 +1177,7 @@ def test_json_report_is_streamed_in_small_memory(monkeypatch):
 def test_products_report_is_streamed_in_small_memory(monkeypatch):
     build_ring(blowup(3, 2))     # cached, so the measured run only reports it
 
-    class Sink:
+    class Sink(io.TextIOBase):
         def write(self, text):
             return len(text)
 

@@ -19,8 +19,8 @@ from purity.weightss import (ComplexValidationError,
                              complex_to_json, euler_check,
                              explicit_surface_ring, inertia_invariants,
                              load_complex, verify_rz_lemmas, weight_table)
-from oracle import (inertia_invariants_by_ranks, level_primitive, pair,
-                    verify_rz_lemmas_by_subspaces)
+from oracle import (e1_monodromy_failures, inertia_invariants_by_ranks,
+                    level_primitive, pair, verify_rz_lemmas_by_subspaces)
 
 
 @pytest.fixture(scope="module")
@@ -626,6 +626,30 @@ def test_d1_is_made_of_signed_level_maps(oracle_complexes):
                         want = linalg.zeros(len(rows), len(cols))
                     assert linalg.submatrix(d, rows, cols) == want, \
                         (cx.name, i, j, k, k2)
+
+
+def test_n_is_the_signed_identity_from_each_part_to_the_next(
+        oracle_complexes):
+    # part k of E1[i, j] goes to part k+1 of E1[i+2, j-2], the same
+    # H^s(X^(t)), by (-1)^i times the identity; every other block is zero.
+    # The table checks neither of the identities this gives, so they are
+    # recomputed here: N d1 = d1 N at every entry, N^r bijective on E1
+    roundtrip = load_complex(complex_to_json(oracle_complexes[1]))
+    for cx in oracle_complexes + [roundtrip]:
+        table = weight_table(cx)
+        for (i, j) in table.entries:
+            n = table.n_map(i, j)
+            src, _ = table.parts(i, j)
+            tgt, _ = table.parts(i + 2, j - 2)
+            for k, (t, s, col) in src.items():
+                cols = range(col, col + cx.level_dim(t, s))
+                for k2, (t2, s2, row) in tgt.items():
+                    rows = range(row, row + cx.level_dim(t2, s2))
+                    want = linalg.scale(linalg.identity(len(cols)), (-1) ** i) \
+                        if k2 == k + 1 else linalg.zeros(len(rows), len(cols))
+                    assert linalg.submatrix(n, rows, cols) == want, \
+                        (cx.name, i, j, k, k2)
+        assert e1_monodromy_failures(table) == ([], []), cx.name
 
 
 def _span(cx, t, i, sid):

@@ -17,11 +17,15 @@ A forked child's `ru_maxrss` counts the memory of the process it was forked
 from, so the CLI's peak carries at most the launcher's small size, not this
 harness's.
 
+In each pair each side also makes one `PROBE` call, a fresh `import
+purity.cli`, right after its workload call: its wall time is the benchmark's
+`setup_s`.
+
 Both sides must print the same stdout sha256 with the same exit code on
-every call; the tool stops with exit 1 otherwise.  Per workload and metric
-(wall s, CPU s, peak RSS MB) it prints the parent's median and quartiles, the
-change's median and the pairs the change won (lower wins; ties count for
-neither side).
+every call, and every probe must exit 0 with no output; the tool stops with
+exit 1 otherwise.  Per workload and metric (wall s, CPU s, peak RSS MB,
+setup s) it prints the parent's median and quartiles, the change's median
+and the pairs the change won (lower wins; ties count for neither side).
 """
 
 import ast
@@ -33,6 +37,9 @@ from pathlib import Path
 
 PAIRS = 10
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+# the import probe of perfbench/run.py
+PROBE = [sys.executable, "-c", "import purity.cli"]
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 # argv[1:] is the command; prints "wall cpu maxrss_kb exit_code sha256"
 LAUNCHER = r"""
@@ -103,19 +110,28 @@ def main(argv):
                  PYTHONPATH=str(root / "src")) for root in roots]
     for name, args in read_workloads().items():
         cli = [sys.executable, "-m", "purity.cli", "--json", *args]
-        runs = ([], [])
+        runs, probes = ([], []), ([], [])
         for i in range(PAIRS):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
                 runs[side].append(measure(cli, roots[side], envs[side]))
+                probes[side].append(measure(PROBE, roots[side], envs[side]))
         outputs = {run[3:] for side in runs for run in side}
         if len(outputs) != 1:
             print("%s: the sides differ in (exit code, sha256): %s"
                   % (name, sorted(outputs)), file=sys.stderr)
             return 1
+        probe_outputs = {run[3:] for side in probes for run in side}
+        if probe_outputs != {(0, EMPTY_SHA256)}:
+            print("%s: an import probe failed or printed: %s"
+                  % (name, sorted(probe_outputs)), file=sys.stderr)
+            return 1
         (code, sha), = outputs
         print("%s: exit %d, sha256 %s, %d pairs" % (name, code, sha[:8], PAIRS))
-        for k, metric in enumerate(("wall_s", "cpu_s", "rss_mb")):
-            s = summary([r[k] for r in runs[0]], [r[k] for r in runs[1]])
+        rows = [(metric, [[r[k] for r in side] for side in runs])
+                for k, metric in enumerate(("wall_s", "cpu_s", "rss_mb"))]
+        rows.append(("setup_s", [[r[0] for r in side] for side in probes]))
+        for metric, (parent, change) in rows:
+            s = summary(parent, change)
             print("  %-7s parent %.4f [%.4f, %.4f]  change %.4f  wins %d/%d"
                   % (metric, s["parent"], *s["quartiles"], s["change"],
                      s["wins"], s["pairs"]))

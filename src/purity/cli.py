@@ -23,6 +23,7 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import cohomology, linalg
@@ -43,7 +44,11 @@ def _write_json(obj, write):
     `write`, in batches of about _BATCH characters, without ever building the
     whole text.  A list or tuple whose items are all str, or all int, is
     written as one piece; any other sequence, such as the lazy
-    `cohomology.PairingRows`, is read once, item by item."""
+    `cohomology.ProductRows`, is read once, item by item.  A `linalg.Matrix`
+    is written as the list of its rows, each a list of entry strings ("n" or
+    "p/q", as `str` of a `Fraction`), one row at a time: a row starts as
+    "0" cells and only its nonzeros are rendered, and a cell, made of digits,
+    "-" and "/", needs no JSON escape."""
     pieces = []
     size = 0
 
@@ -70,6 +75,21 @@ def _write_json(obj, write):
                 value(o[k], inner)
                 sep = "," + inner
             put("{}" if not o else nl + "}")
+        elif t is linalg.Matrix:
+            inner = nl + "  "
+            cell = inner + "  "
+            cols = range(o.ncols)
+            den = o.den
+            sep = "[" + inner
+            for row in o.rows:
+                cells = ['"0"'] * o.ncols
+                for j in compress(cols, row):
+                    cells[j] = '"%s"' % (row[j] if den == 1
+                                         else Fraction(row[j], den))
+                put(sep + ("[" + cell + ("," + cell).join(cells) + inner + "]"
+                           if cells else "[]"))
+                sep = "," + inner
+            put("[]" if not o.nrows else nl + "]")
         elif t is list or t is tuple or (isinstance(o, Sequence) and
                                          not isinstance(o, (str, bytes))):
             inner = nl + "  "
@@ -130,7 +150,7 @@ def cmd_ring(args):
                "ring": ring.to_json(include_products=args.products)}
     if k is not None:
         payload["pairing_degree"] = k
-        payload["pairing"] = cohomology.PairingRows(ring.pairing[k])
+        payload["pairing"] = ring.pairing[k]
     return payload, True
 
 
@@ -142,7 +162,7 @@ def _ring_text(p):
     if "pairing" in p:
         yield "pairing in degree %d:" % p["pairing_degree"]
         for row in p["pairing"]:
-            yield "  [%s]" % " ".join(row)
+            yield "  [%s]" % " ".join(map(str, row))
 
 
 def cmd_hodge(args):

@@ -409,29 +409,10 @@ def betti_numbers(spec):
 
 # -- graded rings ---------------------------------------------------------------
 
-class PairingRows(Sequence):
-    """The rows of a `linalg.Matrix` as lists of entry strings, each row
-    rendered only when it is read, so a report can be written row by row
-    without holding every entry string at once."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    def __len__(self):
-        return self.matrix.nrows
-
-    def __getitem__(self, i):
-        m = self.matrix
-        if m.den == 1:
-            return list(map(str, m.rows[i]))
-        return list(map(str, m[i]))
-
-
 class ProductRows(Sequence):
-    """The (j, k) products table of a ring: row a is the `PairingRows` of
-    the transposed `GradedRing.cup_matrix(j, e_a, k)`, computed when read."""
+    """The (j, k) products table of a ring: row a is the transposed
+    `GradedRing.cup_matrix(j, e_a, k)`, a `linalg.Matrix` computed when
+    read."""
 
     __slots__ = ("ring", "j", "k")
 
@@ -444,8 +425,7 @@ class ProductRows(Sequence):
     def __getitem__(self, a):
         unit = self.ring.zero(self.j)
         unit[a] = Fraction(1)
-        return PairingRows(linalg.transpose(
-            self.ring.cup_matrix(self.j, unit, self.k)))
+        return linalg.transpose(self.ring.cup_matrix(self.j, unit, self.k))
 
 
 class GradedRing:
@@ -454,11 +434,13 @@ class GradedRing:
     basis[j] lists the monomials spanning N^j; pairing[j] is the
     `linalg.Matrix` of top intersection numbers between basis[j] and
     basis[n-j], the `block` of the unit; pairing[n-j] is stored as its
-    transpose.  Construction ranks pairing[j] for j <= n/2 and refuses a
-    degenerate one, so on every ring kind the pairings are nondegenerate
-    (Poincare duality).  A non-basis monomial's coordinates solve its one-column
-    block by `dual_solve`, on products as on every other ring, and every
-    product of classes is read from one `cup_matrix`.
+    transpose.  Construction refuses a degenerate pairing[j] for j <= n/2,
+    so on every ring kind the pairings are nondegenerate (Poincare duality).
+    signed[j] says that pairing[j] is a signed permutation matrix, which is
+    nondegenerate as it stands; any other pairing is ranked.  A non-basis
+    monomial's coordinates solve its one-column block by `dual_solve`, on
+    products as on every other ring, and every product of classes is read
+    from one `cup_matrix`.
     """
 
     def __init__(self, spec, basis):
@@ -469,15 +451,18 @@ class GradedRing:
         self._coords_memo = {}   # read by name by perfbench/tracer.py
         self.memo = {}
         self.pairing = [None] * (n + 1)
+        self.signed = [False] * (n + 1)
         unit = list(zip(basis[0], self.basis_keys(0), [1]))
         for j in range(n // 2 + 1):
             p = self.block(0, unit, n - j)
-            r = linalg.rank(p)
+            signed = linalg.is_signed_permutation(p)
+            r = len(basis[j]) if signed else linalg.rank(p)
             if not r == len(basis[j]) == len(basis[n - j]):
                 raise CohomologyError(
                     "degree %d: Poincare pairing of rank %d on %d x %d basis "
                     "monomials" % (j, r, len(basis[j]), len(basis[n - j])))
             self.pairing[j], self.pairing[n - j] = p, linalg.transpose(p)
+            self.signed[j] = self.signed[n - j] = signed
 
     def dims(self):
         return [len(b) for b in self.basis]
@@ -489,12 +474,15 @@ class GradedRing:
         """pairing[n-j]^(-1) e for a `linalg.Matrix` e with dim N^j rows:
         the N^j coordinates of the classes whose pairings with basis[n-j] are
         the columns of e.  pairing[n-j] is the stored transpose of
-        pairing[j], and its inverse is computed once per degree."""
+        pairing[j], and its inverse is computed once per degree: the inverse
+        of a signed permutation matrix is its transpose, and any other
+        pairing is inverted by elimination."""
         return linalg.matmul(self._dual_inv(j), e)
 
     @_memoized
     def _dual_inv(self, j):
-        return linalg.inverse(self.pairing[self.n - j])
+        p = self.pairing[self.n - j]
+        return linalg.transpose(p) if self.signed[j] else linalg.inverse(p)
 
     def monomial_coords(self, mono):
         """Coordinates of a monomial of a blow-up, P^n, an explicit surface or
@@ -644,16 +632,15 @@ class GradedRing:
         return linalg.matvec(self.cup_matrix(j, vj, k), vk)
 
     def to_json(self, include_products=True):
-        """The ring as report data.  Each pairing block is a lazy
-        `PairingRows`, `[list(row) for row in rows]` gives plain lists, and
-        each products table a lazy `ProductRows` of them."""
+        """The ring as report data.  Each pairing block is its
+        `linalg.Matrix`, which the report writer renders as rows of entry
+        strings, and each products table a lazy `ProductRows` of them."""
         out = {
             "dimension": self.n,
             "dims": self.dims(),
             "basis": [[[_gen_json(self.spec, g) for g in m] for m in bs]
                       for bs in self.basis],
-            "pairing": {str(j): PairingRows(self.pairing[j])
-                        for j in range(self.n + 1)},
+            "pairing": {str(j): self.pairing[j] for j in range(self.n + 1)},
         }
         if include_products:
             out["products"] = {"%d,%d" % (j, k): ProductRows(self, j, k)

@@ -203,6 +203,22 @@ def is_zero_matrix(m):
     return not any(map(any, m.rows))
 
 
+def is_signed_permutation(m):
+    """Whether m is square with exactly one nonzero entry in each row, 1 or
+    -1, and those entries in distinct columns.  Such a matrix is invertible,
+    and its inverse is its transpose."""
+    if m.den != 1 or m.nrows != m.ncols:
+        return False
+    cols = range(m.ncols)
+    seen = set()
+    for row in m.rows:
+        nz = list(compress(cols, row))
+        if len(nz) != 1 or row[nz[0]] not in (1, -1):
+            return False
+        seen.add(nz[0])
+    return len(seen) == m.nrows
+
+
 def scale(m, c):
     c = Fraction(c)
     return Matrix([[c.numerator * x for x in row] for row in m.rows],

@@ -440,12 +440,16 @@ def explicit_surface_ring(labels, intersection):
 def load_complex(data):
     """Build and validate a complex from a parsed JSON object (or a path)."""
     if isinstance(data, str):
-        with open(data) as fh:
+        path = data
+        with open(path) as fh:
             try:
                 data = json.load(fh)
             except RecursionError:
                 raise ComplexValidationError(
                     "JSON input is nested too deeply") from None
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ComplexValidationError(
+                    "input %r is not JSON: %s" % (path, exc)) from None
     if not isinstance(data, dict):
         raise ComplexValidationError("top-level JSON must be an object")
     if data.get("schema_version") != SCHEMA_VERSION:

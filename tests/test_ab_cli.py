@@ -1,11 +1,17 @@
 """`tools/ab_cli.py`: the paired summary on fixed numbers, the workload
-argvs read from perfbench/run.py, and one launcher-measured call."""
+argvs read from perfbench/run.py, one launcher-measured call, and one extra
+rung compared end to end and written as JSON."""
 
 import hashlib
 import importlib.util
+import json
 import os
+import platform
+import shutil
 import sys
 from pathlib import Path
+
+from purity.cli import main
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_cli.py"
 
@@ -42,3 +48,35 @@ def test_the_import_probe_runs_from_this_checkout():
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     _, _, _, code, sha = ab_cli.measure(ab_cli.PROBE, root, env)
     assert (code, sha) == (0, hashlib.sha256(b"").hexdigest())
+
+
+def test_an_extra_rung_is_compared_and_written_as_json(tmp_path, monkeypatch,
+                                                       capsys):
+    # two clean copies of this checkout's engine, and no benchmark workload
+    root = TOOL.parent.parent
+    sides = []
+    for side in ("parent", "change"):
+        shutil.copytree(root / "src", tmp_path / side / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        sides.append(str(tmp_path / side))
+    monkeypatch.setattr(ab_cli, "read_workloads", dict)
+    monkeypatch.setattr(ab_cli, "PAIRS", 2)
+    out = tmp_path / "BENCH_test.json"
+    assert ab_cli.main([*sides, "--extra", "ring --n 1 --q 2",
+                        "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["--json", "ring", "--n", "1", "--q", "2"]) == 0
+    sha = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    bench = json.loads(out.read_text())
+    assert bench["python"] == platform.python_version()
+    rung = bench["workloads"]["ring --n 1 --q 2"]
+    assert (rung["args"], rung["exit_code"], rung["stdout_sha256"]) == (
+        ["ring", "--n", "1", "--q", "2"], 0, sha)
+    assert sorted(rung["metrics"]) == ["cpu_s", "rss_mb", "setup_s", "wall_s"]
+    for s in rung["metrics"].values():
+        assert s["pairs"] == 2 and 0 <= s["wins"] <= 2
+        assert s["quartiles"][0] <= s["quartiles"][1]
+    assert printed.startswith("ring --n 1 --q 2: exit 0, sha256 %s, 2 pairs\n"
+                              % sha[:8])
+    assert printed.count("\n") == 5
+

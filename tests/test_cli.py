@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from purity import fixtures
 from purity.cli import _BATCH, _TEXT, _write_json, main
-from purity.cohomology import SIZE_BUDGET, PairingRows, blowup, build_ring
+from purity.cohomology import SIZE_BUDGET, blowup, build_ring
 from purity.fixtures import drinfeld_local, make_fixture
 from purity.linalg import Matrix
 from purity.weightss import (ComplexValidationError, SemistableComplex,
@@ -264,6 +265,15 @@ def test_wss_input_with_check_lemmas_does_not_load_the_input(monkeypatch,
 def test_wss_rejects_missing_file(capsys):
     code, _, err = run(capsys, "wss", "--input", "/nonexistent/x.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["", "{", "strata: []", "\udcff"])
+def test_wss_input_that_is_not_json_is_a_named_error(tmp_path, capsys, text):
+    path = tmp_path / "cx.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, out, err = run(capsys, "wss", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input %r is not JSON: " % str(path))
 
 
 def test_unknown_fixture(capsys):
@@ -1139,14 +1149,44 @@ def test_streamed_json_matches_json_dumps(obj):
     assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _entry_strings(m):
+    """The rows of a Matrix as entry strings, built entry by entry."""
+    return [[str(Fraction(x, m.den)) for x in row] for row in m.rows]
+
+
+def _matrix(nrows, ncols, den):
+    """Matrices of one shape over `den`: entries small or up to 10^40 in
+    size, and some rows all zero."""
+    entry = st.sampled_from([0, 1, -1, 2]) | _ints
+    row = (st.lists(entry, min_size=ncols, max_size=ncols)
+           | st.just([0] * ncols))
+    return st.lists(row, min_size=nrows, max_size=nrows).map(
+        lambda rows: Matrix(rows, den, ncols))
+
+
+_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                      st.just(1) | st.integers(1, 10 ** 12)).flatmap(
+    lambda shape: _matrix(*shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices, _matrices)
+def test_streamed_json_writes_a_matrix_as_its_entry_strings(m, other):
+    obj = {"m": m, "nested": [[other, m], {"k": other}, 3]}
+    plain = {"m": _entry_strings(m),
+             "nested": [[_entry_strings(other), _entry_strings(m)],
+                        {"k": _entry_strings(other)}, 3]}
+    assert _written(obj) == json.dumps(plain, indent=2, sort_keys=True)
+
+
 def test_streamed_json_renders_pairing_rows_in_batches():
     big = Matrix([[i * j - 7 for j in range(200)] for i in range(200)])
     obj = {"n": 2, "pairing": {
-        "int": PairingRows(Matrix([[1, -2], [0, 3]])),
-        "frac": PairingRows(Matrix([[1, 2], [3, -4]], 6)),
-        "empty": PairingRows(Matrix([], 1, 0)),
-        "big": PairingRows(big)}}
-    plain = {"n": 2, "pairing": {k: [list(row) for row in rows]
+        "int": Matrix([[1, -2], [0, 3]]),
+        "frac": Matrix([[1, 2], [3, -4]], 6),
+        "empty": Matrix([], 1, 0),
+        "big": big}}
+    plain = {"n": 2, "pairing": {k: [list(map(str, row)) for row in rows]
                                  for k, rows in obj["pairing"].items()}}
     assert plain["pairing"]["frac"] == [["1/6", "1/3"], ["1/2", "-2/3"]]
     writes = []

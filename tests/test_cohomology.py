@@ -652,7 +652,48 @@ def test_ring_serialization_roundtrip_shape():
     data = ring.to_json()
     assert data["dims"] == [1, 8, 1]
     assert len(data["basis"][1]) == 8
-    assert data["pairing"]["1"][0][0] == "1"
+    assert data["pairing"]["1"] is ring.pairing[1]
+    assert data["pairing"]["1"].entry(0, 0) == 1
+
+
+@pytest.mark.parametrize("n,q,degrees", [
+    (2, 2, [0, 1, 2]), (2, 3, [0, 1, 2]), (2, 4, [0, 1, 2]),
+    (3, 2, [0, 1, 2, 3]), (3, 3, [0, 1, 2, 3]), (4, 2, [0, 1, 3, 4])])
+def test_signed_permutation_pairings_are_inverted_by_transpose(n, q, degrees):
+    # in the chain basis only the middle degree of B^4 is no signed
+    # permutation
+    ring = build_ring(blowup(n, q))
+    assert [j for j in range(n + 1) if ring.signed[j]] == degrees
+    for j in degrees:
+        if len(ring.basis[j]) <= 400:
+            assert ring._dual_inv(j) == linalg.inverse(ring.pairing[n - j])
+
+
+def _explicit_surface(form, top):
+    a, b = ("s", "a"), ("s", "b")
+    spec = cohomology.SurfaceSpec(("a", "b"), linalg.mat(form))
+    return cohomology.GradedRing(spec, [[()], [(a,), (b,)],
+                                        [tuple(("s", g) for g in top)]])
+
+
+@pytest.mark.parametrize("form,top,signed", [
+    ([[0, 1], [1, 0]], "ab", True), ([[-1, 0], [0, 1]], "bb", True),
+    ([[2, 0], [0, -1]], "bb", False), ([[1, 1], [1, 0]], "aa", False)],
+    ids=["hyperbolic", "diagonal", "two", "not-a-permutation"])
+def test_only_a_signed_permutation_pairing_skips_elimination(monkeypatch,
+                                                            form, top,
+                                                            signed):
+    ranked, inverted = [], []
+    rank, inverse = linalg.rank, linalg.inverse
+    monkeypatch.setattr(linalg, "rank",
+                        lambda m: ranked.append(m) or rank(m))
+    monkeypatch.setattr(linalg, "inverse",
+                        lambda m: inverted.append(m) or inverse(m))
+    ring = _explicit_surface(form, top)
+    assert ring.signed[1] is signed
+    assert ring._dual_inv(1) == inverse(ring.pairing[1])
+    assert (linalg.mat(form) in ranked) is not signed
+    assert (linalg.mat(form) in inverted) is not signed
 
 
 # -- oracles for the incidence masks and the chain basis -----------------------

@@ -96,6 +96,38 @@ def test_solve_and_inverse():
         inverse(mat([[1, 2], [2, 4]]))
 
 
+@pytest.mark.parametrize("rows,den,signed", [
+    ([[0, -1, 0], [0, 0, 1], [1, 0, 0]], 1, True),
+    ([], 1, True),
+    ([[0, 1], [0, -1]], 1, False),            # a repeated column
+    ([[2, 0], [0, 1]], 1, False),             # a +-2 entry
+    ([[-2, 0], [0, 1]], 1, False),
+    ([[1, 0], [0, 1]], 2, False),             # entries 1/2
+    ([[1, 1], [0, 1]], 1, False),             # two nonzeros in a row
+    ([[1, 0], [0, 0]], 1, False),             # a zero row
+    ([[1, 0, 0], [0, 1, 0]], 1, False),       # not square
+], ids=["signed", "empty", "repeated-column", "two", "minus-two", "half",
+        "two-in-a-row", "zero-row", "not-square"])
+def test_is_signed_permutation_examples(rows, den, signed):
+    m = Matrix(rows, den, len(rows[0]) if rows else 0)
+    assert linalg.is_signed_permutation(m) is signed
+    if signed:
+        assert inverse(m) == linalg.transpose(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(6)), st.lists(st.sampled_from([1, -1]),
+                                           min_size=6, max_size=6))
+def test_signed_permutation_is_inverted_by_its_transpose(perm, signs):
+    rows = [[0] * 6 for _ in range(6)]
+    for i, (j, sign) in enumerate(zip(perm, signs)):
+        rows[i][j] = sign
+    m = Matrix(rows)
+    assert linalg.is_signed_permutation(m)
+    assert inverse(m) == linalg.transpose(m)
+    assert matmul(m, linalg.transpose(m)) == identity(6)
+
+
 def test_rank_fraction_free_matches_rref():
     m = mat([[Fraction(1, 2), 2, 3], [1, 4, 6], [0, 1, 1]])
     red, pivots = linalg.rref(m)

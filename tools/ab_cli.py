@@ -1,15 +1,16 @@
 """A/B of the purity CLI between two checkouts, in fresh processes.
 
-    python tools/ab_cli.py PARENT CHANGE
+    python tools/ab_cli.py PARENT CHANGE [--extra "ARGS"]... [--out BENCH.json]
 
 For each workload of `perfbench/run.py`'s `WORKLOADS` (read from its syntax
-tree, never imported or run) it makes PAIRS pairs of calls, one on each
-checkout, alternating which side runs first.  A call is `python -m
-purity.cli --json ARGS` from the checkout's root with its `src` on
-PYTHONPATH and PYTHONDONTWRITEBYTECODE=1.  A checkout whose `src` holds a
-`__pycache__` is refused, so every call compiles the engine from source, as
-a benchmark call does, and neither side reads a bytecode cache the other
-lacks.
+tree, never imported or run), and then for each `--extra` rung (CLI
+arguments in one shell word, as "ring --n 4 --q 2", named by them), it
+makes PAIRS pairs of calls, one on each checkout, alternating which side
+runs first.  A call is `python -m purity.cli --json ARGS` from the
+checkout's root with its `src` on PYTHONPATH and PYTHONDONTWRITEBYTECODE=1.
+A checkout whose `src` holds a `__pycache__` is refused, so every call
+compiles the engine from source, as a benchmark call does, and neither side
+reads a bytecode cache the other lacks.
 
 Each call is started by its own small launcher (`python -S`), which forks
 the CLI, hashes its stdout and takes its CPU time and peak RSS from `wait4`.
@@ -26,10 +27,16 @@ every call, and every probe must exit 0 with no output; the tool stops with
 exit 1 otherwise.  Per workload and metric (wall s, CPU s, peak RSS MB,
 setup s) it prints the parent's median and quartiles, the change's median
 and the pairs the change won (lower wins; ties count for neither side).
+With --out it also writes what it prints as JSON: the Python version, and
+per workload its arguments, exit code, stdout sha256 and metric summaries.
 """
 
+import argparse
 import ast
+import json
 import os
+import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -96,11 +103,41 @@ def summary(parent, change):
             "pairs": len(parent)}
 
 
+def compare(name, args, roots, envs):
+    """The record of one workload: its CLI arguments, the exit code and
+    stdout sha256 both sides share, and the `summary` of each metric.  It
+    stops the tool with exit 1 if the sides differ or a probe fails."""
+    cli = [sys.executable, "-m", "purity.cli", "--json", *args]
+    runs, probes = ([], []), ([], [])
+    for i in range(PAIRS):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            runs[side].append(measure(cli, roots[side], envs[side]))
+            probes[side].append(measure(PROBE, roots[side], envs[side]))
+    outputs = {run[3:] for side in runs for run in side}
+    if len(outputs) != 1:
+        raise SystemExit("%s: the sides differ in (exit code, sha256): %s"
+                         % (name, sorted(outputs)))
+    probe_outputs = {run[3:] for side in probes for run in side}
+    if probe_outputs != {(0, EMPTY_SHA256)}:
+        raise SystemExit("%s: an import probe failed or printed: %s"
+                         % (name, sorted(probe_outputs)))
+    (code, sha), = outputs
+    metrics = {metric: summary(*[[r[k] for r in side] for side in runs])
+               for k, metric in enumerate(("wall_s", "cpu_s", "rss_mb"))}
+    metrics["setup_s"] = summary(*[[r[0] for r in side] for side in probes])
+    return {"args": list(args), "exit_code": code, "stdout_sha256": sha,
+            "metrics": metrics}
+
+
 def main(argv):
-    if len(argv) != 2:
-        print("usage: python tools/ab_cli.py PARENT CHANGE", file=sys.stderr)
-        return 2
-    roots = [Path(a).resolve() for a in argv]
+    parser = argparse.ArgumentParser(prog="python tools/ab_cli.py")
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--extra", action="append", default=[],
+                        help="CLI arguments of one more rung")
+    parser.add_argument("--out", help="also write the results as JSON here")
+    opts = parser.parse_args(argv)
+    roots = [Path(a).resolve() for a in (opts.parent, opts.change)]
     for root in roots:
         if next((root / "src").rglob("__pycache__"), None):
             print("%s/src holds bytecode caches; remove them or give a clean "
@@ -108,33 +145,23 @@ def main(argv):
             return 2
     envs = [dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                  PYTHONPATH=str(root / "src")) for root in roots]
-    for name, args in read_workloads().items():
-        cli = [sys.executable, "-m", "purity.cli", "--json", *args]
-        runs, probes = ([], []), ([], [])
-        for i in range(PAIRS):
-            for side in (0, 1) if i % 2 == 0 else (1, 0):
-                runs[side].append(measure(cli, roots[side], envs[side]))
-                probes[side].append(measure(PROBE, roots[side], envs[side]))
-        outputs = {run[3:] for side in runs for run in side}
-        if len(outputs) != 1:
-            print("%s: the sides differ in (exit code, sha256): %s"
-                  % (name, sorted(outputs)), file=sys.stderr)
-            return 1
-        probe_outputs = {run[3:] for side in probes for run in side}
-        if probe_outputs != {(0, EMPTY_SHA256)}:
-            print("%s: an import probe failed or printed: %s"
-                  % (name, sorted(probe_outputs)), file=sys.stderr)
-            return 1
-        (code, sha), = outputs
-        print("%s: exit %d, sha256 %s, %d pairs" % (name, code, sha[:8], PAIRS))
-        rows = [(metric, [[r[k] for r in side] for side in runs])
-                for k, metric in enumerate(("wall_s", "cpu_s", "rss_mb"))]
-        rows.append(("setup_s", [[r[0] for r in side] for side in probes]))
-        for metric, (parent, change) in rows:
-            s = summary(parent, change)
+    workloads = read_workloads()
+    workloads.update((extra, tuple(shlex.split(extra)))
+                     for extra in opts.extra)
+    results = {}
+    for name, args in workloads.items():
+        record = results[name] = compare(name, args, roots, envs)
+        print("%s: exit %d, sha256 %s, %d pairs" % (
+            name, record["exit_code"], record["stdout_sha256"][:8], PAIRS))
+        for metric, s in record["metrics"].items():
             print("  %-7s parent %.4f [%.4f, %.4f]  change %.4f  wins %d/%d"
                   % (metric, s["parent"], *s["quartiles"], s["change"],
                      s["wins"], s["pairs"]))
+    if opts.out:
+        with open(opts.out, "w") as fh:
+            json.dump({"python": platform.python_version(),
+                       "workloads": results}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
